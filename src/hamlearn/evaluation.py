@@ -45,7 +45,8 @@ class EvalReport:
     adapt_steps: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True,
+                          allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,10 @@ def field_mse(spec, params, loss_kind: str, grid: GridTestSet) -> float:
         raise ValueError("empty grid")
     F = fastops.predicted_field(spec, params, grid.states, loss_kind)
     R = F - grid.derivatives
-    return float(np.mean(np.sum(R * R, axis=1)))
+    mse = float(np.mean(np.sum(R * R, axis=1)))
+    if not np.isfinite(mse):
+        raise FloatingPointError("non-finite grid MSE")
+    return mse
 
 
 def adapt_params(learner: LearnerDef, theta, X, Xdot,
@@ -74,9 +78,12 @@ def adapt_params(learner: LearnerDef, theta, X, Xdot,
     mask = update_mask(learner.spec, learner.inner.update_set)
     sub = theta[mask]
     adam = adam_init(sub.size)
-    for _ in range(steps):
-        _, grad = fastops.loss_grad(learner.spec, theta, X, Xdot,
-                                    learner.loss_kind)
+    for step in range(steps):
+        loss, grad = fastops.loss_grad(learner.spec, theta, X, Xdot,
+                                       learner.loss_kind)
+        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+            raise FloatingPointError(
+                f"non-finite adaptation loss or gradient at step {step}")
         sub, adam = adam_update(adam, sub, grad[mask], lr)
         theta[mask] = sub
     return theta

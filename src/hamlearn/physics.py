@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import tape as T
 from .tape import DomainError
@@ -299,9 +298,13 @@ def integrate(field, x0, T_span: float, samples: int,
     field maps a flat state (2n,) to its derivative (2n,).  Returns
     (times, states) with states[k] the dense-output solution at
     t_k = k*T/L; `include_initial` prepends the t = 0 row.  Failure to
-    reach T (blow-up, domain error inside `field`) raises
-    IntegrationError carrying the last reached time.
+    reach T (blow-up, a non-finite derivative, a domain error inside
+    `field`) raises IntegrationError carrying the last reached time.
     """
+    # scipy.integrate takes most of the package's import time; only the
+    # commands that integrate should pay for it
+    from scipy.integrate import solve_ivp
+
     if isinstance(x0, PhaseState):
         x0 = x0.as_array()
     x0 = np.asarray(x0, np.float64).ravel()
@@ -312,7 +315,13 @@ def integrate(field, x0, T_span: float, samples: int,
 
     def rhs(t, y):
         last_t[0] = t
-        return field(y)
+        d = field(y)
+        # a NaN derivative makes RK45's step size NaN, and its step loop
+        # then never ends
+        if not np.isfinite(d).all():
+            raise IntegrationError(
+                f"non-finite derivative at t = {t:.6g}", t)
+        return d
 
     try:
         res = solve_ivp(rhs, (0.0, float(T_span)), x0, method="RK45",

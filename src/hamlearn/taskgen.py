@@ -14,7 +14,9 @@ written with repr so a parse round-trips to the exact same doubles.
 from __future__ import annotations
 
 import json
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,32 +262,97 @@ def write_dataset(path: str, system: str, seed: int, tasks: list) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
+def _read_task(fname: str, system: str, n_points: int) -> Task:
+    """Parse one task CSV and check it against the manifest's shape.
+
+    Any malformation is a ValueError that names the file.
+    """
+    header = _task_header(system)
+    n = DOF[system]
+    n_par = len(PARAM_NAMES[system])
+    rows = {"train": [], "test": []}
+    pvec = None
+    try:
+        with open(fname) as fh:
+            lines = fh.read().strip().split("\n")
+        if lines[0] != ",".join(header):
+            raise ValueError("unexpected header")
+        for lineno, line in enumerate(lines[1:], 2):
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"line {lineno} has {len(cells)} columns, "
+                                 f"expected {len(header)}")
+            if cells[0] not in rows:
+                raise ValueError(f"line {lineno} has split label "
+                                 f"{cells[0]!r}")
+            pvec = [float(c) for c in cells[1 : 1 + n_par]]
+            rows[cells[0]].append([float(c) for c in cells[1 + n_par :]])
+        for split, got in rows.items():
+            if len(got) != n_points:
+                raise ValueError(f"{len(got)} {split} rows, the manifest "
+                                 f"says {n_points}")
+        params = PhysicalParams.from_vector(system, pvec)
+        tr = np.array(rows["train"])
+        te = np.array(rows["test"])
+        if not (np.all(np.isfinite(tr)) and np.all(np.isfinite(te))):
+            raise ValueError("non-finite state or derivative")
+    except ValueError as err:
+        raise ValueError(f"{fname}: {err}") from None
+    return Task(params, tr[:, : 2 * n], tr[:, 2 * n :],
+                te[:, : 2 * n], te[:, 2 * n :])
+
+
+class TaskPool(Sequence):
+    """Read-only view of a dataset's tasks.
+
+    Every task file must exist when the pool is made.  Task i is parsed on
+    first index and cached, so repeated draws see the same Task object and
+    a run pays only for the tasks it uses.
+    """
+
+    def __init__(self, task_dir: str, system: str, n_tasks: int,
+                 n_points: int):
+        self._files = [os.path.join(task_dir, f"task_{i:05d}.csv")
+                       for i in range(n_tasks)]
+        present = set(os.listdir(task_dir))
+        missing = [f for f in self._files if os.path.basename(f) not in present]
+        if missing:
+            raise FileNotFoundError(f"dataset is missing {missing[0]}")
+        self._system = system
+        self._n_points = n_points
+        self._tasks = [None] * n_tasks
+
+    def __len__(self) -> int:
+        return len(self._tasks)
+
+    def __getitem__(self, i) -> Task:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self._tasks)
+        if not 0 <= i < len(self._tasks):
+            raise IndexError("task index out of range")
+        if self._tasks[i] is None:
+            self._tasks[i] = _read_task(self._files[i], self._system,
+                                        self._n_points)
+        return self._tasks[i]
+
+
 def load_dataset(path: str):
-    """Read back (manifest, tasks); exact float round-trip."""
+    """Read back (manifest, tasks); exact float round-trip.
+
+    The manifest is checked and every task file must exist, but a task
+    file is parsed only when its task is first indexed (see TaskPool).
+    """
     with open(os.path.join(path, "manifest.json")) as fh:
         manifest = json.load(fh)
     if manifest.get("format_version") != DATASET_FORMAT_VERSION:
         raise ValueError("unsupported dataset format version")
-    system = manifest["system"]
-    n = DOF[system]
-    n_par = len(PARAM_NAMES[system])
-    tasks = []
-    task_dir = os.path.join(path, "tasks")
-    for i in range(manifest["n_tasks"]):
-        fname = os.path.join(task_dir, f"task_{i:05d}.csv")
-        with open(fname) as fh:
-            lines = fh.read().strip().split("\n")
-        if lines[0] != ",".join(_task_header(system)):
-            raise ValueError(f"unexpected header in {fname}")
-        rows = {"train": [], "test": []}
-        pvec = None
-        for line in lines[1:]:
-            cells = line.split(",")
-            pvec = [float(c) for c in cells[1 : 1 + n_par]]
-            rows[cells[0]].append([float(c) for c in cells[1 + n_par :]])
-        params = PhysicalParams.from_vector(system, pvec)
-        tr = np.array(rows["train"])
-        te = np.array(rows["test"])
-        tasks.append(Task(params, tr[:, : 2 * n], tr[:, 2 * n :],
-                          te[:, : 2 * n], te[:, 2 * n :]))
-    return manifest, tasks
+    system = manifest.get("system")
+    if system not in DOF:
+        raise ValueError(f"dataset has unknown system {system!r}")
+    n_tasks, n_points = manifest.get("n_tasks"), manifest.get("n_points")
+    for key, value in (("n_tasks", n_tasks), ("n_points", n_points)):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"dataset manifest has bad {key} {value!r}")
+    return manifest, TaskPool(os.path.join(path, "tasks"), system, n_tasks,
+                              n_points)

@@ -91,6 +91,52 @@ def test_runtime_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cmd", ["eval", "rollout"])
+def test_non_finite_adaptation_exits_2(tmp_path, cmd, capsys):
+    out = tmp_path / "nan"
+    assert main([cmd, "--checkpoint", "run/checkpoint.json", "--k", "6",
+                 "--adapt-lr", "1e200", "--seed", "3", "--out",
+                 str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=reject)
+
+
+def _corrupt_dataset(tmp_path, corrupt):
+    """A two-task dataset whose task_00001.csv `corrupt` has changed."""
+    ds = tmp_path / "ds"
+    assert main(["gen", "--system", "spring_mass", "--tasks", "2",
+                 "--points", "6", "--seed", "3", "--out", str(ds)]) == 0
+    corrupt(ds / "tasks" / "task_00001.csv")
+    return str(ds)
+
+
+def test_metatrain_drawn_corrupt_task_exits_2(tmp_path, capsys):
+    def drop_test_rows(path):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith("test,")))
+
+    ds = _corrupt_dataset(tmp_path, drop_test_rows)
+    # a batch of 2 from a pool of 2 draws the corrupt task in episode 0
+    assert main(["metatrain", "--dataset", ds, "--learner", "hanil",
+                 "--out", str(tmp_path / "run"), *TRAIN_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "task_00001.csv" in err and "0 test rows" in err
+
+
+def test_metatrain_missing_task_file_exits_2_at_load(tmp_path, capsys):
+    ds = _corrupt_dataset(tmp_path, lambda path: path.unlink())
+    out = tmp_path / "run"
+    assert main(["metatrain", "--dataset", ds, "--learner", "hanil",
+                 "--out", str(out), *TRAIN_FLAGS]) == 2
+    assert "task_00001.csv" in capsys.readouterr().err
+    assert not out.exists()  # refused before anything was written
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("walrus = 3\n")
@@ -314,7 +360,7 @@ def test_config_file_drives_a_run_and_flags_win(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_module_invocation_works():
+def _child_env():
     # The autouse fixture has moved into a temp directory, so a relative
     # PYTHONPATH inherited from the test command no longer resolves there.
     # Point the child at the package this process imported.
@@ -322,7 +368,21 @@ def test_module_invocation_works():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_invocation_works():
     proc = subprocess.run([sys.executable, "-m", "hamlearn", "--version"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("v0.")
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only rollout and trajectory mode integrate, so only they import scipy
+    code = ("import sys, hamlearn.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

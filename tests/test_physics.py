@@ -1,5 +1,7 @@
 """Physics: closed-form values, field oracles, symplectic map, integration."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,28 @@ def test_kepler_guard_and_integration_error():
     with pytest.raises(P.IntegrationError) as ei:
         P.integrate(P.field_fn(par), np.array([0.6, 0.0, -0.5, 0.0]), 10.0, 10)
     assert 0.0 <= ei.value.t_failure <= 10.0
+
+
+def test_integrate_non_finite_field_raises():
+    # RK45 alone spins forever on a NaN derivative; the alarm bounds a
+    # regression to a failure instead of a hung suite
+    def timeout(signum, frame):
+        raise TimeoutError("integrate did not return")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        with pytest.raises(P.IntegrationError) as ei:
+            P.integrate(lambda x: np.full(2, np.nan), [1.0, 0.5], 20.0, 200)
+        assert ei.value.t_failure == 0.0
+        # a field that turns infinite at q = 2, reached at t = 1
+        field = lambda x: np.array([1.0 if x[0] < 2 else np.inf, 0.0])
+        with pytest.raises(P.IntegrationError) as ei:
+            P.integrate(field, [1.0, 0.0], 20.0, 200)
+        assert 0.5 < ei.value.t_failure < 2.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_sample_times_convention():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -183,12 +185,66 @@ def test_dataset_roundtrip_exact(tmp_path):
     manifest, back = load_dataset(path)
     assert manifest["n_tasks"] == 3 and manifest["system"] == "kepler"
     assert manifest["n_points"] == 7
-    for a, b in zip(tasks, back):
+    assert len(back) == 3
+    # out of order and from the end, as the episode draws index the pool
+    for i in (2, 0, -2):
+        a, b = tasks[i], back[i]
         assert a.params.values == b.params.values
         np.testing.assert_array_equal(a.train_x, b.train_x)
         np.testing.assert_array_equal(a.train_xdot, b.train_xdot)
         np.testing.assert_array_equal(a.test_x, b.test_x)
         np.testing.assert_array_equal(a.test_xdot, b.test_xdot)
+    # a repeated draw (or a later epoch, or a resumed run) sees the same task
+    assert back[1] is back[-2]
+    assert all(t is back[i] for i, t in enumerate(back))
+    with pytest.raises(IndexError):
+        back[3]
+    with pytest.raises(IndexError):
+        back[-4]
+
+
+def test_dataset_parses_a_task_only_when_indexed(tmp_path, monkeypatch):
+    tasks = make_meta_train("spring_mass", n_tasks=4, n_points=3, seed=5)
+    path = str(tmp_path / "ds")
+    write_dataset(path, "spring_mass", 5, tasks)
+    opened = []
+    real_open = open
+
+    def spy(file, *args, **kwargs):
+        opened.append(os.path.basename(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    _, back = load_dataset(path)
+    assert opened == ["manifest.json"]
+    back[2]
+    back[2]
+    assert opened == ["manifest.json", "task_00002.csv"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda lines: ["split,m,k,q0,q,p,qdot,pdot"] + lines[1:],
+    lambda lines: lines[:2] + [lines[2] + ",1.0"] + lines[3:],
+    lambda lines: lines[:2] + ["valid" + lines[2][len("train"):]] + lines[3:],
+    lambda lines: [l for l in lines if not l.startswith("test,")],
+    lambda lines: lines + [lines[-1]],
+    lambda lines: lines[:2] + [lines[2].replace(",", ",x", 1)] + lines[3:],
+    lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",nan"]
+    + lines[3:],
+    lambda lines: [],
+], ids=["header", "columns", "split", "no-test-rows", "extra-row",
+        "not-a-float", "nan", "empty"])
+def test_corrupt_task_file_names_the_file(tmp_path, corrupt):
+    tasks = make_meta_train("spring_mass", n_tasks=2, n_points=3, seed=5)
+    path = tmp_path / "ds"
+    write_dataset(str(path), "spring_mass", 5, tasks)
+    bad = path / "tasks" / "task_00001.csv"
+    lines = bad.read_text().strip().split("\n")
+    bad.write_text("\n".join(corrupt(lines)) + "\n")
+    _, back = load_dataset(str(path))
+    back[0]  # the intact task still loads
+    with pytest.raises(ValueError, match="task_00001.csv"):
+        back[1]
 
 
 def test_dataset_regeneration_byte_identical(tmp_path):
@@ -207,8 +263,10 @@ def test_dataset_bad_version_rejected(tmp_path):
     write_dataset(path, "spring_mass", 1, tasks)
     import json
     mf = tmp_path / "ds" / "manifest.json"
-    m = json.loads(mf.read_text())
-    m["format_version"] = 999
-    mf.write_text(json.dumps(m))
-    with pytest.raises(ValueError):
-        load_dataset(path)
+    good = json.loads(mf.read_text())
+    # the version, and the other manifest fields the reader relies on
+    for key, value in (("format_version", 999), ("system", "rigid_rotor"),
+                       ("n_tasks", "1"), ("n_tasks", -1), ("n_points", 1.5)):
+        mf.write_text(json.dumps({**good, key: value}))
+        with pytest.raises(ValueError):
+            load_dataset(path)
