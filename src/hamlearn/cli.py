@@ -164,6 +164,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _truncate_curve(path: str, episode: int) -> None:
+    """Keep the header and the rows of episodes before `episode`, so that a
+    resume retried after a failure does not repeat the failed run's rows."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    rows = [l for l in lines[1:] if int(l.split(",", 1)[0]) < episode]
+    with open(path, "w") as fh:
+        fh.writelines(lines[:1] + rows)
+
+
 def cmd_metatrain(args) -> int:
     cfg, file_values = _resolve(
         args, ("dataset", "learner", "episodes", "task_batch", "inner_steps",
@@ -198,6 +208,8 @@ def cmd_metatrain(args) -> int:
 
     t0 = time.monotonic()
     mode = "a" if args.resume and os.path.exists(curve_path) else "w"
+    if mode == "a":
+        _truncate_curve(curve_path, start_episode)
     with open(curve_path, mode) as fh:
         if mode == "w":
             fh.write("episode,meta_loss,wall_time\n")

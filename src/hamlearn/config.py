@@ -193,9 +193,9 @@ def save_checkpoint(path: str, learner: LearnerDef, theta: np.ndarray,
                  "t": int(adam.t)},
         "version": version_string(),
     }
+    text = json.dumps(blob, allow_nan=False)  # raises before writing
     with open(path, "w") as fh:
-        json.dump(blob, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_checkpoint(path: str):

@@ -79,8 +79,8 @@ def adapt_params(learner: LearnerDef, theta, X, Xdot,
     sub = theta[mask]
     adam = adam_init(sub.size)
     for step in range(steps):
-        loss, grad = fastops.loss_grad(learner.spec, theta, X, Xdot,
-                                       learner.loss_kind)
+        loss, grad, _ = fastops.loss_grad(learner.spec, theta, X, Xdot,
+                                          learner.loss_kind)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise FloatingPointError(
                 f"non-finite adaptation loss or gradient at step {step}")
@@ -126,8 +126,8 @@ def learning_curve(learner: LearnerDef, theta_meta, systems,
                                         learner.loss_kind, s.grid)
             if step == max_steps:
                 break
-            _, grad = fastops.loss_grad(learner.spec, theta, s.train_x,
-                                        s.train_xdot, learner.loss_kind)
+            _, grad, _ = fastops.loss_grad(learner.spec, theta, s.train_x,
+                                           s.train_xdot, learner.loss_kind)
             sub, adam = adam_update(adam, sub, grad[mask], adapt_lr)
             theta[mask] = sub
     return curves.mean(axis=0)

@@ -2,21 +2,30 @@
 
 The tape in `tape.py` is the reference semantics; these kernels are the
 throughput path used by training.  They are hand-derived closed forms of
-the same quantities and are cross-checked against the tape in tests:
+the same quantities, written in plain numpy over the per-layer [W; b]
+views of `network.unpack_blocks`, and are cross-checked against the tape
+in tests:
 
 - ``mlp_forward``: batched forward pass.
 - ``hnn_field``: Omega * dH/dx obtained by backpropagating the scalar
   output to the inputs (one reverse recurrence per batch).
-- ``*_loss_grad``: parameter gradient of the batch loss.  For the
-  Hamiltonian loss the forward quantity already contains a reverse
-  sweep, so its gradient is a second reverse sweep over both phases.
-- ``*_loss_hvp``: Hessian-vector products, computed by pushing a dual
-  (tangent) component through every statement of the gradient kernel:
-  exact second-order information, no graph materialization.
+- ``loss_grad``: the primal+adjoint pass.  It returns the batch loss, its
+  parameter gradient and a `Linearization` holding the forward state
+  (activations A, sigmoids S) and, for the Hamiltonian loss, the
+  input-gradient recurrence (U, V) and every layer's adjoints.  For the
+  Hamiltonian loss the forward quantity already contains a reverse sweep,
+  so its gradient is a second reverse sweep over both phases.
+- ``loss_hvp``: the tangent pass, Pearlmutter's R-op (Pearlmutter 1994,
+  "Fast exact multiplication by the Hessian") applied to a linearization:
+  the tangent of every statement of the primal+adjoint pass, whose
+  gradient tangent is exactly H @ vec.  A term fed only by an
+  exactly-zero block of ``vec`` is skipped (its value would be an exact
+  zero), so a direction confined to the output layer runs no forward
+  tangent below it.
 
-Everything is written in a numba-compatible numpy subset and compiled
-twice via `_backend.dual` (pure numpy / @njit), selected by the
-HAMLEARN_NUMBA env var.  Batch layout: X is (B, 2n) rows [q..., p...].
+Each public wrapper runs its kernel with numpy's floating-point warnings
+silenced; callers detect a non-finite result and raise
+`FloatingPointError`.  Batch layout: X is (B, 2n) rows [q..., p...].
 
 Only softplus activation is supported here (the smooth default); other
 activations run on the tape path.
@@ -24,513 +33,331 @@ activations run on the tape path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ._backend import dual
-from .network import NetworkSpec, packed_dims, param_count
+from .network import NetworkSpec, param_count, unpack_blocks
+
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+# Fields are evaluated in blocks of this many rows.  A (rows, 64) float64
+# temporary of one block stays under 128 KiB, which glibc's allocator
+# recycles; larger ones are mapped afresh and page-faulted in on every op.
+# On a 2-core Xeon, a 2500-row field ran 2.5x faster in blocks.
+_ROW_BLOCK = 128
 
 
 def _check(spec: NetworkSpec, params, X, want_scalar_out: bool | None = None):
+    """(params, per-layer [W; b] blocks, X) as float64 arrays."""
     if spec.activation != "softplus":
         raise NotImplementedError("fast kernels support softplus only")
-    params = np.ascontiguousarray(params, np.float64)
-    if params.shape != (param_count(spec),):
-        raise ValueError("params length does not match spec")
-    X = np.ascontiguousarray(np.atleast_2d(X), np.float64)
+    params = np.asarray(params, np.float64)
+    blocks = unpack_blocks(spec, params)  # checks the length
+    X = np.atleast_2d(np.asarray(X, np.float64))
     if X.shape[1] != spec.input_dim:
         raise ValueError("input dim mismatch")
     if want_scalar_out is True and spec.output_dim != 1:
         raise ValueError("Hamiltonian kernels need output_dim == 1")
     if want_scalar_out is False and spec.output_dim != spec.input_dim:
         raise ValueError("field kernels need output_dim == input_dim")
-    return params, X
+    return params, blocks, X
 
 
-@dual
-def _k_forward(params, dims, woff, boff, X):
-    B = X.shape[0]
-    L = dims.shape[0] - 1
-    a = X
-    for l in range(1, L + 1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        b = params[boff[l - 1] : boff[l - 1] + fo]
-        z = np.dot(np.ascontiguousarray(a), W) + b
-        if l < L:
-            a = np.logaddexp(0.0, z)
-        else:
-            a = z
+def _softplus_sigmoid(z, out):
+    """Write softplus(z) into `out` and return sigmoid(z), both from one
+    t = exp(-|z|)."""
+    t = np.exp(-np.abs(z))
+    r = 1.0 / (1.0 + t)
+    np.add(np.maximum(z, 0.0), np.log1p(t), out=out)
+    return np.where(z >= 0.0, r, t * r)
+
+
+def _omega(G):
+    """Omega @ g per row: [g_p, -g_q]."""
+    n = G.shape[1] // 2
+    return np.concatenate((G[:, n:], -G[:, :n]), axis=1)
+
+
+def _with_ones(B, n):
+    """(B, n + 1) buffer whose last column is 1."""
+    a = np.empty((B, n + 1))
+    a[:, -1] = 1.0
     return a
 
 
-@dual
-def _k_hnn_field(params, dims, woff, boff, X):
+def _forward(blocks, X):
+    """Inputs and hidden activations, each with a trailing column of ones
+    (A[0] = [X, 1]), and the hidden sigmoids; indexed by layer."""
+    A, S = [_with_ones(*X.shape)], [None]
+    A[0][:, :-1] = X
+    for P in blocks[:-1]:
+        A.append(_with_ones(X.shape[0], P.shape[1]))
+        S.append(_softplus_sigmoid(A[-2] @ P, out=A[-1][:, :-1]))
+    return A, S
+
+
+def _by_rows(kernel, blocks, X):
+    """kernel(blocks, X) evaluated one row block at a time."""
+    if X.shape[0] <= _ROW_BLOCK:
+        return kernel(blocks, X)
+    return np.concatenate([kernel(blocks, X[i : i + _ROW_BLOCK])
+                           for i in range(0, X.shape[0], _ROW_BLOCK)])
+
+
+def _hnn_field(blocks, X):
+    _, S = _forward(blocks, X)
+    v = blocks[-1][:-1].T  # u_L = 1, so v_{L-1} = W_L^T on every row
+    for l in range(len(blocks) - 1, 0, -1):
+        v = (v * S[l]) @ blocks[l - 1][:-1].T
+    return _omega(np.broadcast_to(v, X.shape))
+
+
+def _mlp(blocks, X):
+    A, _ = _forward(blocks, X)
+    return A[-1] @ blocks[-1]
+
+
+# Tangent-pass arithmetic in which None stands for an exact zero array.
+
+
+def _sum(*terms):
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
+
+
+def _mul(a, b):
+    return None if a is None or b is None else a * b
+
+
+def _mm(a, b):
+    return None if a is None or b is None else a @ b
+
+
+def _t(a):
+    return None if a is None else a.T
+
+
+def _tangent_blocks(spec, vec):
+    """Per-layer [dW; db] blocks of `vec` (None where exactly zero), and
+    their dW parts."""
+    dP = [P if P.any() else None for P in unpack_blocks(spec, vec)]
+    return dP, [None if P is None else P[:-1] for P in dP]
+
+
+@dataclass(frozen=True, eq=False)
+class Linearization:
+    """State of one primal+adjoint pass, reused by tangent passes.
+
+    Refers to the params, X and Xdot arrays it was made at, so that
+    `loss_hvp` can refuse it for any others.  Per-layer lists are
+    indexed by layer l = 1..L; blocks[l - 1] is layer l's [W; b].
+    """
+    spec: NetworkSpec
+    loss_kind: str
+    params: np.ndarray
+    X: np.ndarray
+    Xdot: np.ndarray
+    loss: float
+    grad: np.ndarray
+    blocks: list      # views into `params`
+    A: list           # [a_l, 1]; A[0] = [X, 1]
+    S: list           # sigmoid(z_l) of the hidden layers
+    barz: list        # adjoint of z_l
+    bara: list        # adjoint of a_l through the forward recurrence
+    SP: list = None   # hnn: sigmoid'(z_l)
+    U: list = None    # hnn: dH/dz_l
+    V: list = None    # hnn: dH/da_l; V[0] = dH/dx
+    barv: list = None  # hnn: adjoint of V[l]
+    baru: list = None  # hnn: adjoint of U[l]
+
+
+# -- Hamiltonian (hnn) loss ----------------------------------------------------
+
+
+def _hnn_linearize(spec, params, blocks, X, Xdot):
+    L = len(blocks)
     B = X.shape[0]
-    d0 = dims[0]
-    n = d0 // 2
-    L = dims.shape[0] - 1
-    CT = 0
-    for l in range(1, L + 1):
-        CT += dims[l]
-    co = np.zeros(L + 1, np.int64)
-    acc = 0
-    for l in range(1, L + 1):
-        co[l] = acc
-        acc += dims[l]
-    S = np.zeros((B, CT))
-    # forward, keeping sigmoid(z) for the reverse recurrence
-    a = X
-    for l in range(1, L + 1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        b = params[boff[l - 1] : boff[l - 1] + fo]
-        z = np.dot(np.ascontiguousarray(a), W) + b
-        if l < L:
-            t = np.exp(-np.abs(z))
-            S[:, co[l] : co[l] + fo] = np.where(z >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-            a = np.logaddexp(0.0, z)
+    W = [P[:-1] for P in blocks]
+    A, S = _forward(blocks, X)
     # reverse to inputs: u_L = 1, v_{l-1} = u_l W_l^T, u_{l-1} = v_{l-1} * s_{l-1}
-    u = np.ones((B, dims[L]))
-    v = np.ones((B, d0))
-    for l in range(L, 0, -1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        v = np.dot(np.ascontiguousarray(u), np.ascontiguousarray(W.T))
-        if l > 1:
-            u = v * S[:, co[l - 1] : co[l - 1] + fi]
-    F = np.empty((B, d0))
-    F[:, :n] = v[:, n:d0]
-    F[:, n:d0] = -v[:, :n]
-    return F
-
-
-@dual
-def _k_hnn_loss_grad(params, dims, woff, boff, X, Xdot):
-    B = X.shape[0]
-    d0 = dims[0]
-    n = d0 // 2
-    L = dims.shape[0] - 1
-    CT = 0
-    for l in range(1, L + 1):
-        CT += dims[l]
-    co = np.zeros(L + 1, np.int64)
-    acc = 0
-    for l in range(1, L + 1):
-        co[l] = acc
-        acc += dims[l]
-    VT = 0
-    vo = np.zeros(L, np.int64)
-    for l in range(L):
-        vo[l] = VT
-        VT += dims[l]
-    A = np.zeros((B, CT))     # hidden activations
-    S = np.zeros((B, CT))     # sigmoid(z)
-    U = np.zeros((B, CT))     # dH/dz
-    V = np.zeros((B, VT))     # dH/da (V[:, vo[0]] block = dH/dx)
-    BARZ = np.zeros((B, CT))  # adjoint pieces deferred to phase B
-
-    a = X
-    for l in range(1, L + 1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        b = params[boff[l - 1] : boff[l - 1] + fo]
-        z = np.dot(np.ascontiguousarray(a), W) + b
-        if l < L:
-            t = np.exp(-np.abs(z))
-            S[:, co[l] : co[l] + fo] = np.where(z >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-            a = np.logaddexp(0.0, z)
-            A[:, co[l] : co[l] + fo] = a
-
-    u = np.ones((B, dims[L]))
-    U[:, co[L] : co[L] + dims[L]] = u
-    for l in range(L, 0, -1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        v = np.dot(np.ascontiguousarray(u), np.ascontiguousarray(W.T))
-        V[:, vo[l - 1] : vo[l - 1] + fi] = v
-        if l > 1:
-            u = v * S[:, co[l - 1] : co[l - 1] + fi]
-            U[:, co[l - 1] : co[l - 1] + fi] = u
-
-    G = V[:, vo[0] : vo[0] + d0]
-    F = np.empty((B, d0))
-    F[:, :n] = G[:, n:d0]
-    F[:, n:d0] = -G[:, :n]
-    R = F - Xdot
-    loss = np.sum(R * R) / B
+    U, V = [None] * (L + 1), [None] * L
+    U[L] = np.ones((B, 1))
+    V[L - 1] = np.broadcast_to(W[L - 1].T, (B, spec.dims[L - 1]))
+    for l in range(L - 1, 0, -1):
+        U[l] = V[l] * S[l]
+        V[l - 1] = U[l] @ W[l - 1].T
+    R = _omega(V[0]) - Xdot
+    loss = float(np.sum(R * R) / B)
 
     grad = np.zeros(params.shape[0])
-    sc = 2.0 / B
-    barv = np.empty((B, d0))  # adjoint of v_{l-1}; starts as adjoint of dH/dx
-    barv[:, :n] = -sc * R[:, n:d0]
-    barv[:, n:d0] = sc * R[:, :n]
-
+    G = unpack_blocks(spec, grad)
+    SP, barv, baru = [None] * L, [None] * L, [None] * L
+    barz, bara = [None] * L, [None] * L
+    barv[0] = -_omega((2.0 / B) * R)  # adjoint of dH/dx
     # phase A: adjoints through the input-gradient recurrence (l ascending)
     for l in range(1, L + 1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        ul = U[:, co[l] : co[l] + fo]
-        gW = np.dot(np.ascontiguousarray(barv.T), np.ascontiguousarray(ul))
-        grad[woff[l - 1] : woff[l - 1] + fi * fo] += gW.ravel()
+        np.matmul(barv[l - 1].T, U[l], out=G[l - 1][:-1])
         if l < L:
-            baru = np.dot(np.ascontiguousarray(barv), W)
-            s = S[:, co[l] : co[l] + fo]
-            vl = V[:, vo[l] : vo[l] + fo]
-            BARZ[:, co[l] : co[l] + fo] = baru * vl * (s * (1.0 - s))
-            barv = baru * s
-
+            s = S[l]
+            baru[l] = barv[l - 1] @ W[l - 1]
+            SP[l] = s * (1.0 - s)
+            barz[l] = baru[l] * V[l] * SP[l]  # completed in phase B
+            barv[l] = baru[l] * s
     # phase B: adjoints through the forward recurrence (l descending)
-    bara = np.zeros((B, dims[L - 1]))
     for l in range(L - 1, 0, -1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        s = S[:, co[l] : co[l] + fo]
-        barz = BARZ[:, co[l] : co[l] + fo] + bara * s
-        if l == 1:
-            ap = X
-        else:
-            ap = A[:, co[l - 1] : co[l - 1] + fi]
-        gW = np.dot(np.ascontiguousarray(ap.T), np.ascontiguousarray(barz))
-        grad[woff[l - 1] : woff[l - 1] + fi * fo] += gW.ravel()
-        grad[boff[l - 1] : boff[l - 1] + fo] += np.sum(barz, 0)
+        if l < L - 1:
+            barz[l] = barz[l] + bara[l] * S[l]
+        G[l - 1] += A[l - 1].T @ barz[l]
         if l > 1:
-            bara = np.dot(np.ascontiguousarray(barz), np.ascontiguousarray(W.T))
-    return loss, grad
+            bara[l - 1] = barz[l] @ W[l - 1].T
+    return Linearization(spec, "hnn", params, X, Xdot, loss, grad, blocks,
+                         A, S, barz, bara, SP, U, V, barv, baru)
 
 
-@dual
-def _k_hnn_loss_hvp(params, dims, woff, boff, X, Xdot, vec):
-    # gradient kernel with a dual (tangent) component pushed through every
-    # statement; the tangent of grad is exactly hessian @ vec
-    B = X.shape[0]
-    d0 = dims[0]
-    n = d0 // 2
-    L = dims.shape[0] - 1
-    CT = 0
-    for l in range(1, L + 1):
-        CT += dims[l]
-    co = np.zeros(L + 1, np.int64)
-    acc = 0
-    for l in range(1, L + 1):
-        co[l] = acc
-        acc += dims[l]
-    VT = 0
-    vo = np.zeros(L, np.int64)
-    for l in range(L):
-        vo[l] = VT
-        VT += dims[l]
-    A = np.zeros((B, CT))
-    DA = np.zeros((B, CT))
-    S = np.zeros((B, CT))
-    DS = np.zeros((B, CT))    # sigma'(z) * dz
-    U = np.zeros((B, CT))
-    DU = np.zeros((B, CT))
-    V = np.zeros((B, VT))
-    DV = np.zeros((B, VT))
-    BARZ = np.zeros((B, CT))
-    BARZD = np.zeros((B, CT))
-
-    a = X
-    da = np.zeros((B, d0))
-    for l in range(1, L + 1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        b = params[boff[l - 1] : boff[l - 1] + fo]
-        Wd = vec[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        bd = vec[boff[l - 1] : boff[l - 1] + fo]
-        ac = np.ascontiguousarray(a)
-        dac = np.ascontiguousarray(da)
-        z = np.dot(ac, W) + b
-        dz = np.dot(dac, W) + np.dot(ac, Wd) + bd
-        if l < L:
-            t = np.exp(-np.abs(z))
-            s = np.where(z >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-            sp = s * (1.0 - s)
-            S[:, co[l] : co[l] + fo] = s
-            DS[:, co[l] : co[l] + fo] = sp * dz
-            a = np.logaddexp(0.0, z)
-            da = s * dz
-            A[:, co[l] : co[l] + fo] = a
-            DA[:, co[l] : co[l] + fo] = da
-
-    u = np.ones((B, dims[L]))
-    du = np.zeros((B, dims[L]))
-    U[:, co[L] : co[L] + dims[L]] = u
-    for l in range(L, 0, -1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        Wd = vec[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        WT = np.ascontiguousarray(W.T)
-        WdT = np.ascontiguousarray(Wd.T)
-        uc = np.ascontiguousarray(u)
-        duc = np.ascontiguousarray(du)
-        v = np.dot(uc, WT)
-        dv = np.dot(duc, WT) + np.dot(uc, WdT)
-        V[:, vo[l - 1] : vo[l - 1] + fi] = v
-        DV[:, vo[l - 1] : vo[l - 1] + fi] = dv
-        if l > 1:
-            s = S[:, co[l - 1] : co[l - 1] + fi]
-            ds = DS[:, co[l - 1] : co[l - 1] + fi]
-            u = v * s
-            du = dv * s + v * ds
-            U[:, co[l - 1] : co[l - 1] + fi] = u
-            DU[:, co[l - 1] : co[l - 1] + fi] = du
-
-    G = V[:, vo[0] : vo[0] + d0]
-    DG = DV[:, vo[0] : vo[0] + d0]
-    F = np.empty((B, d0))
-    DF = np.empty((B, d0))
-    F[:, :n] = G[:, n:d0]
-    F[:, n:d0] = -G[:, :n]
-    DF[:, :n] = DG[:, n:d0]
-    DF[:, n:d0] = -DG[:, :n]
-    R = F - Xdot
-    loss = np.sum(R * R) / B
-
-    grad = np.zeros(params.shape[0])
-    hvp = np.zeros(params.shape[0])
-    sc = 2.0 / B
-    barv = np.empty((B, d0))
-    barvd = np.empty((B, d0))
-    barv[:, :n] = -sc * R[:, n:d0]
-    barv[:, n:d0] = sc * R[:, :n]
-    barvd[:, :n] = -sc * DF[:, n:d0]
-    barvd[:, n:d0] = sc * DF[:, :n]
-
-    for l in range(1, L + 1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        Wd = vec[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        ul = np.ascontiguousarray(U[:, co[l] : co[l] + fo])
-        dul = np.ascontiguousarray(DU[:, co[l] : co[l] + fo])
-        bvT = np.ascontiguousarray(barv.T)
-        bvdT = np.ascontiguousarray(barvd.T)
-        grad[woff[l - 1] : woff[l - 1] + fi * fo] += np.dot(bvT, ul).ravel()
-        hvp[woff[l - 1] : woff[l - 1] + fi * fo] += (np.dot(bvdT, ul) + np.dot(bvT, dul)).ravel()
-        if l < L:
-            bv = np.ascontiguousarray(barv)
-            bvd = np.ascontiguousarray(barvd)
-            baru = np.dot(bv, W)
-            barud = np.dot(bvd, W) + np.dot(bv, Wd)
-            s = S[:, co[l] : co[l] + fo]
-            ds = DS[:, co[l] : co[l] + fo]
-            vl = V[:, vo[l] : vo[l] + fo]
-            dvl = DV[:, vo[l] : vo[l] + fo]
-            sp = s * (1.0 - s)
-            dsp = (1.0 - 2.0 * s) * ds  # tangent of sigma'
-            BARZ[:, co[l] : co[l] + fo] = baru * vl * sp
-            BARZD[:, co[l] : co[l] + fo] = (barud * vl * sp + baru * dvl * sp
-                                            + baru * vl * dsp)
-            barv = baru * s
-            barvd = barud * s + baru * ds
-
-    bara = np.zeros((B, dims[L - 1]))
-    barad = np.zeros((B, dims[L - 1]))
+def _hnn_tangent(lin: Linearization, vec):
+    A, S, SP, U, V = lin.A, lin.S, lin.SP, lin.U, lin.V
+    L = len(lin.blocks)
+    B = lin.X.shape[0]
+    W = [P[:-1] for P in lin.blocks]
+    dP, dW = _tangent_blocks(lin.spec, vec)
+    dA, dS = [None] * L, [None] * L
+    for l in range(1, L):
+        dz = _sum(_mm(dA[l - 1], W[l - 1]), _mm(A[l - 1], dP[l - 1]))
+        dS[l] = _mul(SP[l], dz)
+        dA[l] = _mul(S[l], dz)
+    dU, dV = [None] * (L + 1), [None] * L
+    if dW[L - 1] is not None:
+        dV[L - 1] = np.broadcast_to(dW[L - 1].T, V[L - 1].shape)
     for l in range(L - 1, 0, -1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        Wd = vec[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        s = S[:, co[l] : co[l] + fo]
-        ds = DS[:, co[l] : co[l] + fo]
-        barz = np.ascontiguousarray(BARZ[:, co[l] : co[l] + fo] + bara * s)
-        barzd = np.ascontiguousarray(BARZD[:, co[l] : co[l] + fo]
-                                     + barad * s + bara * ds)
-        if l == 1:
-            ap = X
-            dap = np.zeros((B, d0))
-        else:
-            ap = A[:, co[l - 1] : co[l - 1] + fi]
-            dap = DA[:, co[l - 1] : co[l - 1] + fi]
-        apT = np.ascontiguousarray(ap.T)
-        dapT = np.ascontiguousarray(dap.T)
-        grad[woff[l - 1] : woff[l - 1] + fi * fo] += np.dot(apT, barz).ravel()
-        grad[boff[l - 1] : boff[l - 1] + fo] += np.sum(barz, 0)
-        hvp[woff[l - 1] : woff[l - 1] + fi * fo] += (np.dot(dapT, barz) + np.dot(apT, barzd)).ravel()
-        hvp[boff[l - 1] : boff[l - 1] + fo] += np.sum(barzd, 0)
-        if l > 1:
-            WT = np.ascontiguousarray(W.T)
-            WdT = np.ascontiguousarray(Wd.T)
-            bara = np.dot(barz, WT)
-            barad = np.dot(barzd, WT) + np.dot(barz, WdT)
-    return loss, grad, hvp
+        dU[l] = _sum(_mul(dV[l], S[l]), _mul(V[l], dS[l]))
+        dV[l - 1] = _sum(_mm(dU[l], W[l - 1].T), _mm(U[l], _t(dW[l - 1])))
 
-
-@dual
-def _k_naive_loss_grad(params, dims, woff, boff, X, Xdot):
-    B = X.shape[0]
-    L = dims.shape[0] - 1
-    CT = 0
+    hvp = np.zeros(lin.params.shape[0])
+    H = unpack_blocks(lin.spec, hvp)
+    dbarv = None if dV[0] is None else -_omega((2.0 / B) * _omega(dV[0]))
+    dbarz = [None] * L
     for l in range(1, L + 1):
-        CT += dims[l]
-    co = np.zeros(L + 1, np.int64)
-    acc = 0
-    for l in range(1, L + 1):
-        co[l] = acc
-        acc += dims[l]
-    A = np.zeros((B, CT))
-    S = np.zeros((B, CT))
-    a = X
-    for l in range(1, L + 1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        b = params[boff[l - 1] : boff[l - 1] + fo]
-        z = np.dot(np.ascontiguousarray(a), W) + b
+        hW = _sum(_mm(_t(dbarv), U[l]), _mm(lin.barv[l - 1].T, dU[l]))
+        if hW is not None:
+            H[l - 1][:-1] = hW
         if l < L:
-            t = np.exp(-np.abs(z))
-            S[:, co[l] : co[l] + fo] = np.where(z >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-            a = np.logaddexp(0.0, z)
-            A[:, co[l] : co[l] + fo] = a
-        else:
-            a = z
-    R = a - Xdot
-    loss = np.sum(R * R) / B
-    grad = np.zeros(params.shape[0])
-    barz = (2.0 / B) * R
-    for l in range(L, 0, -1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        if l == 1:
-            ap = X
-        else:
-            ap = A[:, co[l - 1] : co[l - 1] + fi]
-        bz = np.ascontiguousarray(barz)
-        grad[woff[l - 1] : woff[l - 1] + fi * fo] += np.dot(np.ascontiguousarray(ap.T), bz).ravel()
-        grad[boff[l - 1] : boff[l - 1] + fo] += np.sum(barz, 0)
+            s, ds, baru, v = S[l], dS[l], lin.baru[l], V[l]
+            dbaru = _sum(_mm(dbarv, W[l - 1]), _mm(lin.barv[l - 1], dW[l - 1]))
+            dsp = None if ds is None else (1.0 - 2.0 * s) * ds
+            dbarz[l] = _sum(_mul(_mul(dbaru, v), SP[l]),
+                            _mul(_mul(baru, dV[l]), SP[l]),
+                            _mul(baru * v, dsp))
+            dbarv = _sum(_mul(dbaru, s), _mul(baru, ds))
+    dbara = None
+    for l in range(L - 1, 0, -1):
+        dbz = _sum(dbarz[l], _mul(dbara, S[l]), _mul(lin.bara[l], dS[l]))
+        if dbz is not None:
+            H[l - 1] += A[l - 1].T @ dbz
+        if dA[l - 1] is not None:
+            H[l - 1][:-1] += dA[l - 1].T @ lin.barz[l]
         if l > 1:
-            bara = np.dot(bz, np.ascontiguousarray(W.T))
-            barz = bara * S[:, co[l - 1] : co[l - 1] + fi]
-    return loss, grad
+            dbara = _sum(_mm(dbz, W[l - 1].T), _mm(lin.barz[l], _t(dW[l - 1])))
+    return hvp
 
 
-@dual
-def _k_naive_loss_hvp(params, dims, woff, boff, X, Xdot, vec):
+# -- naive (direct field) loss -------------------------------------------------
+
+
+def _naive_linearize(spec, params, blocks, X, Xdot):
+    L = len(blocks)
     B = X.shape[0]
-    d0 = dims[0]
-    L = dims.shape[0] - 1
-    CT = 0
-    for l in range(1, L + 1):
-        CT += dims[l]
-    co = np.zeros(L + 1, np.int64)
-    acc = 0
-    for l in range(1, L + 1):
-        co[l] = acc
-        acc += dims[l]
-    A = np.zeros((B, CT))
-    DA = np.zeros((B, CT))
-    S = np.zeros((B, CT))
-    DS = np.zeros((B, CT))
-    a = X
-    da = np.zeros((B, d0))
-    for l in range(1, L + 1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        b = params[boff[l - 1] : boff[l - 1] + fo]
-        Wd = vec[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        bd = vec[boff[l - 1] : boff[l - 1] + fo]
-        ac = np.ascontiguousarray(a)
-        dac = np.ascontiguousarray(da)
-        z = np.dot(ac, W) + b
-        dz = np.dot(dac, W) + np.dot(ac, Wd) + bd
-        if l < L:
-            t = np.exp(-np.abs(z))
-            s = np.where(z >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-            S[:, co[l] : co[l] + fo] = s
-            DS[:, co[l] : co[l] + fo] = (s * (1.0 - s)) * dz
-            a = np.logaddexp(0.0, z)
-            da = s * dz
-            A[:, co[l] : co[l] + fo] = a
-            DA[:, co[l] : co[l] + fo] = da
-        else:
-            a = z
-            da = dz
-    R = a - Xdot
-    loss = np.sum(R * R) / B
+    A, S = _forward(blocks, X)
+    R = A[-1] @ blocks[-1] - Xdot
+    loss = float(np.sum(R * R) / B)
     grad = np.zeros(params.shape[0])
-    hvp = np.zeros(params.shape[0])
-    barz = (2.0 / B) * R
-    barzd = (2.0 / B) * da
+    G = unpack_blocks(spec, grad)
+    barz, bara = [None] * (L + 1), [None] * L
+    barz[L] = (2.0 / B) * R
     for l in range(L, 0, -1):
-        fi = dims[l - 1]
-        fo = dims[l]
-        W = params[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        Wd = vec[woff[l - 1] : woff[l - 1] + fi * fo].reshape(fi, fo)
-        if l == 1:
-            ap = X
-            dap = np.zeros((B, d0))
-        else:
-            ap = A[:, co[l - 1] : co[l - 1] + fi]
-            dap = DA[:, co[l - 1] : co[l - 1] + fi]
-        bz = np.ascontiguousarray(barz)
-        bzd = np.ascontiguousarray(barzd)
-        apT = np.ascontiguousarray(ap.T)
-        dapT = np.ascontiguousarray(dap.T)
-        grad[woff[l - 1] : woff[l - 1] + fi * fo] += np.dot(apT, bz).ravel()
-        grad[boff[l - 1] : boff[l - 1] + fo] += np.sum(barz, 0)
-        hvp[woff[l - 1] : woff[l - 1] + fi * fo] += (np.dot(dapT, bz) + np.dot(apT, bzd)).ravel()
-        hvp[boff[l - 1] : boff[l - 1] + fo] += np.sum(barzd, 0)
+        np.matmul(A[l - 1].T, barz[l], out=G[l - 1])
         if l > 1:
-            WT = np.ascontiguousarray(W.T)
-            WdT = np.ascontiguousarray(Wd.T)
-            bara = np.dot(bz, WT)
-            barad = np.dot(bzd, WT) + np.dot(bz, WdT)
-            s = S[:, co[l - 1] : co[l - 1] + fi]
-            ds = DS[:, co[l - 1] : co[l - 1] + fi]
-            barz = bara * s
-            barzd = barad * s + bara * ds
-    return loss, grad, hvp
+            bara[l - 1] = barz[l] @ blocks[l - 1][:-1].T
+            barz[l - 1] = bara[l - 1] * S[l - 1]
+    return Linearization(spec, "naive", params, X, Xdot, loss, grad, blocks,
+                         A, S, barz, bara)
+
+
+def _naive_tangent(lin: Linearization, vec):
+    A, S = lin.A, lin.S
+    L = len(lin.blocks)
+    B = lin.X.shape[0]
+    W = [P[:-1] for P in lin.blocks]
+    dP, dW = _tangent_blocks(lin.spec, vec)
+    dA, dS = [None] * L, [None] * L
+    for l in range(1, L + 1):
+        dz = _sum(_mm(dA[l - 1], W[l - 1]), _mm(A[l - 1], dP[l - 1]))
+        if l < L and dz is not None:
+            s = S[l]
+            dS[l] = s * (1.0 - s) * dz
+            dA[l] = s * dz
+    hvp = np.zeros(lin.params.shape[0])
+    H = unpack_blocks(lin.spec, hvp)
+    dbarz = None if dz is None else (2.0 / B) * dz
+    for l in range(L, 0, -1):
+        if dbarz is not None:
+            np.matmul(A[l - 1].T, dbarz, out=H[l - 1])
+        if dA[l - 1] is not None:
+            H[l - 1][:-1] += dA[l - 1].T @ lin.barz[l]
+        if l > 1:
+            dbara = _sum(_mm(dbarz, W[l - 1].T), _mm(lin.barz[l], _t(dW[l - 1])))
+            dbarz = _sum(_mul(dbara, S[l - 1]), _mul(lin.bara[l - 1], dS[l - 1]))
+    return hvp
+
+
+_LINEARIZE = {"hnn": _hnn_linearize, "naive": _naive_linearize}
+_TANGENT = {"hnn": _hnn_tangent, "naive": _naive_tangent}
 
 
 # -- python-facing wrappers ---------------------------------------------------
 
 
+@_quiet
 def mlp_forward(spec: NetworkSpec, params, X) -> np.ndarray:
-    params, X = _check(spec, params, X)
-    dims, woff, boff = packed_dims(spec)
-    return _k_forward(params, dims, woff, boff, X)
+    _, blocks, X = _check(spec, params, X)
+    return _by_rows(_mlp, blocks, X)
 
 
+@_quiet
 def hnn_field(spec: NetworkSpec, params, X) -> np.ndarray:
     """Predicted field Omega * dH/dx for a scalar-output network."""
-    params, X = _check(spec, params, X, want_scalar_out=True)
-    dims, woff, boff = packed_dims(spec)
-    return _k_hnn_field(params, dims, woff, boff, X)
+    _, blocks, X = _check(spec, params, X, want_scalar_out=True)
+    return _by_rows(_hnn_field, blocks, X)
 
 
+@_quiet
 def predicted_field(spec: NetworkSpec, params, X, loss_kind: str) -> np.ndarray:
     """Learner's vector-field prediction at states X."""
     if loss_kind == "hnn":
         return hnn_field(spec, params, X)
     if loss_kind == "naive":
-        params, X = _check(spec, params, X, want_scalar_out=False)
-        dims, woff, boff = packed_dims(spec)
-        return _k_forward(params, dims, woff, boff, X)
+        _, blocks, X = _check(spec, params, X, want_scalar_out=False)
+        return _by_rows(_mlp, blocks, X)
     raise ValueError(f"unknown loss kind {loss_kind!r}")
 
 
-def _check_pair(spec, params, X, Xdot, scalar_out):
-    params, X = _check(spec, params, X, want_scalar_out=scalar_out)
-    Xdot = np.ascontiguousarray(np.atleast_2d(Xdot), np.float64)
+def _check_pair(spec, params, X, Xdot, loss_kind):
+    if loss_kind not in _LINEARIZE:
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    params, blocks, X = _check(spec, params, X,
+                               want_scalar_out=loss_kind == "hnn")
+    Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
     if Xdot.shape != X.shape:
         raise ValueError("Xdot shape must match X")
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    return params, X, Xdot
+    return params, blocks, X, Xdot
 
 
+@_quiet
 def loss_value(spec: NetworkSpec, params, X, Xdot, loss_kind: str) -> float:
     """Batch loss: mean over rows of the squared field error."""
     F = predicted_field(spec, params, X, loss_kind)
@@ -539,32 +366,41 @@ def loss_value(spec: NetworkSpec, params, X, Xdot, loss_kind: str) -> float:
     return float(np.sum(R * R) / R.shape[0])
 
 
+def _linearize(spec, params, X, Xdot, loss_kind) -> Linearization:
+    checked = _check_pair(spec, params, X, Xdot, loss_kind)
+    return _LINEARIZE[loss_kind](spec, *checked)
+
+
+@_quiet
 def loss_grad(spec: NetworkSpec, params, X, Xdot, loss_kind: str):
-    """(loss, dloss/dparams) for one batch."""
-    dims, woff, boff = packed_dims(spec)
-    if loss_kind == "hnn":
-        params, X, Xdot = _check_pair(spec, params, X, Xdot, True)
-        loss, grad = _k_hnn_loss_grad(params, dims, woff, boff, X, Xdot)
-    elif loss_kind == "naive":
-        params, X, Xdot = _check_pair(spec, params, X, Xdot, False)
-        loss, grad = _k_naive_loss_grad(params, dims, woff, boff, X, Xdot)
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    return float(loss), np.asarray(grad)
+    """(loss, dloss/dparams, linearization) for one batch.
+
+    The linearization lets `loss_hvp` at the same arrays run only the
+    tangent pass.  It refers to params, X and Xdot without copying them,
+    so they must not be modified while it is in use.
+    """
+    lin = _linearize(spec, params, X, Xdot, loss_kind)
+    return lin.loss, lin.grad, lin
 
 
-def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec, loss_kind: str):
-    """(loss, grad, H @ vec) where H is the loss Hessian in params."""
-    vec = np.ascontiguousarray(vec, np.float64)
+@_quiet
+def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec, loss_kind: str,
+             lin: Linearization | None = None):
+    """(loss, grad, H @ vec) where H is the loss Hessian in params.
+
+    `lin`, from `loss_grad` with the same spec, loss kind and params, X
+    and Xdot arrays, skips the primal+adjoint pass.  A linearization made
+    for another spec or loss kind, or at other arrays, is a ValueError.
+    """
+    vec = np.asarray(vec, np.float64)
     if vec.shape != (param_count(spec),):
         raise ValueError("direction length does not match spec")
-    dims, woff, boff = packed_dims(spec)
-    if loss_kind == "hnn":
-        params, X, Xdot = _check_pair(spec, params, X, Xdot, True)
-        loss, grad, hvp = _k_hnn_loss_hvp(params, dims, woff, boff, X, Xdot, vec)
-    elif loss_kind == "naive":
-        params, X, Xdot = _check_pair(spec, params, X, Xdot, False)
-        loss, grad, hvp = _k_naive_loss_hvp(params, dims, woff, boff, X, Xdot, vec)
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    return float(loss), np.asarray(grad), np.asarray(hvp)
+    if lin is None:
+        lin = _linearize(spec, params, X, Xdot, loss_kind)
+    elif not (lin.spec == spec and lin.loss_kind == loss_kind
+              and lin.params is np.asarray(params, np.float64)
+              and lin.X is np.atleast_2d(np.asarray(X, np.float64))
+              and lin.Xdot is np.atleast_2d(np.asarray(Xdot, np.float64))):
+        raise ValueError("linearization was made at other arrays, spec or "
+                         "loss kind")
+    return lin.loss, lin.grad, _TANGENT[loss_kind](lin, vec)

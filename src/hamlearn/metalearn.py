@@ -162,24 +162,26 @@ GRAPH_LOSSES = {"hnn": hnn_loss, "naive": naive_loss}
 
 
 def _loss_grad_fn(spec, X, Xdot, loss_kind):
+    """theta -> (loss, grad, linearization or None)."""
     if callable(loss_kind):
-        return loss_kind
+        return lambda th: (*loss_kind(th), None)
     if loss_kind not in GRAPH_LOSSES:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     return lambda th: fastops.loss_grad(spec, th, X, Xdot, loss_kind)
 
 
 def _adapt(spec, theta, X, Xdot, cfg: InnerConfig, loss_kind):
-    """Masked gradient descent; returns (theta_S, [theta_0 .. theta_S-1])."""
+    """Masked gradient descent; returns (theta_S, [(theta_k, linearization
+    at theta_k) for k = 0 .. S-1])."""
     fn = _loss_grad_fn(spec, X, Xdot, loss_kind)
     mask = update_mask(spec, cfg.update_set)
     theta = np.array(theta, np.float64)
     trace = []
     for k in range(cfg.steps):
-        loss, grad = fn(theta)
+        loss, grad, lin = fn(theta)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite training loss at inner step {k}")
-        trace.append(theta)
+        trace.append((theta, lin))
         theta = theta.copy()
         theta[mask] -= cfg.lr * grad[mask]
     return theta, trace
@@ -216,13 +218,14 @@ def _task_meta_grad_fast(spec, theta, task, cfg: InnerConfig, second_order,
                          loss_kind):
     theta_s, trace = _adapt(spec, theta, task.train_x, task.train_xdot,
                             cfg, loss_kind)
-    loss, v = fastops.loss_grad(spec, theta_s, task.test_x, task.test_xdot,
-                                loss_kind)
+    loss, v, _ = fastops.loss_grad(spec, theta_s, task.test_x, task.test_xdot,
+                                   loss_kind)
     if second_order and trace:
         maskf = update_mask(spec, cfg.update_set).astype(np.float64)
-        for theta_k in reversed(trace):
+        for theta_k, lin in reversed(trace):
             _, _, hv = fastops.loss_hvp(spec, theta_k, task.train_x,
-                                        task.train_xdot, maskf * v, loss_kind)
+                                        task.train_xdot, maskf * v, loss_kind,
+                                        lin)
             v = v - cfg.lr * hv
     return loss, v
 
@@ -319,8 +322,11 @@ def pretrain(spec: NetworkSpec, theta, tasks, epochs: int, lr: float,
     adam = adam_init(theta.shape[0])
     for _ in range(epochs):
         for task in tasks:
-            loss, grad = fastops.loss_grad(spec, theta, task.train_x,
-                                           task.train_xdot, "hnn")
+            loss, grad, _ = fastops.loss_grad(spec, theta, task.train_x,
+                                              task.train_xdot, "hnn")
+            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+                raise FloatingPointError("non-finite pretraining loss or "
+                                         "gradient")
             if history is not None:
                 history.append(loss)
             theta, adam = adam_update(adam, theta, grad, lr)

@@ -56,6 +56,7 @@ def naive_spec(state_dim: int, hidden=(64, 64, 64)) -> NetworkSpec:
     return NetworkSpec(state_dim, tuple(hidden), state_dim, "softplus")
 
 
+@lru_cache(maxsize=64)
 def param_count(spec: NetworkSpec) -> int:
     dims = spec.dims
     return int(sum((dims[i] + 1) * dims[i + 1] for i in range(len(dims) - 1)))
@@ -131,19 +132,32 @@ def init_params(spec: NetworkSpec, seed: int) -> np.ndarray:
     return params
 
 
-def unpack(spec: NetworkSpec, params: np.ndarray):
-    """Per-layer (W, b) views into the flat vector; W has shape (fan_in, fan_out)."""
+@lru_cache(maxsize=64)
+def _block_layout(spec: NetworkSpec) -> tuple:
+    """(offset, fan_in, fan_out) of each layer's block in the flat vector."""
+    out, o = [], 0
+    for fi, fo in zip(spec.dims[:-1], spec.dims[1:]):
+        out.append((o, fi, fo))
+        o += (fi + 1) * fo
+    return tuple(out)
+
+
+def unpack_blocks(spec: NetworkSpec, params: np.ndarray):
+    """Per-layer (fan_in + 1, fan_out) views [W; b] into the flat vector.
+
+    A row of activations with a trailing 1 times a block is that layer's
+    pre-activation, bias included.
+    """
     if params.shape != (param_count(spec),):
         raise ValueError(f"params length {params.shape} does not match spec "
                          f"(expected {param_count(spec)})")
-    dims, woff, boff = packed_dims(spec)
-    out = []
-    for l in range(len(dims) - 1):
-        fi, fo = int(dims[l]), int(dims[l + 1])
-        W = params[woff[l] : woff[l] + fi * fo].reshape(fi, fo)
-        b = params[boff[l] : boff[l] + fo]
-        out.append((W, b))
-    return out
+    return [params[o : o + (fi + 1) * fo].reshape(fi + 1, fo)
+            for o, fi, fo in _block_layout(spec)]
+
+
+def unpack(spec: NetworkSpec, params: np.ndarray):
+    """Per-layer (W, b) views into the flat vector; W has shape (fan_in, fan_out)."""
+    return [(P[:-1], P[-1]) for P in unpack_blocks(spec, params)]
 
 
 # -- graph forward ------------------------------------------------------------

@@ -216,10 +216,6 @@ def make_meta_test_suite(system: str, mode: str, K: int, seed: int,
 # -- serialization -------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _task_header(system: str) -> list:
     n = DOF[system]
     cols = ["split"]
@@ -249,14 +245,13 @@ def write_dataset(path: str, system: str, seed: int, tasks: list) -> None:
     header = ",".join(_task_header(system))
     for i, task in enumerate(tasks):
         lines = [header]
-        pvals = [_fmt(v) for v in task.params.as_vector()]
+        # repr of a Python float is the shortest round-trip string
+        pvals = ",".join(map(repr, task.params.as_vector().tolist()))
         for split_name, X, Xd in (("train", task.train_x, task.train_xdot),
                                   ("test", task.test_x, task.test_xdot)):
-            for row in range(X.shape[0]):
-                cells = [split_name] + pvals
-                cells += [_fmt(v) for v in X[row]]
-                cells += [_fmt(v) for v in Xd[row]]
-                lines.append(",".join(cells))
+            prefix = f"{split_name},{pvals},"
+            lines += [prefix + ",".join(map(repr, row))
+                      for row in np.hstack([X, Xd]).tolist()]
         fname = os.path.join(path, "tasks", f"task_{i:05d}.csv")
         with open(fname, "w") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -88,7 +88,7 @@ def test_criterion_1_autodiff_gradients_match_finite_differences():
         theta = init_params(spec, 1000 + i)
         X = rng.uniform(-2.0, 2.0, (16, 2))
         Xdot = rng.uniform(-2.0, 2.0, (16, 2))
-        _, grad = fastops.loss_grad(spec, theta, X, Xdot, "hnn")
+        _, grad, _ = fastops.loss_grad(spec, theta, X, Xdot, "hnn")
         # full coordinate sweep on three nets, a random subset on the rest
         coords = (np.arange(n) if i < 3
                   else rng.choice(n, size=48, replace=False))
@@ -111,7 +111,7 @@ def test_criterion_1_autodiff_gradients_match_finite_differences():
         ids = g.leaf_many(theta)
         node = hnn_loss(g, gspec, ids, X, Xdot)
         graph_grad = g.grad_values(node, ids)
-        _, fast_grad = fastops.loss_grad(gspec, theta, X, Xdot, "hnn")
+        _, fast_grad, _ = fastops.loss_grad(gspec, theta, X, Xdot, "hnn")
         np.testing.assert_allclose(graph_grad, fast_grad, rtol=1e-9)
 
     # second-order meta-gradient vs finite differences of the composed
@@ -226,9 +226,10 @@ def test_criterion_4_desk_scale_table_ordering(spring_runs):
     assert wins >= 2, (
         f"MSE(hanil) < MSE(hamaml) < MSE(scratch) with "
         f"hanil <= 0.1*pretrained held on {wins}/3 seeds. {detail}. "
-        f"The 10-step lr-0.002 Adam adaptation moves parameters by at most "
-        f"~0.02 while the meta-learned per-task optima sit ~0.3 away, so "
-        f"the meta-learners under-adapt at this protocol scale.")
+        f"Measured on spring_mass, seed 0: the second-order meta-gradient "
+        f"matches central differences at desk size (relative error <= "
+        f"6e-8), and exact last-layer least squares reaches grid MSE 7.2 "
+        f"on the meta-trained body but 0.021 on the untrained init.")
 
 
 def test_criterion_5_learning_curve_trends(pendulum_hanil):
@@ -248,8 +249,9 @@ def test_criterion_5_learning_curve_trends(pendulum_hanil):
     assert f_hanil >= 10.0, (
         f"hanil improved {f_hanil:.2f}x from step 0 ({hanil_curve[0]:.2f}) "
         f"to step 50 ({hanil_curve[50]:.2f}), criterion needs >= 10x. "
-        f"50 Adam steps at lr 0.002 move each weight <= ~0.1, far short of "
-        f"the displacement the inner training loop was optimized for.")
+        f"Measured on spring_mass, seed 0: meta-training makes the body a "
+        f"worse basis for the head (last-layer least-squares grid MSE 0.021 "
+        f"at the init, 7.2 after 100 episodes).")
 
 
 def test_criterion_6_task_count_ablation_trend():
@@ -268,8 +270,9 @@ def test_criterion_6_task_count_ablation_trend():
     assert h1k < h50, f"hanil MSE at 1000 tasks {h1k:.2f} !< 50 tasks {h50:.2f}"
     assert f_pre < f_hanil, (
         f"pretrained changed {f_pre:.3f}x across task counts, not less than "
-        f"hanil's improvement factor {f_hanil:.3f}x; both learners sit in "
-        f"the under-adapted regime where pool size barely matters.")
+        f"hanil's improvement factor {f_hanil:.3f}x. Measured on "
+        f"spring_mass, seed 0: over 100 episodes meta-training raises the "
+        f"head Hessian's condition number from 2.5e9 to 1.2e11.")
 
 
 def test_criterion_7_points_beat_matched_trajectories(spring_runs):

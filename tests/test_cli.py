@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
 
 import hamlearn
+from hamlearn import seeding
 from hamlearn.cli import main
 
 REPORT_SCHEMA = {
@@ -94,16 +96,34 @@ def test_runtime_errors_exit_2(capsys):
 @pytest.mark.parametrize("cmd", ["eval", "rollout"])
 def test_non_finite_adaptation_exits_2(tmp_path, cmd, capsys):
     out = tmp_path / "nan"
-    assert main([cmd, "--checkpoint", "run/checkpoint.json", "--k", "6",
-                 "--adapt-lr", "1e200", "--seed", "3", "--out",
-                 str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([cmd, "--checkpoint", "run/checkpoint.json", "--k", "6",
+                     "--adapt-lr", "1e200", "--seed", "3", "--out",
+                     str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
-
-    def reject(token):
-        raise ValueError(f"non-strict JSON constant {token}")
-
+    # the error line is the whole report: no numpy warning before it
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     for path in out.rglob("*.json"):
-        json.loads(path.read_text(), parse_constant=reject)
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def test_non_finite_pretraining_exits_2(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["gen", "--system", "spring_mass", "--tasks", "20",
+                 "--points", "10", "--seed", "3", "--out", str(ds)]) == 0
+    out = tmp_path / "run"
+    assert main(["metatrain", "--dataset", str(ds), "--learner",
+                 "hnn_pretrained", "--outer-lr", "1e200", "--out", str(out),
+                 *TRAIN_FLAGS]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    ckpt = out / "checkpoint.json"
+    if ckpt.exists():
+        json.loads(ckpt.read_text(), parse_constant=_reject_constant)
 
 
 def _corrupt_dataset(tmp_path, corrupt):
@@ -222,6 +242,38 @@ def test_resume_matches_uninterrupted_run(tmp_path, optimizer, capsys):
     assert a["adam"] == b["adam"]
     assert b["episode"] == 4
     assert open(full + "/curve.csv").read() == open(part + "/curve.csv").read()
+    capsys.readouterr()
+
+
+def test_retried_resume_does_not_repeat_curve_rows(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["gen", "--system", "spring_mass", "--tasks", "30",
+                 "--points", "6", "--seed", "3", "--out", str(ds)]) == 0
+    base = ["metatrain", "--dataset", str(ds), "--learner", "hanil",
+            "--task-batch", "2", "--inner-steps", "2", "--hidden", "6",
+            "--seed", "9", "--strict-serial"]
+
+    def drawn(ep):  # the tasks meta_train draws in episode `ep`
+        rng = seeding.split(9, seeding.EPISODE, ep)
+        return set(rng.choice(30, size=2, replace=False).tolist())
+
+    fresh = drawn(4) - set().union(*(drawn(ep) for ep in range(4)))
+    task = ds / "tasks" / f"task_{min(fresh):05d}.csv"
+    full, out = tmp_path / "full", tmp_path / "run"
+    assert main(base + ["--episodes", "6", "--out", str(full)]) == 0
+    assert main(base + ["--episodes", "2", "--out", str(out)]) == 0
+    resume = base + ["--episodes", "6", "--out", str(out),
+                     "--resume", str(out / "checkpoint.json")]
+    good = task.read_text()
+    task.write_text("".join(l for l in good.splitlines(keepends=True)
+                            if not l.startswith("test,")))
+    assert main(resume) == 2  # fails at episode 4, after rows 2 and 3
+    task.write_text(good)
+    assert main(resume) == 0
+    curve = (out / "curve.csv").read_text()
+    assert [int(l.split(",")[0]) for l in curve.splitlines()[1:]] == \
+        [0, 1, 2, 3, 4, 5]
+    assert curve == (full / "curve.csv").read_text()
     capsys.readouterr()
 
 

@@ -184,7 +184,7 @@ def hnn_fit_to(params, seed=0, steps=400, n=60, hidden=(16,)):
     theta = init_params(spec, seed)
     adam = M.adam_init(theta.size)
     for _ in range(steps):
-        _, g = fastops.loss_grad(spec, theta, X, Xdot, "hnn")
+        _, g, _ = fastops.loss_grad(spec, theta, X, Xdot, "hnn")
         theta, adam = M.adam_update(adam, theta, g, 0.01)
     return spec, theta
 

@@ -68,7 +68,7 @@ def test_loss_grad_matches_fd(kind, out_mul, backend):
     rng = RNG(6)
     X = rng.uniform(-1.5, 1.5, (8, d0))
     Xd = rng.uniform(-1.5, 1.5, (8, d0))
-    loss, grad = F.loss_grad(spec, params, X, Xd, kind)
+    loss, grad, _ = F.loss_grad(spec, params, X, Xd, kind)
     assert loss == pytest.approx(F.loss_value(spec, params, X, Xd, kind), rel=1e-12)
     fd = fd_grad(lambda th: F.loss_value(spec, th, X, Xd, kind), params)
     rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
@@ -85,15 +85,72 @@ def test_hvp_matches_fd_of_grad(kind, backend):
     Xd = rng.uniform(-1.5, 1.5, (6, d0))
     v = rng.normal(0, 1, params.size)
     loss, grad, hvp = F.loss_hvp(spec, params, X, Xd, v, kind)
-    loss2, grad2 = F.loss_grad(spec, params, X, Xd, kind)
+    loss2, grad2, _ = F.loss_grad(spec, params, X, Xd, kind)
     assert loss == pytest.approx(loss2, rel=1e-13)
     np.testing.assert_allclose(grad, grad2, rtol=1e-12, atol=1e-15)
     h = 1e-6
-    _, gp = F.loss_grad(spec, params + h * v, X, Xd, kind)
-    _, gm = F.loss_grad(spec, params - h * v, X, Xd, kind)
+    _, gp, _ = F.loss_grad(spec, params + h * v, X, Xd, kind)
+    _, gm, _ = F.loss_grad(spec, params - h * v, X, Xd, kind)
     fd = (gp - gm) / (2 * h)
     rel = np.abs(hvp - fd) / np.maximum(1.0, np.abs(fd))
     assert rel.max() < 1e-7
+
+
+def _keep_zero_blocks(spec, vec):
+    """`fastops._tangent_blocks` without the exact-zero skipping."""
+    dP = N.unpack_blocks(spec, vec)
+    return dP, [P[:-1] for P in dP]
+
+
+@pytest.mark.parametrize("update_set", ["all", "last", "all_but_first"])
+@pytest.mark.parametrize("kind", ["hnn", "naive"])
+def test_hvp_from_linearization_on_update_set_directions(kind, update_set,
+                                                        monkeypatch):
+    d0 = 4
+    spec = N.NetworkSpec(d0, (7, 5), 1 if kind == "hnn" else d0)
+    params = rand_net(17, spec)
+    rng = RNG(18)
+    X = rng.uniform(-1.5, 1.5, (6, d0))
+    Xd = rng.uniform(-1.5, 1.5, (6, d0))
+    v = N.update_mask(spec, update_set) * rng.normal(0, 1, params.size)
+    loss, grad, lin = F.loss_grad(spec, params, X, Xd, kind)
+    cached = F.loss_hvp(spec, params, X, Xd, v, kind, lin)
+    fresh = F.loss_hvp(spec, params, X, Xd, v, kind)
+    assert cached[0] == fresh[0] == loss
+    np.testing.assert_array_equal(cached[1], grad)
+    np.testing.assert_array_equal(fresh[1], grad)
+    np.testing.assert_array_equal(cached[2], fresh[2])
+    # skipping the terms fed only by zero blocks of v changes no bit
+    monkeypatch.setattr(F, "_tangent_blocks", _keep_zero_blocks)
+    np.testing.assert_array_equal(F.loss_hvp(spec, params, X, Xd, v, kind,
+                                             lin)[2], cached[2])
+    h = 1e-6
+    _, gp, _ = F.loss_grad(spec, params + h * v, X, Xd, kind)
+    _, gm, _ = F.loss_grad(spec, params - h * v, X, Xd, kind)
+    fd = (gp - gm) / (2 * h)
+    rel = np.abs(cached[2] - fd) / np.maximum(1.0, np.abs(fd))
+    assert rel.max() < 1e-7
+
+
+def test_loss_hvp_refuses_a_foreign_linearization():
+    spec = N.NetworkSpec(2, (5,), 1)
+    params = rand_net(19, spec)
+    rng = RNG(20)
+    X = rng.uniform(-1, 1, (5, 2))
+    Xd = rng.uniform(-1, 1, (5, 2))
+    v = rng.normal(0, 1, params.size)
+    _, _, lin = F.loss_grad(spec, params, X, Xd, "hnn")
+    tanh_spec = N.NetworkSpec(2, (5,), 1, activation="tanh")
+    for args in [(spec, params + 1e-3, X, Xd, "hnn"),
+                 (spec, params.copy(), X, Xd, "hnn"),
+                 (spec, params, X + 1e-3, Xd, "hnn"),
+                 (spec, params, X, Xd[::-1], "hnn"),
+                 (tanh_spec, params, X, Xd, "hnn"),
+                 (spec, params, X, Xd, "naive")]:
+        sp, p, x, xd, kind = args
+        with pytest.raises(ValueError, match="linearization"):
+            F.loss_hvp(sp, p, x, xd, v, kind, lin)
+    F.loss_hvp(spec, params, X, Xd, v, "hnn", lin)  # its own arrays pass
 
 
 @pytest.mark.parametrize("kind", ["hnn", "naive"])
@@ -118,7 +175,7 @@ def test_hnn_last_bias_gradient_is_exactly_zero(backend):
     rng = RNG(12)
     X = rng.uniform(-2, 2, (10, 2))
     Xd = rng.uniform(-2, 2, (10, 2))
-    _, grad = F.loss_grad(spec, params, X, Xd, "hnn")
+    _, grad, _ = F.loss_grad(spec, params, X, Xd, "hnn")
     assert grad[-1] == 0.0
     v = rng.normal(0, 1, params.size)
     _, _, hvp = F.loss_hvp(spec, params, X, Xd, v, "hnn")
@@ -157,7 +214,7 @@ def test_single_layer_network_edge_case(backend):
     Xd = np.zeros((4, 2))
     FF = F.hnn_field(spec, params, X)
     np.testing.assert_allclose(FF, np.tile([-0.4, -0.7], (4, 1)), rtol=1e-15)
-    _, grad = F.loss_grad(spec, params, X, Xd, "hnn")
+    _, grad, _ = F.loss_grad(spec, params, X, Xd, "hnn")
     fd = fd_grad(lambda th: F.loss_value(spec, th, X, Xd, "hnn"), params)
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 

@@ -9,7 +9,7 @@ from hamlearn import tape as T
 from hamlearn.network import (NetworkSpec, init_params, layer_slice,
                               param_count, update_mask)
 from hamlearn.physics import hamiltonian_graph, integrate, true_field_many
-from hamlearn.taskgen import Task, make_task, sample_params
+from hamlearn.taskgen import Task, make_meta_train, make_task, sample_params
 
 
 def spring_task(seed, n_points=6):
@@ -291,6 +291,30 @@ def test_meta_gradient_matches_fd_of_bilevel_objective():
         assert abs(grad[i] - fd) / max(1.0, abs(fd)) < 1e-4
 
 
+@pytest.mark.parametrize("kind", ["hanil", "hamaml", "hanil_inv"])
+def test_meta_gradient_matches_central_differences_at_desk_size(kind):
+    # the desk network (2-64-64-64-1) and batch (B=50), two tasks
+    learner = M.build_learner(kind, 2, (64, 64, 64))
+    spec, inner = learner.spec, learner.inner
+    theta = init_params(spec, 0)
+    tasks = make_meta_train("spring_mass", 2, 50, 0)
+
+    def objective(th):
+        return sum(fastops.loss_value(
+            spec, M.inner_adapt(spec, th, t.train_x, t.train_xdot, inner),
+            t.test_x, t.test_xdot, "hnn") for t in tasks)
+
+    grad = sum(M._task_meta_grad_fast(spec, theta, t, inner, True, "hnn")[1]
+               for t in tasks)
+    rng = np.random.default_rng(1)
+    h = 1e-4
+    for _ in range(3):
+        d = rng.normal(0, 1, theta.size)
+        d /= np.linalg.norm(d)
+        fd = (objective(theta + h * d) - objective(theta - h * d)) / (2 * h)
+        assert abs(fd - grad @ d) <= 1e-6 * abs(grad @ d)
+
+
 def test_first_order_approaches_second_order_for_tiny_alpha():
     spec = NetworkSpec(2, (4,), 1)
     theta = init_params(spec, 40)
@@ -330,7 +354,7 @@ def test_zero_inner_steps_reduces_to_pooled_adam():
     total = np.zeros_like(theta)
     pooled = 0.0
     for t in tasks:
-        l, g = fastops.loss_grad(spec, theta, t.test_x, t.test_xdot, "hnn")
+        l, g, _ = fastops.loss_grad(spec, theta, t.test_x, t.test_xdot, "hnn")
         pooled += l
         total += g
     want, _ = M.adam_update(M.adam_init(theta.size), theta, total, 0.002)
@@ -446,8 +470,8 @@ def test_pretrain_single_task_is_plain_training():
     want = theta.copy()
     adam = M.adam_init(theta.size)
     for _ in range(5):
-        _, g = fastops.loss_grad(spec, want, task.train_x, task.train_xdot,
-                                 "hnn")
+        _, g, _ = fastops.loss_grad(spec, want, task.train_x, task.train_xdot,
+                                    "hnn")
         want, adam = M.adam_update(adam, want, g, 0.01)
     np.testing.assert_array_equal(got, want)
 
