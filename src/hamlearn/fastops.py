@@ -33,13 +33,23 @@ activations run on the tape path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import NetworkSpec, param_count, unpack_blocks
 
-_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+def _quiet(fn):
+    """Run `fn` with numpy's floating-point warnings off.  A fresh errstate
+    per call keeps nested wrappers correct on numpy 1.x as well."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
+
 
 # Fields are evaluated in blocks of this many rows.  A (rows, 64) float64
 # temporary of one block stays under 128 KiB, which glibc's allocator
