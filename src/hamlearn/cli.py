@@ -180,6 +180,10 @@ def cmd_metatrain(args) -> int:
                "inner_lr", "outer_lr", "second_order", "hidden"))
     if cfg.learner == "hnn_scratch":
         raise UsageError("hnn_scratch has nothing to meta-train")
+    if args.resume and cfg.learner == "hnn_pretrained":
+        # pretraining keeps no optimizer state across runs, so a resume
+        # could only restart it
+        raise UsageError("hnn_pretrained cannot be resumed")
     if not cfg.dataset:
         raise UsageError("--dataset is required")
     manifest, tasks = load_dataset(cfg.dataset)

@@ -290,51 +290,170 @@ def sample_times(T_span: float, samples: int) -> np.ndarray:
     return np.arange(1, samples + 1) * (T_span / samples)
 
 
+# Dormand-Prince 5(4) (Dormand & Prince 1980, J. Comput. Appl. Math. 6(1))
+# with Shampine's dense output (Math. Comp. 46(173), 1986).  The tableau,
+# step control and dense output repeat scipy.integrate's RK45 operation for
+# operation, so the samples match `solve_ivp(method="RK45", t_eval=...)`
+# bit for bit; tests/test_physics.py checks that against scipy.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+               1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 5
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, y0, f0, t_bound, rtol, atol):
+    """Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4, from t = 0."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    f1 = fun(h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_bound)
+
+
+def _dopri45(fun, y0, t_bound, t_eval, rtol, atol, out):
+    """Step from t = 0 to t_bound, writing the dense output at the sorted
+    times t_eval (all in (0, t_bound]) into the rows of out.  Returns the
+    number of rows written; fewer than len(t_eval) means the step size
+    fell below the floor."""
+    t, y = 0.0, y0
+    f = fun(t, y)
+    h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
+    K = np.empty((len(_C) + 1, y.size))
+    done = 0
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return done
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
+                dy = np.dot(K[:s].T, a[:s]) * h
+                K[s] = fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        reached = np.searchsorted(t_eval, t, side="right")
+        if reached > done:
+            Q = K.T.dot(_P)
+            x = (t_eval[done:reached] - t_old) / h
+            p = np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0)
+            ys = h * np.dot(Q, p)
+            ys += y_old[:, None]
+            out[done:reached] = ys.T
+            done = reached
+        if t - t_bound >= 0:
+            return done
+
+
 def integrate(field, x0, T_span: float, samples: int,
               rtol: float = 1e-8, atol: float = 1e-10,
               include_initial: bool = False):
     """Integrate xdot = field(x) with adaptive Dormand-Prince 5(4).
 
+    The method is Dormand & Prince's 5(4) pair with Shampine's dense
+    output, as in scipy's RK45, whose samples this reproduces bit for bit.
     field maps a flat state (2n,) to its derivative (2n,).  Returns
     (times, states) with states[k] the dense-output solution at
-    t_k = k*T/L; `include_initial` prepends the t = 0 row.  Failure to
-    reach T (blow-up, a non-finite derivative, a domain error inside
-    `field`) raises IntegrationError carrying the last reached time.
-    """
-    # scipy.integrate takes most of the package's import time; only the
-    # commands that integrate should pay for it
-    from scipy.integrate import solve_ivp
+    t_k = k*T/L; `include_initial` prepends the t = 0 row.  An empty or
+    non-finite x0 raises ValueError.
 
+    Failure to reach T raises IntegrationError.  Its t_failure is the time
+    at which `field` was called when the derivative is non-finite or
+    `field` raises a domain error, and the last sample time reached (0.0
+    if none) when the step size falls below the spacing of floats.
+    """
     if isinstance(x0, PhaseState):
         x0 = x0.as_array()
     x0 = np.asarray(x0, np.float64).ravel()
     if T_span <= 0:
         raise ValueError("T must be positive")
+    if x0.size == 0 or not np.isfinite(x0).all():
+        raise ValueError("x0 must be a non-empty finite vector")
     times = sample_times(T_span, samples)
     last_t = [0.0]
 
     def rhs(t, y):
         last_t[0] = t
-        d = field(y)
-        # a NaN derivative makes RK45's step size NaN, and its step loop
-        # then never ends
+        d = np.asarray(field(y), np.float64)
+        # a NaN derivative makes the step size NaN, and the step loop then
+        # never ends
         if not np.isfinite(d).all():
             raise IntegrationError(
                 f"non-finite derivative at t = {t:.6g}", t)
         return d
 
+    states = np.empty((samples, x0.size))
+    # k * (T / L) can overshoot T by one ULP: integrate to the last sample
+    t_end = max(float(T_span), float(times[-1]))
     try:
-        res = solve_ivp(rhs, (0.0, float(T_span)), x0, method="RK45",
-                        t_eval=times, rtol=rtol, atol=atol, dense_output=False)
+        reached = _dopri45(rhs, x0, t_end, times, rtol, atol, states)
     except DomainError as exc:
         raise IntegrationError(
             f"field raised a domain error near t = {last_t[0]:.6g}: {exc}",
             last_t[0]) from exc
-    if not res.success:
-        t_fail = float(res.t[-1]) if res.t.size else 0.0
+    if reached < samples:
+        t_fail = float(times[reached - 1]) if reached else 0.0
         raise IntegrationError(
-            f"integration stalled at t = {t_fail:.6g}: {res.message}", t_fail)
-    states = res.y.T.copy()
+            f"integration stalled at t = {t_fail:.6g}: Required step size "
+            "is less than spacing between numbers.", t_fail)
     if include_initial:
         times = np.concatenate([[0.0], times])
         states = np.vstack([x0, states])

@@ -288,6 +288,19 @@ def test_metatrain_pretrained_writes_history(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_resume_of_a_pretrained_learner_is_refused(tmp_path, capsys):
+    out = tmp_path / "pre"
+    base = ["metatrain", "--dataset", "ds", "--learner", "hnn_pretrained",
+            "--out", str(out), *TRAIN_FLAGS]
+    assert main(base) == 0
+    before = [(out / name).read_bytes()
+              for name in ("curve.csv", "checkpoint.json")]
+    assert main(base + ["--resume", str(out / "checkpoint.json")]) == 1
+    assert "cannot be resumed" in capsys.readouterr().err
+    assert [(out / name).read_bytes()
+            for name in ("curve.csv", "checkpoint.json")] == before
+
+
 # -- eval -----------------------------------------------------------------------
 
 
@@ -368,6 +381,24 @@ def test_rollout_from_checkpoint(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rollout_whose_last_sample_overshoots_T(tmp_path, capsys):
+    # 187 * (3 / 187) is one ULP above 3
+    out = str(tmp_path / "ov")
+    assert main(["rollout", "--oracle", "--system", "spring_mass", "--seed",
+                 "5", "--T", "3", "--samples", "187", "--out", out]) == 0
+    lines = [l for l in open(out + "/rollout.csv").read().strip().split("\n")
+             if not l.startswith("#")]
+    assert len(lines) == 1 + 187
+    capsys.readouterr()
+
+
+def test_rollout_non_finite_x0_exits_2(tmp_path, capsys):
+    assert main(["rollout", "--oracle", "--system", "spring_mass", "--x0",
+                 "nan,0.5", "--seed", "5", "--T", "2", "--samples", "8",
+                 "--out", str(tmp_path / "rn")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 # -- ablate -----------------------------------------------------------------------
 
 
@@ -430,11 +461,22 @@ def test_module_invocation_works():
     assert proc.stdout.startswith("v0.")
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # only rollout and trajectory mode integrate, so only they import scipy
+def test_importing_the_cli_loads_no_scipy(tmp_path):
     code = ("import sys, hamlearn.cli; print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # the commands that integrate run with scipy unimportable
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from hamlearn.cli import main; sys.exit(main(sys.argv[1:]))")
+    for argv in (["rollout", "--oracle", "--system", "pendulum", "--T", "2",
+                  "--samples", "8", "--out", str(tmp_path / "ro")],
+                 ["eval", "--learner", "hnn_scratch", "--mode",
+                  "trajectories", "--k", "6", "--steps", "1", "--n-systems",
+                  "1", "--hidden", "6", "--out", str(tmp_path / "ev")]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--seed",
+                               "3"], capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr

@@ -207,6 +207,73 @@ def test_integrate_non_finite_field_raises():
         signal.signal(signal.SIGALRM, old)
 
 
+def test_integrate_rejects_a_non_finite_x0():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            P.integrate(lambda x: -x, [bad, 0.5], 1.0, 4)
+
+
+def test_integrate_reaches_a_last_sample_past_T():
+    times = P.sample_times(3.0, 187)
+    assert times[-1] > 3.0  # k * (T / L) overshoots T by one ULP
+    t, X = P.integrate(lambda x: np.array([x[1], -x[0]]), [1.0, 0.0], 3.0, 187)
+    assert X.shape == (187, 2)
+    np.testing.assert_array_equal(t, times)
+
+
+def _rk45_oracle(field, x0, T_span, samples, rtol, atol):
+    """(times, states) from scipy's RK45, or (message, t_failure) where
+    `integrate` must raise IntegrationError."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    times = P.sample_times(T_span, samples)
+    res = solve_ivp(lambda t, y: field(y), (0.0, max(T_span, times[-1])),
+                    x0, method="RK45", t_eval=times, rtol=rtol, atol=atol)
+    if not res.success:
+        t_fail = float(res.t[-1]) if len(res.t) else 0.0
+        return (f"integration stalled at t = {t_fail:.6g}: {res.message}",
+                t_fail)
+    return times, res.y.T
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 1e-6, 1e-3])
+def test_integrate_matches_scipy_rk45_bit_for_bit(rtol):
+    rng = RNG(round(-np.log10(rtol)))
+    for _ in range(20):
+        n = int(rng.choice([2, 4]))
+        M, b = rng.normal(size=(n, n)), rng.normal(size=n)
+        field = lambda x, M=M, b=b: M @ x + np.sin(x) + b
+        x0 = rng.normal(size=n)
+        T_span = float(rng.choice([0.5, 1.0, 3.0, 5.0]))
+        samples = int(rng.integers(1, 200))
+        t, X = P.integrate(field, x0, T_span, samples, rtol=rtol,
+                           atol=rtol / 100)
+        want_t, want_X = _rk45_oracle(field, x0, T_span, samples, rtol,
+                                      rtol / 100)
+        np.testing.assert_array_equal(t, want_t)
+        assert X.shape == want_X.shape
+        assert X.tobytes() == want_X.tobytes()
+
+
+def test_integrate_blow_up_fails_like_scipy_rk45():
+    # xdot = x^2 blows up at t = 1 / x0; the last x0 before the first sample
+    for x0 in (0.2, 0.5, 1.0, 3.0, 50.0):
+        with pytest.raises(P.IntegrationError) as ei:
+            P.integrate(lambda x: x * x, [x0], 10.0, 40)
+        message, t_fail = _rk45_oracle(lambda x: x * x, [x0], 10.0, 40,
+                                       1e-8, 1e-10)
+        assert str(ei.value) == message
+        assert ei.value.t_failure == t_fail
+
+
+def test_integrate_zero_field_with_initial_row_matches_scipy_rk45():
+    x0 = np.array([1.0, -2.0])
+    zero = lambda x: np.zeros_like(x)
+    t, X = P.integrate(zero, x0, 5.0, 10, include_initial=True)
+    want_t, want_X = _rk45_oracle(zero, x0, 5.0, 10, 1e-8, 1e-10)
+    np.testing.assert_array_equal(t, np.concatenate([[0.0], want_t]))
+    assert X.tobytes() == np.vstack([x0, want_X]).tobytes()
+
+
 def test_sample_times_convention():
     np.testing.assert_allclose(P.sample_times(1.0, 5), [0.2, 0.4, 0.6, 0.8, 1.0])
     with pytest.raises(ValueError):
