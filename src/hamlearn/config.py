@@ -19,7 +19,7 @@ from . import __version__
 from .metalearn import (LEARNER_KINDS, AdamState, InnerConfig, LearnerDef,
                         OuterConfig, build_learner)
 from .network import NetworkSpec, param_count
-from .physics import SYSTEMS
+from .physics import DOF, SYSTEMS
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -68,8 +68,8 @@ class RunConfig:
                            self.second_order)
 
     def learner_def(self) -> LearnerDef:
-        state_dim = 4 if self.system == "kepler" else 2
-        return build_learner(self.learner, state_dim, tuple(self.hidden),
+        return build_learner(self.learner, 2 * DOF[self.system],
+                             tuple(self.hidden),
                              self.inner_config())
 
 

@@ -20,8 +20,8 @@ from .metalearn import (AdamState, InnerConfig, LearnerDef, OuterConfig,
                         adam_init, adam_update, build_learner, meta_train,
                         pretrain, pretrain_budget)
 from .network import init_params, update_mask
-from .physics import (DomainError, IntegrationError, PhysicalParams, field_fn,
-                      hamiltonian_many, integrate, sample_times)
+from .physics import (DOF, DomainError, IntegrationError, PhysicalParams,
+                      field_fn, hamiltonian_many, integrate, sample_times)
 from .taskgen import GridTestSet, make_meta_test_suite, make_meta_train
 
 ADAPT_STEPS = 10
@@ -57,11 +57,21 @@ class RolloutReport:
     failure_time: float | None = None
 
 
-def field_mse(spec, params, loss_kind: str, grid: GridTestSet) -> float:
-    """Mean squared field error over the evaluation lattice."""
+def field_mse(spec, params, loss_kind: str, grid: GridTestSet,
+              features: fastops.HeadFeatures | None = None) -> float:
+    """Mean squared field error over the evaluation lattice.
+
+    `features`, the head features of grid.states at params' body, give the
+    field as phi times the last layer instead of a pass through the net.
+    """
     if grid.states.shape[0] == 0:
         raise ValueError("empty grid")
-    F = fastops.predicted_field(spec, params, grid.states, loss_kind)
+    if features is None:
+        F = fastops.predicted_field(spec, params, grid.states, loss_kind)
+    elif features.X is not grid.states:
+        raise ValueError("features were built on another grid")
+    else:
+        F = features.field(params)
     R = F - grid.derivatives
     mse = float(np.mean(np.sum(R * R, axis=1)))
     if not np.isfinite(mse):
@@ -69,23 +79,56 @@ def field_mse(spec, params, loss_kind: str, grid: GridTestSet) -> float:
     return mse
 
 
+def _head_only(learner: LearnerDef) -> bool:
+    return learner.inner.update_set == "last"
+
+
+def _adam_path(learner: LearnerDef, theta, X, Xdot, steps: int, lr: float):
+    """Yield theta after 0, 1, ..., steps masked Adam steps on one system's
+    observations; every yield is the same array, updated in place.  A
+    head-only learner steps in head space on features built once."""
+    theta = np.array(theta, np.float64)
+    mask = update_mask(learner.spec, learner.inner.update_set)
+    if _head_only(learner):
+        features = fastops.head_features(learner.spec, theta, X,
+                                         learner.loss_kind)
+
+        def loss_grad(th):
+            lin = features.linearize(th, Xdot)
+            return lin.loss, lin.grad, lin.grad
+    else:
+        def loss_grad(th):
+            loss, grad, _ = fastops.loss_grad(learner.spec, th, X, Xdot,
+                                              learner.loss_kind)
+            return loss, grad, grad[mask]
+    sub = theta[mask]
+    adam = adam_init(sub.size)
+    yield theta
+    for step in range(steps):
+        loss, grad, update = loss_grad(theta)
+        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+            raise FloatingPointError(
+                f"non-finite adaptation loss or gradient at step {step}")
+        sub, adam = adam_update(adam, sub, update, lr)
+        theta[mask] = sub
+        yield theta
+
+
+def _grid_features(learner: LearnerDef, theta, grid: GridTestSet):
+    """Head features of the lattice for a head-only learner, else None."""
+    if not _head_only(learner) or grid.states.shape[0] == 0:
+        return None
+    return fastops.head_features(learner.spec, theta, grid.states,
+                                 learner.loss_kind, keep_state=False)
+
+
 def adapt_params(learner: LearnerDef, theta, X, Xdot,
                  steps: int = ADAPT_STEPS, lr: float = ADAPT_LR) -> np.ndarray:
     """Adam-adapt a copy of theta on one system's observations."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    theta = np.array(theta, np.float64)
-    mask = update_mask(learner.spec, learner.inner.update_set)
-    sub = theta[mask]
-    adam = adam_init(sub.size)
-    for step in range(steps):
-        loss, grad, _ = fastops.loss_grad(learner.spec, theta, X, Xdot,
-                                          learner.loss_kind)
-        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-            raise FloatingPointError(
-                f"non-finite adaptation loss or gradient at step {step}")
-        sub, adam = adam_update(adam, sub, grad[mask], lr)
-        theta[mask] = sub
+    for theta in _adam_path(learner, theta, X, Xdot, steps, lr):
+        pass
     return theta
 
 
@@ -103,7 +146,8 @@ def adapt_and_eval(learner: LearnerDef, theta_meta, systems,
     for s in systems:
         th = adapt_params(learner, theta_meta, s.train_x, s.train_xdot,
                           adapt_steps, adapt_lr)
-        per.append(field_mse(learner.spec, th, learner.loss_kind, s.grid))
+        per.append(field_mse(learner.spec, th, learner.loss_kind, s.grid,
+                             _grid_features(learner, theta_meta, s.grid)))
     per = np.asarray(per)
     return EvalReport(learner.kind, systems[0].params.system, systems[0].mode,
                       int(systems[0].k), float(per.mean()), float(per.std()),
@@ -115,21 +159,14 @@ def learning_curve(learner: LearnerDef, theta_meta, systems,
     """Mean grid MSE after 0..max_steps adaptation steps (length max_steps+1)."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    mask = update_mask(learner.spec, learner.inner.update_set)
     curves = np.empty((len(systems), max_steps + 1))
     for i, s in enumerate(systems):
-        theta = np.array(theta_meta, np.float64)
-        sub = theta[mask]
-        adam = adam_init(sub.size)
-        for step in range(max_steps + 1):
+        features = _grid_features(learner, theta_meta, s.grid)
+        path = _adam_path(learner, theta_meta, s.train_x, s.train_xdot,
+                          max_steps, adapt_lr)
+        for step, theta in enumerate(path):
             curves[i, step] = field_mse(learner.spec, theta,
-                                        learner.loss_kind, s.grid)
-            if step == max_steps:
-                break
-            _, grad, _ = fastops.loss_grad(learner.spec, theta, s.train_x,
-                                           s.train_xdot, learner.loss_kind)
-            sub, adam = adam_update(adam, sub, grad[mask], adapt_lr)
-            theta[mask] = sub
+                                        learner.loss_kind, s.grid, features)
     return curves.mean(axis=0)
 
 
@@ -167,19 +204,12 @@ def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
                                            loss_kind)[0]
 
     failure = None
-    n = samples
     try:
-        _, Xp = integrate(pred_field, x0, T_span, n,
+        _, Xp = integrate(pred_field, x0, T_span, samples,
                           rtol=ROLLOUT_RTOL, atol=ROLLOUT_ATOL)
     except IntegrationError as err:
-        failure = err.t_failure
-        # keep the sample spacing: k*T/samples for k = 1..n
-        n = max(int(np.floor(failure * samples / T_span)) - 1, 0)
-        if n > 0:
-            _, Xp = integrate(pred_field, x0, n * T_span / samples, n,
-                              rtol=ROLLOUT_RTOL, atol=ROLLOUT_ATOL)
-        else:
-            Xp = np.empty((0, x0.size))
+        failure, Xp = err.t_failure, err.states
+    n = Xp.shape[0]
     times = sample_times(T_span, samples)[:n]
     if n > 0:
         _, Xt = integrate(field_fn(true_params), x0, n * T_span / samples, n,
@@ -239,8 +269,8 @@ def ablation_tasks(kinds, task_counts, system: str, mode: str, K: int,
     task_counts = list(task_counts)
     if task_counts != sorted(task_counts) or len(set(task_counts)) != len(task_counts):
         raise ValueError("task_counts must be strictly ascending")
-    state_dim = 4 if system == "kepler" else 2
     suite = make_meta_test_suite(system, mode, K, seed, n_systems)
+    state_dim = 2 * DOF[system]
     table = {}
     for j, kind in enumerate(kinds):
         learner = build_learner(kind, state_dim, hidden, inner_cfg)

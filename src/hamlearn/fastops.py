@@ -22,6 +22,15 @@ in tests:
   exactly-zero block of ``vec`` is skipped (its value would be an exact
   zero), so a direction confined to the output layer runs no forward
   tangent below it.
+- ``head_features``: the head-space path of learners that adapt only the
+  last layer.  The field is linear in that layer, F = phi . head, so the
+  features phi of a batch are built once (for the Hamiltonian loss, 2n
+  forward-mode input tangents through the body, Omega folded in) and
+  `HeadFeatures.linearize` gives the loss, the last-layer gradient and the
+  residual at any head for the cost of a matrix-vector product.
+  ``loss_hvp`` on such a `HeadLinearization` returns the exact H @ vec for
+  a last-layer vec: the head block from phi, the body by one reverse pass
+  through the construction of phi.
 
 Each public wrapper runs its kernel with numpy's floating-point warnings
 silenced; callers detect a non-finite result and raise
@@ -35,10 +44,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .network import NetworkSpec, param_count, unpack_blocks
+from .network import NetworkSpec, layer_slice, param_count, unpack_blocks
 
 
 def _quiet(fn):
@@ -107,12 +117,21 @@ def _forward(blocks, X):
     return A, S
 
 
-def _by_rows(kernel, blocks, X):
-    """kernel(blocks, X) evaluated one row block at a time."""
+def _by_rows(kernel, blocks, X, axis=0):
+    """kernel(blocks, X) evaluated one row block at a time; rows run along
+    `axis` of the result.  Each block is copied out before the next one is
+    computed, so the blocks' temporaries reuse the same memory."""
     if X.shape[0] <= _ROW_BLOCK:
         return kernel(blocks, X)
-    return np.concatenate([kernel(blocks, X[i : i + _ROW_BLOCK])
-                           for i in range(0, X.shape[0], _ROW_BLOCK)])
+    out = None
+    for i in range(0, X.shape[0], _ROW_BLOCK):
+        part = kernel(blocks, X[i : i + _ROW_BLOCK])
+        if out is None:
+            out = np.empty(part.shape[:axis] + (X.shape[0],)
+                           + part.shape[axis + 1 :])
+        np.moveaxis(out, axis, 0)[i : i + _ROW_BLOCK] = \
+            np.moveaxis(part, axis, 0)
+    return out
 
 
 def _hnn_field(blocks, X):
@@ -323,6 +342,180 @@ def _naive_tangent(lin: Linearization, vec):
     return hvp
 
 
+# -- head space ----------------------------------------------------------------
+#
+# When only the last layer adapts, the field is linear in that layer:
+#   hnn:   F[b, j] = phi[j, b] @ w_L, where phi[j, b] is the input tangent
+#          da_{L-1}/dx_i of the coordinate i that Omega maps onto output j,
+#          with Omega's sign; b_L drops out of the field.
+#   naive: F = phi @ [W_L; b_L] with phi = [a_{L-1}, 1].
+# phi depends on the body alone, so a head-only learner builds it once per
+# batch and takes every inner step in head space.
+
+
+def _omega_rows(M):
+    """Omega @ M: rows [M_p; -M_q].  Row j of Omega is the input direction
+    whose derivative Omega puts in output j; Omega^T = -Omega."""
+    n = M.shape[0] // 2
+    return np.concatenate((M[n:], -M[:n]))
+
+
+def _hnn_features(blocks, X):
+    """(phi, A, S, TZ, T): TZ[l] and T[l] are the (2n, B, h_l) tangents of
+    z_l and a_l along the input directions of `_omega_rows`, and phi is
+    T[L-1]."""
+    A, S = _forward(blocks, X)
+    L = len(blocks)
+    B, d = X.shape
+    TZ, T = [None] * L, [None] * L
+    for l in range(1, L):
+        if l == 1:
+            W1 = _omega_rows(blocks[0][:-1])
+            TZ[l] = np.broadcast_to(W1[:, None, :], (d, B, W1.shape[1]))
+        else:
+            TZ[l] = (T[l - 1].reshape(d * B, -1)
+                     @ blocks[l - 1][:-1]).reshape(d, B, -1)
+        T[l] = S[l] * TZ[l]
+    if L == 1:
+        return (np.broadcast_to(_omega_rows(np.eye(d))[:, None, :],
+                                (d, B, d)), A, S, TZ, T)
+    return T[L - 1], A, S, TZ, T
+
+
+_PHI = {"hnn": lambda blocks, X: _hnn_features(blocks, X)[0],
+        "naive": lambda blocks, X: _forward(blocks, X)[0][-1]}
+
+
+class HeadFeatures(NamedTuple):
+    """Features of a batch X: at any parameters that share the body these
+    were built at, the learner's field on X is phi times the last layer.
+
+    hnn: phi is (2n, B, h) with Omega folded in and multiplies w_L; naive:
+    phi is (B, h + 1) = [a_{L-1}, 1] and multiplies [W_L; b_L].  Unless
+    built with keep_state=False, they keep the forward state and the
+    tangent chains that `loss_hvp`'s reverse pass runs through.
+    """
+    spec: NetworkSpec
+    loss_kind: str
+    body: np.ndarray  # copy of the parameters below the last layer
+    X: np.ndarray
+    phi: np.ndarray
+    A: list = None    # [a_l, 1]; A[0] = [X, 1]
+    S: list = None    # sigmoid(z_l) of the hidden layers
+    SP: list = None   # hnn: sigmoid'(z_l)
+    TZ: list = None   # hnn: tangents of z_l
+    T: list = None    # hnn: tangents of a_l
+
+    def _head(self, params):
+        """params and its last layer's [W; b] block, once params is known
+        to share the body."""
+        params = np.asarray(params, np.float64)
+        if (params.shape != (param_count(self.spec),)
+                or not np.array_equal(params[: self.body.size], self.body)):
+            raise ValueError("params do not share the body the features "
+                             "were built at")
+        return params, params[self.body.size :].reshape(-1,
+                                                        self.spec.output_dim)
+
+    @_quiet
+    def field(self, params) -> np.ndarray:
+        """The field on X at params."""
+        _, P = self._head(params)
+        if self.loss_kind == "naive":
+            return self.phi @ P
+        d, B, h = self.phi.shape
+        return (self.phi.reshape(d * B, h) @ P[:-1, 0]).reshape(d, B).T
+
+    @_quiet
+    def linearize(self, params, Xdot) -> "HeadLinearization":
+        """Loss, residual and last-layer gradient at params against the
+        labels Xdot."""
+        params, P = self._head(params)
+        Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
+        if Xdot.shape != self.X.shape:
+            raise ValueError("Xdot shape must match X")
+        B = self.X.shape[0]
+        grad = np.zeros(P.size)
+        G = grad.reshape(P.shape)
+        if self.loss_kind == "naive":
+            R = self.phi @ P - Xdot
+            np.matmul(self.phi.T, (2.0 / B) * R, out=G)
+        else:  # the gradient of b_L stays exactly 0
+            d, _, h = self.phi.shape
+            phi = self.phi.reshape(d * B, h)
+            R = (phi @ P[:-1, 0]).reshape(d, B).T - Xdot
+            np.matmul(((2.0 / B) * R.T).ravel(), phi, out=G[:-1, 0])
+        return HeadLinearization(self.spec, self.loss_kind, params, self.X,
+                                 Xdot, float(np.sum(R * R) / B), grad, self,
+                                 R)
+
+
+class HeadLinearization(NamedTuple):
+    """One point of a head-space descent: `loss_hvp` takes it in place of
+    a `Linearization`, for directions in the last layer.  `grad` covers
+    the last layer's [W; b] block only."""
+    spec: NetworkSpec
+    loss_kind: str
+    params: np.ndarray
+    X: np.ndarray
+    Xdot: np.ndarray
+    loss: float
+    grad: np.ndarray
+    features: HeadFeatures
+    R: np.ndarray     # residual field - Xdot, (B, 2n)
+
+
+def _head_tangent(lin: HeadLinearization, vec):
+    """H @ vec for vec in the last layer: the head block directly, the body
+    by one reverse pass through the construction of phi."""
+    f = lin.features
+    if f.S is None:
+        raise ValueError("features built with keep_state=False take no "
+                         "tangent pass")
+    nb = f.body.size
+    if np.any(np.abs(vec[:nb]) > 0):  # NaN passes on to the caller's guard
+        raise ValueError("a head-space linearization takes directions in "
+                         "the last layer only")
+    blocks = unpack_blocks(lin.spec, lin.params)
+    P = blocks[-1]
+    U = vec[nb:].reshape(P.shape)
+    hvp = np.zeros(vec.size)
+    H = unpack_blocks(lin.spec, hvp)
+    B, d = lin.X.shape
+    if lin.loss_kind == "naive":
+        dbarz = (2.0 / B) * (f.phi @ U)
+        np.matmul(f.phi.T, dbarz, out=H[-1])
+        bara = dbarz @ P[:-1].T + ((2.0 / B) * lin.R) @ U[:-1].T
+        barT = None
+    else:  # the b_L entries of H @ vec stay exactly 0
+        phi = f.phi.reshape(d * B, -1)
+        u, w = U[:-1, 0], P[:-1, 0]
+        Fu = (phi @ u).reshape(d, B)
+        np.matmul(((2.0 / B) * Fu).ravel(), phi, out=H[-1][:-1, 0])
+        # adjoint of phi_j: (2/B)(R_j u^T + F_u,j w^T)
+        barT = (2.0 / B) * (lin.R.T[:, :, None] * u + Fu[:, :, None] * w)
+        bara = None
+    for l in range(len(blocks) - 1, 0, -1):
+        W = blocks[l - 1][:-1]
+        if barT is None:
+            barz = bara * f.S[l]
+        else:
+            barz = np.sum(barT * f.TZ[l], axis=0) * f.SP[l]
+            if bara is not None:
+                barz += bara * f.S[l]
+            barTZ = barT * f.S[l]
+            if l > 1:
+                barTZ = barTZ.reshape(d * B, -1)
+                H[l - 1][:-1] = f.T[l - 1].reshape(d * B, -1).T @ barTZ
+                barT = (barTZ @ W.T).reshape(d, B, -1)
+            else:  # transpose of layer 1's folding, which is its negative
+                H[0][:-1] = -_omega_rows(barTZ.sum(axis=1))
+        H[l - 1] += f.A[l - 1].T @ barz
+        if l > 1:
+            bara = barz @ W.T
+    return hvp
+
+
 _LINEARIZE = {"hnn": _hnn_linearize, "naive": _naive_linearize}
 _TANGENT = {"hnn": _hnn_tangent, "naive": _naive_tangent}
 
@@ -368,6 +561,33 @@ def _check_pair(spec, params, X, Xdot, loss_kind):
 
 
 @_quiet
+def head_features(spec: NetworkSpec, params, X, loss_kind: str,
+                  keep_state: bool = True) -> HeadFeatures:
+    """Features of the batch X at params' body (see `HeadFeatures`).
+
+    keep_state=False builds phi alone, in row blocks, for a batch that is
+    only scored, such as an evaluation grid.
+    """
+    if loss_kind not in _LINEARIZE:
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    params, blocks, X = _check(spec, params, X,
+                               want_scalar_out=loss_kind == "hnn")
+    if X.shape[0] == 0:
+        raise ValueError("empty batch")
+    body = params[: layer_slice(spec, spec.n_layers - 1).start].copy()
+    if not keep_state:
+        return HeadFeatures(spec, loss_kind, body, X,
+                            _by_rows(_PHI[loss_kind], blocks, X,
+                                     axis=int(loss_kind == "hnn")))
+    if loss_kind == "naive":
+        A, S = _forward(blocks, X)
+        return HeadFeatures(spec, loss_kind, body, X, A[-1], A, S)
+    phi, A, S, TZ, T = _hnn_features(blocks, X)
+    SP = [None] + [s * (1.0 - s) for s in S[1:]]
+    return HeadFeatures(spec, loss_kind, body, X, phi, A, S, SP, TZ, T)
+
+
+@_quiet
 def loss_value(spec: NetworkSpec, params, X, Xdot, loss_kind: str) -> float:
     """Batch loss: mean over rows of the squared field error."""
     F = predicted_field(spec, params, X, loss_kind)
@@ -395,12 +615,15 @@ def loss_grad(spec: NetworkSpec, params, X, Xdot, loss_kind: str):
 
 @_quiet
 def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec, loss_kind: str,
-             lin: Linearization | None = None):
+             lin: Linearization | HeadLinearization | None = None):
     """(loss, grad, H @ vec) where H is the loss Hessian in params.
 
     `lin`, from `loss_grad` with the same spec, loss kind and params, X
     and Xdot arrays, skips the primal+adjoint pass.  A linearization made
     for another spec or loss kind, or at other arrays, is a ValueError.
+    `lin` may also be a `HeadLinearization`; then vec must lie in the last
+    layer, grad covers the last layer only, and H @ vec is exact in every
+    parameter.
     """
     vec = np.asarray(vec, np.float64)
     if vec.shape != (param_count(spec),):
@@ -413,4 +636,6 @@ def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec, loss_kind: str,
               and lin.Xdot is np.atleast_2d(np.asarray(Xdot, np.float64))):
         raise ValueError("linearization was made at other arrays, spec or "
                          "loss kind")
+    if isinstance(lin, HeadLinearization):
+        return lin.loss, lin.grad, _head_tangent(lin, vec)
     return lin.loss, lin.grad, _TANGENT[loss_kind](lin, vec)

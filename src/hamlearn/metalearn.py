@@ -12,6 +12,12 @@ accumulation over the stored inner trajectory:
 
 because each inner step theta_{k+1} = theta_k - alpha * mask * g(theta_k)
 has transposed Jacobian I - alpha * H * diag(mask).
+
+A head-only learner (update set "last": hanil, naive_anil) has a field
+linear in its last layer, so its inner loss is exactly quadratic there.
+Its inner loop builds the batch's head features once (`fastops.head_features`)
+and steps in head space; the reverse sweep is the same loop, with each
+`loss_hvp` running on a head-space linearization.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 from . import fastops, seeding
 from . import tape as T
 from .network import (UPDATE_SETS, NetworkSpec, _tree_sum, forward_graph,
-                      hnn_spec, naive_spec, update_mask)
+                      hnn_spec, layer_slice, naive_spec, update_mask)
 
 LEARNER_KINDS = ("hnn_scratch", "hnn_pretrained", "naive_maml", "naive_anil",
                  "hamaml", "hanil", "hanil_inv")
@@ -172,10 +178,25 @@ def _loss_grad_fn(spec, X, Xdot, loss_kind):
 
 def _adapt(spec, theta, X, Xdot, cfg: InnerConfig, loss_kind):
     """Masked gradient descent; returns (theta_S, [(theta_k, linearization
-    at theta_k) for k = 0 .. S-1])."""
-    fn = _loss_grad_fn(spec, X, Xdot, loss_kind)
-    mask = update_mask(spec, cfg.update_set)
+    at theta_k) for k = 0 .. S-1]).
+
+    A head-only learner (update set "last", a named loss kind) descends in
+    head space: the features of X are built once at theta_0, and each step
+    is w <- w - lr * (2/B) sum_j phi_j^T R_j on them.
+    """
     theta = np.array(theta, np.float64)
+    if cfg.steps and cfg.update_set == "last" and not callable(loss_kind):
+        features = fastops.head_features(spec, theta, X, loss_kind)
+
+        def fn(th):
+            lin = features.linearize(th, Xdot)
+            return lin.loss, lin.grad, lin
+
+        # the gradient covers the last layer only
+        sel, part = layer_slice(spec, spec.n_layers - 1), slice(None)
+    else:
+        fn = _loss_grad_fn(spec, X, Xdot, loss_kind)
+        sel = part = update_mask(spec, cfg.update_set)
     trace = []
     for k in range(cfg.steps):
         loss, grad, lin = fn(theta)
@@ -183,7 +204,7 @@ def _adapt(spec, theta, X, Xdot, cfg: InnerConfig, loss_kind):
             raise FloatingPointError(f"non-finite training loss at inner step {k}")
         trace.append((theta, lin))
         theta = theta.copy()
-        theta[mask] -= cfg.lr * grad[mask]
+        theta[sel] -= cfg.lr * grad[part]
     return theta, trace
 
 

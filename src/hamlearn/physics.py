@@ -41,11 +41,18 @@ KEPLER_MIN_SEP_EVAL = 0.1
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive integration failed; `t_failure` is the last reached time."""
+    """Adaptive integration failed; `t_failure` is the last reached time.
 
-    def __init__(self, message: str, t_failure: float):
+    `times` and `states` hold the samples completed before the failure,
+    laid out as `integrate` returns them (empty when none was reached).
+    """
+
+    def __init__(self, message: str, t_failure: float, times=None,
+                 states=None):
         super().__init__(message)
         self.t_failure = float(t_failure)
+        self.times = np.empty(0) if times is None else times
+        self.states = np.empty((0, 0)) if states is None else states
 
 
 @dataclass(frozen=True)
@@ -345,10 +352,11 @@ def _initial_step(fun, y0, f0, t_bound, rtol, atol):
 
 
 def _dopri45(fun, y0, t_bound, t_eval, rtol, atol, out):
-    """Step from t = 0 to t_bound, writing the dense output at the sorted
-    times t_eval (all in (0, t_bound]) into the rows of out.  Returns the
-    number of rows written; fewer than len(t_eval) means the step size
-    fell below the floor."""
+    """Step from t = 0 to t_bound, appending the dense output at the sorted
+    times t_eval (all in (0, t_bound]) to the list out, as blocks of rows.
+    Returns the number of rows appended; fewer than len(t_eval) means the
+    step size fell below the floor.  If `fun` raises, out keeps the rows
+    appended before."""
     t, y = 0.0, y0
     f = fun(t, y)
     h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
@@ -397,7 +405,7 @@ def _dopri45(fun, y0, t_bound, t_eval, rtol, atol, out):
             p = np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0)
             ys = h * np.dot(Q, p)
             ys += y_old[:, None]
-            out[done:reached] = ys.T
+            out.append(ys.T)
             done = reached
         if t - t_bound >= 0:
             return done
@@ -418,7 +426,8 @@ def integrate(field, x0, T_span: float, samples: int,
     Failure to reach T raises IntegrationError.  Its t_failure is the time
     at which `field` was called when the derivative is non-finite or
     `field` raises a domain error, and the last sample time reached (0.0
-    if none) when the step size falls below the spacing of floats.
+    if none) when the step size falls below the spacing of floats.  Its
+    times and states are the samples reached before the failure.
     """
     if isinstance(x0, PhaseState):
         x0 = x0.as_array()
@@ -440,21 +449,30 @@ def integrate(field, x0, T_span: float, samples: int,
                 f"non-finite derivative at t = {t:.6g}", t)
         return d
 
-    states = np.empty((samples, x0.size))
+    blocks = []
     # k * (T / L) can overshoot T by one ULP: integrate to the last sample
     t_end = max(float(T_span), float(times[-1]))
+
+    def reached_samples():
+        states = np.vstack(blocks) if blocks else np.empty((0, x0.size))
+        t = times[: states.shape[0]]
+        if include_initial:
+            t, states = np.concatenate([[0.0], t]), np.vstack([x0, states])
+        return t, states
+
     try:
-        reached = _dopri45(rhs, x0, t_end, times, rtol, atol, states)
+        reached = _dopri45(rhs, x0, t_end, times, rtol, atol, blocks)
+    except IntegrationError as exc:  # a non-finite derivative
+        exc.times, exc.states = reached_samples()
+        raise
     except DomainError as exc:
         raise IntegrationError(
             f"field raised a domain error near t = {last_t[0]:.6g}: {exc}",
-            last_t[0]) from exc
+            last_t[0], *reached_samples()) from exc
     if reached < samples:
         t_fail = float(times[reached - 1]) if reached else 0.0
         raise IntegrationError(
             f"integration stalled at t = {t_fail:.6g}: Required step size "
-            "is less than spacing between numbers.", t_fail)
-    if include_initial:
-        times = np.concatenate([[0.0], times])
-        states = np.vstack([x0, states])
-    return times, states
+            "is less than spacing between numbers.", t_fail,
+            *reached_samples())
+    return reached_samples()

@@ -108,6 +108,25 @@ def test_non_finite_adaptation_exits_2(tmp_path, cmd, capsys):
         json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
+@pytest.mark.parametrize("learner", ["hanil", "naive_anil"])
+def test_head_only_learners_exit_2_on_a_huge_learning_rate(tmp_path, learner,
+                                                          capsys):
+    run = tmp_path / "run"
+    assert main(["metatrain", "--dataset", "ds", "--learner", learner,
+                 "--out", str(run), *TRAIN_FLAGS]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["metatrain", "--dataset", "ds", "--learner", learner,
+                     "--inner-lr", "1e300", "--out", str(tmp_path / "bad"),
+                     *TRAIN_FLAGS]) == 2
+        assert "non-finite training loss" in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                     "--k", "6", "--adapt-lr", "1e200", "--seed", "3",
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def _reject_constant(token):
     raise ValueError(f"non-strict JSON constant {token}")
 

@@ -4,9 +4,10 @@ import pytest
 from hamlearn import evaluation as E
 from hamlearn import fastops
 from hamlearn import metalearn as M
-from hamlearn.network import NetworkSpec, init_params, layer_slice, param_count
+from hamlearn.network import (NetworkSpec, init_params, layer_slice,
+                              param_count, update_mask)
 from hamlearn.physics import (PhysicalParams, graph_field, hamiltonian_many,
-                              true_field_many)
+                              integrate, sample_times, true_field_many)
 from hamlearn.taskgen import (GridTestSet, MetaTestSystem, build_grid,
                               make_meta_test_suite, sample_params)
 
@@ -170,6 +171,71 @@ def test_learning_curve_validation():
     with pytest.raises(ValueError):
         E.learning_curve(learner, init_params(learner.spec, 0),
                          suite_for(n_systems=1), max_steps=0)
+
+
+def _generic_adam_path(learner, theta, X, Xdot, steps, lr):
+    """theta after 0..steps masked Adam steps on full `loss_grad`s."""
+    mask = update_mask(learner.spec, learner.inner.update_set)
+    theta = np.array(theta)
+    sub = theta[mask]
+    adam = M.adam_init(sub.size)
+    path = [theta.copy()]
+    for _ in range(steps):
+        _, grad, _ = fastops.loss_grad(learner.spec, theta, X, Xdot,
+                                       learner.loss_kind)
+        sub, adam = M.adam_update(adam, sub, grad[mask], lr)
+        theta[mask] = sub
+        path.append(theta.copy())
+    return path
+
+
+@pytest.mark.parametrize("kind", ["hanil", "naive_anil"])
+def test_head_space_adaptation_matches_generic_masked_adam(kind):
+    learner = M.build_learner(kind, hidden=(16, 16))
+    theta = init_params(learner.spec, 41)
+    systems = suite_for(n_systems=2, K=20, seed=41)
+    steps = 12
+    curve = E.learning_curve(learner, theta, systems, max_steps=steps)
+    per_step = np.zeros(steps + 1)
+    for s in systems:
+        path = _generic_adam_path(learner, theta, s.train_x, s.train_xdot,
+                                  steps, E.ADAPT_LR)
+        got = E.adapt_params(learner, theta, s.train_x, s.train_xdot, steps)
+        assert np.abs(got - path[-1]).max() <= 1e-12 * np.abs(path[-1]).max()
+        per_step += [E.field_mse(learner.spec, th, learner.loss_kind, s.grid)
+                     for th in path]
+    want = per_step / len(systems)
+    assert np.all(np.abs(curve - want) <= 1e-12 * want)
+    assert curve[-1] < curve[0]
+
+
+def _q_squared_field(spec, params, X, loss_kind):
+    return np.stack([X[:, 0] ** 2, np.zeros(X.shape[0])], axis=1)
+
+
+def test_rollout_keeps_every_sample_the_learned_field_reached(monkeypatch):
+    # xdot = (q^2, 0) from q = 1 blows up at t = 1, the tenth sample time
+    calls = []
+
+    def counted(field, x0, T_span, samples, **kw):
+        calls.append((field, T_span, samples))
+        return integrate(field, x0, T_span, samples, **kw)
+
+    monkeypatch.setattr(E, "integrate", counted)
+    monkeypatch.setattr(fastops, "predicted_field", _q_squared_field)
+    params = spring()
+    report, Xp, Xt = E.rollout_eval(None, None, params, np.array([1.0, 0.5]),
+                                    T_span=20.0, samples=200,
+                                    with_states=True)
+    assert report.times.shape == (10,)
+    np.testing.assert_array_equal(report.times, sample_times(20.0, 200)[:10])
+    assert report.failure_time == 1.0
+    learned = [c for c in calls if c[0] is not calls[-1][0]]
+    assert [(T, L) for _, T, L in learned] == [(20.0, 200)]
+    # q(t) = 1 / (1 - t) before the blow-up at the last sample
+    np.testing.assert_allclose(Xp[:9, 0], 1.0 / (1.0 - report.times[:9]),
+                               rtol=1e-6)
+    assert Xt.shape == (10, 2)
 
 
 # -- rollouts ---------------------------------------------------------------------

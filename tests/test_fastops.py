@@ -234,3 +234,83 @@ def test_wrapper_validation():
     tanh_spec = N.NetworkSpec(2, (4,), 1, activation="tanh")
     with pytest.raises(NotImplementedError):
         F.mlp_forward(tanh_spec, N.init_params(tanh_spec, 0), X)
+
+
+# -- head space -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind,state_dim,hidden", [
+    ("hnn", 2, (64, 64, 64)), ("hnn", 4, (7, 5)), ("hnn", 2, ()),
+    ("naive", 2, (64, 64, 64)), ("naive", 4, (7,)), ("naive", 2, ()),
+])
+def test_head_features_agree_with_the_generic_kernels(kind, state_dim, hidden):
+    spec = N.NetworkSpec(state_dim, hidden, 1 if kind == "hnn" else state_dim)
+    params = rand_net(21, spec)
+    rng = RNG(22)
+    X = rng.uniform(-1.5, 1.5, (50, state_dim))
+    Xd = rng.uniform(-1.5, 1.5, (50, state_dim))
+    feats = F.head_features(spec, params, X, kind)
+    head = N.layer_slice(spec, spec.n_layers - 1)
+    v = np.zeros(params.size)
+    v[head] = rng.normal(0, 1, v[head].size)
+    # at another head the features still hold
+    params[head] += rng.normal(0, 0.3, v[head].size)
+    lin = feats.linearize(params, Xd)
+    loss, grad, glin = F.loss_grad(spec, params, X, Xd, kind)
+    _, _, want = F.loss_hvp(spec, params, X, Xd, v, kind, glin)
+    got = F.loss_hvp(spec, params, X, Xd, v, kind, lin)
+    field = F.predicted_field(spec, params, X, kind)
+    if kind == "naive":  # the same operations as the generic kernels
+        assert lin.loss == loss
+        np.testing.assert_array_equal(lin.grad, grad[head])
+        np.testing.assert_array_equal(got[2], want)
+        np.testing.assert_array_equal(feats.field(params), field)
+    else:
+        assert abs(lin.loss - loss) <= 1e-14 * loss
+        assert np.abs(lin.grad - grad[head]).max() <= 1e-14 * np.abs(grad).max()
+        assert np.abs(got[2] - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(feats.field(params) - field).max() <= \
+            1e-14 * np.abs(field).max()
+        assert lin.grad[-1] == 0.0 and got[2][-1] == 0.0
+    assert got[0] == lin.loss and got[1] is lin.grad
+    grid = F.head_features(spec, params, X, kind, keep_state=False)
+    np.testing.assert_array_equal(grid.phi, feats.phi)
+
+
+def test_grid_head_features_are_built_in_row_blocks():
+    spec = N.NetworkSpec(2, (8, 8), 1)
+    params = rand_net(23, spec)
+    X = RNG(24).uniform(-2, 2, (700, 2))
+    grid = F.head_features(spec, params, X, "hnn", keep_state=False)
+    assert grid.S is None
+    np.testing.assert_allclose(grid.field(params),
+                               F.hnn_field(spec, params, X),
+                               rtol=1e-13, atol=1e-15)
+    whole = F.head_features(spec, params, X, "hnn")
+    np.testing.assert_array_equal(grid.phi, whole.phi)
+
+
+def test_head_features_refuse_another_body_or_batch():
+    spec = N.NetworkSpec(2, (5,), 1)
+    params = rand_net(25, spec)
+    rng = RNG(26)
+    X = rng.uniform(-1, 1, (6, 2))
+    Xd = rng.uniform(-1, 1, (6, 2))
+    feats = F.head_features(spec, params, X, "hnn")
+    moved = params.copy()
+    moved[0] += 1e-12
+    for bad in (moved, params[:-1]):
+        with pytest.raises(ValueError, match="body"):
+            feats.linearize(bad, Xd)
+        with pytest.raises(ValueError, match="body"):
+            feats.field(bad)
+    with pytest.raises(ValueError, match="Xdot"):
+        feats.linearize(params, Xd[:5])
+    with pytest.raises(ValueError, match="empty"):
+        F.head_features(spec, params, X[:0], "hnn")
+    with pytest.raises(ValueError, match="loss kind"):
+        F.head_features(spec, params, X, "other")
+    grid = F.head_features(spec, params, X, "hnn", keep_state=False)
+    lin = grid.linearize(params, Xd)
+    with pytest.raises(ValueError, match="keep_state"):
+        F.loss_hvp(spec, params, X, Xd, np.zeros(params.size), "hnn", lin)

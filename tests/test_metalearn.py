@@ -519,3 +519,96 @@ def test_build_learner_wiring():
     assert kep.spec.input_dim == 4
     with pytest.raises(ValueError):
         M.build_learner("reptile")
+
+
+# -- head space ---------------------------------------------------------------------
+
+
+def _generic_meta_grad(spec, theta, task, cfg, loss_kind):
+    """The second-order meta-gradient by masked descent on `loss_grad` and
+    a reverse sweep of `loss_hvp` on its linearizations."""
+    mask = update_mask(spec, cfg.update_set)
+    th, trace = np.array(theta), []
+    for _ in range(cfg.steps):
+        _, grad, lin = fastops.loss_grad(spec, th, task.train_x,
+                                         task.train_xdot, loss_kind)
+        trace.append((th, lin))
+        th = th.copy()
+        th[mask] -= cfg.lr * grad[mask]
+    loss, v, _ = fastops.loss_grad(spec, th, task.test_x, task.test_xdot,
+                                   loss_kind)
+    for th_k, lin in reversed(trace):
+        _, _, hv = fastops.loss_hvp(spec, th_k, task.train_x, task.train_xdot,
+                                    mask * v, loss_kind, lin)
+        v = v - cfg.lr * hv
+    return loss, v, th
+
+
+@pytest.mark.parametrize("kind", ["hanil", "naive_anil"])
+def test_head_space_meta_gradient_matches_generic_path_at_desk_size(kind):
+    learner = M.build_learner(kind, 2, (64, 64, 64))
+    spec, inner = learner.spec, learner.inner
+    theta = init_params(spec, 0)
+    for task in make_meta_train("spring_mass", 2, 50, 0):
+        th_s, trace = M._adapt(spec, theta, task.train_x, task.train_xdot,
+                               inner, learner.loss_kind)
+        assert all(isinstance(lin, fastops.HeadLinearization)
+                   for _, lin in trace)
+        loss, g = M._task_meta_grad_fast(spec, theta, task, inner, True,
+                                         learner.loss_kind)
+        want_loss, want, want_s = _generic_meta_grad(spec, theta, task, inner,
+                                                     learner.loss_kind)
+        scale = np.abs(want).max()
+        assert np.abs(g - want).max() <= 1e-13 * scale
+        assert abs(loss - want_loss) <= 1e-13 * want_loss
+        assert np.abs(th_s - want_s).max() <= 1e-13 * np.abs(want_s).max()
+        if kind == "naive_anil":  # the same operations as the generic path
+            np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.parametrize("kind,state_dim,hidden", [
+    ("hnn", 2, (3,)), ("hnn", 4, (3, 2)), ("naive", 2, (3,)),
+    ("naive", 4, (2, 3)),
+])
+def test_head_space_meta_gradient_matches_tape(kind, state_dim, hidden):
+    out = 1 if kind == "hnn" else state_dim
+    spec = NetworkSpec(state_dim, hidden, out)
+    theta = init_params(spec, 23)
+    rng = np.random.default_rng(24)
+    task = Task(None, *(rng.uniform(-1, 1, (3, state_dim)) for _ in range(4)))
+    cfg = M.InnerConfig(steps=2, lr=0.05, update_set="last")
+    lf, gf = M._task_meta_grad_fast(spec, theta, task, cfg, True, kind)
+    lg, gg = M._task_meta_grad_graph(spec, theta, task, cfg, True, kind)
+    assert abs(lf - lg) < 1e-12 * lg
+    np.testing.assert_allclose(gf, gg, rtol=1e-10, atol=1e-13)
+
+
+def test_head_space_keeps_the_hnn_output_bias_gradient_exactly_zero():
+    learner = M.build_learner("hanil", 2, (64, 64))
+    spec, inner = learner.spec, learner.inner
+    theta = init_params(spec, 5)
+    task = make_meta_train("spring_mass", 1, 50, 5)[0]
+    _, trace = M._adapt(spec, theta, task.train_x, task.train_xdot, inner,
+                        "hnn")
+    for _, lin in trace:
+        assert lin.grad[-1] == 0.0  # adaptation gradient of b_L
+    _, g = M._task_meta_grad_fast(spec, theta, task, inner, True, "hnn")
+    assert g[-1] == 0.0  # meta-gradient of b_L
+    assert g[:-1].any()
+
+
+def test_head_space_hvp_refuses_body_directions():
+    spec = NetworkSpec(2, (4,), 1)
+    theta = init_params(spec, 6)
+    task = spring_task(7, n_points=5)
+    cfg = M.InnerConfig(steps=1, update_set="last")
+    _, [(th, lin)] = M._adapt(spec, theta, task.train_x, task.train_xdot,
+                              cfg, "hnn")
+    v = np.zeros(theta.size)
+    v[0] = 1.0
+    with pytest.raises(ValueError, match="last layer"):
+        fastops.loss_hvp(spec, th, task.train_x, task.train_xdot, v, "hnn",
+                         lin)
+    with pytest.raises(ValueError, match="linearization"):
+        fastops.loss_hvp(spec, th.copy(), task.train_x, task.train_xdot,
+                         v * 0, "hnn", lin)

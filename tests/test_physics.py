@@ -265,6 +265,36 @@ def test_integrate_blow_up_fails_like_scipy_rk45():
         assert ei.value.t_failure == t_fail
 
 
+def test_integration_error_carries_the_reached_samples():
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    times = P.sample_times(10.0, 40)
+    for x0 in (0.2, 0.5, 3.0, 50.0):  # stalls; 50 before the first sample
+        with pytest.raises(P.IntegrationError) as ei:
+            P.integrate(lambda x: x * x, [x0], 10.0, 40)
+        res = solve_ivp(lambda t, y: y * y, (0.0, 10.0), [x0], method="RK45",
+                        t_eval=times, rtol=1e-8, atol=1e-10)
+        k = len(res.t)
+        want = np.asarray(res.y, np.float64).reshape(1, k).T
+        np.testing.assert_array_equal(ei.value.times, times[:k])
+        assert ei.value.states.shape == (k, 1)
+        assert ei.value.states.tobytes() == want.tobytes()
+        with pytest.raises(P.IntegrationError) as ei0:
+            P.integrate(lambda x: x * x, [x0], 10.0, 40, include_initial=True)
+        np.testing.assert_array_equal(ei0.value.times,
+                                      np.concatenate([[0.0], times[:k]]))
+        assert ei0.value.states.tobytes() == \
+            np.vstack([[x0], want]).tobytes()
+    # a non-finite derivative at q = 2, reached at t = 1
+    field = lambda x: np.array([1.0 if x[0] < 2 else np.inf, 0.0])
+    with pytest.raises(P.IntegrationError) as ei:
+        P.integrate(field, [1.0, 0.0], 20.0, 200)
+    err = ei.value
+    assert 0 < err.times.size < 200 and err.times[-1] < err.t_failure
+    np.testing.assert_array_equal(err.times, P.sample_times(20.0, 200)[
+        : err.times.size])
+    np.testing.assert_allclose(err.states[:, 0], 1.0 + err.times, rtol=1e-12)
+
+
 def test_integrate_zero_field_with_initial_row_matches_scipy_rk45():
     x0 = np.array([1.0, -2.0])
     zero = lambda x: np.zeros_like(x)
