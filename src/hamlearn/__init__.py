@@ -2,6 +2,4 @@
 
 __version__ = "0.1.0"
 
-from ._backend import get_backend, set_backend
-
-__all__ = ["get_backend", "set_backend", "__version__"]
+__all__ = ["__version__"]

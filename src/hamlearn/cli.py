@@ -19,11 +19,11 @@ import numpy as np
 
 from . import seeding
 from .config import (RunConfig, load_checkpoint, read_config_file,
-                     resolve_config, save_checkpoint, version_string,
-                     write_provenance)
+                     resolve_config, save_checkpoint, training_record,
+                     version_string, write_provenance)
 from .evaluation import (ablation_tasks, adapt_and_eval, adapt_params,
                          learning_curve, rollout_eval)
-from .metalearn import adam_init, meta_train, pretrain, pretrain_budget
+from .metalearn import train_learner
 from .network import init_params
 from .physics import SYSTEMS, true_field_many
 from .taskgen import (load_dataset, make_meta_test_suite, make_meta_train,
@@ -174,6 +174,22 @@ def _truncate_curve(path: str, episode: int) -> None:
         fh.writelines(lines[:1] + rows)
 
 
+def _check_resume(blob, cfg, optimizer: str) -> None:
+    """Refuse a checkpoint trained with other settings than this run's;
+    only the episode count may grow."""
+    want = {"seed": cfg.seed, "hidden": list(cfg.hidden),
+            **training_record(cfg, optimizer)}
+    diffs = [f"{key} {blob[key]!r} (this run: {value!r})" if key in blob
+             else f"{key} not recorded" for key, value in want.items()
+             if blob.get(key) != value]
+    if diffs:
+        raise ValueError("cannot resume a checkpoint trained with other "
+                         "settings: " + "; ".join(diffs))
+    if cfg.episodes < blob["episode"]:
+        raise ValueError(f"checkpoint is at episode {blob['episode']}, "
+                         f"past --episodes {cfg.episodes}")
+
+
 def cmd_metatrain(args) -> int:
     cfg, file_values = _resolve(
         args, ("dataset", "learner", "episodes", "task_batch", "inner_steps",
@@ -192,11 +208,6 @@ def cmd_metatrain(args) -> int:
                          f"config says {file_values['system']!r}")
     cfg.system = manifest["system"]
     learner = cfg.learner_def()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_provenance(cfg.out_dir, cfg)
-    curve_path = os.path.join(cfg.out_dir, "curve.csv")
-    ckpt_path = os.path.join(cfg.out_dir, "checkpoint.json")
-
     start_episode = 0
     adam = None
     if args.resume:
@@ -206,9 +217,14 @@ def cmd_metatrain(args) -> int:
                              f"{cfg.learner!r}")
         if blob["system"] != cfg.system:
             raise ValueError("checkpoint system does not match the dataset")
+        _check_resume(blob, cfg, args.optimizer)
         start_episode = blob["episode"]
     else:
         theta = init_params(learner.spec, cfg.seed)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    write_provenance(cfg.out_dir, cfg)
+    curve_path = os.path.join(cfg.out_dir, "curve.csv")
+    ckpt_path = os.path.join(cfg.out_dir, "checkpoint.json")
 
     t0 = time.monotonic()
     mode = "a" if args.resume and os.path.exists(curve_path) else "w"
@@ -222,25 +238,12 @@ def cmd_metatrain(args) -> int:
             wall = 0.0 if cfg.strict_serial else time.monotonic() - t0
             fh.write(f"{ep},{_fmt(loss)},{_fmt(wall)}\n")
 
-        if learner.pretrained:
-            epochs = max(1, pretrain_budget(cfg.outer_config(),
-                                            learner.inner) // len(tasks))
-            history = []
-            theta = pretrain(learner.spec, theta, tasks, epochs,
-                             cfg.outer_lr, history)
-            for i, loss in enumerate(history):
-                log(i, loss)
-            adam = adam_init(theta.size)
-            episode = len(history)
-        else:
-            theta, adam = meta_train(
-                learner.spec, theta, tasks, learner.inner, cfg.outer_config(),
-                cfg.seed, adam=adam, loss_kind=learner.loss_kind,
-                optimizer=args.optimizer, start_episode=start_episode,
-                on_episode=log)
-            episode = cfg.episodes
+        theta, adam, episode = train_learner(
+            learner, theta, tasks, cfg.outer_config(), cfg.seed, adam=adam,
+            optimizer=args.optimizer, start_episode=start_episode,
+            on_episode=log)
     save_checkpoint(ckpt_path, learner, theta, adam, episode, cfg.seed,
-                    cfg.system)
+                    cfg.system, training_record(cfg, args.optimizer))
     print(f"trained {cfg.learner} to episode {episode}; "
           f"checkpoint at {ckpt_path}")
     return 0

@@ -18,10 +18,15 @@ import numpy as np
 from . import __version__
 from .metalearn import (LEARNER_KINDS, AdamState, InnerConfig, LearnerDef,
                         OuterConfig, build_learner)
-from .network import NetworkSpec, param_count
+from .network import ACTIVATION, param_count
 from .physics import DOF, SYSTEMS
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# RunConfig fields that, with the optimizer, seed and hidden sizes, fix a
+# training run; a checkpoint records them so a resume can insist on them.
+TRAINING_KEYS = ("inner_steps", "inner_lr", "outer_lr", "task_batch",
+                 "second_order")
 
 ENV_SEED = "HAMLEARN_SEED"
 
@@ -173,20 +178,30 @@ def version_string() -> str:
 # -- checkpoints ----------------------------------------------------------------
 
 
+def training_record(cfg: RunConfig, optimizer: str) -> dict:
+    """The settings of a training run that a checkpoint records."""
+    record = {key: getattr(cfg, key) for key in TRAINING_KEYS}
+    record["optimizer"] = optimizer
+    return record
+
+
 def save_checkpoint(path: str, learner: LearnerDef, theta: np.ndarray,
                     adam: AdamState, episode: int, seed: int,
-                    system: str) -> None:
-    """JSON snapshot of a training state; floats round-trip exactly."""
+                    system: str, training: dict = None) -> None:
+    """JSON snapshot of a training state; floats round-trip exactly.
+
+    `training`, a `training_record`, is stored beside the seed."""
     blob = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "learner": learner.kind,
         "system": system,
         "seed": int(seed),
+        **(training or {}),
         "episode": int(episode),
         "input_dim": learner.spec.input_dim,
         "hidden": list(learner.spec.hidden_dims),
         "output_dim": learner.spec.output_dim,
-        "activation": learner.spec.activation,
+        "activation": ACTIVATION,
         "params": [float(v) for v in theta],
         "adam": {"m": [float(v) for v in adam.m],
                  "v": [float(v) for v in adam.v],
@@ -210,7 +225,7 @@ def load_checkpoint(path: str):
     learner = build_learner(kind, blob["input_dim"], tuple(blob["hidden"]))
     spec = learner.spec
     if spec.output_dim != blob["output_dim"] or \
-            spec.activation != blob["activation"]:
+            blob["activation"] != ACTIVATION:
         raise ValueError("checkpoint head does not match its learner kind")
     theta = np.asarray(blob["params"], np.float64)
     if theta.shape != (param_count(spec),):

@@ -16,9 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fastops, seeding
-from .metalearn import (AdamState, InnerConfig, LearnerDef, OuterConfig,
-                        adam_init, adam_update, build_learner, meta_train,
-                        pretrain, pretrain_budget)
+from .metalearn import (InnerConfig, LearnerDef, OuterConfig, adam_init,
+                        adam_update, build_learner, train_learner)
 from .network import init_params, update_mask
 from .physics import (DOF, DomainError, IntegrationError, PhysicalParams,
                       field_fn, hamiltonian_many, integrate, sample_times)
@@ -230,32 +229,6 @@ def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
     return (report, Xp, Xt) if with_states else report
 
 
-def export_field(spec, params, loss_kind: str, grid: GridTestSet,
-                 path: str) -> None:
-    """CSV of lattice states with predicted and true fields, full precision."""
-    n = grid.states.shape[1] // 2
-    F = fastops.predicted_field(spec, params, grid.states, loss_kind)
-    cols = [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
-    for tag in ("pred", "true"):
-        cols += [f"qdot{i+1}_{tag}" for i in range(n)]
-        cols += [f"pdot{i+1}_{tag}" for i in range(n)]
-    lines = [",".join(cols)]
-    for b in range(grid.states.shape[0]):
-        row = np.concatenate([grid.states[b], F[b], grid.derivatives[b]])
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_field_export(path: str):
-    """Parse an export_field CSV back to (states, pred, true)."""
-    with open(path) as fh:
-        lines = fh.read().strip().split("\n")
-    data = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
-    d = data.shape[1] // 3
-    return data[:, :d], data[:, d : 2 * d], data[:, 2 * d :]
-
-
 def ablation_tasks(kinds, task_counts, system: str, mode: str, K: int,
                    seed: int, inner_cfg: InnerConfig, outer_cfg: OuterConfig,
                    n_points: int = 50, n_systems: int = 10,
@@ -279,16 +252,9 @@ def ablation_tasks(kinds, task_counts, system: str, mode: str, K: int,
             sub_seed = int(seeding.split(seed, seeding.ABLATE, i, j)
                            .integers(2 ** 63))
             pool = make_meta_train(system, count, n_points, seed=sub_seed)
-            theta = init_params(learner.spec, sub_seed)
-            if learner.meta_trained:
-                theta, _ = meta_train(learner.spec, theta, pool,
-                                      learner.inner, outer_cfg, sub_seed,
-                                      loss_kind=learner.loss_kind)
-            elif learner.pretrained:
-                epochs = max(1, pretrain_budget(outer_cfg, learner.inner)
-                             // len(pool))
-                theta = pretrain(learner.spec, theta, pool, epochs,
-                                 outer_cfg.lr)
+            theta, _, _ = train_learner(learner,
+                                        init_params(learner.spec, sub_seed),
+                                        pool, outer_cfg, sub_seed)
             table[kind][count] = adapt_and_eval(learner, theta, suite,
                                                 adapt_steps, adapt_lr)
     return table

@@ -1,10 +1,8 @@
 """Vectorized kernels for softplus MLP losses and their derivatives.
 
-The tape in `tape.py` is the reference semantics; these kernels are the
-throughput path used by training.  They are hand-derived closed forms of
-the same quantities, written in plain numpy over the per-layer [W; b]
-views of `network.unpack_blocks`, and are cross-checked against the tape
-in tests:
+They are hand-derived closed forms, written in plain numpy over the
+per-layer [W; b] views of `network.unpack_blocks`.  The tests cross-check
+them against a scalar autodiff tape and against finite differences:
 
 - ``mlp_forward``: batched forward pass.
 - ``hnn_field``: Omega * dH/dx obtained by backpropagating the scalar
@@ -35,9 +33,6 @@ in tests:
 Each public wrapper runs its kernel with numpy's floating-point warnings
 silenced; callers detect a non-finite result and raise
 `FloatingPointError`.  Batch layout: X is (B, 2n) rows [q..., p...].
-
-Only softplus activation is supported here (the smooth default); other
-activations run on the tape path.
 """
 
 from __future__ import annotations
@@ -70,8 +65,6 @@ _ROW_BLOCK = 128
 
 def _check(spec: NetworkSpec, params, X, want_scalar_out: bool | None = None):
     """(params, per-layer [W; b] blocks, X) as float64 arrays."""
-    if spec.activation != "softplus":
-        raise NotImplementedError("fast kernels support softplus only")
     params = np.asarray(params, np.float64)
     blocks = unpack_blocks(spec, params)  # checks the length
     X = np.atleast_2d(np.asarray(X, np.float64))

@@ -1,17 +1,16 @@
-"""Bi-level meta-learning: field losses, inner adaptation, outer Adam loop.
+"""Bi-level meta-learning: inner adaptation, outer Adam loop, training.
 
-Two execution lanes share one objective.  The graph lane builds the whole
-bi-level computation on the autodiff tape (inner updates become tape
-nodes, so the meta-gradient is an exact derivative of the built
-expression).  The fast lane runs the same arithmetic through the
-vectorized kernels and recovers the identical meta-gradient by reverse
-accumulation over the stored inner trajectory:
+The inner loop runs through the vectorized kernels of `fastops`, and the
+meta-gradient is recovered by reverse accumulation over the stored inner
+trajectory:
 
     v = grad L_te(theta_S)
     for k = S-1 .. 0:   v <- v - alpha * H_tr(theta_k) @ (mask * v)
 
 because each inner step theta_{k+1} = theta_k - alpha * mask * g(theta_k)
-has transposed Jacobian I - alpha * H * diag(mask).
+has transposed Jacobian I - alpha * H * diag(mask).  The tests check it
+against the exact derivative of the same bi-level expression built on a
+scalar autodiff tape.
 
 A head-only learner (update set "last": hanil, naive_anil) has a field
 linear in its last layer, so its inner loss is exactly quadratic there.
@@ -27,9 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fastops, seeding
-from . import tape as T
-from .network import (UPDATE_SETS, NetworkSpec, _tree_sum, forward_graph,
-                      hnn_spec, layer_slice, naive_spec, update_mask)
+from .network import (UPDATE_SETS, NetworkSpec, hnn_spec, layer_slice,
+                      naive_spec, update_mask)
 
 LEARNER_KINDS = ("hnn_scratch", "hnn_pretrained", "naive_maml", "naive_anil",
                  "hamaml", "hanil", "hanil_inv")
@@ -103,67 +101,6 @@ def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray,
     return params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS), AdamState(m, v, t)
 
 
-# -- graph-lane losses ----------------------------------------------------------
-
-
-def _residual_mean(g: T.Graph, pred_ids: np.ndarray, Xdot) -> int:
-    """Node for mean-over-rows squared error between predictions and labels."""
-    Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
-    if Xdot.shape != pred_ids.shape:
-        raise ValueError("label shape does not match predictions")
-    lab = g.leaf_many(Xdot.ravel())
-    res = g.apply_many(T.SUB, pred_ids.ravel(), lab)
-    total = _tree_sum(g, g.apply_many(T.SQUARE, res))
-    return g.apply(T.MUL, total, g.constant(1.0 / Xdot.shape[0]))
-
-
-def hnn_loss_from_H(g: T.Graph, h_ids, x_ids: np.ndarray, Xdot) -> int:
-    """Field-matching loss given per-sample energy nodes h_ids built on x_ids.
-
-    Differentiates sum(H_b) w.r.t. all inputs in one sweep (rows are
-    independent, so the slice for row b is dH_b/dx_b), rotates the
-    gradient through Omega, and penalizes the mean squared residual
-    against the labels.  The emitted gradient nodes keep the result
-    differentiable w.r.t. anything upstream, parameters included.
-    """
-    x_ids = np.asarray(x_ids, np.int64)
-    n = x_ids.shape[1] // 2
-    total_h = _tree_sum(g, np.asarray(h_ids, np.int64).ravel())
-    dh = g.backward(total_h, x_ids.ravel()).reshape(x_ids.shape)
-    neg_dq = g.apply_many(T.NEG, dh[:, :n].ravel()).reshape(-1, n)
-    pred = np.concatenate([dh[:, n:], neg_dq], axis=1)
-    return _residual_mean(g, pred, Xdot)
-
-
-def hnn_loss(g: T.Graph, spec: NetworkSpec, param_ids, X, Xdot) -> int:
-    """Loss node: mean ||xdot - Omega dH/dx||^2 with H the network output."""
-    if spec.output_dim != 1:
-        raise ValueError("hnn loss needs a scalar-output network")
-    X = np.atleast_2d(np.asarray(X, np.float64))
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    if X.shape[1] != spec.input_dim or X.shape[1] % 2 != 0:
-        raise ValueError("state dimension does not match the network")
-    x_ids = g.leaf_many(X.ravel()).reshape(X.shape)
-    h_ids = forward_graph(g, spec, param_ids, x_ids)[:, 0]
-    return hnn_loss_from_H(g, h_ids, x_ids, Xdot)
-
-
-def naive_loss(g: T.Graph, spec: NetworkSpec, param_ids, X, Xdot) -> int:
-    """Loss node: mean ||xdot - net(x)||^2 for a field-valued network."""
-    if spec.output_dim != spec.input_dim:
-        raise ValueError("naive loss needs output_dim == input_dim")
-    X = np.atleast_2d(np.asarray(X, np.float64))
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    x_ids = g.leaf_many(X.ravel()).reshape(X.shape)
-    pred = forward_graph(g, spec, param_ids, x_ids)
-    return _residual_mean(g, pred, Xdot)
-
-
-GRAPH_LOSSES = {"hnn": hnn_loss, "naive": naive_loss}
-
-
 # -- inner loop -----------------------------------------------------------------
 
 
@@ -171,8 +108,6 @@ def _loss_grad_fn(spec, X, Xdot, loss_kind):
     """theta -> (loss, grad, linearization or None)."""
     if callable(loss_kind):
         return lambda th: (*loss_kind(th), None)
-    if loss_kind not in GRAPH_LOSSES:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
     return lambda th: fastops.loss_grad(spec, th, X, Xdot, loss_kind)
 
 
@@ -214,24 +149,6 @@ def inner_adapt(spec: NetworkSpec, theta, X, Xdot, cfg: InnerConfig,
     return _adapt(spec, theta, X, Xdot, cfg, loss_kind)[0]
 
 
-def inner_adapt_graph(g: T.Graph, spec: NetworkSpec, param_ids, X, Xdot,
-                      cfg: InnerConfig, loss_kind="hnn") -> np.ndarray:
-    """Inner loop built on the tape; returned ids stay differentiable."""
-    ids = np.asarray(param_ids, np.int64).copy()
-    mask = update_mask(spec, cfg.update_set)
-    loss_fn = GRAPH_LOSSES[loss_kind]
-    for k in range(cfg.steps):
-        loss_id = loss_fn(g, spec, ids, X, Xdot)
-        if not np.isfinite(g.value(loss_id)):
-            raise FloatingPointError(f"non-finite training loss at inner step {k}")
-        grads = g.backward(loss_id, ids)
-        upd = ids[mask]
-        scale = np.full(upd.shape, g.constant(cfg.lr), np.int64)
-        step = g.apply_many(T.MUL, grads[mask], scale)
-        ids[mask] = g.apply_many(T.SUB, upd, step)
-    return ids
-
-
 # -- outer loop -----------------------------------------------------------------
 
 
@@ -251,24 +168,9 @@ def _task_meta_grad_fast(spec, theta, task, cfg: InnerConfig, second_order,
     return loss, v
 
 
-def _task_meta_grad_graph(spec, theta, task, cfg: InnerConfig, second_order,
-                          loss_kind):
-    g = T.Graph()
-    ids0 = g.leaf_many(theta)
-    ids_s = inner_adapt_graph(g, spec, ids0, task.train_x, task.train_xdot,
-                              cfg, loss_kind)
-    if not second_order:
-        # stop-gradient at the adapted point: restart from fresh leaves
-        ids_s = g.leaf_many(g.values(ids_s))
-        ids0 = ids_s
-    test_id = GRAPH_LOSSES[loss_kind](g, spec, ids_s,
-                                      task.test_x, task.test_xdot)
-    return g.value(test_id), g.grad_values(test_id, ids0)
-
-
 def meta_step(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
               outer_cfg: OuterConfig, adam: AdamState, *, loss_kind="hnn",
-              backend="fast", optimizer="adam"):
+              optimizer="adam"):
     """One outer update on a task batch.
 
     Returns (theta_new, adam_new, meta_loss) where meta_loss is the sum of
@@ -276,18 +178,12 @@ def meta_step(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
     """
     if len(tasks) == 0:
         raise ValueError("empty task batch")
-    if backend == "fast":
-        task_grad = _task_meta_grad_fast
-    elif backend == "graph":
-        task_grad = _task_meta_grad_graph
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     theta = np.asarray(theta, np.float64)
     total_grad = np.zeros_like(theta)
     total_loss = 0.0
     for task in tasks:
-        loss, gvec = task_grad(spec, theta, task, inner_cfg,
-                               outer_cfg.second_order, loss_kind)
+        loss, gvec = _task_meta_grad_fast(spec, theta, task, inner_cfg,
+                                          outer_cfg.second_order, loss_kind)
         total_loss += loss
         total_grad += gvec
     if not np.isfinite(total_loss) or not np.all(np.isfinite(total_grad)):
@@ -303,7 +199,7 @@ def meta_step(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
 
 def meta_train(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
                outer_cfg: OuterConfig, seed: int, *, adam: AdamState = None,
-               loss_kind="hnn", backend="fast", optimizer="adam",
+               loss_kind="hnn", optimizer="adam",
                start_episode: int = 0, on_episode=None):
     """Episode loop: each episode draws task_batch tasks from the pool
     without replacement and applies one meta_step.  The draw for episode
@@ -317,7 +213,7 @@ def meta_train(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
         batch = [tasks[i] for i in rng.choice(len(tasks), size=k, replace=False)]
         theta, adam, loss = meta_step(spec, theta, batch, inner_cfg, outer_cfg,
                                       adam, loss_kind=loss_kind,
-                                      backend=backend, optimizer=optimizer)
+                                      optimizer=optimizer)
         if on_episode is not None:
             on_episode(ep, loss)
     return theta, adam
@@ -378,3 +274,35 @@ def build_learner(kind: str, state_dim: int = 2, hidden=(64, 64, 64),
     return LearnerDef(kind, spec, cfg, "hnn" if is_hnn else "naive",
                       meta_trained=kind in _META_KINDS,
                       pretrained=kind == "hnn_pretrained")
+
+
+def train_learner(learner: LearnerDef, theta, tasks, outer_cfg: OuterConfig,
+                  seed: int, *, adam: AdamState = None, optimizer="adam",
+                  start_episode: int = 0, on_episode=None):
+    """Train a learner from theta on a task pool; returns (theta, adam,
+    episode).
+
+    A meta-learner runs `meta_train` to outer_cfg.episodes.  hnn_pretrained
+    runs `pretrain` at the outer learning rate for the loss-evaluation
+    budget of that meta-training, one round-robin pass per epoch, and
+    reports each step's loss to on_episode afterwards; its episode count
+    is the number of steps.  hnn_scratch is not trained.
+    """
+    if learner.meta_trained:
+        theta, adam = meta_train(learner.spec, theta, tasks, learner.inner,
+                                 outer_cfg, seed, adam=adam,
+                                 loss_kind=learner.loss_kind,
+                                 optimizer=optimizer,
+                                 start_episode=start_episode,
+                                 on_episode=on_episode)
+        return theta, adam, outer_cfg.episodes
+    theta = np.array(theta, np.float64)
+    history = []
+    if learner.pretrained:
+        epochs = max(1, pretrain_budget(outer_cfg, learner.inner) // len(tasks))
+        theta = pretrain(learner.spec, theta, tasks, epochs, outer_cfg.lr,
+                         history)
+    if on_episode is not None:
+        for i, loss in enumerate(history):
+            on_episode(i, loss)
+    return theta, adam_init(theta.size), len(history)

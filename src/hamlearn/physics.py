@@ -6,9 +6,9 @@ Three closed-form systems over canonical coordinates x = (q, p):
   pendulum     H = p^2/(2 m l^2) + m g l (1 - cos(q - q0)),  g = 1
   kepler       H = |p|^2/(2m) - G M m / |q - q0|,            G = 1, n = 2
 
-Each system provides the energy, its analytic symplectic gradient
-xdot = Omega dH/dx, and a tape-built copy of H so the analytic field can
-be cross-checked against autodiff (two independent code paths).
+Each system provides the energy and its analytic symplectic gradient
+xdot = Omega dH/dx.  The tests cross-check the analytic field against
+autodiff of the same H built on a scalar tape.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import tape as T
-from .tape import DomainError
 
 SYSTEMS = ("spring_mass", "pendulum", "kepler")
 
@@ -40,6 +37,11 @@ KEPLER_MIN_SEP_SAMPLE = 0.5
 KEPLER_MIN_SEP_EVAL = 0.1
 
 
+class DomainError(ValueError):
+    """A quantity was evaluated outside its domain, such as a Kepler state
+    closer to the centre than KEPLER_MIN_SEP_EVAL."""
+
+
 class IntegrationError(RuntimeError):
     """Adaptive integration failed; `t_failure` is the last reached time.
 
@@ -53,55 +55,6 @@ class IntegrationError(RuntimeError):
         self.t_failure = float(t_failure)
         self.times = np.empty(0) if times is None else times
         self.states = np.empty((0, 0)) if states is None else states
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, np.float64))
-        p = np.atleast_1d(np.asarray(self.p, np.float64))
-        if q.shape != p.shape or q.ndim != 1:
-            raise ValueError("q and p must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise ValueError("phase-state components must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.q, self.p])
-
-    @classmethod
-    def from_array(cls, x) -> "PhaseState":
-        x = np.asarray(x, np.float64).ravel()
-        if x.shape[0] % 2:
-            raise ValueError("flat phase vector must have even length")
-        n = x.shape[0] // 2
-        return cls(x[:n], x[n:])
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Time derivative (qdot, pdot) at a phase-space point."""
-    qdot: np.ndarray
-    pdot: np.ndarray
-
-    def __post_init__(self):
-        qd = np.atleast_1d(np.asarray(self.qdot, np.float64))
-        pd = np.atleast_1d(np.asarray(self.pdot, np.float64))
-        if qd.shape != pd.shape or qd.ndim != 1:
-            raise ValueError("qdot and pdot must be 1-d arrays of equal length")
-        object.__setattr__(self, "qdot", qd)
-        object.__setattr__(self, "pdot", pd)
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.qdot, self.pdot])
 
 
 @dataclass(frozen=True)
@@ -139,8 +92,6 @@ class PhysicalParams:
 
 
 def _flat_state(params: PhysicalParams, x) -> np.ndarray:
-    if isinstance(x, PhaseState):
-        x = x.as_array()
     x = np.asarray(x, np.float64).ravel()
     if x.shape[0] != 2 * params.n:
         raise ValueError(f"state length {x.shape[0]} != 2n = {2 * params.n}")
@@ -201,17 +152,13 @@ def true_field_many(params: PhysicalParams, X) -> np.ndarray:
 
 
 def hamiltonian(params: PhysicalParams, x) -> float:
-    """Energy at one state (PhaseState or flat array)."""
+    """Energy at one flat state."""
     return float(hamiltonian_many(params, _flat_state(params, x)[None])[0])
 
 
-def true_field(params: PhysicalParams, x):
-    """Analytic field at one state; mirrors the input type."""
-    flat = true_field_many(params, _flat_state(params, x)[None])[0]
-    if isinstance(x, PhaseState):
-        n = params.n
-        return PhasePoint(flat[:n], flat[n:])
-    return flat
+def true_field(params: PhysicalParams, x) -> np.ndarray:
+    """Analytic field at one flat state."""
+    return true_field_many(params, _flat_state(params, x)[None])[0]
 
 
 def field_fn(params: PhysicalParams):
@@ -234,57 +181,6 @@ def omega_apply(vec) -> np.ndarray:
     out[..., :n] = vec[..., n:]
     out[..., n:] = -vec[..., :n]
     return out
-
-
-# -- tape-built Hamiltonians (independent route for cross-checks) -------------
-
-
-def hamiltonian_graph(g: T.Graph, params: PhysicalParams, x_ids) -> int:
-    """Build the closed-form H on the tape; returns the output node id.
-
-    x_ids are 2n node ids [q..., p...].  This duplicates the formulas in
-    `hamiltonian_many` using tape ops only, so Omega * backward() of this
-    node can be compared against `true_field_many`.
-    """
-    x_ids = np.asarray(x_ids, np.int64).ravel()
-    n = params.n
-    if x_ids.shape[0] != 2 * n:
-        raise ValueError("state id count mismatch")
-    v = params.values
-    q_ids, p_ids = x_ids[:n], x_ids[n:]
-    if params.system == "spring_mass":
-        kin = g.apply(T.DIV, g.apply(T.SQUARE, int(p_ids[0])),
-                      g.constant(2 * v["m"]))
-        d = g.apply(T.SUB, int(q_ids[0]), g.constant(v["q0"]))
-        pot = g.apply(T.MUL, g.constant(v["k"] / 2), g.apply(T.SQUARE, d))
-        return g.apply(T.ADD, kin, pot)
-    if params.system == "pendulum":
-        kin = g.apply(T.DIV, g.apply(T.SQUARE, int(p_ids[0])),
-                      g.constant(2 * v["m"] * v["l"] ** 2))
-        d = g.apply(T.SUB, int(q_ids[0]), g.constant(v["q0"]))
-        one_minus_cos = g.apply(T.SUB, g.constant(1.0), g.apply(T.COS, d))
-        pot = g.apply(T.MUL, g.constant(v["m"] * GRAV_ACC * v["l"]), one_minus_cos)
-        return g.apply(T.ADD, kin, pot)
-    # kepler: |q - q0| via exp(log(.)/2) since the op set has no sqrt
-    p2 = g.apply(T.ADD, g.apply(T.SQUARE, int(p_ids[0])),
-                 g.apply(T.SQUARE, int(p_ids[1])))
-    kin = g.apply(T.DIV, p2, g.constant(2 * v["m"]))
-    dx = g.apply(T.SUB, int(q_ids[0]), g.constant(v["q0x"]))
-    dy = g.apply(T.SUB, int(q_ids[1]), g.constant(v["q0y"]))
-    r2 = g.apply(T.ADD, g.apply(T.SQUARE, dx), g.apply(T.SQUARE, dy))
-    r = g.apply(T.EXP, g.apply(T.MUL, g.constant(0.5), g.apply(T.LOG, r2)))
-    pot = g.apply(T.DIV, g.constant(GRAV_CONST * v["M"] * v["m"]), r)
-    return g.apply(T.SUB, kin, pot)
-
-
-def graph_field(params: PhysicalParams, x) -> np.ndarray:
-    """Omega * (tape gradient of the tape-built H); cross-check route."""
-    x = _flat_state(params, x)
-    g = T.Graph()
-    x_ids = g.leaf_many(x)
-    h = hamiltonian_graph(g, params, x_ids)
-    grad = g.values(g.backward(h, x_ids))
-    return omega_apply(grad)
 
 
 # -- integration ---------------------------------------------------------------
@@ -429,8 +325,6 @@ def integrate(field, x0, T_span: float, samples: int,
     if none) when the step size falls below the spacing of floats.  Its
     times and states are the samples reached before the failure.
     """
-    if isinstance(x0, PhaseState):
-        x0 = x0.as_array()
     x0 = np.asarray(x0, np.float64).ravel()
     if T_span <= 0:
         raise ValueError("T must be positive")

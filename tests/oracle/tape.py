@@ -1,5 +1,8 @@
 """Scalar reverse-mode autodiff on a flat tape, with gradient emission.
 
+This is the reference oracle of the test suite: an independent route to
+the quantities that `hamlearn.fastops` computes in closed form.
+
 The graph is a struct-of-arrays tape: per node an opcode, two operand ids
 (-1 when unused) and an eagerly computed float value.  `Graph.backward`
 does not hand back bare numbers: it appends the adjoint computation to the
@@ -20,7 +23,7 @@ import math
 
 import numpy as np
 
-from ._backend import dual
+from hamlearn.physics import DomainError
 
 LEAF = 0
 ADD = 1
@@ -47,10 +50,6 @@ _UNARY = (NEG, SQUARE, COS, SIN, EXP, LOG, SOFTPLUS, SIGMOID)
 # Worst-case nodes emitted per visited node during a backward sweep
 # (div: 4 on the denominator branch + 2 accumulate adds).
 EMIT_PER_NODE = 6
-
-
-class DomainError(ValueError):
-    """An op was applied outside its domain or produced a non-finite value."""
 
 
 def _stable_sigmoid(v: np.ndarray) -> np.ndarray:
@@ -90,7 +89,6 @@ def _eval_many(op: int, va: np.ndarray, vb: np.ndarray | None) -> np.ndarray:
     raise ValueError(f"unknown op code {op}")
 
 
-@dual
 def _sweep_emit(op, a, b, val, n0, out, lo, wrt):
     """Reverse sweep from `out` down to `lo`, emitting adjoint nodes.
 
@@ -218,7 +216,6 @@ def _sweep_emit(op, a, b, val, n0, out, lo, wrt):
     return k, grad_ids
 
 
-@dual
 def _sweep_values(op, a, b, val, out, lo):
     """Value-only reverse sweep; returns the adjoint value of every node."""
     adj = np.zeros(out + 1, np.float64)
@@ -395,10 +392,12 @@ class Graph:
         n0 = self.n
         span = output - lo + 1 if output >= lo else 0
         self._ensure(n0 + 1 + EMIT_PER_NODE * span + wrt.size + 4)
-        new_n, grad_ids = _sweep_emit(
-            self.op, self.a, self.b, self.val,
-            np.int64(n0), np.int64(output), np.int64(lo), wrt,
-        )
+        # an overflowing adjoint is reported as a DomainError below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            new_n, grad_ids = _sweep_emit(
+                self.op, self.a, self.b, self.val,
+                np.int64(n0), np.int64(output), np.int64(lo), wrt,
+            )
         self.n = int(new_n)
         emitted = self.val[n0 : self.n]
         if not np.all(np.isfinite(emitted)):
@@ -414,10 +413,11 @@ class Graph:
         if not 0 <= output < self.n:
             raise IndexError("output id out of range")
         lo = int(wrt.min())
-        adj = _sweep_values(
-            self.op, self.a, self.b, self.val,
-            np.int64(output), np.int64(lo),
-        )
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            adj = _sweep_values(
+                self.op, self.a, self.b, self.val,
+                np.int64(output), np.int64(lo),
+            )
         adj = np.asarray(adj)
         if not np.all(np.isfinite(adj)):
             raise DomainError("reverse sweep produced a non-finite adjoint")

@@ -28,20 +28,19 @@ import numpy as np
 import pytest
 
 from hamlearn import fastops, seeding
-from hamlearn import tape as T
 from hamlearn.cli import main
 from hamlearn.evaluation import (ablation_tasks, adapt_and_eval, adapt_params,
                                  learning_curve)
 from hamlearn.metalearn import (InnerConfig, OuterConfig, adam_init,
-                                build_learner, hnn_loss, inner_adapt,
-                                meta_step, meta_train, pretrain,
-                                pretrain_budget)
+                                build_learner, inner_adapt, meta_step,
+                                train_learner)
 from hamlearn.network import hnn_spec, init_params, param_count, update_mask
-from hamlearn.physics import (SYSTEMS, field_fn, hamiltonian_graph,
-                              hamiltonian_many, integrate, true_field,
-                              true_field_many)
+from hamlearn.physics import (SYSTEMS, field_fn, hamiltonian_many, integrate,
+                              true_field, true_field_many)
 from hamlearn.taskgen import (make_meta_test_suite, make_meta_train,
                               sample_params, sample_states)
+from oracle import tape as T
+from oracle.graph import hamiltonian_graph, hnn_loss
 
 DESK_SEEDS = (0, 1, 2)
 DESK_TASKS = 1000
@@ -50,16 +49,10 @@ DESK_POINTS = 50
 
 def _train(kind, system, seed, n_tasks=DESK_TASKS):
     """Meta-train / pretrain one learner at the desk-run defaults."""
-    outer = OuterConfig()
     pool = make_meta_train(system, n_tasks, DESK_POINTS, seed)
     learner = build_learner(kind)
-    theta = init_params(learner.spec, seed)
-    if learner.meta_trained:
-        theta, _ = meta_train(learner.spec, theta, pool, learner.inner,
-                              outer, seed, loss_kind=learner.loss_kind)
-    elif learner.pretrained:
-        epochs = max(1, pretrain_budget(outer, learner.inner) // len(pool))
-        theta = pretrain(learner.spec, theta, pool, epochs, 0.001)
+    theta, _, _ = train_learner(learner, init_params(learner.spec, seed),
+                                pool, OuterConfig(), seed)
     return learner, theta
 
 

@@ -320,6 +320,35 @@ def test_resume_of_a_pretrained_learner_is_refused(tmp_path, capsys):
             for name in ("curve.csv", "checkpoint.json")] == before
 
 
+# A setting a checkpoint records, and flags that change it from TRAIN_FLAGS.
+RESUME_CHANGES = {
+    "seed": ["--seed", "77"],
+    "task_batch": ["--task-batch", "3"],
+    "inner_steps": ["--inner-steps", "1"],
+    "inner_lr": ["--inner-lr", "0.5"],
+    "outer_lr": ["--outer-lr", "0.1"],
+    "second_order": ["--first-order"],
+    "optimizer": ["--optimizer", "sgd"],
+    "hidden": ["--hidden", "5"],
+    "episode": ["--episodes", "2"],  # fewer than the checkpoint's 3
+}
+
+
+@pytest.mark.parametrize("key", list(RESUME_CHANGES))
+def test_resume_with_a_changed_config_is_refused(tmp_path, key, capsys):
+    out = tmp_path / "run"
+    base = ["metatrain", "--dataset", "ds", "--learner", "hanil",
+            "--out", str(out), *TRAIN_FLAGS]
+    assert main(base) == 0
+    names = ("curve.csv", "config.txt", "checkpoint.json")
+    before = [(out / name).read_bytes() for name in names]
+    assert main(base + ["--episodes", "5", "--resume",
+                        str(out / "checkpoint.json"),
+                        *RESUME_CHANGES[key]]) == 2
+    assert key in capsys.readouterr().err
+    assert [(out / name).read_bytes() for name in names] == before
+
+
 # -- eval -----------------------------------------------------------------------
 
 
@@ -481,12 +510,27 @@ def test_module_invocation_works():
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
-    code = ("import sys, hamlearn.cli; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+    # a meta-path finder sees every import that sys.modules cannot answer
+    code = ("import json, sys\n"
+            "class Spy:\n"
+            "    tried = []\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        self.tried.append(name)\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import hamlearn.cli\n"
+            "print(json.dumps({'tried': Spy.tried,\n"
+            "                  'loaded': sorted(sys.modules)}))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    seen = json.loads(proc.stdout)
+    assert [m for m in seen["loaded"] if m.split(".")[0] == "scipy"] == []
+    assert [m for m in seen["tried"] if m.split(".")[0] == "numba"] == []
+    # the autodiff tape is a test oracle, not product code
+    oracle = [m for m in seen["tried"] + seen["loaded"]
+              if m.split(".")[0] == "oracle"
+              or m in ("hamlearn.tape", "hamlearn._backend")]
+    assert oracle == []
     # the commands that integrate run with scipy unimportable
     code = ("import sys; sys.modules['scipy'] = None; "
             "from hamlearn.cli import main; sys.exit(main(sys.argv[1:]))")

@@ -6,10 +6,11 @@ from hamlearn import fastops
 from hamlearn import metalearn as M
 from hamlearn.network import (NetworkSpec, init_params, layer_slice,
                               param_count, update_mask)
-from hamlearn.physics import (PhysicalParams, graph_field, hamiltonian_many,
-                              integrate, sample_times, true_field_many)
+from hamlearn.physics import (PhysicalParams, hamiltonian_many, integrate,
+                              sample_times, true_field_many)
 from hamlearn.taskgen import (GridTestSet, MetaTestSystem, build_grid,
                               make_meta_test_suite, sample_params)
+from oracle.graph import graph_field
 
 
 def spring(m=1.0, k=1.0, q0=0.0):
@@ -305,30 +306,6 @@ def test_rollout_blowup_reports_failure_time():
     if report.times.size:
         assert report.times[-1] < report.failure_time
         assert np.all(report.state_mse >= 0)  # may overflow near the blow-up
-
-
-# -- exports ----------------------------------------------------------------------
-
-
-def test_export_field_shape_determinism_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    params = sample_params("pendulum", rng)
-    grid = build_grid(params)  # 50 x 50
-    spec = NetworkSpec(2, (5,), 1)
-    theta = init_params(spec, 2)
-    p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    E.export_field(spec, theta, "hnn", grid, p1)
-    E.export_field(spec, theta, "hnn", grid, p2)
-    raw = open(p1, "rb").read()
-    assert raw == open(p2, "rb").read()
-    lines = raw.decode().strip().split("\n")
-    assert len(lines) == 1 + 2500
-    assert lines[0] == ("q1,p1,qdot1_pred,pdot1_pred,qdot1_true,pdot1_true")
-    states, pred, true = E.read_field_export(p1)
-    np.testing.assert_array_equal(states, grid.states)
-    np.testing.assert_array_equal(
-        pred, fastops.predicted_field(spec, theta, grid.states, "hnn"))
-    np.testing.assert_array_equal(true, grid.derivatives)
 
 
 # -- structural property -----------------------------------------------------------

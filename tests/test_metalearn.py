@@ -5,11 +5,12 @@ import pytest
 
 from hamlearn import fastops
 from hamlearn import metalearn as M
-from hamlearn import tape as T
 from hamlearn.network import (NetworkSpec, init_params, layer_slice,
                               param_count, update_mask)
-from hamlearn.physics import hamiltonian_graph, integrate, true_field_many
+from hamlearn.physics import integrate, true_field_many
 from hamlearn.taskgen import Task, make_meta_train, make_task, sample_params
+from oracle import graph as G
+from oracle import tape as T
 
 
 def spring_task(seed, n_points=6):
@@ -124,13 +125,13 @@ def test_masked_updates_freeze_exactly(update_set, frozen_layers):
     assert not np.array_equal(out[moved], theta[moved])
 
 
-def test_masked_updates_freeze_exactly_graph_lane(backend):
+def test_masked_updates_freeze_exactly_graph_lane():
     spec = NetworkSpec(2, (3,), 1)
     theta = init_params(spec, 7)
     task = spring_task(2, n_points=3)
     g = T.Graph()
     ids = g.leaf_many(theta)
-    out_ids = M.inner_adapt_graph(g, spec, ids, task.train_x, task.train_xdot,
+    out_ids = G.inner_adapt_graph(g, spec, ids, task.train_x, task.train_xdot,
                                   M.InnerConfig(steps=2, update_set="last"))
     body = layer_slice(spec, 0)
     np.testing.assert_array_equal(out_ids[body], ids[body])
@@ -162,12 +163,12 @@ def test_nonfinite_inner_loss_names_the_step():
 # -- losses ----------------------------------------------------------------------
 
 
-def test_hnn_loss_zero_parameter_net(backend):
+def test_hnn_loss_zero_parameter_net():
     spec = NetworkSpec(2, (4,), 1)
     task = spring_task(5)
     want = float(np.mean(np.sum(task.train_xdot ** 2, axis=1)))
     g = T.Graph()
-    node = M.hnn_loss(g, spec, g.leaf_many(np.zeros(param_count(spec))),
+    node = G.hnn_loss(g, spec, g.leaf_many(np.zeros(param_count(spec))),
                       task.train_x, task.train_xdot)
     assert abs(g.value(node) - want) < 1e-12 * want
     fast = fastops.loss_value(spec, np.zeros(param_count(spec)),
@@ -182,11 +183,11 @@ def test_naive_loss_zero_when_net_matches_labels():
     labels = fastops.mlp_forward(spec, theta, X)
     assert fastops.loss_value(spec, theta, X, labels, "naive") == 0.0
     g = T.Graph()
-    node = M.naive_loss(g, spec, g.leaf_many(theta), X, labels)
+    node = G.naive_loss(g, spec, g.leaf_many(theta), X, labels)
     assert g.value(node) < 1e-25
 
 
-def test_hnn_loss_vanishes_for_injected_true_hamiltonian(backend):
+def test_hnn_loss_vanishes_for_injected_true_hamiltonian():
     # closed-form H built on the tape in place of the network head
     rng = np.random.default_rng(11)
     for system in ("spring_mass", "pendulum", "kepler"):
@@ -194,28 +195,28 @@ def test_hnn_loss_vanishes_for_injected_true_hamiltonian(backend):
         task = make_task(params, rng, n_points=5)
         g = T.Graph()
         x_ids = g.leaf_many(task.train_x.ravel()).reshape(task.train_x.shape)
-        h_ids = [hamiltonian_graph(g, params, x_ids[b])
+        h_ids = [G.hamiltonian_graph(g, params, x_ids[b])
                  for b in range(x_ids.shape[0])]
-        node = M.hnn_loss_from_H(g, h_ids, x_ids, task.train_xdot)
+        node = G.hnn_loss_from_H(g, h_ids, x_ids, task.train_xdot)
         assert g.value(node) < 1e-20
 
 
-def test_hnn_loss_param_gradient_matches_fd(backend):
+def test_hnn_loss_param_gradient_matches_fd():
     spec = NetworkSpec(2, (5,), 1)
     task = spring_task(6, n_points=4)
     X = task.train_x / 10.0  # keep the quadratic loss surface tame for fd
     Xdot = task.train_xdot / 10.0
     err = T.check_gradient(
-        lambda g, ids: M.hnn_loss(g, spec, ids, X, Xdot),
+        lambda g, ids: G.hnn_loss(g, spec, ids, X, Xdot),
         init_params(spec, 1))
     assert err < 1e-5
 
 
-def test_naive_loss_param_gradient_matches_fd(backend):
+def test_naive_loss_param_gradient_matches_fd():
     spec = NetworkSpec(2, (4,), 2)
     task = spring_task(8, n_points=4)
     err = T.check_gradient(
-        lambda g, ids: M.naive_loss(g, spec, ids, task.train_x / 10.0,
+        lambda g, ids: G.naive_loss(g, spec, ids, task.train_x / 10.0,
                                     task.train_xdot / 10.0),
         init_params(spec, 2))
     assert err < 1e-6
@@ -226,11 +227,11 @@ def test_loss_shape_errors():
     spec = NetworkSpec(2, (3,), 1)
     ids = g.leaf_many(init_params(spec, 0))
     with pytest.raises(ValueError):
-        M.hnn_loss(g, spec, ids, np.zeros((0, 2)), np.zeros((0, 2)))
+        G.hnn_loss(g, spec, ids, np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        M.hnn_loss(g, spec, ids, np.zeros((3, 2)), np.zeros((4, 2)))
+        G.hnn_loss(g, spec, ids, np.zeros((3, 2)), np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        M.naive_loss(g, spec, ids, np.zeros((3, 2)), np.zeros((3, 2)))
+        G.naive_loss(g, spec, ids, np.zeros((3, 2)), np.zeros((3, 2)))
 
 
 # -- meta gradient ----------------------------------------------------------------
@@ -238,24 +239,24 @@ def test_loss_shape_errors():
 
 @pytest.mark.parametrize("update_set", ["all", "last", "all_but_first"])
 @pytest.mark.parametrize("second_order", [True, False])
-def test_meta_gradient_fast_matches_graph(backend, update_set, second_order):
+def test_meta_gradient_fast_matches_graph(update_set, second_order):
     spec = NetworkSpec(2, (3,), 1)
     theta = init_params(spec, 21)
     task = spring_task(22, n_points=3)
     cfg = M.InnerConfig(steps=2, lr=0.01, update_set=update_set)
     lf, gf = M._task_meta_grad_fast(spec, theta, task, cfg, second_order, "hnn")
-    lg, gg = M._task_meta_grad_graph(spec, theta, task, cfg, second_order, "hnn")
+    lg, gg = G._task_meta_grad_graph(spec, theta, task, cfg, second_order, "hnn")
     assert abs(lf - lg) < 1e-10 * max(1.0, abs(lg))
     np.testing.assert_allclose(gf, gg, rtol=1e-9, atol=1e-12)
 
 
-def test_meta_gradient_fast_matches_graph_naive(backend):
+def test_meta_gradient_fast_matches_graph_naive():
     spec = NetworkSpec(2, (3,), 2)
     theta = init_params(spec, 4)
     task = spring_task(25, n_points=3)
     cfg = M.InnerConfig(steps=2, lr=0.01)
     lf, gf = M._task_meta_grad_fast(spec, theta, task, cfg, True, "naive")
-    lg, gg = M._task_meta_grad_graph(spec, theta, task, cfg, True, "naive")
+    lg, gg = G._task_meta_grad_graph(spec, theta, task, cfg, True, "naive")
     np.testing.assert_allclose(gf, gg, rtol=1e-9, atol=1e-12)
 
 
@@ -402,8 +403,6 @@ def test_meta_step_argument_errors():
         M.meta_step(spec, theta, [], inner, outer, adam)
     with pytest.raises(ValueError):
         M.meta_step(spec, theta, [task], inner, outer, adam, optimizer="lion")
-    with pytest.raises(ValueError):
-        M.meta_step(spec, theta, [task], inner, outer, adam, backend="slow")
 
 
 def test_config_validation():
@@ -578,7 +577,7 @@ def test_head_space_meta_gradient_matches_tape(kind, state_dim, hidden):
     task = Task(None, *(rng.uniform(-1, 1, (3, state_dim)) for _ in range(4)))
     cfg = M.InnerConfig(steps=2, lr=0.05, update_set="last")
     lf, gf = M._task_meta_grad_fast(spec, theta, task, cfg, True, kind)
-    lg, gg = M._task_meta_grad_graph(spec, theta, task, cfg, True, kind)
+    lg, gg = G._task_meta_grad_graph(spec, theta, task, cfg, True, kind)
     assert abs(lf - lg) < 1e-12 * lg
     np.testing.assert_allclose(gf, gg, rtol=1e-10, atol=1e-13)
 

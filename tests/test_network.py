@@ -1,22 +1,23 @@
-"""Network layout, initialization, graph forward, and layer slicing."""
+"""Network layout, initialization, the oracle's graph forward, and layer slicing."""
 
 import numpy as np
 import pytest
 
-from hamlearn import tape as T
 from hamlearn import network as N
+from oracle import graph as G
+from oracle import tape as T
 
 RNG = np.random.default_rng
 
 
-def ref_forward(spec, params, X):
+def ref_forward(spec, params, X, activation="softplus"):
     """Independent numpy forward pass used as an oracle."""
     act = {
         "softplus": lambda z: np.logaddexp(0.0, z),
         "tanh": np.tanh,
         "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
         "relu": lambda z: np.maximum(z, 0.0),
-    }[spec.activation]
+    }[activation]
     a = np.atleast_2d(X)
     layers = N.unpack(spec, params)
     for i, (W, b) in enumerate(layers):
@@ -25,11 +26,11 @@ def ref_forward(spec, params, X):
     return a
 
 
-def graph_forward_values(spec, params, X):
+def graph_forward_values(spec, params, X, activation="softplus"):
     g = T.Graph()
     pids = g.leaf_many(params)
     xids = g.leaf_many(np.atleast_2d(X).ravel()).reshape(np.atleast_2d(X).shape)
-    out = N.forward_graph(g, spec, pids, xids)
+    out = G.forward_graph(g, spec, pids, xids, activation)
     return g.values(out.ravel()).reshape(out.shape)
 
 
@@ -60,8 +61,6 @@ def test_spec_validation():
         N.NetworkSpec(0, (4,), 1)
     with pytest.raises(ValueError):
         N.NetworkSpec(2, (4, 0), 1)
-    with pytest.raises(ValueError):
-        N.NetworkSpec(2, (4,), 1, activation="gelu")
 
 
 def test_zero_params_forward_is_zero():
@@ -75,26 +74,27 @@ def test_zero_params_forward_is_zero():
 
 
 @pytest.mark.parametrize("activation", ["softplus", "tanh", "sigmoid"])
-def test_graph_forward_matches_reference(activation, backend):
+def test_graph_forward_matches_reference(activation):
     rng = RNG(5)
-    spec = N.NetworkSpec(4, (6, 5), 3, activation=activation)
+    spec = N.NetworkSpec(4, (6, 5), 3)
     params = N.init_params(spec, 9) + rng.normal(0, 0.3, N.param_count(spec))
     X = rng.uniform(-2, 2, (8, 4))
-    got = graph_forward_values(spec, params, X)
-    want = ref_forward(spec, params, X)
+    got = graph_forward_values(spec, params, X, activation)
+    want = ref_forward(spec, params, X, activation)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
     # purity: rebuilding gives identical values
-    np.testing.assert_array_equal(got, graph_forward_values(spec, params, X))
+    np.testing.assert_array_equal(got, graph_forward_values(spec, params, X,
+                                                            activation))
 
 
 def test_relu_has_no_graph_form():
-    spec = N.NetworkSpec(2, (4,), 1, activation="relu")
+    spec = N.NetworkSpec(2, (4,), 1)
     params = N.init_params(spec, 0)
     g = T.Graph()
     pids = g.leaf_many(params)
     xids = g.leaf_many([0.5, -0.5])
     with pytest.raises(ValueError):
-        N.forward_graph(g, spec, pids, xids)
+        G.forward_graph(g, spec, pids, xids, "relu")
 
 
 def test_forward_dimension_errors():
@@ -103,9 +103,9 @@ def test_forward_dimension_errors():
     g = T.Graph()
     pids = g.leaf_many(params)
     with pytest.raises(ValueError):
-        N.forward_graph(g, spec, pids, g.leaf_many([1.0, 2.0]))  # wrong input dim
+        G.forward_graph(g, spec, pids, g.leaf_many([1.0, 2.0]))  # wrong input dim
     with pytest.raises(ValueError):
-        N.forward_graph(g, spec, pids[:-1], g.leaf_many([1.0, 2.0, 3.0]))
+        G.forward_graph(g, spec, pids[:-1], g.leaf_many([1.0, 2.0, 3.0]))
 
 
 def test_input_gradient_matches_fd():
@@ -115,7 +115,7 @@ def test_input_gradient_matches_fd():
 
     def build(g, xs):
         pids = g.leaf_many(params)
-        return int(N.forward_graph(g, spec, pids, np.asarray(xs))[0, 0])
+        return int(G.forward_graph(g, spec, pids, np.asarray(xs))[0, 0])
 
     err = T.check_gradient(build, rng.uniform(-1, 1, 2), h=1e-5)
     assert err < 1e-6
@@ -132,8 +132,6 @@ def test_layer_slices_and_indices():
     inv = N.param_indices(spec, [1, 2, 3])
     assert inv.shape == (P - (2 * 64 + 64),)
     assert inv[0] == 2 * 64 + 64  # starts right after layer 0
-    params = N.init_params(spec, 5)
-    np.testing.assert_array_equal(N.slice_layers(spec, params, [3]), params[-65:])
     with pytest.raises(ValueError):
         N.param_indices(spec, [])
     with pytest.raises(IndexError):

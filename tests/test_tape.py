@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hamlearn import tape as T
-from hamlearn.tape import Graph, DomainError, check_gradient
+from oracle import tape as T
+from oracle.tape import Graph, DomainError, check_gradient
 
 RNG = np.random.default_rng
 
@@ -212,7 +212,7 @@ def test_check_gradient_sum_of_squares_at_origin():
     assert check_gradient(ssq, [0.0, 0.0, 0.0], h=1e-5) < 1e-9
 
 
-def test_check_gradient_two_layer_net(backend):
+def test_check_gradient_two_layer_net():
     # random 2-layer softplus net, gradients w.r.t. all parameters
     rng = RNG(7)
     w1 = rng.uniform(-0.7, 0.7, (2, 8))
@@ -279,7 +279,7 @@ def test_mixed_partials_symmetric():
         assert g.value(dxy) == pytest.approx(g.value(dyx), rel=1e-9)
 
 
-def test_replay_determinism(backend):
+def test_replay_determinism():
     base = np.array([0.9, 1.7, 0.4])
     prog = random_program(RNG(42), 3, 30, base)
     tapes = []
@@ -294,29 +294,7 @@ def test_replay_determinism(backend):
         assert np.array_equal(x, y)
 
 
-def test_backends_produce_identical_tapes():
-    from hamlearn import _backend
-    base = np.array([1.1, 0.3, 2.2, 0.7])
-    prog = random_program(RNG(5), 4, 40, base)
-    tapes = {}
-    old = _backend._mode
-    try:
-        for mode in ("numpy", "numba"):
-            _backend.set_backend(mode)
-            g = Graph()
-            xs = g.leaf_many(base)
-            out = run_program(g, xs, prog)
-            gids = g.backward(out, xs)
-            g.backward(gids[0], xs)  # second sweep too
-            tapes[mode] = (g.op[:g.n].copy(), g.a[:g.n].copy(),
-                           g.b[:g.n].copy(), g.val[:g.n].copy())
-    finally:
-        _backend.set_backend(old)
-    for x, y in zip(tapes["numpy"], tapes["numba"]):
-        assert np.array_equal(x, y)
-
-
-def test_topological_order_preserved_after_backward(backend):
+def test_topological_order_preserved_after_backward():
     base = np.array([0.6, 1.2, 0.9])
     prog = random_program(RNG(13), 3, 35, base)
     g = Graph()
@@ -343,7 +321,7 @@ def test_emission_bound():
     assert len(g) - n0 <= 1 + T.EMIT_PER_NODE * span + len(xs)
 
 
-def test_grad_values_matches_emitted_backward(backend):
+def test_grad_values_matches_emitted_backward():
     for trial in range(4):
         base = RNG(60 + trial).uniform(0.5, 1.5, 5)
         prog = random_program(RNG(80 + trial), 5, 45, base)
