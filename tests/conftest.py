@@ -1,12 +1,12 @@
 import pytest
 
-from hamlearn import _backend
 
+@pytest.fixture(params=["numpy"])
+def lane(request):
+    """The numeric lane a cross-check exercises: numpy, the only one.
 
-@pytest.fixture(params=["numpy", "numba"])
-def backend(request):
-    """Run the test once per kernel backend."""
-    old = _backend._mode
-    _backend.set_backend(request.param)
-    yield request.param
-    _backend.set_backend(old)
+    Tests that compare the package's kernels or the tape oracle with an
+    independent route take this fixture, so their ids name the lane they
+    check (e.g. `test_replay_determinism[numpy]`).
+    """
+    return request.param

@@ -39,7 +39,7 @@ def tape_hnn_field(spec, params, X):
     return omega_apply(dH)
 
 
-def test_forward_matches_graph():
+def test_forward_matches_graph(lane):
     spec = N.NetworkSpec(4, (8, 6), 4)
     params = rand_net(1, spec)
     X = RNG(2).uniform(-2, 2, (9, 4))
@@ -52,7 +52,7 @@ def test_forward_matches_graph():
     np.testing.assert_allclose(fast, graphv, rtol=1e-13, atol=1e-15)
 
 
-def test_hnn_field_matches_tape_route():
+def test_hnn_field_matches_tape_route(lane):
     spec = N.NetworkSpec(4, (8, 7), 1)
     params = rand_net(3, spec)
     X = RNG(4).uniform(-2, 2, (6, 4))
@@ -62,7 +62,7 @@ def test_hnn_field_matches_tape_route():
 
 
 @pytest.mark.parametrize("kind,out_mul", [("hnn", None), ("naive", 1)])
-def test_loss_grad_matches_fd(kind, out_mul):
+def test_loss_grad_matches_fd(lane, kind, out_mul):
     d0 = 4
     spec = N.NetworkSpec(d0, (7, 6), 1 if kind == "hnn" else d0)
     params = rand_net(5, spec)
@@ -77,7 +77,7 @@ def test_loss_grad_matches_fd(kind, out_mul):
 
 
 @pytest.mark.parametrize("kind", ["hnn", "naive"])
-def test_hvp_matches_fd_of_grad(kind):
+def test_hvp_matches_fd_of_grad(lane, kind):
     d0 = 4
     spec = N.NetworkSpec(d0, (7, 5), 1 if kind == "hnn" else d0)
     params = rand_net(7, spec)
@@ -167,7 +167,7 @@ def test_hessian_symmetry_through_hvp(kind):
     assert np.dot(w, Hu) == pytest.approx(np.dot(u, Hw), rel=1e-10)
 
 
-def test_hnn_last_bias_gradient_is_exactly_zero():
+def test_hnn_last_bias_gradient_is_exactly_zero(lane):
     # H and H + c give the same field, so the output bias never matters
     spec = N.NetworkSpec(2, (8, 8), 1)
     params = rand_net(11, spec)
@@ -185,7 +185,35 @@ def test_hnn_last_bias_gradient_is_exactly_zero():
                                   F.hnn_field(spec, shifted, X))
 
 
-def test_single_layer_network_edge_case():
+def tape_loss_hvp(spec, params, X, Xd, v, kind):
+    """Exact H @ v of the graph loss: two reverse sweeps over the tape."""
+    g = T.Graph()
+    pids = g.leaf_many(params)
+    loss = G.GRAPH_LOSSES[kind](g, spec, pids, X, Xd)
+    gids = g.backward(loss, pids)
+    dot = G._tree_sum(g, g.apply_many(T.MUL, gids, g.leaf_many(v))
+                      .reshape(1, -1))[0]
+    return g.values(g.backward(int(dot), pids))
+
+
+def test_backends_agree():
+    # the two back ends that compute H @ v: the kernels' tangent pass and
+    # the oracle's second reverse sweep over the scalar tape
+    d0 = 4
+    rng = RNG(14)
+    X = rng.uniform(-2, 2, (5, d0))
+    Xd = rng.uniform(-2, 2, (5, d0))
+    for kind in ("hnn", "naive"):
+        spec = N.NetworkSpec(d0, (8, 6), 1 if kind == "hnn" else d0)
+        params = rand_net(13, spec)
+        v = rng.normal(0, 1, params.size)
+        _, _, hvp = F.loss_hvp(spec, params, X, Xd, v, kind)
+        np.testing.assert_allclose(
+            hvp, tape_loss_hvp(spec, params, X, Xd, v, kind),
+            rtol=1e-12, atol=1e-14)
+
+
+def test_single_layer_network_edge_case(lane):
     # no hidden layers: H linear in x, field constant, bias unused
     spec = N.NetworkSpec(2, (), 1)
     params = np.array([0.7, -0.4, 0.9])  # w1, w2, b

@@ -125,7 +125,7 @@ def test_masked_updates_freeze_exactly(update_set, frozen_layers):
     assert not np.array_equal(out[moved], theta[moved])
 
 
-def test_masked_updates_freeze_exactly_graph_lane():
+def test_masked_updates_freeze_exactly_graph_lane(lane):
     spec = NetworkSpec(2, (3,), 1)
     theta = init_params(spec, 7)
     task = spring_task(2, n_points=3)
@@ -163,7 +163,7 @@ def test_nonfinite_inner_loss_names_the_step():
 # -- losses ----------------------------------------------------------------------
 
 
-def test_hnn_loss_zero_parameter_net():
+def test_hnn_loss_zero_parameter_net(lane):
     spec = NetworkSpec(2, (4,), 1)
     task = spring_task(5)
     want = float(np.mean(np.sum(task.train_xdot ** 2, axis=1)))
@@ -187,7 +187,7 @@ def test_naive_loss_zero_when_net_matches_labels():
     assert g.value(node) < 1e-25
 
 
-def test_hnn_loss_vanishes_for_injected_true_hamiltonian():
+def test_hnn_loss_vanishes_for_injected_true_hamiltonian(lane):
     # closed-form H built on the tape in place of the network head
     rng = np.random.default_rng(11)
     for system in ("spring_mass", "pendulum", "kepler"):
@@ -201,7 +201,7 @@ def test_hnn_loss_vanishes_for_injected_true_hamiltonian():
         assert g.value(node) < 1e-20
 
 
-def test_hnn_loss_param_gradient_matches_fd():
+def test_hnn_loss_param_gradient_matches_fd(lane):
     spec = NetworkSpec(2, (5,), 1)
     task = spring_task(6, n_points=4)
     X = task.train_x / 10.0  # keep the quadratic loss surface tame for fd
@@ -212,7 +212,7 @@ def test_hnn_loss_param_gradient_matches_fd():
     assert err < 1e-5
 
 
-def test_naive_loss_param_gradient_matches_fd():
+def test_naive_loss_param_gradient_matches_fd(lane):
     spec = NetworkSpec(2, (4,), 2)
     task = spring_task(8, n_points=4)
     err = T.check_gradient(
@@ -239,7 +239,7 @@ def test_loss_shape_errors():
 
 @pytest.mark.parametrize("update_set", ["all", "last", "all_but_first"])
 @pytest.mark.parametrize("second_order", [True, False])
-def test_meta_gradient_fast_matches_graph(update_set, second_order):
+def test_meta_gradient_fast_matches_graph(lane, update_set, second_order):
     spec = NetworkSpec(2, (3,), 1)
     theta = init_params(spec, 21)
     task = spring_task(22, n_points=3)
@@ -250,7 +250,7 @@ def test_meta_gradient_fast_matches_graph(update_set, second_order):
     np.testing.assert_allclose(gf, gg, rtol=1e-9, atol=1e-12)
 
 
-def test_meta_gradient_fast_matches_graph_naive():
+def test_meta_gradient_fast_matches_graph_naive(lane):
     spec = NetworkSpec(2, (3,), 2)
     theta = init_params(spec, 4)
     task = spring_task(25, n_points=3)

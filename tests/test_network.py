@@ -74,7 +74,7 @@ def test_zero_params_forward_is_zero():
 
 
 @pytest.mark.parametrize("activation", ["softplus", "tanh", "sigmoid"])
-def test_graph_forward_matches_reference(activation):
+def test_graph_forward_matches_reference(lane, activation):
     rng = RNG(5)
     spec = N.NetworkSpec(4, (6, 5), 3)
     params = N.init_params(spec, 9) + rng.normal(0, 0.3, N.param_count(spec))

@@ -212,7 +212,7 @@ def test_check_gradient_sum_of_squares_at_origin():
     assert check_gradient(ssq, [0.0, 0.0, 0.0], h=1e-5) < 1e-9
 
 
-def test_check_gradient_two_layer_net():
+def test_check_gradient_two_layer_net(lane):
     # random 2-layer softplus net, gradients w.r.t. all parameters
     rng = RNG(7)
     w1 = rng.uniform(-0.7, 0.7, (2, 8))
@@ -279,7 +279,7 @@ def test_mixed_partials_symmetric():
         assert g.value(dxy) == pytest.approx(g.value(dyx), rel=1e-9)
 
 
-def test_replay_determinism():
+def test_replay_determinism(lane):
     base = np.array([0.9, 1.7, 0.4])
     prog = random_program(RNG(42), 3, 30, base)
     tapes = []
@@ -294,7 +294,26 @@ def test_replay_determinism():
         assert np.array_equal(x, y)
 
 
-def test_topological_order_preserved_after_backward():
+def test_backends_produce_identical_tapes():
+    # the tape is a pure function of its program: two fresh builds, each
+    # swept twice so that the emitted adjoints are differentiated again,
+    # store the same ops, operands and values
+    base = np.array([1.1, 0.3, 2.2, 0.7])
+    prog = random_program(RNG(5), 4, 40, base)
+    tapes = []
+    for _ in range(2):
+        g = Graph()
+        xs = g.leaf_many(base)
+        out = run_program(g, xs, prog)
+        gids = g.backward(out, xs)
+        g.backward(gids[0], xs)  # second sweep too
+        tapes.append((g.op[:g.n].copy(), g.a[:g.n].copy(),
+                      g.b[:g.n].copy(), g.val[:g.n].copy()))
+    for x, y in zip(tapes[0], tapes[1]):
+        assert np.array_equal(x, y)
+
+
+def test_topological_order_preserved_after_backward(lane):
     base = np.array([0.6, 1.2, 0.9])
     prog = random_program(RNG(13), 3, 35, base)
     g = Graph()
@@ -321,7 +340,7 @@ def test_emission_bound():
     assert len(g) - n0 <= 1 + T.EMIT_PER_NODE * span + len(xs)
 
 
-def test_grad_values_matches_emitted_backward():
+def test_grad_values_matches_emitted_backward(lane):
     for trial in range(4):
         base = RNG(60 + trial).uniform(0.5, 1.5, 5)
         prog = random_program(RNG(80 + trial), 5, 45, base)
