@@ -264,6 +264,11 @@ def _load_learner_state(args, cfg):
         want = getattr(args, "system", None)
         if want and want != blob["system"]:
             raise ValueError("checkpoint system does not match --system")
+        want = getattr(args, "hidden", None)
+        if want is not None and list(want) != blob["hidden"]:
+            raise ValueError(
+                f"checkpoint has hidden {','.join(map(str, blob['hidden']))}, "
+                f"--hidden says {','.join(map(str, want))}")
         cfg.learner = learner.kind
         cfg.system = blob["system"]
         cfg.hidden = tuple(blob["hidden"])

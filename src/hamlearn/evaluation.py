@@ -113,12 +113,18 @@ def _adam_path(learner: LearnerDef, theta, X, Xdot, steps: int, lr: float):
         yield theta
 
 
-def _grid_features(learner: LearnerDef, theta, grid: GridTestSet):
-    """Head features of the lattice for a head-only learner, else None."""
-    if not _head_only(learner) or grid.states.shape[0] == 0:
-        return None
-    return fastops.head_features(learner.spec, theta, grid.states,
-                                 learner.loss_kind, keep_state=False)
+def _with_grid_features(learner: LearnerDef, theta, systems):
+    """Yield (system, head features of its lattice) for a head-only learner,
+    else (system, None).  Features are rebuilt only when a system's lattice
+    is another array object than the one before it."""
+    features = None
+    for s in systems:
+        if (_head_only(learner) and s.grid.states.shape[0] > 0
+                and (features is None or features.X is not s.grid.states)):
+            features = fastops.head_features(learner.spec, theta,
+                                             s.grid.states, learner.loss_kind,
+                                             keep_state=False)
+        yield s, features
 
 
 def adapt_params(learner: LearnerDef, theta, X, Xdot,
@@ -142,11 +148,11 @@ def adapt_and_eval(learner: LearnerDef, theta_meta, systems,
     if len(systems) == 0:
         raise ValueError("no meta-test systems")
     per = []
-    for s in systems:
+    for s, features in _with_grid_features(learner, theta_meta, systems):
         th = adapt_params(learner, theta_meta, s.train_x, s.train_xdot,
                           adapt_steps, adapt_lr)
         per.append(field_mse(learner.spec, th, learner.loss_kind, s.grid,
-                             _grid_features(learner, theta_meta, s.grid)))
+                             features))
     per = np.asarray(per)
     return EvalReport(learner.kind, systems[0].params.system, systems[0].mode,
                       int(systems[0].k), float(per.mean()), float(per.std()),
@@ -158,9 +164,11 @@ def learning_curve(learner: LearnerDef, theta_meta, systems,
     """Mean grid MSE after 0..max_steps adaptation steps (length max_steps+1)."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if len(systems) == 0:
+        raise ValueError("no meta-test systems")
     curves = np.empty((len(systems), max_steps + 1))
-    for i, s in enumerate(systems):
-        features = _grid_features(learner, theta_meta, s.grid)
+    for i, (s, features) in enumerate(
+            _with_grid_features(learner, theta_meta, systems)):
         path = _adam_path(learner, theta_meta, s.train_x, s.train_xdot,
                           max_steps, adapt_lr)
         for step, theta in enumerate(path):

@@ -13,6 +13,7 @@ written with repr so a parse round-trips to the exact same doubles.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import os
@@ -131,13 +132,21 @@ def make_meta_train(system: str, n_tasks: int = 10000, n_points: int = 50,
     return tasks
 
 
+@functools.lru_cache(maxsize=None)
+def _lattice(system: str, per_axis: int) -> np.ndarray:
+    """The read-only (per_axis^2n, 2n) lattice, one array per (system,
+    per_axis), so every system of a suite scores on the same object."""
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in STATE_RANGES[system]]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    states = np.stack([m.ravel() for m in mesh], axis=1)
+    states.flags.writeable = False
+    return states
+
+
 def build_grid(params: PhysicalParams, per_axis: int | None = None) -> GridTestSet:
     """Evenly spaced lattice spanning the sampling region, with true fields."""
     per_axis = per_axis or GRID_PER_AXIS[params.system]
-    ranges = STATE_RANGES[params.system]
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in ranges]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    states = np.stack([m.ravel() for m in mesh], axis=1)
+    states = _lattice(params.system, per_axis)
     return GridTestSet(states, true_field_many(params, states), per_axis)
 
 

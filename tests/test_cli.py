@@ -349,6 +349,50 @@ def test_resume_with_a_changed_config_is_refused(tmp_path, key, capsys):
     assert [(out / name).read_bytes() for name in names] == before
 
 
+CKPT = ["--checkpoint", "run/checkpoint.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", *CKPT, "--n-systems", "0"],
+    ["eval", *CKPT, "--k", "0"],
+    ["rollout", "--oracle", "--samples", "0"],
+    ["rollout", "--oracle", "--T", "-1"],
+    ["rollout", "--oracle", "--x0", "nan,1"],
+    ["eval", *CKPT, "--k", "6", "--n-systems", "2", "--adapt-lr", "nan"],
+    ["ablate", "--step-range", "0:2", *CKPT, "--n-systems", "0"],
+    ["eval", *CKPT, "--hidden", "4", "--k", "6", "--n-systems", "1"],
+], ids=["eval-no-systems", "eval-k0", "rollout-no-samples",
+        "rollout-negative-T", "rollout-nan-x0", "eval-nan-lr",
+        "curve-no-systems", "eval-hidden-conflict"])
+def test_degenerate_input_fails_cleanly(tmp_path, argv, capsys):
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--seed", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert "Traceback" not in err and "Warning" not in err
+    assert not caught
+    # one error line, and no result file beside the provenance
+    assert len(err.splitlines()) == 1 and "error: " in err
+    assert {p.name for p in out.rglob("*") if p.is_file()} <= {"config.txt"}
+
+
+@pytest.mark.parametrize("cmd", [["eval"], ["ablate", "--step-range", "0:2"]])
+def test_hidden_conflicting_with_the_checkpoint_exits_2(tmp_path, cmd,
+                                                        capsys):
+    out = tmp_path / "o"
+    argv = [*cmd, *CKPT, "--k", "6", "--n-systems", "1", "--seed", "3",
+            "--out", str(out)]
+    assert main([*argv, "--hidden", "4,4"]) == 2
+    err = capsys.readouterr().err
+    assert "hidden 6" in err and "--hidden says 4,4" in err
+    # the checkpoint's own sizes are no conflict
+    assert main([*argv, "--hidden", "6"]) == 0
+    assert "hidden = 6\n" in (out / "config.txt").read_text()
+    capsys.readouterr()
+
+
 # -- eval -----------------------------------------------------------------------
 
 

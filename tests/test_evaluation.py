@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,53 @@ def test_learning_curve_validation():
     with pytest.raises(ValueError):
         E.learning_curve(learner, init_params(learner.spec, 0),
                          suite_for(n_systems=1), max_steps=0)
+    with pytest.raises(ValueError, match="no meta-test systems"):
+        E.learning_curve(learner, init_params(learner.spec, 0), [],
+                         max_steps=2)
+
+
+# -- one lattice per suite --------------------------------------------------------
+
+
+def _with_own_lattice(system):
+    """The same system scored on a private copy of its lattice."""
+    g = system.grid
+    return dataclasses.replace(system, grid=GridTestSet(
+        g.states.copy(), g.derivatives, g.per_axis))
+
+
+@pytest.mark.parametrize("kind", ["hanil", "naive_anil"])
+def test_shared_lattice_scores_equal_per_system_lattices(kind):
+    learner = M.build_learner(kind, hidden=(8, 8))
+    theta = init_params(learner.spec, 51)
+    shared = suite_for(n_systems=3, seed=51)
+    own = [_with_own_lattice(s) for s in shared]
+    assert own[0].grid.states is not own[1].grid.states
+    assert (E.adapt_and_eval(learner, theta, shared, adapt_steps=4)
+            == E.adapt_and_eval(learner, theta, own, adapt_steps=4))
+    assert (E.learning_curve(learner, theta, shared, max_steps=4).tobytes()
+            == E.learning_curve(learner, theta, own, max_steps=4).tobytes())
+
+
+def test_head_features_built_once_per_lattice(monkeypatch):
+    rows = []
+    real = fastops.head_features
+
+    def counting(spec, params, X, *args, **kw):
+        rows.append(X.shape[0])
+        return real(spec, params, X, *args, **kw)
+
+    monkeypatch.setattr(fastops, "head_features", counting)
+    learner = M.build_learner("hanil", hidden=(6,))
+    theta = init_params(learner.spec, 52)
+    shared = suite_for(n_systems=10, K=5, seed=52)
+    E.adapt_and_eval(learner, theta, shared, adapt_steps=1)
+    # one grid build (2500 rows), then one per system's observations
+    assert rows == [2500] + [5] * 10
+    rows.clear()
+    E.adapt_and_eval(learner, theta, [_with_own_lattice(s) for s in shared],
+                     adapt_steps=1)
+    assert len(rows) == 20
 
 
 def _generic_adam_path(learner, theta, X, Xdot, steps, lr):

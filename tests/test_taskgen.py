@@ -170,6 +170,22 @@ def test_meta_test_suite_seeding():
         np.testing.assert_array_equal(sa.train_x, sb.train_x)
 
 
+@pytest.mark.parametrize("mode", ["points", "trajectories"])
+def test_meta_test_suite_shares_one_read_only_lattice(mode):
+    suite = make_meta_test_suite("pendulum", mode, 3, seed=31, n_systems=3)
+    states = suite[0].grid.states
+    assert all(s.grid.states is states for s in suite)
+    assert not states.flags.writeable
+    with pytest.raises(ValueError):
+        states[0, 0] = 1.0
+    # the labels stay per system
+    assert not np.array_equal(suite[0].grid.derivatives,
+                              suite[1].grid.derivatives)
+    for s in suite:
+        np.testing.assert_array_equal(s.grid.derivatives,
+                                      true_field_many(s.params, states))
+
+
 def test_meta_test_mode_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
