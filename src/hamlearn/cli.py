@@ -6,6 +6,10 @@ errors (bad flags, bad config keys), 2 for runtime or numeric failures
 
 Every command writes the resolved configuration and version string to
 <out>/config.txt so a run can be reproduced from its own output.
+
+Each command imports the modules it runs inside its cmd_* function, so
+`--version` and a command line the parser rejects load no numpy and no
+kernel module.
 """
 
 from __future__ import annotations
@@ -15,19 +19,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import seeding
-from .config import (RunConfig, load_checkpoint, read_config_file,
-                     resolve_config, save_checkpoint, training_record,
-                     version_string, write_provenance)
-from .evaluation import (ablation_tasks, adapt_and_eval, adapt_params,
-                         learning_curve, rollout_eval)
-from .metalearn import train_learner
-from .network import init_params
-from .physics import SYSTEMS, true_field_many
-from .taskgen import (load_dataset, make_meta_test_suite, make_meta_train,
-                      sample_params, sample_states, write_dataset)
+from . import SYSTEMS
+from .config import (load_checkpoint, read_config_file, resolve_config,
+                     save_checkpoint, training_record, version_string,
+                     write_provenance)
 
 
 class UsageError(Exception):
@@ -152,6 +147,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
+    from .taskgen import make_meta_train, write_dataset
     if args.tasks < 1:
         raise UsageError("--tasks must be >= 1")
     if args.points < 1:
@@ -191,6 +187,9 @@ def _check_resume(blob, cfg, optimizer: str) -> None:
 
 
 def cmd_metatrain(args) -> int:
+    from .metalearn import train_learner
+    from .network import init_params
+    from .taskgen import load_dataset
     cfg, file_values = _resolve(
         args, ("dataset", "learner", "episodes", "task_batch", "inner_steps",
                "inner_lr", "outer_lr", "second_order", "hidden"))
@@ -255,6 +254,7 @@ def _load_learner_state(args, cfg):
     The checkpoint's own architecture and system win over config defaults;
     an explicit conflicting flag is an error rather than a silent override.
     """
+    from .network import init_params
     if args.checkpoint:
         learner, theta, _, blob = load_checkpoint(args.checkpoint)
         want = getattr(args, "learner", None)
@@ -281,6 +281,8 @@ def _load_learner_state(args, cfg):
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import adapt_and_eval
+    from .taskgen import make_meta_test_suite
     cfg, _ = _resolve(args, ("learner", "system", "mode", "k", "adapt_steps",
                              "adapt_lr", "n_systems", "hidden"))
     learner, theta = _load_learner_state(args, cfg)
@@ -304,6 +306,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
+    import numpy as np
+
+    from . import seeding
+    from .evaluation import adapt_params, rollout_eval
+    from .physics import true_field_many
+    from .taskgen import sample_params, sample_states
     cfg, file_values = _resolve(args, ("system", "k", "adapt_steps",
                                        "adapt_lr"))
     if args.adapt_steps is None and "adapt_steps" not in file_values:
@@ -358,6 +366,8 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    from .evaluation import ablation_tasks, learning_curve
+    from .taskgen import make_meta_test_suite
     cfg, _ = _resolve(args, ("system", "mode", "k", "n_systems", "episodes",
                              "task_batch", "inner_steps", "hidden"))
     os.makedirs(cfg.out_dir, exist_ok=True)

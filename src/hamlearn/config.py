@@ -8,18 +8,17 @@ comma-separated ints for `hidden`).  CLI flags override file values.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import DOF, LEARNER_KINDS, SYSTEMS, __version__
 
-from . import __version__
-from .metalearn import (LEARNER_KINDS, AdamState, InnerConfig, LearnerDef,
-                        OuterConfig, build_learner)
-from .network import ACTIVATION, param_count
-from .physics import DOF, SYSTEMS
+if TYPE_CHECKING:  # the kernels load only where a method needs them
+    import numpy as np
+
+    from .metalearn import AdamState, InnerConfig, LearnerDef, OuterConfig
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -64,15 +63,20 @@ class RunConfig:
             raise ValueError(f"unknown learner {self.learner!r}")
         if self.mode not in ("points", "trajectories"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not self.adapt_lr > 0:
+            raise ValueError("adapt lr must be positive")
 
     def inner_config(self, update_set: str = "all") -> InnerConfig:
+        from .metalearn import InnerConfig
         return InnerConfig(self.inner_steps, self.inner_lr, update_set)
 
     def outer_config(self) -> OuterConfig:
+        from .metalearn import OuterConfig
         return OuterConfig(self.episodes, self.task_batch, self.outer_lr,
                            self.second_order)
 
     def learner_def(self) -> LearnerDef:
+        from .metalearn import build_learner
         return build_learner(self.learner, 2 * DOF[self.system],
                              tuple(self.hidden),
                              self.inner_config())
@@ -190,7 +194,12 @@ def save_checkpoint(path: str, learner: LearnerDef, theta: np.ndarray,
                     system: str, training: dict = None) -> None:
     """JSON snapshot of a training state; floats round-trip exactly.
 
-    `training`, a `training_record`, is stored beside the seed."""
+    `training`, a `training_record`, is stored beside the seed.  The text
+    goes to a temporary file beside `path` that then replaces it, so a
+    failed write leaves the previous checkpoint whole."""
+    import json
+
+    from .network import ACTIVATION
     blob = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "learner": learner.kind,
@@ -209,12 +218,25 @@ def save_checkpoint(path: str, learner: LearnerDef, theta: np.ndarray,
         "version": version_string(),
     }
     text = json.dumps(blob, allow_nan=False)  # raises before writing
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str):
     """Returns (learner_def, theta, adam, blob) rebuilt from disk."""
+    import json
+
+    import numpy as np
+
+    from .metalearn import AdamState, build_learner
+    from .network import ACTIVATION, param_count
     with open(path) as fh:
         blob = json.load(fh)
     if blob.get("format_version") != CHECKPOINT_FORMAT_VERSION:

@@ -25,12 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fastops, seeding
+from . import LEARNER_KINDS, fastops, seeding
 from .network import (UPDATE_SETS, NetworkSpec, hnn_spec, layer_slice,
                       naive_spec, update_mask)
-
-LEARNER_KINDS = ("hnn_scratch", "hnn_pretrained", "naive_maml", "naive_anil",
-                 "hamaml", "hanil", "hanil_inv")
 
 # learner kinds whose head is a scalar Hamiltonian
 _HNN_KINDS = ("hnn_scratch", "hnn_pretrained", "hamaml", "hanil", "hanil_inv")

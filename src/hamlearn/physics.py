@@ -17,15 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SYSTEMS = ("spring_mass", "pendulum", "kepler")
+from . import DOF, SYSTEMS
 
 PARAM_NAMES = {
     "spring_mass": ("m", "k", "q0"),
     "pendulum": ("m", "l", "q0"),
     "kepler": ("M", "m", "q0x", "q0y"),
 }
-
-DOF = {"spring_mass": 1, "pendulum": 1, "kepler": 2}
 
 GRAV_ACC = 1.0   # pendulum g
 GRAV_CONST = 1.0  # Kepler G
@@ -317,7 +315,7 @@ def integrate(field, x0, T_span: float, samples: int,
     field maps a flat state (2n,) to its derivative (2n,).  Returns
     (times, states) with states[k] the dense-output solution at
     t_k = k*T/L; `include_initial` prepends the t = 0 row.  An empty or
-    non-finite x0 raises ValueError.
+    non-finite x0, or a T that is not finite and positive, raises ValueError.
 
     Failure to reach T raises IntegrationError.  Its t_failure is the time
     at which `field` was called when the derivative is non-finite or
@@ -326,8 +324,8 @@ def integrate(field, x0, T_span: float, samples: int,
     times and states are the samples reached before the failure.
     """
     x0 = np.asarray(x0, np.float64).ravel()
-    if T_span <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T_span < np.inf:  # NaN or inf T would step forever
+        raise ValueError("T must be finite and positive")
     if x0.size == 0 or not np.isfinite(x0).all():
         raise ValueError("x0 must be a non-empty finite vector")
     times = sample_times(T_span, samples)

@@ -13,6 +13,7 @@ import pytest
 import hamlearn
 from hamlearn import seeding
 from hamlearn.cli import main
+from hamlearn.config import version_string
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -361,18 +362,32 @@ CKPT = ["--checkpoint", "run/checkpoint.json"]
     ["eval", *CKPT, "--k", "6", "--n-systems", "2", "--adapt-lr", "nan"],
     ["ablate", "--step-range", "0:2", *CKPT, "--n-systems", "0"],
     ["eval", *CKPT, "--hidden", "4", "--k", "6", "--n-systems", "1"],
+    ["rollout", "--oracle", "--T", "nan"],
+    ["rollout", "--oracle", "--T", "inf"],
+    ["eval", *CKPT, "--k", "6", "--n-systems", "1", "--adapt-lr", "-1"],
+    ["eval", *CKPT, "--k", "6", "--n-systems", "1", "--adapt-lr", "0"],
 ], ids=["eval-no-systems", "eval-k0", "rollout-no-samples",
         "rollout-negative-T", "rollout-nan-x0", "eval-nan-lr",
-        "curve-no-systems", "eval-hidden-conflict"])
-def test_degenerate_input_fails_cleanly(tmp_path, argv, capsys):
+        "curve-no-systems", "eval-hidden-conflict", "rollout-nan-T",
+        "rollout-inf-T", "eval-negative-lr", "eval-zero-lr"])
+def test_degenerate_input_fails_cleanly(tmp_path, argv):
+    # a child process, so that an input that hangs fails the test at the
+    # timeout instead of stalling the suite
+    code = ("import json, sys, warnings\n"
+            "from hamlearn.cli import main\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(json.dumps([str(w.message) for w in caught]))\n"
+            "sys.exit(code)\n")
     out = tmp_path / "o"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main([*argv, "--seed", "3", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code in (1, 2)
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--seed", "3",
+                           "--out", str(out)], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    err = proc.stderr
+    assert proc.returncode == 2
     assert "Traceback" not in err and "Warning" not in err
-    assert not caught
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
     # one error line, and no result file beside the provenance
     assert len(err.splitlines()) == 1 and "error: " in err
     assert {p.name for p in out.rglob("*") if p.is_file()} <= {"config.txt"}
@@ -587,3 +602,57 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
                                "3"], capture_output=True, text=True,
                               env=_child_env())
         assert proc.returncode == 0, proc.stderr
+
+
+# each command imports only what it runs; the child reports sys.modules at exit
+_REPORT_MODULES = ("import atexit, json, sys\n"
+                   "atexit.register(lambda: sys.stderr.write(\n"
+                   "    '\\n' + json.dumps(sorted(sys.modules))))\n"
+                   "from hamlearn.cli import main\n"
+                   "sys.exit(main(sys.argv[1:]))\n")
+
+
+def _loaded_modules(argv):
+    proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def _kernels(*names):
+    return {f"hamlearn.{name}" for name in names}
+
+
+@pytest.mark.parametrize("argv", [["--version"], [], ["bogus"],
+                                  ["gen", "--tasks", "x"]],
+                         ids=["version", "no-command", "bad-command",
+                              "bad-flag"])
+def test_version_and_usage_errors_load_no_numpy(argv):
+    proc, loaded = _loaded_modules(argv)
+    assert proc.returncode == (0 if argv == ["--version"] else 1)
+    if argv == ["--version"]:
+        assert proc.stdout == version_string() + "\n"
+    else:
+        assert "usage error: " in proc.stderr
+    assert "numpy" not in loaded
+    assert not loaded & _kernels("fastops", "metalearn", "evaluation",
+                                 "network", "physics", "taskgen", "seeding")
+
+
+def test_gen_loads_no_learner_module(tmp_path):
+    proc, loaded = _loaded_modules(["gen", "--tasks", "2", "--points", "4",
+                                    "--seed", "3", "--out",
+                                    str(tmp_path / "ds")])
+    assert proc.returncode == 0, proc.stderr
+    assert "hamlearn.taskgen" in loaded
+    assert not loaded & _kernels("fastops", "metalearn", "evaluation",
+                                 "network")
+
+
+def test_metatrain_loads_no_evaluation(tmp_path):
+    proc, loaded = _loaded_modules(["metatrain", "--dataset", "ds",
+                                    "--learner", "hanil", "--out",
+                                    str(tmp_path / "run"), *TRAIN_FLAGS])
+    assert proc.returncode == 0, proc.stderr
+    assert "hamlearn.metalearn" in loaded
+    assert "hamlearn.evaluation" not in loaded

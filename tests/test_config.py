@@ -32,6 +32,16 @@ def test_bad_enum_values_rejected(field, value):
         RunConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")])
+def test_non_positive_adapt_lr_rejected(tmp_path, value):
+    with pytest.raises(ValueError, match="adapt lr must be positive"):
+        resolve_config({}, {"adapt_lr": value})
+    path = tmp_path / "c.cfg"
+    path.write_text(f"adapt_lr = {value}\n")
+    with pytest.raises(ValueError, match="adapt lr must be positive"):
+        resolve_config(read_config_file(str(path)))
+
+
 def test_config_text_roundtrips_through_parser(tmp_path):
     cfg = RunConfig(system="kepler", learner="hamaml", seed=17,
                     inner_lr=0.0042, hidden=(8, 8), second_order=False,
@@ -159,3 +169,41 @@ def test_checkpoint_floats_roundtrip_exactly(tmp_path):
     save_checkpoint(path, learner, theta, adam, 0, 0, "spring_mass")
     _, theta2, _, _ = load_checkpoint(path)
     assert theta2.tobytes() == theta.tobytes()
+
+
+def test_a_failed_checkpoint_write_keeps_the_previous_file(tmp_path,
+                                                           monkeypatch):
+    learner, theta, adam = _checkpoint_state()
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(str(path), learner, theta, adam, 1, 0, "spring_mass")
+    before = path.read_bytes()
+    real_open = open
+
+    class Torn:
+        """A file whose write stops halfway, as on a full disk."""
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("No space left on device")
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return Torn(fh) if "w" in mode else fh
+
+    monkeypatch.setattr("builtins.open", torn_open)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(str(path), learner, theta + 1, adam, 2, 0,
+                        "spring_mass")
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+    assert load_checkpoint(str(path))[3]["episode"] == 1
