@@ -1,8 +1,8 @@
 """Command-line surface: gen, metatrain, eval, rollout, ablate.
 
 Exit codes are a stable scripting contract: 0 on success, 1 for usage
-errors (bad flags, bad config keys), 2 for runtime or numeric failures
-(missing files, corrupt data, non-finite losses).
+errors (bad flags, missing arguments), 2 for runtime or numeric failures
+(bad config files, missing files, corrupt data, non-finite losses).
 
 Every command writes the resolved configuration and version string to
 <out>/config.txt so a run can be reproduced from its own output.
@@ -20,9 +20,9 @@ import sys
 import time
 
 from . import SYSTEMS
-from .config import (load_checkpoint, read_config_file, resolve_config,
-                     save_checkpoint, training_record, version_string,
-                     write_provenance)
+from .config import (RunConfig, load_checkpoint, read_config_file,
+                     resolve_config, save_checkpoint, training_record,
+                     version_string, write_provenance)
 
 
 class UsageError(Exception):
@@ -53,12 +53,13 @@ def _common_flags(sub):
                      "reruns are byte-identical")
 
 
-def _resolve(args, keys):
+def _resolve(args):
     """RunConfig from defaults <- config file <- set flags, plus the raw
-    file values for commands that need to know what the file pinned."""
+    file values for commands that need to know what the file pinned.  The
+    flags are the command's parsed arguments named like RunConfig fields."""
     file_values = read_config_file(args.config) if args.config else {}
-    overrides = {k: getattr(args, k, None)
-                 for k in keys + ("seed", "out_dir", "strict_serial")}
+    overrides = {k: v for k, v in vars(args).items()
+                 if k in RunConfig.__dataclass_fields__}
     return resolve_config(file_values, overrides), file_values
 
 
@@ -147,12 +148,12 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    from .taskgen import make_meta_train, write_dataset
     if args.tasks < 1:
         raise UsageError("--tasks must be >= 1")
     if args.points < 1:
         raise UsageError("--points must be >= 1")
-    cfg, _ = _resolve(args, ("system",))
+    from .taskgen import make_meta_train, write_dataset
+    cfg, _ = _resolve(args)
     tasks = make_meta_train(cfg.system, args.tasks, args.points, cfg.seed)
     write_dataset(cfg.out_dir, cfg.system, cfg.seed, tasks)
     write_provenance(cfg.out_dir, cfg)
@@ -187,12 +188,7 @@ def _check_resume(blob, cfg, optimizer: str) -> None:
 
 
 def cmd_metatrain(args) -> int:
-    from .metalearn import train_learner
-    from .network import init_params
-    from .taskgen import load_dataset
-    cfg, file_values = _resolve(
-        args, ("dataset", "learner", "episodes", "task_batch", "inner_steps",
-               "inner_lr", "outer_lr", "second_order", "hidden"))
+    cfg, file_values = _resolve(args)
     if cfg.learner == "hnn_scratch":
         raise UsageError("hnn_scratch has nothing to meta-train")
     if args.resume and cfg.learner == "hnn_pretrained":
@@ -201,6 +197,9 @@ def cmd_metatrain(args) -> int:
         raise UsageError("hnn_pretrained cannot be resumed")
     if not cfg.dataset:
         raise UsageError("--dataset is required")
+    from .metalearn import train_learner
+    from .network import init_params
+    from .taskgen import load_dataset
     manifest, tasks = load_dataset(cfg.dataset)
     if "system" in file_values and file_values["system"] != manifest["system"]:
         raise ValueError(f"dataset holds {manifest['system']!r} tasks, "
@@ -220,7 +219,6 @@ def cmd_metatrain(args) -> int:
         start_episode = blob["episode"]
     else:
         theta = init_params(learner.spec, cfg.seed)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_provenance(cfg.out_dir, cfg)
     curve_path = os.path.join(cfg.out_dir, "curve.csv")
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.json")
@@ -283,22 +281,18 @@ def _load_learner_state(args, cfg):
 def cmd_eval(args) -> int:
     from .evaluation import adapt_and_eval
     from .taskgen import make_meta_test_suite
-    cfg, _ = _resolve(args, ("learner", "system", "mode", "k", "adapt_steps",
-                             "adapt_lr", "n_systems", "hidden"))
+    cfg, _ = _resolve(args)
     learner, theta = _load_learner_state(args, cfg)
     suite = make_meta_test_suite(cfg.system, cfg.mode, cfg.k, cfg.seed,
                                  cfg.n_systems)
     rep = adapt_and_eval(learner, theta, suite, cfg.adapt_steps, cfg.adapt_lr)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_provenance(cfg.out_dir, cfg)
     with open(os.path.join(cfg.out_dir, "report.json"), "w") as fh:
         fh.write(rep.to_json() + "\n")
     with open(os.path.join(cfg.out_dir, "report.csv"), "w") as fh:
-        fh.write("learner,system,mode,k,mse_mean,mse_std,n_systems,"
-                 "adapt_steps\n")
-        fh.write(f"{rep.learner},{rep.system},{rep.mode},{rep.k},"
-                 f"{_fmt(rep.mse_mean)},{_fmt(rep.mse_std)},"
-                 f"{rep.n_systems},{rep.adapt_steps}\n")
+        # the columns of report.json; str of a float is its repr
+        fh.write(",".join(vars(rep)) + "\n"
+                 + ",".join(map(str, vars(rep).values())) + "\n")
     print(f"{rep.learner} on {rep.system} ({rep.mode}, K={rep.k}): "
           f"mse {rep.mse_mean:.6g} +- {rep.mse_std:.6g} "
           f"over {rep.n_systems} systems")
@@ -312,16 +306,13 @@ def cmd_rollout(args) -> int:
     from .evaluation import adapt_params, rollout_eval
     from .physics import true_field_many
     from .taskgen import sample_params, sample_states
-    cfg, file_values = _resolve(args, ("system", "k", "adapt_steps",
-                                       "adapt_lr"))
+    cfg, file_values = _resolve(args)
     if args.adapt_steps is None and "adapt_steps" not in file_values:
         cfg.adapt_steps = 50  # rollouts default to a longer adaptation
-    if args.oracle:
-        learner, theta = None, None
-        loss_kind = "oracle"
-    else:
+    spec, theta, loss_kind = None, None, "oracle"
+    if not args.oracle:
         learner, theta = _load_learner_state(args, cfg)
-        loss_kind = learner.loss_kind
+        spec, loss_kind = learner.spec, learner.loss_kind
     rng = seeding.split(cfg.seed, seeding.ROLLOUT, 0)
     params = sample_params(cfg.system, rng)
     if not args.oracle:
@@ -334,10 +325,8 @@ def cmd_rollout(args) -> int:
             raise UsageError(f"--x0 needs {2 * params.n} components")
     else:
         x0 = sample_states(params, rng, 1)[0]
-    spec = learner.spec if learner is not None else None
-    report, Xp, Xt = rollout_eval(spec, theta, params, x0, args.t_span,
-                                  args.samples, loss_kind, with_states=True)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    report = rollout_eval(spec, theta, params, x0, args.t_span, args.samples,
+                          loss_kind)
     write_provenance(cfg.out_dir, cfg)
     n = params.n
     cols = ["t", "state_mse", "energy_mse"]
@@ -355,7 +344,7 @@ def cmd_rollout(args) -> int:
         fh.write(",".join(cols) + "\n")
         for i in range(len(report.times)):
             row = [report.times[i], report.state_mse[i], report.energy_mse[i]]
-            row += list(Xp[i]) + list(Xt[i])
+            row += list(report.pred_states[i]) + list(report.true_states[i])
             fh.write(",".join(_fmt(v) for v in row) + "\n")
     if report.failure_time is not None:
         print(f"integration stopped at t={report.failure_time:.3g}; "
@@ -366,11 +355,7 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from .evaluation import ablation_tasks, learning_curve
-    from .taskgen import make_meta_test_suite
-    cfg, _ = _resolve(args, ("system", "mode", "k", "n_systems", "episodes",
-                             "task_batch", "inner_steps", "hidden"))
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    cfg, _ = _resolve(args)
     if args.step_range:
         lo, _, hi = args.step_range.partition(":")
         try:
@@ -379,6 +364,8 @@ def cmd_ablate(args) -> int:
             raise UsageError("--step-range must look like 0:50")
         if lo != 0 or hi < 1:
             raise UsageError("--step-range must look like 0:50")
+        from .evaluation import learning_curve
+        from .taskgen import make_meta_test_suite
         learner, theta = _load_learner_state(args, cfg)
         write_provenance(cfg.out_dir, cfg)
         suite = make_meta_test_suite(cfg.system, cfg.mode, cfg.k, cfg.seed,
@@ -391,7 +378,6 @@ def cmd_ablate(args) -> int:
                 fh.write(f"{step},{_fmt(mse)}\n")
         print(f"learning curve (0..{hi}) in {path}")
         return 0
-    write_provenance(cfg.out_dir, cfg)
     counts = [int(c) for c in args.counts.split(",") if c.strip()]
     if not counts:
         raise UsageError("--counts must name at least one task count")
@@ -400,6 +386,8 @@ def cmd_ablate(args) -> int:
     kinds = [k for k in args.learners.split(",") if k.strip()]
     if not kinds:
         raise UsageError("--learners must name at least one learner")
+    from .evaluation import ablation_tasks
+    write_provenance(cfg.out_dir, cfg)
     table = ablation_tasks(kinds, counts, cfg.system, cfg.mode, cfg.k,
                            cfg.seed, cfg.inner_config(), cfg.outer_config(),
                            n_points=args.points, n_systems=cfg.n_systems,

@@ -63,12 +63,14 @@ class RunConfig:
             raise ValueError(f"unknown learner {self.learner!r}")
         if self.mode not in ("points", "trajectories"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.adapt_lr > 0:
-            raise ValueError("adapt lr must be positive")
+        for name in ("inner_lr", "outer_lr", "adapt_lr"):
+            if not 0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name.replace('_', ' ')} must be positive "
+                                 "and finite")
 
-    def inner_config(self, update_set: str = "all") -> InnerConfig:
+    def inner_config(self) -> InnerConfig:
         from .metalearn import InnerConfig
-        return InnerConfig(self.inner_steps, self.inner_lr, update_set)
+        return InnerConfig(self.inner_steps, self.inner_lr)
 
     def outer_config(self) -> OuterConfig:
         from .metalearn import OuterConfig
@@ -83,21 +85,25 @@ class RunConfig:
 
 
 def _parse_value(name: str, kind, text: str):
+    """text as a value of `kind`; an error names where it was set, `name`."""
     text = text.strip()
-    if kind is bool:
-        low = text.lower()
-        if low in ("1", "true", "yes"):
-            return True
-        if low in ("0", "false", "no"):
-            return False
-        raise ValueError(f"{name}: expected a boolean, got {text!r}")
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    if kind is tuple:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    return text
+    try:
+        if kind is bool:
+            low = text.lower()
+            if low in ("1", "true", "yes"):
+                return True
+            if low in ("0", "false", "no"):
+                return False
+            raise ValueError(f"expected a boolean, got {text!r}")
+        if kind is int:
+            return int(text)
+        if kind is float:
+            return float(text)
+        if kind is tuple:
+            return tuple(int(p) for p in text.split(",") if p.strip())
+        return text
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
 
 
 _FIELD_KINDS = {f.name: (tuple if f.name == "hidden" else type(f.default))
@@ -118,7 +124,8 @@ def read_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _FIELD_KINDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, _FIELD_KINDS[key], text)
+            values[key] = _parse_value(f"{path}:{lineno}: {key}",
+                                       _FIELD_KINDS[key], text)
     return values
 
 
@@ -128,7 +135,7 @@ def resolve_config(file_values: dict = None, overrides: dict = None) -> RunConfi
     merged.update(file_values or {})
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
     if "seed" not in merged and os.environ.get(ENV_SEED):
-        merged["seed"] = int(os.environ[ENV_SEED])
+        merged["seed"] = _parse_value(ENV_SEED, int, os.environ[ENV_SEED])
     unknown = set(merged) - set(_FIELD_KINDS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -17,19 +17,15 @@ import numpy as np
 
 from . import fastops, seeding
 from .metalearn import (InnerConfig, LearnerDef, OuterConfig, adam_init,
-                        adam_update, build_learner, train_learner)
-from .network import init_params, update_mask
+                        adam_update, adaptation_objective, build_learner,
+                        head_only, train_learner)
+from .network import init_params
 from .physics import (DOF, DomainError, IntegrationError, PhysicalParams,
                       field_fn, hamiltonian_many, integrate, sample_times)
 from .taskgen import GridTestSet, make_meta_test_suite, make_meta_train
 
 ADAPT_STEPS = 10
 ADAPT_LR = 0.002
-
-# rollouts run at the data-generation tolerances so that integrator noise
-# sits far below the 1e-10 scale the reports are read at
-ROLLOUT_RTOL = 1e-8
-ROLLOUT_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,6 +49,8 @@ class RolloutReport:
     times: np.ndarray
     state_mse: np.ndarray
     energy_mse: np.ndarray
+    pred_states: np.ndarray  # the learner's trajectory at `times`
+    true_states: np.ndarray  # the true trajectory at `times`
     failure_time: float | None = None
 
 
@@ -78,38 +76,23 @@ def field_mse(spec, params, loss_kind: str, grid: GridTestSet,
     return mse
 
 
-def _head_only(learner: LearnerDef) -> bool:
-    return learner.inner.update_set == "last"
-
-
 def _adam_path(learner: LearnerDef, theta, X, Xdot, steps: int, lr: float):
     """Yield theta after 0, 1, ..., steps masked Adam steps on one system's
     observations; every yield is the same array, updated in place.  A
     head-only learner steps in head space on features built once."""
     theta = np.array(theta, np.float64)
-    mask = update_mask(learner.spec, learner.inner.update_set)
-    if _head_only(learner):
-        features = fastops.head_features(learner.spec, theta, X,
-                                         learner.loss_kind)
-
-        def loss_grad(th):
-            lin = features.linearize(th, Xdot)
-            return lin.loss, lin.grad, lin.grad
-    else:
-        def loss_grad(th):
-            loss, grad, _ = fastops.loss_grad(learner.spec, th, X, Xdot,
-                                              learner.loss_kind)
-            return loss, grad, grad[mask]
-    sub = theta[mask]
+    sel, fn = adaptation_objective(learner.spec, theta, X, Xdot,
+                                   learner.loss_kind, learner.inner.update_set)
+    sub = theta[sel]
     adam = adam_init(sub.size)
     yield theta
     for step in range(steps):
-        loss, grad, update = loss_grad(theta)
+        loss, grad = fn(theta)[:2]  # no linearization outlives its step
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise FloatingPointError(
                 f"non-finite adaptation loss or gradient at step {step}")
-        sub, adam = adam_update(adam, sub, update, lr)
-        theta[mask] = sub
+        sub, adam = adam_update(adam, sub, grad, lr)
+        theta[sel] = sub
         yield theta
 
 
@@ -117,9 +100,11 @@ def _with_grid_features(learner: LearnerDef, theta, systems):
     """Yield (system, head features of its lattice) for a head-only learner,
     else (system, None).  Features are rebuilt only when a system's lattice
     is another array object than the one before it."""
+    if len(systems) == 0:
+        raise ValueError("no meta-test systems")
     features = None
     for s in systems:
-        if (_head_only(learner) and s.grid.states.shape[0] > 0
+        if (head_only(learner.inner.update_set) and s.grid.states.shape[0] > 0
                 and (features is None or features.X is not s.grid.states)):
             features = fastops.head_features(learner.spec, theta,
                                              s.grid.states, learner.loss_kind,
@@ -145,8 +130,6 @@ def adapt_and_eval(learner: LearnerDef, theta_meta, systems,
     theta_meta is never mutated; each system adapts its own copy.  The
     reported spread is the population std of the per-system MSEs.
     """
-    if len(systems) == 0:
-        raise ValueError("no meta-test systems")
     per = []
     for s, features in _with_grid_features(learner, theta_meta, systems):
         th = adapt_params(learner, theta_meta, s.train_x, s.train_xdot,
@@ -164,8 +147,6 @@ def learning_curve(learner: LearnerDef, theta_meta, systems,
     """Mean grid MSE after 0..max_steps adaptation steps (length max_steps+1)."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    if len(systems) == 0:
-        raise ValueError("no meta-test systems")
     curves = np.empty((len(systems), max_steps + 1))
     for i, (s, features) in enumerate(
             _with_grid_features(learner, theta_meta, systems)):
@@ -190,7 +171,7 @@ def _true_energies(true_params: PhysicalParams, X: np.ndarray):
 
 def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
                  T_span: float = 20.0, samples: int = 200,
-                 loss_kind: str = "hnn", with_states: bool = False):
+                 loss_kind: str = "hnn") -> RolloutReport:
     """Integrate the learner's field against the true flow from x0.
 
     state_mse(t) = ||x_pred(t) - x_true(t)||^2 and energy_mse(t) =
@@ -199,7 +180,9 @@ def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
     sample and failure_time records where integration stopped.
 
     loss_kind "oracle" integrates the true field on both sides, which
-    bounds the integrator noise floor of the two MSE series.
+    bounds the integrator noise floor of the two MSE series.  Both sides
+    run at the data-generation tolerances, `integrate`'s defaults, so that
+    integrator noise sits far below the 1e-10 scale the reports are read at.
     """
     x0 = np.asarray(x0, np.float64)
 
@@ -212,15 +195,13 @@ def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
 
     failure = None
     try:
-        _, Xp = integrate(pred_field, x0, T_span, samples,
-                          rtol=ROLLOUT_RTOL, atol=ROLLOUT_ATOL)
+        _, Xp = integrate(pred_field, x0, T_span, samples)
     except IntegrationError as err:
         failure, Xp = err.t_failure, err.states
     n = Xp.shape[0]
     times = sample_times(T_span, samples)[:n]
     if n > 0:
-        _, Xt = integrate(field_fn(true_params), x0, n * T_span / samples, n,
-                          rtol=ROLLOUT_RTOL, atol=ROLLOUT_ATOL)
+        _, Xt = integrate(field_fn(true_params), x0, n * T_span / samples, n)
     else:
         Xt = np.empty((0, x0.size))
     Hp, kp = _true_energies(true_params, Xp)
@@ -233,8 +214,7 @@ def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
         Hp, Ht = Hp[:kept], Ht[:kept]
     state_mse = np.sum((Xp - Xt) ** 2, axis=1)
     energy_mse = (Hp - Ht) ** 2
-    report = RolloutReport(times, state_mse, energy_mse, failure)
-    return (report, Xp, Xt) if with_states else report
+    return RolloutReport(times, state_mse, energy_mse, Xp, Xt, failure)
 
 
 def ablation_tasks(kinds, task_counts, system: str, mode: str, K: int,

@@ -5,8 +5,9 @@ per-layer [W; b] views of `network.unpack_blocks`.  The tests cross-check
 them against a scalar autodiff tape and against finite differences:
 
 - ``mlp_forward``: batched forward pass.
-- ``hnn_field``: Omega * dH/dx obtained by backpropagating the scalar
-  output to the inputs (one reverse recurrence per batch).
+- ``predicted_field``: the learner's field.  For the Hamiltonian loss it
+  is Omega * dH/dx, obtained by backpropagating the scalar output to the
+  inputs (one reverse recurrence per batch).
 - ``loss_grad``: the primal+adjoint pass.  It returns the batch loss, its
   parameter gradient and a `Linearization` holding the forward state
   (activations A, sigmoids S) and, for the Hamiltonian loss, the
@@ -44,6 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .network import NetworkSpec, layer_slice, param_count, unpack_blocks
+from .physics import omega_apply
 
 
 def _quiet(fn):
@@ -63,16 +65,19 @@ def _quiet(fn):
 _ROW_BLOCK = 128
 
 
-def _check(spec: NetworkSpec, params, X, want_scalar_out: bool | None = None):
-    """(params, per-layer [W; b] blocks, X) as float64 arrays."""
+def _check(spec: NetworkSpec, params, X, loss_kind: str | None = None):
+    """(params, per-layer [W; b] blocks, X) as float64 arrays, once a given
+    loss kind is known and the head has the shape it needs."""
+    if loss_kind is not None and loss_kind not in _FIELD:
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
     params = np.asarray(params, np.float64)
     blocks = unpack_blocks(spec, params)  # checks the length
     X = np.atleast_2d(np.asarray(X, np.float64))
     if X.shape[1] != spec.input_dim:
         raise ValueError("input dim mismatch")
-    if want_scalar_out is True and spec.output_dim != 1:
+    if loss_kind == "hnn" and spec.output_dim != 1:
         raise ValueError("Hamiltonian kernels need output_dim == 1")
-    if want_scalar_out is False and spec.output_dim != spec.input_dim:
+    if loss_kind == "naive" and spec.output_dim != spec.input_dim:
         raise ValueError("field kernels need output_dim == input_dim")
     return params, blocks, X
 
@@ -84,12 +89,6 @@ def _softplus_sigmoid(z, out):
     r = 1.0 / (1.0 + t)
     np.add(np.maximum(z, 0.0), np.log1p(t), out=out)
     return np.where(z >= 0.0, r, t * r)
-
-
-def _omega(G):
-    """Omega @ g per row: [g_p, -g_q]."""
-    n = G.shape[1] // 2
-    return np.concatenate((G[:, n:], -G[:, :n]), axis=1)
 
 
 def _with_ones(B, n):
@@ -132,13 +131,15 @@ def _hnn_field(blocks, X):
     v = blocks[-1][:-1].T  # u_L = 1, so v_{L-1} = W_L^T on every row
     for l in range(len(blocks) - 1, 0, -1):
         v = (v * S[l]) @ blocks[l - 1][:-1].T
-    return _omega(np.broadcast_to(v, X.shape))
+    return omega_apply(np.broadcast_to(v, X.shape))
 
 
 def _mlp(blocks, X):
     A, _ = _forward(blocks, X)
     return A[-1] @ blocks[-1]
 
+
+_FIELD = {"hnn": _hnn_field, "naive": _mlp}
 
 # Tangent-pass arithmetic in which None stands for an exact zero array.
 
@@ -212,14 +213,14 @@ def _hnn_linearize(spec, params, blocks, X, Xdot):
     for l in range(L - 1, 0, -1):
         U[l] = V[l] * S[l]
         V[l - 1] = U[l] @ W[l - 1].T
-    R = _omega(V[0]) - Xdot
+    R = omega_apply(V[0]) - Xdot
     loss = float(np.sum(R * R) / B)
 
     grad = np.zeros(params.shape[0])
     G = unpack_blocks(spec, grad)
     SP, barv, baru = [None] * L, [None] * L, [None] * L
     barz, bara = [None] * L, [None] * L
-    barv[0] = -_omega((2.0 / B) * R)  # adjoint of dH/dx
+    barv[0] = -omega_apply((2.0 / B) * R)  # adjoint of dH/dx
     # phase A: adjoints through the input-gradient recurrence (l ascending)
     for l in range(1, L + 1):
         np.matmul(barv[l - 1].T, U[l], out=G[l - 1][:-1])
@@ -260,7 +261,8 @@ def _hnn_tangent(lin: Linearization, vec):
 
     hvp = np.zeros(lin.params.shape[0])
     H = unpack_blocks(lin.spec, hvp)
-    dbarv = None if dV[0] is None else -_omega((2.0 / B) * _omega(dV[0]))
+    dbarv = (None if dV[0] is None
+             else -omega_apply((2.0 / B) * omega_apply(dV[0])))
     dbarz = [None] * L
     for l in range(1, L + 1):
         hW = _sum(_mm(_t(dbarv), U[l]), _mm(lin.barv[l - 1].T, dU[l]))
@@ -346,31 +348,23 @@ def _naive_tangent(lin: Linearization, vec):
 # batch and takes every inner step in head space.
 
 
-def _omega_rows(M):
-    """Omega @ M: rows [M_p; -M_q].  Row j of Omega is the input direction
-    whose derivative Omega puts in output j; Omega^T = -Omega."""
-    n = M.shape[0] // 2
-    return np.concatenate((M[n:], -M[:n]))
-
-
 def _hnn_features(blocks, X):
     """(phi, A, S, TZ, T): TZ[l] and T[l] are the (2n, B, h_l) tangents of
-    z_l and a_l along the input directions of `_omega_rows`, and phi is
-    T[L-1]."""
+    z_l and a_l along the rows of Omega, and phi is T[L-1]."""
     A, S = _forward(blocks, X)
     L = len(blocks)
     B, d = X.shape
     TZ, T = [None] * L, [None] * L
     for l in range(1, L):
         if l == 1:
-            W1 = _omega_rows(blocks[0][:-1])
+            W1 = omega_apply(blocks[0][:-1].T).T  # Omega @ W_1
             TZ[l] = np.broadcast_to(W1[:, None, :], (d, B, W1.shape[1]))
         else:
             TZ[l] = (T[l - 1].reshape(d * B, -1)
                      @ blocks[l - 1][:-1]).reshape(d, B, -1)
         T[l] = S[l] * TZ[l]
     if L == 1:
-        return (np.broadcast_to(_omega_rows(np.eye(d))[:, None, :],
+        return (np.broadcast_to(omega_apply(np.eye(d)).T[:, None, :],
                                 (d, B, d)), A, S, TZ, T)
     return T[L - 1], A, S, TZ, T
 
@@ -501,8 +495,8 @@ def _head_tangent(lin: HeadLinearization, vec):
                 barTZ = barTZ.reshape(d * B, -1)
                 H[l - 1][:-1] = f.T[l - 1].reshape(d * B, -1).T @ barTZ
                 barT = (barTZ @ W.T).reshape(d, B, -1)
-            else:  # transpose of layer 1's folding, which is its negative
-                H[0][:-1] = -_omega_rows(barTZ.sum(axis=1))
+            else:  # Omega^T = -Omega undoes layer 1's folding
+                H[0][:-1] = -omega_apply(barTZ.sum(axis=1).T).T
         H[l - 1] += f.A[l - 1].T @ barz
         if l > 1:
             bara = barz @ W.T
@@ -522,35 +516,16 @@ def mlp_forward(spec: NetworkSpec, params, X) -> np.ndarray:
     return _by_rows(_mlp, blocks, X)
 
 
-@_quiet
 def hnn_field(spec: NetworkSpec, params, X) -> np.ndarray:
     """Predicted field Omega * dH/dx for a scalar-output network."""
-    _, blocks, X = _check(spec, params, X, want_scalar_out=True)
-    return _by_rows(_hnn_field, blocks, X)
+    return predicted_field(spec, params, X, "hnn")
 
 
 @_quiet
 def predicted_field(spec: NetworkSpec, params, X, loss_kind: str) -> np.ndarray:
     """Learner's vector-field prediction at states X."""
-    if loss_kind == "hnn":
-        return hnn_field(spec, params, X)
-    if loss_kind == "naive":
-        _, blocks, X = _check(spec, params, X, want_scalar_out=False)
-        return _by_rows(_mlp, blocks, X)
-    raise ValueError(f"unknown loss kind {loss_kind!r}")
-
-
-def _check_pair(spec, params, X, Xdot, loss_kind):
-    if loss_kind not in _LINEARIZE:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    params, blocks, X = _check(spec, params, X,
-                               want_scalar_out=loss_kind == "hnn")
-    Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
-    if Xdot.shape != X.shape:
-        raise ValueError("Xdot shape must match X")
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    return params, blocks, X, Xdot
+    _, blocks, X = _check(spec, params, X, loss_kind)
+    return _by_rows(_FIELD[loss_kind], blocks, X)
 
 
 @_quiet
@@ -561,10 +536,7 @@ def head_features(spec: NetworkSpec, params, X, loss_kind: str,
     keep_state=False builds phi alone, in row blocks, for a batch that is
     only scored, such as an evaluation grid.
     """
-    if loss_kind not in _LINEARIZE:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    params, blocks, X = _check(spec, params, X,
-                               want_scalar_out=loss_kind == "hnn")
+    params, blocks, X = _check(spec, params, X, loss_kind)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     body = params[: layer_slice(spec, spec.n_layers - 1).start].copy()
@@ -590,8 +562,13 @@ def loss_value(spec: NetworkSpec, params, X, Xdot, loss_kind: str) -> float:
 
 
 def _linearize(spec, params, X, Xdot, loss_kind) -> Linearization:
-    checked = _check_pair(spec, params, X, Xdot, loss_kind)
-    return _LINEARIZE[loss_kind](spec, *checked)
+    params, blocks, X = _check(spec, params, X, loss_kind)
+    Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
+    if Xdot.shape != X.shape:
+        raise ValueError("Xdot shape must match X")
+    if X.shape[0] == 0:
+        raise ValueError("empty batch")
+    return _LINEARIZE[loss_kind](spec, params, blocks, X, Xdot)
 
 
 @_quiet

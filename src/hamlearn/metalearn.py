@@ -14,9 +14,9 @@ scalar autodiff tape.
 
 A head-only learner (update set "last": hanil, naive_anil) has a field
 linear in its last layer, so its inner loss is exactly quadratic there.
-Its inner loop builds the batch's head features once (`fastops.head_features`)
-and steps in head space; the reverse sweep is the same loop, with each
-`loss_hvp` running on a head-space linearization.
+For it `adaptation_objective` builds a batch's head features once, and the
+inner loop steps in head space; the reverse sweep is the same loop, with
+each `loss_hvp` running on a head-space linearization.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class InnerConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if not self.lr > 0:
-            raise ValueError("inner lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("inner lr must be positive and finite")
         if self.update_set not in UPDATE_SETS:
             raise ValueError(f"unknown update set {self.update_set!r}")
 
@@ -70,8 +70,8 @@ class OuterConfig:
     def __post_init__(self):
         if self.episodes < 1 or self.task_batch < 1:
             raise ValueError("episodes and task_batch must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("outer lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("outer lr must be positive and finite")
 
 
 @dataclass
@@ -87,56 +87,68 @@ def adam_init(n_params: int) -> AdamState:
 
 def adam_update(state: AdamState, params: np.ndarray, grad: np.ndarray,
                 lr: float):
-    """One bias-corrected Adam step, no weight decay."""
+    """One bias-corrected Adam step, no weight decay.  An overflow gives
+    inf or NaN without a warning, for the caller's guard to report."""
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ValueError("params, grad and moments must share a shape")
     t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
-    mhat = m / (1.0 - ADAM_BETA1 ** t)
-    vhat = v / (1.0 - ADAM_BETA2 ** t)
-    return params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS), AdamState(m, v, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grad * grad)
+        mhat = m / (1.0 - ADAM_BETA1 ** t)
+        vhat = v / (1.0 - ADAM_BETA2 ** t)
+        return (params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS),
+                AdamState(m, v, t))
 
 
 # -- inner loop -----------------------------------------------------------------
 
 
-def _loss_grad_fn(spec, X, Xdot, loss_kind):
-    """theta -> (loss, grad, linearization or None)."""
-    if callable(loss_kind):
-        return lambda th: (*loss_kind(th), None)
-    return lambda th: fastops.loss_grad(spec, th, X, Xdot, loss_kind)
+def head_only(update_set: str) -> bool:
+    """Whether an update set adapts in head space (the last layer only)."""
+    return update_set == "last"
+
+
+def adaptation_objective(spec: NetworkSpec, theta0, X, Xdot, loss_kind: str,
+                         update_set: str):
+    """(sel, fn): theta[sel] is what one adaptation step on (X, Xdot)
+    writes, and fn(theta) is (loss, gradient on theta[sel], linearization).
+    A head-only update set steps in head space, on features of X built once
+    at theta0's body."""
+    if head_only(update_set):
+        features = fastops.head_features(spec, theta0, X, loss_kind)
+
+        def fn(theta):
+            lin = features.linearize(theta, Xdot)
+            return lin.loss, lin.grad, lin
+
+        return layer_slice(spec, spec.n_layers - 1), fn
+    mask = update_mask(spec, update_set)
+
+    def fn(theta):
+        loss, grad, lin = fastops.loss_grad(spec, theta, X, Xdot, loss_kind)
+        return loss, grad[mask], lin
+
+    return mask, fn
 
 
 def _adapt(spec, theta, X, Xdot, cfg: InnerConfig, loss_kind):
     """Masked gradient descent; returns (theta_S, [(theta_k, linearization
-    at theta_k) for k = 0 .. S-1]).
-
-    A head-only learner (update set "last", a named loss kind) descends in
-    head space: the features of X are built once at theta_0, and each step
-    is w <- w - lr * (2/B) sum_j phi_j^T R_j on them.
-    """
+    at theta_k) for k = 0 .. S-1])."""
     theta = np.array(theta, np.float64)
-    if cfg.steps and cfg.update_set == "last" and not callable(loss_kind):
-        features = fastops.head_features(spec, theta, X, loss_kind)
-
-        def fn(th):
-            lin = features.linearize(th, Xdot)
-            return lin.loss, lin.grad, lin
-
-        # the gradient covers the last layer only
-        sel, part = layer_slice(spec, spec.n_layers - 1), slice(None)
-    else:
-        fn = _loss_grad_fn(spec, X, Xdot, loss_kind)
-        sel = part = update_mask(spec, cfg.update_set)
     trace = []
+    if not cfg.steps:
+        return theta, trace
+    sel, fn = adaptation_objective(spec, theta, X, Xdot, loss_kind,
+                                   cfg.update_set)
     for k in range(cfg.steps):
         loss, grad, lin = fn(theta)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite training loss at inner step {k}")
         trace.append((theta, lin))
         theta = theta.copy()
-        theta[sel] -= cfg.lr * grad[part]
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta[sel] -= cfg.lr * grad  # the next guard reports an overflow
     return theta, trace
 
 
@@ -188,7 +200,8 @@ def meta_step(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
     if optimizer == "adam":
         theta_new, adam = adam_update(adam, theta, total_grad, outer_cfg.lr)
     elif optimizer == "sgd":
-        theta_new = theta - outer_cfg.lr * total_grad
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta_new = theta - outer_cfg.lr * total_grad
     else:
         raise ValueError(f"unknown optimizer {optimizer!r}")
     return theta_new, adam, float(total_loss)

@@ -43,16 +43,14 @@ class DomainError(ValueError):
 class IntegrationError(RuntimeError):
     """Adaptive integration failed; `t_failure` is the last reached time.
 
-    `times` and `states` hold the samples completed before the failure,
-    laid out as `integrate` returns them (empty when none was reached).
+    `integrate` sets `times` and `states` to the samples completed before
+    the failure, laid out as it returns them (empty when none was reached).
     """
 
-    def __init__(self, message: str, t_failure: float, times=None,
-                 states=None):
+    def __init__(self, message: str, t_failure: float):
         super().__init__(message)
         self.t_failure = float(t_failure)
-        self.times = np.empty(0) if times is None else times
-        self.states = np.empty((0, 0)) if states is None else states
+        self.times, self.states = np.empty(0), np.empty((0, 0))
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ def omega_apply(vec) -> np.ndarray:
     if vec.shape[-1] % 2:
         raise ValueError("phase vector length must be even")
     n = vec.shape[-1] // 2
-    out = np.empty_like(vec)
+    out = np.empty_like(vec, order="A")  # a transpose keeps its layout
     out[..., :n] = vec[..., n:]
     out[..., n:] = -vec[..., :n]
     return out
@@ -306,16 +304,15 @@ def _dopri45(fun, y0, t_bound, t_eval, rtol, atol, out):
 
 
 def integrate(field, x0, T_span: float, samples: int,
-              rtol: float = 1e-8, atol: float = 1e-10,
-              include_initial: bool = False):
+              rtol: float = 1e-8, atol: float = 1e-10):
     """Integrate xdot = field(x) with adaptive Dormand-Prince 5(4).
 
     The method is Dormand & Prince's 5(4) pair with Shampine's dense
     output, as in scipy's RK45, whose samples this reproduces bit for bit.
     field maps a flat state (2n,) to its derivative (2n,).  Returns
     (times, states) with states[k] the dense-output solution at
-    t_k = k*T/L; `include_initial` prepends the t = 0 row.  An empty or
-    non-finite x0, or a T that is not finite and positive, raises ValueError.
+    t_k = k*T/L.  An empty or non-finite x0, or a T that is not finite and
+    positive, raises ValueError.
 
     Failure to reach T raises IntegrationError.  Its t_failure is the time
     at which `field` was called when the derivative is non-finite or
@@ -329,11 +326,14 @@ def integrate(field, x0, T_span: float, samples: int,
     if x0.size == 0 or not np.isfinite(x0).all():
         raise ValueError("x0 must be a non-empty finite vector")
     times = sample_times(T_span, samples)
-    last_t = [0.0]
 
     def rhs(t, y):
-        last_t[0] = t
-        d = np.asarray(field(y), np.float64)
+        try:
+            d = np.asarray(field(y), np.float64)
+        except DomainError as exc:
+            raise IntegrationError(
+                f"field raised a domain error near t = {t:.6g}: {exc}",
+                t) from exc
         # a NaN derivative makes the step size NaN, and the step loop then
         # never ends
         if not np.isfinite(d).all():
@@ -347,24 +347,16 @@ def integrate(field, x0, T_span: float, samples: int,
 
     def reached_samples():
         states = np.vstack(blocks) if blocks else np.empty((0, x0.size))
-        t = times[: states.shape[0]]
-        if include_initial:
-            t, states = np.concatenate([[0.0], t]), np.vstack([x0, states])
-        return t, states
+        return times[: states.shape[0]], states
 
     try:
         reached = _dopri45(rhs, x0, t_end, times, rtol, atol, blocks)
-    except IntegrationError as exc:  # a non-finite derivative
+        if reached < samples:
+            t_fail = float(times[reached - 1]) if reached else 0.0
+            raise IntegrationError(
+                f"integration stalled at t = {t_fail:.6g}: Required step "
+                "size is less than spacing between numbers.", t_fail)
+    except IntegrationError as exc:
         exc.times, exc.states = reached_samples()
         raise
-    except DomainError as exc:
-        raise IntegrationError(
-            f"field raised a domain error near t = {last_t[0]:.6g}: {exc}",
-            last_t[0], *reached_samples()) from exc
-    if reached < samples:
-        t_fail = float(times[reached - 1]) if reached else 0.0
-        raise IntegrationError(
-            f"integration stalled at t = {t_fail:.6g}: Required step size "
-            "is less than spacing between numbers.", t_fail,
-            *reached_samples())
     return reached_samples()

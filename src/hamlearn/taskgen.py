@@ -42,6 +42,10 @@ STATE_RANGES = {
 # lattice resolution per axis for the evaluation grid
 GRID_PER_AXIS = {"spring_mass": 50, "pendulum": 50, "kepler": 10}
 
+# a trajectories-mode rollout: TRAJ_SAMPLES samples over TRAJ_SPAN seconds
+TRAJ_SAMPLES = 5
+TRAJ_SPAN = 1.0
+
 # a meta-test Kepler system must keep every lattice q-point clear of the
 # evaluation guard, with margin
 _GRID_CLEARANCE = KEPLER_MIN_SEP_EVAL + 0.05
@@ -85,6 +89,12 @@ def sample_params(system: str, rng: np.random.Generator) -> PhysicalParams:
     return PhysicalParams.from_vector(system, vals)
 
 
+def _separation(params: PhysicalParams, X: np.ndarray) -> np.ndarray:
+    """|q - q0| of each Kepler state (row) of X."""
+    return np.hypot(X[:, 0] - params.values["q0x"],
+                    X[:, 1] - params.values["q0y"])
+
+
 def sample_states(params: PhysicalParams, rng: np.random.Generator,
                   count: int) -> np.ndarray:
     """Uniform states (count, 2n); Kepler rejects |q - q0| < 0.5."""
@@ -96,15 +106,13 @@ def sample_states(params: PhysicalParams, rng: np.random.Generator,
     if params.system != "kepler":
         return rng.uniform(lo, hi, (count, len(ranges)))
     out = np.empty((count, 4))
-    q0 = np.array([params.values["q0x"], params.values["q0y"]])
     have = 0
     budget = _REJECT_FACTOR * count
     while have < count:
         if budget <= 0:
             raise RuntimeError("state sampling rejection budget exceeded")
         draw = rng.uniform(lo, hi, (count - have, 4))
-        sep = np.hypot(draw[:, 0] - q0[0], draw[:, 1] - q0[1])
-        keep = draw[sep >= KEPLER_MIN_SEP_SAMPLE]
+        keep = draw[_separation(params, draw) >= KEPLER_MIN_SEP_SAMPLE]
         out[have : have + keep.shape[0]] = keep
         have += keep.shape[0]
         budget -= count - have
@@ -150,34 +158,29 @@ def build_grid(params: PhysicalParams, per_axis: int | None = None) -> GridTestS
     return GridTestSet(states, true_field_many(params, states), per_axis)
 
 
-def _grid_safe(params: PhysicalParams, per_axis: int) -> bool:
+def _grid_safe(params: PhysicalParams) -> bool:
     """Kepler only: is every lattice q-point clear of the 1/r guard?"""
     if params.system != "kepler":
         return True
-    lo, hi = STATE_RANGES["kepler"][0]
-    axis = np.linspace(lo, hi, per_axis)
-    qx, qy = np.meshgrid(axis, axis, indexing="ij")
-    sep = np.hypot(qx - params.values["q0x"], qy - params.values["q0y"])
+    sep = _separation(params, _lattice("kepler", GRID_PER_AXIS["kepler"]))
     return bool(sep.min() >= _GRID_CLEARANCE)
 
 
 def _sample_trajectory_pairs(params: PhysicalParams, rng: np.random.Generator,
-                             K: int, L: int, T_span: float):
-    """K short rollouts, L samples each; analytic labels at sampled states."""
+                             K: int):
+    """K short rollouts; analytic labels at the sampled states."""
     xs = []
     f = field_fn(params)
     for _ in range(K):
         for attempt in range(50):
             x0 = sample_states(params, rng, 1)[0]
             try:
-                _, X = integrate(f, x0, T_span, L)
+                _, X = integrate(f, x0, TRAJ_SPAN, TRAJ_SAMPLES)
             except IntegrationError:
                 continue  # blow-up: draw a fresh initial state
-            if params.system == "kepler":
-                q0 = np.array([params.values["q0x"], params.values["q0y"]])
-                sep = np.hypot(X[:, 0] - q0[0], X[:, 1] - q0[1])
-                if sep.min() < KEPLER_MIN_SEP_SAMPLE:
-                    continue  # passed too close: these are training points
+            if (params.system == "kepler"
+                    and _separation(params, X).min() < KEPLER_MIN_SEP_SAMPLE):
+                continue  # passed too close: these are training points
             xs.append(X)
             break
         else:
@@ -186,22 +189,21 @@ def _sample_trajectory_pairs(params: PhysicalParams, rng: np.random.Generator,
     return states, true_field_many(params, states)
 
 
-def make_meta_test(system: str, mode: str, K: int, rng: np.random.Generator,
-                   L: int = 5, T_span: float = 1.0,
-                   per_axis: int | None = None) -> MetaTestSystem:
+def make_meta_test(system: str, mode: str, K: int,
+                   rng: np.random.Generator) -> MetaTestSystem:
     """One held-out system: K-shot observations plus the lattice test set.
 
     points mode: K independent (x, xdot) pairs.  trajectories mode: K
-    rollouts over T_span seconds sampled at t_k = k*T/L, so K*L pairs.
+    rollouts of TRAJ_SPAN seconds, each sampled at t_k = k*T/L for
+    L = TRAJ_SAMPLES, so K*L pairs.
     """
     if mode not in ("points", "trajectories"):
         raise ValueError(f"mode must be points|trajectories, got {mode!r}")
     if K < 1:
         raise ValueError("K must be >= 1")
-    per_axis = per_axis or GRID_PER_AXIS[system]
     for attempt in range(200):
         params = sample_params(system, rng)
-        if _grid_safe(params, per_axis):
+        if _grid_safe(params):
             break
     else:
         raise RuntimeError("could not sample grid-safe system parameters")
@@ -209,16 +211,16 @@ def make_meta_test(system: str, mode: str, K: int, rng: np.random.Generator,
         train_x = sample_states(params, rng, K)
         train_xdot = true_field_many(params, train_x)
     else:
-        train_x, train_xdot = _sample_trajectory_pairs(params, rng, K, L, T_span)
-    return MetaTestSystem(params, train_x, train_xdot,
-                          build_grid(params, per_axis), mode, K)
+        train_x, train_xdot = _sample_trajectory_pairs(params, rng, K)
+    return MetaTestSystem(params, train_x, train_xdot, build_grid(params),
+                          mode, K)
 
 
 def make_meta_test_suite(system: str, mode: str, K: int, seed: int,
-                         n_systems: int = 10, **kw) -> list:
+                         n_systems: int = 10) -> list:
     """The held-out systems used by one evaluation, independently seeded."""
     return [make_meta_test(system, mode, K,
-                           seeding.split(seed, seeding.TEST_SYSTEM, i), **kw)
+                           seeding.split(seed, seeding.TEST_SYSTEM, i))
             for i in range(n_systems)]
 
 

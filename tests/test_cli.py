@@ -366,10 +366,16 @@ CKPT = ["--checkpoint", "run/checkpoint.json"]
     ["rollout", "--oracle", "--T", "inf"],
     ["eval", *CKPT, "--k", "6", "--n-systems", "1", "--adapt-lr", "-1"],
     ["eval", *CKPT, "--k", "6", "--n-systems", "1", "--adapt-lr", "0"],
+    ["metatrain", "--dataset", "ds", *TRAIN_FLAGS, "--inner-lr", "inf"],
+    ["metatrain", "--dataset", "ds", *TRAIN_FLAGS, "--outer-lr", "inf"],
+    ["eval", *CKPT, "--k", "6", "--n-systems", "1", "--adapt-lr", "inf"],
+    ["eval", *CKPT, "--k", "6", "--n-systems", "1", "--adapt-lr", "1e308"],
 ], ids=["eval-no-systems", "eval-k0", "rollout-no-samples",
         "rollout-negative-T", "rollout-nan-x0", "eval-nan-lr",
         "curve-no-systems", "eval-hidden-conflict", "rollout-nan-T",
-        "rollout-inf-T", "eval-negative-lr", "eval-zero-lr"])
+        "rollout-inf-T", "eval-negative-lr", "eval-zero-lr",
+        "metatrain-inf-inner-lr", "metatrain-inf-outer-lr", "eval-inf-lr",
+        "eval-huge-lr"])
 def test_degenerate_input_fails_cleanly(tmp_path, argv):
     # a child process, so that an input that hangs fails the test at the
     # timeout instead of stalling the suite
@@ -624,9 +630,14 @@ def _kernels(*names):
 
 
 @pytest.mark.parametrize("argv", [["--version"], [], ["bogus"],
-                                  ["gen", "--tasks", "x"]],
+                                  ["gen", "--tasks", "x"],
+                                  ["gen", "--tasks", "0"],
+                                  ["metatrain", "--learner", "hnn_scratch"],
+                                  ["metatrain", "--learner", "hanil"],
+                                  ["ablate", "--counts", "50,10"]],
                          ids=["version", "no-command", "bad-command",
-                              "bad-flag"])
+                              "bad-flag", "gen-no-tasks", "metatrain-scratch",
+                              "metatrain-no-dataset", "ablate-descending"])
 def test_version_and_usage_errors_load_no_numpy(argv):
     proc, loaded = _loaded_modules(argv)
     assert proc.returncode == (0 if argv == ["--version"] else 1)

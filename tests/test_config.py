@@ -71,6 +71,7 @@ def test_parser_handles_comments_blanks_and_types(tmp_path):
     ("walrus = 3", "unknown key"),
     ("just some words", "key = value"),
     ("second_order = maybe", "boolean"),
+    ("inner_steps = 1.5", "inner_steps: invalid literal"),
 ])
 def test_parse_errors_carry_the_line_number(tmp_path, line, frag):
     path = tmp_path / "bad.cfg"
@@ -94,6 +95,9 @@ def test_env_seed_is_the_last_fallback(monkeypatch):
     assert resolve_config({}, {}).seed == 123
     assert resolve_config({"seed": 4}, {}).seed == 4
     assert resolve_config({}, {"seed": 5}).seed == 5
+    monkeypatch.setenv(ENV_SEED, "abc")
+    with pytest.raises(ValueError, match=f"{ENV_SEED}: invalid literal"):
+        resolve_config({}, {})
     monkeypatch.delenv(ENV_SEED)
     assert resolve_config({}, {}).seed == 0
 

@@ -274,9 +274,9 @@ def test_rollout_keeps_every_sample_the_learned_field_reached(monkeypatch):
     monkeypatch.setattr(E, "integrate", counted)
     monkeypatch.setattr(fastops, "predicted_field", _q_squared_field)
     params = spring()
-    report, Xp, Xt = E.rollout_eval(None, None, params, np.array([1.0, 0.5]),
-                                    T_span=20.0, samples=200,
-                                    with_states=True)
+    report = E.rollout_eval(None, None, params, np.array([1.0, 0.5]),
+                            T_span=20.0, samples=200)
+    Xp, Xt = report.pred_states, report.true_states
     assert report.times.shape == (10,)
     np.testing.assert_array_equal(report.times, sample_times(20.0, 200)[:10])
     assert report.failure_time == 1.0

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hamlearn import fastops
+from hamlearn import LEARNER_KINDS, fastops
 from hamlearn import metalearn as M
 from hamlearn.network import (NetworkSpec, init_params, layer_slice,
                               param_count, update_mask)
@@ -99,13 +100,16 @@ def test_inner_zero_steps_identity():
 
 
 def test_inner_one_step_quadratic():
-    # L = ||theta||^2 / 2 has gradient theta, so one step is (1 - lr) theta
-    spec = NetworkSpec(2, (4,), 1)
+    # one masked GD step is theta - lr * mask * grad, bit for bit
+    spec = NetworkSpec(2, (4, 3), 1)
     theta = init_params(spec, 3)
-    cfg = M.InnerConfig(steps=1, lr=0.25)
-    out = M.inner_adapt(spec, theta, None, None, cfg,
-                        loss_kind=lambda th: (0.5 * float(th @ th), th))
-    np.testing.assert_allclose(out, (1 - 0.25) * theta, rtol=1e-14)
+    task = spring_task(4)
+    cfg = M.InnerConfig(steps=1, lr=0.25, update_set="all_but_first")
+    out = M.inner_adapt(spec, theta, task.train_x, task.train_xdot, cfg)
+    _, grad, _ = fastops.loss_grad(spec, theta, task.train_x, task.train_xdot,
+                                   "hnn")
+    want = theta - cfg.lr * update_mask(spec, cfg.update_set) * grad
+    assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("update_set,frozen_layers", [
@@ -125,6 +129,25 @@ def test_masked_updates_freeze_exactly(update_set, frozen_layers):
     assert not np.array_equal(out[moved], theta[moved])
 
 
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_one_step_changes_exactly_the_update_mask(kind):
+    # one inner GD step and one evaluation Adam step, head space or not
+    from hamlearn.evaluation import adapt_params
+    learner = M.build_learner(kind, hidden=(5, 4))
+    theta = init_params(learner.spec, 3)
+    task = spring_task(6)
+    mask = update_mask(learner.spec, learner.inner.update_set)
+    inner = replace(learner.inner, steps=1)
+    for out in (M.inner_adapt(learner.spec, theta, task.train_x,
+                              task.train_xdot, inner, learner.loss_kind),
+                adapt_params(learner, theta, task.train_x, task.train_xdot,
+                             steps=1)):
+        assert out[~mask].tobytes() == theta[~mask].tobytes()
+        for layer in range(learner.spec.n_layers):
+            sl = layer_slice(learner.spec, layer)
+            assert np.any(out[sl] != theta[sl]) == bool(mask[sl].all())
+
+
 def test_masked_updates_freeze_exactly_graph_lane(lane):
     spec = NetworkSpec(2, (3,), 1)
     theta = init_params(spec, 7)
@@ -140,21 +163,23 @@ def test_masked_updates_freeze_exactly_graph_lane(lane):
     assert not np.array_equal(out_ids[head], ids[head])
 
 
-def test_nonfinite_inner_loss_names_the_step():
+def test_nonfinite_inner_loss_names_the_step(monkeypatch):
     spec = NetworkSpec(2, (3,), 1)
     theta = init_params(spec, 0)
+    task = spring_task(3)
+    real = fastops.loss_grad
     calls = []
 
-    def explode_later(th):
+    def explode_later(*args):
         calls.append(0)
-        if len(calls) > 2:
-            return float("inf"), np.zeros_like(th)
-        return 1.0, np.ones_like(th)
+        loss, grad, lin = real(*args)
+        return (float("inf") if len(calls) > 2 else loss), grad, lin
 
-    with pytest.raises(FloatingPointError, match="step 2"):
-        M.inner_adapt(spec, theta, None, None, M.InnerConfig(steps=5),
-                      loss_kind=explode_later)
-    task = spring_task(3)
+    with monkeypatch.context() as patch:
+        patch.setattr(fastops, "loss_grad", explode_later)
+        with pytest.raises(FloatingPointError, match="step 2"):
+            M.inner_adapt(spec, theta, task.train_x, task.train_xdot,
+                          M.InnerConfig(steps=5))
     with pytest.raises(FloatingPointError, match="step 0"):
         M.inner_adapt(spec, theta * 1e200, task.train_x, task.train_xdot,
                       M.InnerConfig(steps=1))
@@ -428,8 +453,8 @@ def test_learned_flow_conserves_learned_energy():
         theta = init_params(spec, seed)
         x0 = np.random.default_rng(seed).uniform(-1, 1, 2)
         field = lambda x: fastops.hnn_field(spec, theta, x[None, :])[0]
-        _, traj = integrate(field, x0, 1.0, 20, rtol=1e-8, atol=1e-10,
-                            include_initial=True)
+        _, traj = integrate(field, x0, 1.0, 20, rtol=1e-8, atol=1e-10)
+        traj = np.vstack([x0, traj])
         H = fastops.mlp_forward(spec, theta, traj)[:, 0]
         tol = 10 * (1e-8 * max(1.0, abs(H[0])) + 1e-10)
         assert np.max(np.abs(H - H[0])) < tol

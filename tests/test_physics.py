@@ -120,14 +120,6 @@ def test_integrate_harmonic_oscillator_analytic():
     np.testing.assert_allclose(X[:, 1], -np.sin(t), atol=1e-6)
 
 
-def test_integrate_include_initial():
-    par = P.PhysicalParams("spring_mass", {"m": 1, "k": 1, "q0": 0})
-    x0 = np.array([0.3, 0.2])
-    t, X = P.integrate(P.field_fn(par), x0, 1.0, 5, include_initial=True)
-    assert t[0] == 0.0 and len(t) == 6
-    np.testing.assert_array_equal(X[0], x0)
-
-
 @pytest.mark.parametrize("system", P.SYSTEMS)
 def test_energy_conservation_along_true_field(system):
     rng = RNG(hash(system) % 2**32)
@@ -262,10 +254,10 @@ def test_integration_error_carries_the_reached_samples():
         assert ei.value.states.shape == (k, 1)
         assert ei.value.states.tobytes() == want.tobytes()
         with pytest.raises(P.IntegrationError) as ei0:
-            P.integrate(lambda x: x * x, [x0], 10.0, 40, include_initial=True)
-        np.testing.assert_array_equal(ei0.value.times,
+            P.integrate(lambda x: x * x, [x0], 10.0, 40)
+        np.testing.assert_array_equal(np.concatenate([[0.0], ei0.value.times]),
                                       np.concatenate([[0.0], times[:k]]))
-        assert ei0.value.states.tobytes() == \
+        assert np.vstack([[x0], ei0.value.states]).tobytes() == \
             np.vstack([[x0], want]).tobytes()
     # a non-finite derivative at q = 2, reached at t = 1
     field = lambda x: np.array([1.0 if x[0] < 2 else np.inf, 0.0])
@@ -281,7 +273,8 @@ def test_integration_error_carries_the_reached_samples():
 def test_integrate_zero_field_with_initial_row_matches_scipy_rk45():
     x0 = np.array([1.0, -2.0])
     zero = lambda x: np.zeros_like(x)
-    t, X = P.integrate(zero, x0, 5.0, 10, include_initial=True)
+    t, X = P.integrate(zero, x0, 5.0, 10)
+    t, X = np.concatenate([[0.0], t]), np.vstack([x0, X])
     want_t, want_X = _rk45_oracle(zero, x0, 5.0, 10, 1e-8, 1e-10)
     np.testing.assert_array_equal(t, np.concatenate([[0.0], want_t]))
     assert X.tobytes() == np.vstack([x0, want_X]).tobytes()

@@ -124,7 +124,7 @@ def test_meta_test_points_mode():
 
 def test_meta_test_trajectories_mode():
     rng = np.random.default_rng(22)
-    sysm = make_meta_test("spring_mass", "trajectories", 10, rng, L=5, T_span=1.0)
+    sysm = make_meta_test("spring_mass", "trajectories", 10, rng)
     # K rollouts x L samples
     assert sysm.train_x.shape == (50, 2)
     np.testing.assert_array_equal(
@@ -135,14 +135,14 @@ def test_meta_test_trajectory_states_follow_the_flow():
     # consecutive samples of one rollout must nearly conserve the true H
     from hamlearn.physics import hamiltonian_many
     rng = np.random.default_rng(23)
-    sysm = make_meta_test("pendulum", "trajectories", 4, rng, L=5, T_span=1.0)
+    sysm = make_meta_test("pendulum", "trajectories", 4, rng)
     H = hamiltonian_many(sysm.params, sysm.train_x).reshape(4, 5)
     assert np.ptp(H, axis=1).max() < 1e-6
 
 
 def test_kepler_trajectory_samples_respect_separation():
     rng = np.random.default_rng(29)
-    sysm = make_meta_test("kepler", "trajectories", 3, rng, L=5, T_span=1.0)
+    sysm = make_meta_test("kepler", "trajectories", 3, rng)
     q0 = np.array([sysm.params.values["q0x"], sysm.params.values["q0y"]])
     sep = np.hypot(sysm.train_x[:, 0] - q0[0], sysm.train_x[:, 1] - q0[1])
     assert sep.min() >= 0.5
