@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from . import SYSTEMS
+from . import LEARNER_KINDS, SYSTEMS
 from .config import (RunConfig, load_checkpoint, read_config_file,
                      resolve_config, save_checkpoint, training_record,
                      version_string, write_provenance)
@@ -38,8 +38,12 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _hidden_arg(text: str):
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _comma_list(kind):
+    """argparse type: comma-separated `kind` values, blanks skipped."""
+    def read(text: str) -> tuple:
+        return tuple(kind(v) for v in text.split(",") if v.strip())
+    read.__name__ = f"comma-separated {kind.__name__}"  # in usage errors
+    return read
 
 
 def _common_flags(sub):
@@ -77,7 +81,7 @@ def build_parser() -> _Parser:
 
     m = sub.add_parser("metatrain", help="meta-train a learner on a dataset")
     m.add_argument("--dataset", help="dataset directory from gen")
-    m.add_argument("--learner")
+    m.add_argument("--learner", choices=LEARNER_KINDS)
     m.add_argument("--episodes", type=int)
     m.add_argument("--task-batch", dest="task_batch", type=int)
     m.add_argument("--inner-steps", dest="inner_steps", type=int)
@@ -85,7 +89,7 @@ def build_parser() -> _Parser:
     m.add_argument("--outer-lr", dest="outer_lr", type=float)
     m.add_argument("--first-order", dest="second_order", action="store_const",
                    const=False)
-    m.add_argument("--hidden", type=_hidden_arg)
+    m.add_argument("--hidden", type=_comma_list(int))
     m.add_argument("--optimizer", choices=("adam", "sgd"), default="adam",
                    help="outer update rule; sgd exists for exactness tests")
     m.add_argument("--resume", help="checkpoint to continue from")
@@ -95,14 +99,14 @@ def build_parser() -> _Parser:
     e = sub.add_parser("eval", help="adapt to held-out systems and score")
     e.add_argument("--checkpoint", help="required unless learner is "
                    "hnn_scratch")
-    e.add_argument("--learner")
+    e.add_argument("--learner", choices=LEARNER_KINDS)
     e.add_argument("--system", choices=SYSTEMS)
     e.add_argument("--mode", choices=("points", "trajectories"))
     e.add_argument("--k", type=int)
     e.add_argument("--steps", dest="adapt_steps", type=int)
     e.add_argument("--adapt-lr", dest="adapt_lr", type=float)
     e.add_argument("--n-systems", dest="n_systems", type=int)
-    e.add_argument("--hidden", type=_hidden_arg)
+    e.add_argument("--hidden", type=_comma_list(int))
     _common_flags(e)
     e.set_defaults(func=cmd_eval)
 
@@ -111,8 +115,8 @@ def build_parser() -> _Parser:
     r.add_argument("--oracle", action="store_true",
                    help="integrate the analytic field as the learner")
     r.add_argument("--system", choices=SYSTEMS)
-    r.add_argument("--x0", help="comma-separated initial state; sampled "
-                   "from the state region when omitted")
+    r.add_argument("--x0", type=_comma_list(float), help="comma-separated "
+                   "initial state; sampled from the state region when omitted")
     r.add_argument("--T", dest="t_span", type=float, default=20.0)
     r.add_argument("--samples", type=int, default=200)
     r.add_argument("--k", type=int)
@@ -123,9 +127,11 @@ def build_parser() -> _Parser:
     r.set_defaults(func=cmd_rollout)
 
     a = sub.add_parser("ablate", help="task-count sweep or learning curve")
-    a.add_argument("--counts", default="10,50,200,500,1000",
+    a.add_argument("--counts", type=_comma_list(int),
+                   default="10,50,200,500,1000",
                    help="comma-separated ascending task counts")
-    a.add_argument("--learners", default="hanil,hnn_pretrained")
+    a.add_argument("--learners", type=_comma_list(str),
+                   default="hanil,hnn_pretrained")
     a.add_argument("--step-range", dest="step_range",
                    help="0:N  -> export the adaptation learning curve "
                    "for --checkpoint instead of sweeping task counts")
@@ -138,7 +144,7 @@ def build_parser() -> _Parser:
     a.add_argument("--episodes", type=int)
     a.add_argument("--task-batch", dest="task_batch", type=int)
     a.add_argument("--inner-steps", dest="inner_steps", type=int)
-    a.add_argument("--hidden", type=_hidden_arg)
+    a.add_argument("--hidden", type=_comma_list(int))
     _common_flags(a)
     a.set_defaults(func=cmd_ablate)
     return p
@@ -320,7 +326,7 @@ def cmd_rollout(args) -> int:
         theta = adapt_params(learner, theta, X, true_field_many(params, X),
                              cfg.adapt_steps, cfg.adapt_lr)
     if args.x0:
-        x0 = np.array([float(v) for v in args.x0.split(",") if v.strip()])
+        x0 = np.array(args.x0)
         if x0.size != 2 * params.n:
             raise UsageError(f"--x0 needs {2 * params.n} components")
     else:
@@ -378,14 +384,12 @@ def cmd_ablate(args) -> int:
                 fh.write(f"{step},{_fmt(mse)}\n")
         print(f"learning curve (0..{hi}) in {path}")
         return 0
-    counts = [int(c) for c in args.counts.split(",") if c.strip()]
-    if not counts:
-        raise UsageError("--counts must name at least one task count")
-    if counts != sorted(set(counts)) or counts[0] < 1:
-        raise UsageError("--counts must be positive and strictly ascending")
-    kinds = [k for k in args.learners.split(",") if k.strip()]
-    if not kinds:
-        raise UsageError("--learners must name at least one learner")
+    counts, kinds = list(args.counts), args.learners
+    if not counts or counts != sorted(set(counts)) or counts[0] < 1:
+        raise UsageError("--counts must be one or more positive, strictly "
+                         "ascending task counts")
+    if not kinds or not set(kinds) <= set(LEARNER_KINDS):
+        raise UsageError("--learners must be among " + ",".join(LEARNER_KINDS))
     from .evaluation import ablation_tasks
     write_provenance(cfg.out_dir, cfg)
     table = ablation_tasks(kinds, counts, cfg.system, cfg.mode, cfg.k,

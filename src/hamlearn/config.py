@@ -29,6 +29,14 @@ TRAINING_KEYS = ("inner_steps", "inner_lr", "outer_lr", "task_batch",
 
 ENV_SEED = "HAMLEARN_SEED"
 
+# What loading reads from a checkpoint: a tuple of allowed values, a set of
+# JSON types, a one-item list for a list of those, or a nested object.
+_CHECKPOINT_FIELDS = {
+    "learner": LEARNER_KINDS, "system": SYSTEMS, "episode": {int},
+    "input_dim": {int}, "hidden": [{int}], "output_dim": {int},
+    "activation": {str}, "params": [{int, float}],
+    "adam": {"m": [{int, float}], "v": [{int, float}], "t": {int}}}
+
 
 @dataclass
 class RunConfig:
@@ -189,6 +197,15 @@ def version_string() -> str:
 # -- checkpoints ----------------------------------------------------------------
 
 
+def _conforms(value, kind) -> bool:
+    if isinstance(kind, dict):
+        return type(value) is dict and all(_conforms(value.get(k), t)
+                                           for k, t in kind.items())
+    if isinstance(kind, list):
+        return type(value) is list and set(map(type, value)) <= kind[0]
+    return value in kind if isinstance(kind, tuple) else type(value) in kind
+
+
 def training_record(cfg: RunConfig, optimizer: str) -> dict:
     """The settings of a training run that a checkpoint records."""
     record = {key: getattr(cfg, key) for key in TRAINING_KEYS}
@@ -246,12 +263,15 @@ def load_checkpoint(path: str):
     from .network import ACTIVATION, param_count
     with open(path) as fh:
         blob = json.load(fh)
-    if blob.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+    if type(blob) is not dict or \
+            blob.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format in {path}")
-    kind = blob["learner"]
-    if kind not in LEARNER_KINDS:
-        raise ValueError(f"checkpoint has unknown learner {kind!r}")
-    learner = build_learner(kind, blob["input_dim"], tuple(blob["hidden"]))
+    bad = [key for key, kind in _CHECKPOINT_FIELDS.items()
+           if not _conforms(blob.get(key), kind)]
+    if bad:
+        raise ValueError(f"checkpoint {path} has a bad or missing {bad[0]!r}")
+    learner = build_learner(blob["learner"], blob["input_dim"],
+                            tuple(blob["hidden"]))
     spec = learner.spec
     if spec.output_dim != blob["output_dim"] or \
             blob["activation"] != ACTIVATION:
@@ -261,7 +281,7 @@ def load_checkpoint(path: str):
         raise ValueError("checkpoint parameter count does not match its shape")
     adam = AdamState(np.asarray(blob["adam"]["m"], np.float64),
                      np.asarray(blob["adam"]["v"], np.float64),
-                     int(blob["adam"]["t"]))
+                     blob["adam"]["t"])
     if adam.m.shape != theta.shape or adam.v.shape != theta.shape:
         raise ValueError("checkpoint moment shapes do not match parameters")
     return learner, theta, adam, blob

@@ -169,15 +169,23 @@ def _true_energies(true_params: PhysicalParams, X: np.ndarray):
     return out, X.shape[0]
 
 
+def _reached(field, x0, T_span: float, samples: int):
+    """(states integrate reached, failure time or None)."""
+    try:
+        return integrate(field, x0, T_span, samples)[1], None
+    except IntegrationError as err:
+        return err.states, err.t_failure
+
+
 def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
                  T_span: float = 20.0, samples: int = 200,
                  loss_kind: str = "hnn") -> RolloutReport:
     """Integrate the learner's field against the true flow from x0.
 
     state_mse(t) = ||x_pred(t) - x_true(t)||^2 and energy_mse(t) =
-    (H_true(x_pred) - H_true(x_true))^2 at t_k = k * T / samples.  If the
-    learned field blows up, the series is truncated at the last completed
-    sample and failure_time records where integration stopped.
+    (H_true(x_pred) - H_true(x_true))^2 at t_k = k * T / samples.  If either
+    integration fails or a sample crosses the evaluation guard, the series
+    stop at the last good sample and failure_time records the earliest stop.
 
     loss_kind "oracle" integrates the true field on both sides, which
     bounds the integrator noise floor of the two MSE series.  Both sides
@@ -193,28 +201,20 @@ def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
             return fastops.predicted_field(spec, params_adapted, x[None, :],
                                            loss_kind)[0]
 
-    failure = None
-    try:
-        _, Xp = integrate(pred_field, x0, T_span, samples)
-    except IntegrationError as err:
-        failure, Xp = err.t_failure, err.states
+    Xp, failure = _reached(pred_field, x0, T_span, samples)
     n = Xp.shape[0]
-    times = sample_times(T_span, samples)[:n]
-    if n > 0:
-        _, Xt = integrate(field_fn(true_params), x0, n * T_span / samples, n)
-    else:
-        Xt = np.empty((0, x0.size))
+    Xt, true_failure = (_reached(field_fn(true_params), x0,
+                                 n * T_span / samples, n) if n else (Xp, None))
     Hp, kp = _true_energies(true_params, Xp)
     Ht, kt = _true_energies(true_params, Xt)
-    kept = min(kp, kt)
-    if kept < n:
-        # a trajectory crossed the evaluation guard: stop at the last good sample
+    kept, times = min(kp, kt), sample_times(T_span, samples)
+    if kept < Xt.shape[0]:  # a sample crossed the evaluation guard
         failure = float(times[kept])
-        times, Xp, Xt = times[:kept], Xp[:kept], Xt[:kept]
-        Hp, Ht = Hp[:kept], Ht[:kept]
-    state_mse = np.sum((Xp - Xt) ** 2, axis=1)
-    energy_mse = (Hp - Ht) ** 2
-    return RolloutReport(times, state_mse, energy_mse, Xp, Xt, failure)
+    elif true_failure is not None:  # the true orbit stopped first
+        failure = min(f for f in (failure, true_failure) if f is not None)
+    Xp, Xt, Hp, Ht = Xp[:kept], Xt[:kept], Hp[:kept], Ht[:kept]
+    return RolloutReport(times[:kept], np.sum((Xp - Xt) ** 2, axis=1),
+                         (Hp - Ht) ** 2, Xp, Xt, failure)
 
 
 def ablation_tasks(kinds, task_counts, system: str, mode: str, K: int,

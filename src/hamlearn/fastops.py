@@ -516,11 +516,6 @@ def mlp_forward(spec: NetworkSpec, params, X) -> np.ndarray:
     return _by_rows(_mlp, blocks, X)
 
 
-def hnn_field(spec: NetworkSpec, params, X) -> np.ndarray:
-    """Predicted field Omega * dH/dx for a scalar-output network."""
-    return predicted_field(spec, params, X, "hnn")
-
-
 @_quiet
 def predicted_field(spec: NetworkSpec, params, X, loss_kind: str) -> np.ndarray:
     """Learner's vector-field prediction at states X."""

@@ -76,31 +76,17 @@ def layer_slice(spec: NetworkSpec, layer: int) -> slice:
     return slice(o, o + (fi + 1) * fo)
 
 
-def param_indices(spec: NetworkSpec, layers) -> np.ndarray:
-    """Sorted flat indices of the selected layers' parameters."""
-    layers = sorted(set(int(l) for l in layers))
-    if not layers:
-        raise ValueError("empty layer selection")
-    parts = [np.arange(layer_slice(spec, l).start, layer_slice(spec, l).stop)
-             for l in layers]
-    return np.concatenate(parts)
-
-
 def update_mask(spec: NetworkSpec, update_set: str) -> np.ndarray:
-    """Boolean mask over the flat vector for an inner-loop update set."""
+    """Boolean mask over the flat vector for an inner-loop update set.
+    Every update set runs from its first layer to the output: a suffix."""
     L = spec.n_layers
-    if update_set == "all":
-        layers = range(L)
-    elif update_set == "last":
-        layers = [L - 1]
-    elif update_set == "all_but_first":
-        if L < 2:
-            raise ValueError("all_but_first needs at least two layers")
-        layers = range(1, L)
-    else:
+    if update_set not in UPDATE_SETS:
         raise ValueError(f"update_set must be one of {UPDATE_SETS}")
+    if update_set == "all_but_first" and L < 2:
+        raise ValueError("all_but_first needs at least two layers")
+    first = {"all": 0, "last": L - 1, "all_but_first": 1}[update_set]
     mask = np.zeros(param_count(spec), bool)
-    mask[param_indices(spec, layers)] = True
+    mask[layer_slice(spec, first).start :] = True
     return mask
 
 
@@ -125,8 +111,3 @@ def unpack_blocks(spec: NetworkSpec, params: np.ndarray):
                          f"(expected {param_count(spec)})")
     return [params[o : o + (fi + 1) * fo].reshape(fi + 1, fo)
             for o, fi, fo in _block_layout(spec)]
-
-
-def unpack(spec: NetworkSpec, params: np.ndarray):
-    """Per-layer (W, b) views into the flat vector; W has shape (fan_in, fan_out)."""
-    return [(P[:-1], P[-1]) for P in unpack_blocks(spec, params)]

@@ -87,13 +87,6 @@ class PhysicalParams:
         return cls(system, dict(zip(names, (float(v) for v in vec))))
 
 
-def _flat_state(params: PhysicalParams, x) -> np.ndarray:
-    x = np.asarray(x, np.float64).ravel()
-    if x.shape[0] != 2 * params.n:
-        raise ValueError(f"state length {x.shape[0]} != 2n = {2 * params.n}")
-    return x
-
-
 def _kepler_sep(params: PhysicalParams, Q: np.ndarray) -> np.ndarray:
     q0 = np.array([params.values["q0x"], params.values["q0y"]])
     d = Q - q0
@@ -145,16 +138,6 @@ def true_field_many(params: PhysicalParams, X) -> np.ndarray:
         out[:, :n] = P / v["m"]
         out[:, n:] = -GRAV_CONST * v["M"] * v["m"] * (Q - q0) / r[:, None] ** 3
     return out
-
-
-def hamiltonian(params: PhysicalParams, x) -> float:
-    """Energy at one flat state."""
-    return float(hamiltonian_many(params, _flat_state(params, x)[None])[0])
-
-
-def true_field(params: PhysicalParams, x) -> np.ndarray:
-    """Analytic field at one flat state."""
-    return true_field_many(params, _flat_state(params, x)[None])[0]
 
 
 def field_fn(params: PhysicalParams):

@@ -14,7 +14,6 @@ import numpy as np
 TASK = 0          # meta-train task index
 TEST_SYSTEM = 1   # held-out evaluation system index
 EPISODE = 2       # outer-loop episode index
-INIT = 3          # network initialization
 ROLLOUT = 4       # rollout initial states
 ABLATE = 5        # per-task-count ablation reseeding
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seeding
+from . import SYSTEMS, seeding
 from .physics import (DOF, PARAM_NAMES, KEPLER_MIN_SEP_SAMPLE,
                       KEPLER_MIN_SEP_EVAL, IntegrationError, PhysicalParams,
                       field_fn, integrate, true_field_many)
@@ -67,7 +67,7 @@ class Task:
 @dataclass
 class GridTestSet:
     states: np.ndarray       # (G, 2n) lattice over the sampling region
-    derivatives: np.ndarray  # true_field at each lattice point
+    derivatives: np.ndarray  # true field at each lattice point
     per_axis: int
 
 
@@ -318,12 +318,15 @@ class TaskPool(Sequence):
 
     def __init__(self, task_dir: str, system: str, n_tasks: int,
                  n_points: int):
-        self._files = [os.path.join(task_dir, f"task_{i:05d}.csv")
-                       for i in range(n_tasks)]
         present = set(os.listdir(task_dir))
-        missing = [f for f in self._files if os.path.basename(f) not in present]
+        # one of the first len(present) + 1 names is missing if any is
+        names = [f"task_{i:05d}.csv" for i in range(min(n_tasks,
+                                                        len(present) + 1))]
+        missing = [n for n in names if n not in present]
         if missing:
-            raise FileNotFoundError(f"dataset is missing {missing[0]}")
+            raise FileNotFoundError(f"dataset is missing "
+                                    f"{os.path.join(task_dir, missing[0])}")
+        self._files = [os.path.join(task_dir, n) for n in names]
         self._system = system
         self._n_points = n_points
         self._tasks = [None] * n_tasks
@@ -349,16 +352,18 @@ def load_dataset(path: str):
     The manifest is checked and every task file must exist, but a task
     file is parsed only when its task is first indexed (see TaskPool).
     """
-    with open(os.path.join(path, "manifest.json")) as fh:
+    fname = os.path.join(path, "manifest.json")
+    with open(fname) as fh:
         manifest = json.load(fh)
-    if manifest.get("format_version") != DATASET_FORMAT_VERSION:
-        raise ValueError("unsupported dataset format version")
+    if type(manifest) is not dict or \
+            manifest.get("format_version") != DATASET_FORMAT_VERSION:
+        raise ValueError(f"unsupported dataset format in {fname}")
     system = manifest.get("system")
-    if system not in DOF:
-        raise ValueError(f"dataset has unknown system {system!r}")
+    if system not in SYSTEMS:  # a tuple: an unhashable value is no error
+        raise ValueError(f"{fname} has unknown system {system!r}")
     n_tasks, n_points = manifest.get("n_tasks"), manifest.get("n_points")
     for key, value in (("n_tasks", n_tasks), ("n_points", n_points)):
         if type(value) is not int or value < 0:
-            raise ValueError(f"dataset manifest has bad {key} {value!r}")
+            raise ValueError(f"{fname} has bad {key} {value!r}")
     return manifest, TaskPool(os.path.join(path, "tasks"), system, n_tasks,
                               n_points)

@@ -17,7 +17,7 @@ from hamlearn.metalearn import InnerConfig
 from hamlearn.network import (NetworkSpec, _block_layout, param_count,
                               update_mask)
 from hamlearn.physics import (GRAV_ACC, GRAV_CONST, PhysicalParams,
-                              _flat_state, omega_apply)
+                              omega_apply)
 
 from . import tape as T
 
@@ -224,7 +224,7 @@ def hamiltonian_graph(g: T.Graph, params: PhysicalParams, x_ids) -> int:
 
 def graph_field(params: PhysicalParams, x) -> np.ndarray:
     """Omega * (tape gradient of the tape-built H); cross-check route."""
-    x = _flat_state(params, x)
+    x = np.asarray(x, np.float64).ravel()
     g = T.Graph()
     x_ids = g.leaf_many(x)
     h = hamiltonian_graph(g, params, x_ids)

@@ -2,13 +2,18 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hamlearn
 from hamlearn import seeding
@@ -78,10 +83,31 @@ def test_no_subcommand_is_a_usage_error(capsys):
     ["ablate", "--counts", "10,10"],
     ["ablate", "--step-range", "5:2", "--checkpoint", "run/checkpoint.json"],
     ["rollout", "--checkpoint", "run/checkpoint.json", "--x0", "1.0"],
+    ["ablate", "--counts", "10,x"],
+    ["rollout", "--oracle", "--x0", "1,y"],
+    ["ablate", "--counts", "10,20", "--learners", "hanil,foo",
+     "--n-systems", "1", "--k", "5"],
+    ["metatrain", "--learner", "foo"],
+    ["eval", "--learner", "foo"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["ablate", "--counts", "10,x"], "--counts"),
+    (["rollout", "--oracle", "--x0", "1,y"], "--x0"),
+    (["eval", "--learner", "hnn_scratch", "--hidden", "6,z"], "--hidden"),
+    (["ablate", "--counts", "10,20", "--learners", "hanil,foo"],
+     "--learners"),
+    (["metatrain", "--dataset", "ds", "--learner", "foo"], "--learner"),
+])
+def test_bad_flag_values_name_the_flag(tmp_path, argv, flag, capsys):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runtime_errors_exit_2(capsys):
@@ -144,6 +170,82 @@ def test_non_finite_pretraining_exits_2(tmp_path, capsys):
     ckpt = out / "checkpoint.json"
     if ckpt.exists():
         json.loads(ckpt.read_text(), parse_constant=_reject_constant)
+
+
+# -- JSON inputs of the wrong shape ------------------------------------------------
+
+
+def _tampered_input(root, kind, mutate) -> str:
+    """Path of a copy, under root, of the shared checkpoint (kind
+    "checkpoint") or dataset directory ("manifest"), whose JSON file is
+    rewritten as mutate maps it."""
+    if kind == "checkpoint":
+        path = target = Path(root) / "checkpoint.json"
+        shutil.copy("run/checkpoint.json", path)
+    else:
+        target = Path(root) / "ds"
+        shutil.copytree("ds", target)
+        path = target / "manifest.json"
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    return str(target)
+
+
+def _replace(key, value):
+    return lambda blob: {**blob, key: value}
+
+
+JSON_INPUT_COMMANDS = {
+    "eval": ["eval", "--k", "6", "--n-systems", "1", "--steps", "2",
+             "--checkpoint"],
+    "resume": ["metatrain", "--dataset", "ds", "--learner", "hanil",
+               *TRAIN_FLAGS, "--resume"],
+    "metatrain": ["metatrain", "--learner", "hanil", *TRAIN_FLAGS,
+                  "--episodes", "1", "--dataset"],
+}
+
+
+@pytest.mark.parametrize("cmd,kind,mutate,key", [
+    ("eval", "checkpoint", _replace("hidden", 5), "hidden"),
+    ("resume", "checkpoint", _replace("hidden", 5), "hidden"),
+    ("eval", "checkpoint", _replace("input_dim", "4"), "input_dim"),
+    ("resume", "checkpoint", _replace("episode", "3"), "episode"),
+    ("eval", "checkpoint", lambda blob: [blob], None),
+    ("metatrain", "manifest", lambda blob: [blob], None),
+    ("metatrain", "manifest", _replace("system", ["kepler"]), "system"),
+], ids=["eval-hidden-int", "resume-hidden-int", "eval-input-dim-str",
+        "resume-episode-str", "checkpoint-array", "manifest-array",
+        "manifest-system-list"])
+def test_json_input_of_the_wrong_type_exits_2(tmp_path, cmd, kind, mutate,
+                                               key, capsys):
+    path = _tampered_input(tmp_path, kind, mutate)
+    argv = [*JSON_INPUT_COMMANDS[cmd], path, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert path in err and (key is None or key in err)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_any_json_value_in_any_field_exits_0_or_2(data):
+    cmd = data.draw(st.sampled_from(sorted(JSON_INPUT_COMMANDS)))
+    kind = "manifest" if cmd == "metatrain" else "checkpoint"
+    source = "ds/manifest.json" if kind == "manifest" else "run/checkpoint.json"
+    key = data.draw(st.sampled_from(sorted(json.loads(
+        Path(source).read_text()))))
+    value = data.draw(JSON_VALUES)
+    with tempfile.TemporaryDirectory() as root:
+        path = _tampered_input(root, kind, _replace(key, value))
+        assert main([*JSON_INPUT_COMMANDS[cmd], path, "--out",
+                     os.path.join(root, "o")]) in (0, 2)
 
 
 def _corrupt_dataset(tmp_path, corrupt):
@@ -634,10 +736,19 @@ def _kernels(*names):
                                   ["gen", "--tasks", "0"],
                                   ["metatrain", "--learner", "hnn_scratch"],
                                   ["metatrain", "--learner", "hanil"],
-                                  ["ablate", "--counts", "50,10"]],
+                                  ["ablate", "--counts", "50,10"],
+                                  ["ablate", "--counts", "10,x"],
+                                  ["rollout", "--oracle", "--x0", "1,y"],
+                                  ["ablate", "--learners", "hanil,foo"],
+                                  ["metatrain", "--learner", "foo"],
+                                  ["eval", "--learner", "foo"]],
                          ids=["version", "no-command", "bad-command",
                               "bad-flag", "gen-no-tasks", "metatrain-scratch",
-                              "metatrain-no-dataset", "ablate-descending"])
+                              "metatrain-no-dataset", "ablate-descending",
+                              "ablate-bad-count", "rollout-bad-x0",
+                              "ablate-unknown-learner",
+                              "metatrain-unknown-learner",
+                              "eval-unknown-learner"])
 def test_version_and_usage_errors_load_no_numpy(argv):
     proc, loaded = _loaded_modules(argv)
     assert proc.returncode == (0 if argv == ["--version"] else 1)

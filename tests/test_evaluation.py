@@ -357,6 +357,23 @@ def test_rollout_blowup_reports_failure_time():
         assert np.all(report.state_mse >= 0)  # may overflow near the blow-up
 
 
+def test_rollout_stops_where_the_true_orbit_fails():
+    # a zero network holds x0 still, while the true orbit falls from rest
+    # straight into the centre and crosses the evaluation guard near t = 1.1
+    params = PhysicalParams("kepler", {"M": 1, "m": 1, "q0x": 0, "q0y": 0})
+    spec = NetworkSpec(4, (3,), 1)
+    x0 = np.array([1.0, 0.0, 0.0, 0.0])
+    report = E.rollout_eval(spec, np.zeros(param_count(spec)), params, x0,
+                            T_span=5.0, samples=50)
+    assert report.failure_time is not None
+    assert 1.0 < report.failure_time < 1.2
+    n = report.times.size
+    assert 0 < n < 50 and report.times[-1] <= report.failure_time
+    assert report.true_states.shape == (n, 4)
+    np.testing.assert_array_equal(report.pred_states, np.tile(x0, (n, 1)))
+    assert report.state_mse.shape == report.energy_mse.shape == (n,)
+
+
 # -- structural property -----------------------------------------------------------
 
 
@@ -366,7 +383,7 @@ def test_hnn_field_is_symplectically_divergence_free():
     rng = np.random.default_rng(8)
     pts = rng.uniform(-2, 2, (50, 2))
     h = 1e-5
-    scale = np.abs(fastops.hnn_field(spec, theta, pts)).max()
+    scale = np.abs(fastops.predicted_field(spec, theta, pts, "hnn")).max()
 
     def div(spec_, th_, kind, x):
         eq = np.array([h, 0.0])

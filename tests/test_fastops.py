@@ -56,7 +56,7 @@ def test_hnn_field_matches_tape_route(lane):
     spec = N.NetworkSpec(4, (8, 7), 1)
     params = rand_net(3, spec)
     X = RNG(4).uniform(-2, 2, (6, 4))
-    np.testing.assert_allclose(F.hnn_field(spec, params, X),
+    np.testing.assert_allclose(F.predicted_field(spec, params, X, "hnn"),
                                tape_hnn_field(spec, params, X),
                                rtol=1e-12, atol=1e-14)
 
@@ -181,8 +181,8 @@ def test_hnn_last_bias_gradient_is_exactly_zero(lane):
     assert hvp[-1] == 0.0
     shifted = params.copy()
     shifted[-1] += 5.0
-    np.testing.assert_array_equal(F.hnn_field(spec, params, X),
-                                  F.hnn_field(spec, shifted, X))
+    np.testing.assert_array_equal(F.predicted_field(spec, params, X, "hnn"),
+                                  F.predicted_field(spec, shifted, X, "hnn"))
 
 
 def tape_loss_hvp(spec, params, X, Xd, v, kind):
@@ -219,7 +219,7 @@ def test_single_layer_network_edge_case(lane):
     params = np.array([0.7, -0.4, 0.9])  # w1, w2, b
     X = RNG(15).uniform(-1, 1, (4, 2))
     Xd = np.zeros((4, 2))
-    FF = F.hnn_field(spec, params, X)
+    FF = F.predicted_field(spec, params, X, "hnn")
     np.testing.assert_allclose(FF, np.tile([-0.4, -0.7], (4, 1)), rtol=1e-15)
     _, grad, _ = F.loss_grad(spec, params, X, Xd, "hnn")
     fd = fd_grad(lambda th: F.loss_value(spec, th, X, Xd, "hnn"), params)
@@ -288,7 +288,7 @@ def test_grid_head_features_are_built_in_row_blocks():
     grid = F.head_features(spec, params, X, "hnn", keep_state=False)
     assert grid.S is None
     np.testing.assert_allclose(grid.field(params),
-                               F.hnn_field(spec, params, X),
+                               F.predicted_field(spec, params, X, "hnn"),
                                rtol=1e-13, atol=1e-15)
     whole = F.head_features(spec, params, X, "hnn")
     np.testing.assert_array_equal(grid.phi, whole.phi)

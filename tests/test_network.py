@@ -19,7 +19,7 @@ def ref_forward(spec, params, X, activation="softplus"):
         "relu": lambda z: np.maximum(z, 0.0),
     }[activation]
     a = np.atleast_2d(X)
-    layers = N.unpack(spec, params)
+    layers = [(P[:-1], P[-1]) for P in N.unpack_blocks(spec, params)]
     for i, (W, b) in enumerate(layers):
         z = a @ W + b
         a = act(z) if i < len(layers) - 1 else z
@@ -50,7 +50,8 @@ def test_init_deterministic_and_bounded():
     p2 = N.init_params(spec, 123)
     assert np.array_equal(p1, p2)
     assert not np.array_equal(p1, N.init_params(spec, 124))
-    for (W, b), fan_in in zip(N.unpack(spec, p1), spec.dims[:-1]):
+    for P, fan_in in zip(N.unpack_blocks(spec, p1), spec.dims[:-1]):
+        W, b = P[:-1], P[-1]
         bound = 1.0 / np.sqrt(fan_in)
         assert np.all(np.abs(W) <= bound)
         assert np.all(b == 0.0)
@@ -124,18 +125,10 @@ def test_input_gradient_matches_fd():
 def test_layer_slices_and_indices():
     spec = N.NetworkSpec(2, (64, 64, 64), 1)
     P = N.param_count(spec)
-    last = N.param_indices(spec, [3])
-    assert last.shape == (65,)
     assert N.layer_slice(spec, 3) == slice(P - 65, P)
-    full = N.param_indices(spec, range(4))
-    assert np.array_equal(full, np.arange(P))
-    inv = N.param_indices(spec, [1, 2, 3])
-    assert inv.shape == (P - (2 * 64 + 64),)
-    assert inv[0] == 2 * 64 + 64  # starts right after layer 0
-    with pytest.raises(ValueError):
-        N.param_indices(spec, [])
+    assert N.layer_slice(spec, 1).start == 2 * 64 + 64  # right after layer 0
     with pytest.raises(IndexError):
-        N.param_indices(spec, [4])
+        N.layer_slice(spec, 4)
 
 
 def test_update_masks():
@@ -148,6 +141,8 @@ def test_update_masks():
     assert not m[: 2 * 64 + 64].any()
     with pytest.raises(ValueError):
         N.update_mask(spec, "none_of_them")
+    with pytest.raises(ValueError, match="at least two layers"):
+        N.update_mask(N.NetworkSpec(2, (), 1), "all_but_first")
 
 
 def test_masked_update_leaves_complement_bitwise_unchanged():
