@@ -20,8 +20,8 @@ import sys
 import time
 
 from . import LEARNER_KINDS, SYSTEMS
-from .config import (RunConfig, load_checkpoint, read_config_file,
-                     resolve_config, save_checkpoint, training_record,
+from .config import (TRAINING_KEYS, RunConfig, load_checkpoint,
+                     read_config_file, resolve_config, save_checkpoint,
                      version_string, write_provenance)
 
 
@@ -177,19 +177,20 @@ def _truncate_curve(path: str, episode: int) -> None:
         fh.writelines(lines[:1] + rows)
 
 
-def _check_resume(blob, cfg, optimizer: str) -> None:
-    """Refuse a checkpoint trained with other settings than this run's;
-    only the episode count may grow."""
-    want = {"seed": cfg.seed, "hidden": list(cfg.hidden),
-            **training_record(cfg, optimizer)}
+def _check_resume(path: str, blob, cfg, record: dict) -> None:
+    """Refuse a checkpoint of another learner or system, or trained with
+    other settings or on other data than this run's `record`; only the
+    episode count may grow."""
+    want = {"learner": cfg.learner, "system": cfg.system, "seed": cfg.seed,
+            "hidden": list(cfg.hidden), **record}
     diffs = [f"{key} {blob[key]!r} (this run: {value!r})" if key in blob
              else f"{key} not recorded" for key, value in want.items()
              if blob.get(key) != value]
     if diffs:
-        raise ValueError("cannot resume a checkpoint trained with other "
+        raise ValueError(f"cannot resume {path}, trained with other "
                          "settings: " + "; ".join(diffs))
     if cfg.episodes < blob["episode"]:
-        raise ValueError(f"checkpoint is at episode {blob['episode']}, "
+        raise ValueError(f"{path} is at episode {blob['episode']}, "
                          f"past --episodes {cfg.episodes}")
 
 
@@ -212,16 +213,15 @@ def cmd_metatrain(args) -> int:
                          f"config says {file_values['system']!r}")
     cfg.system = manifest["system"]
     learner = cfg.learner_def()
+    # what the checkpoint records for a resume to insist on; the manifest's
+    # digest covers each array's digest, so it names the data
+    record = {**{key: getattr(cfg, key) for key in TRAINING_KEYS},
+              "optimizer": args.optimizer, "dataset": tasks.digest}
     start_episode = 0
     adam = None
     if args.resume:
-        prev, theta, adam, blob = load_checkpoint(args.resume)
-        if prev.kind != cfg.learner:
-            raise ValueError(f"checkpoint is {prev.kind!r}, config wants "
-                             f"{cfg.learner!r}")
-        if blob["system"] != cfg.system:
-            raise ValueError("checkpoint system does not match the dataset")
-        _check_resume(blob, cfg, args.optimizer)
+        _, theta, adam, blob = load_checkpoint(args.resume)
+        _check_resume(args.resume, blob, cfg, record)
         start_episode = blob["episode"]
     else:
         theta = init_params(learner.spec, cfg.seed)
@@ -246,7 +246,7 @@ def cmd_metatrain(args) -> int:
             optimizer=args.optimizer, start_episode=start_episode,
             on_episode=log)
     save_checkpoint(ckpt_path, learner, theta, adam, episode, cfg.seed,
-                    cfg.system, training_record(cfg, args.optimizer))
+                    cfg.system, record)
     print(f"trained {cfg.learner} to episode {episode}; "
           f"checkpoint at {ckpt_path}")
     return 0

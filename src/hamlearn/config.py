@@ -29,13 +29,15 @@ TRAINING_KEYS = ("inner_steps", "inner_lr", "outer_lr", "task_batch",
 
 ENV_SEED = "HAMLEARN_SEED"
 
-# What loading reads from a checkpoint: a tuple of allowed values, a set of
-# JSON types, a one-item list for a list of those, or a nested object.
+# What loading reads from a checkpoint: a tuple of allowed values, a range
+# of allowed ints, a set of JSON types, a one-item list for a list of those,
+# or a nested object.
+_COUNT = range(2 ** 63)
 _CHECKPOINT_FIELDS = {
-    "learner": LEARNER_KINDS, "system": SYSTEMS, "episode": {int},
+    "learner": LEARNER_KINDS, "system": SYSTEMS, "episode": _COUNT,
     "input_dim": {int}, "hidden": [{int}], "output_dim": {int},
     "activation": {str}, "params": [{int, float}],
-    "adam": {"m": [{int, float}], "v": [{int, float}], "t": {int}}}
+    "adam": {"m": [{int, float}], "v": [{int, float}], "t": _COUNT}}
 
 
 @dataclass
@@ -201,16 +203,11 @@ def _conforms(value, kind) -> bool:
     if isinstance(kind, dict):
         return type(value) is dict and all(_conforms(value.get(k), t)
                                            for k, t in kind.items())
+    if isinstance(kind, range):
+        return type(value) is int and value in kind
     if isinstance(kind, list):
         return type(value) is list and set(map(type, value)) <= kind[0]
     return value in kind if isinstance(kind, tuple) else type(value) in kind
-
-
-def training_record(cfg: RunConfig, optimizer: str) -> dict:
-    """The settings of a training run that a checkpoint records."""
-    record = {key: getattr(cfg, key) for key in TRAINING_KEYS}
-    record["optimizer"] = optimizer
-    return record
 
 
 def save_checkpoint(path: str, learner: LearnerDef, theta: np.ndarray,
@@ -218,9 +215,10 @@ def save_checkpoint(path: str, learner: LearnerDef, theta: np.ndarray,
                     system: str, training: dict = None) -> None:
     """JSON snapshot of a training state; floats round-trip exactly.
 
-    `training`, a `training_record`, is stored beside the seed.  The text
-    goes to a temporary file beside `path` that then replaces it, so a
-    failed write leaves the previous checkpoint whole."""
+    `training`, the run's TRAINING_KEYS settings, optimizer and dataset
+    digest, is stored beside the seed.  The text goes to a temporary file
+    beside `path` that then replaces it, so a failed write leaves the
+    previous checkpoint whole."""
     import json
 
     from .network import ACTIVATION
@@ -270,18 +268,22 @@ def load_checkpoint(path: str):
            if not _conforms(blob.get(key), kind)]
     if bad:
         raise ValueError(f"checkpoint {path} has a bad or missing {bad[0]!r}")
+    if blob["input_dim"] != 2 * DOF[blob["system"]] or \
+            min(blob["hidden"], default=1) < 1:
+        raise ValueError(f"checkpoint {path} has input_dim "
+                         f"{blob['input_dim']} and hidden {blob['hidden']}, "
+                         f"which do not fit a {blob['system']} network")
     learner = build_learner(blob["learner"], blob["input_dim"],
                             tuple(blob["hidden"]))
-    spec = learner.spec
+    spec, adam = learner.spec, blob["adam"]
     if spec.output_dim != blob["output_dim"] or \
             blob["activation"] != ACTIVATION:
-        raise ValueError("checkpoint head does not match its learner kind")
-    theta = np.asarray(blob["params"], np.float64)
-    if theta.shape != (param_count(spec),):
-        raise ValueError("checkpoint parameter count does not match its shape")
-    adam = AdamState(np.asarray(blob["adam"]["m"], np.float64),
-                     np.asarray(blob["adam"]["v"], np.float64),
-                     blob["adam"]["t"])
-    if adam.m.shape != theta.shape or adam.v.shape != theta.shape:
-        raise ValueError("checkpoint moment shapes do not match parameters")
-    return learner, theta, adam, blob
+        raise ValueError(f"checkpoint {path}: head does not match its "
+                         "learner kind")
+    if {len(blob["params"]), len(adam["m"]), len(adam["v"])} != \
+            {param_count(spec)}:
+        raise ValueError(f"checkpoint {path}: parameter or moment count "
+                         "does not match its shape")
+    theta, m, v = (np.asarray(x, np.float64)
+                   for x in (blob["params"], adam["m"], adam["v"]))
+    return learner, theta, AdamState(m, v, adam["t"]), blob

@@ -7,15 +7,15 @@ states) and `trajectories` (K short rollouts contributing L samples each,
 with derivatives recomputed analytically at the sampled states).  Their
 test surface is a full lattice over the sampling region.
 
-Datasets serialize as one CSV per task plus a JSON manifest; floats are
-written with repr so a parse round-trips to the exact same doubles.
+A dataset is a JSON manifest plus two .npy arrays of raw float64s, so a
+load round-trips to the exact same doubles.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
-import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -52,7 +52,7 @@ _GRID_CLEARANCE = KEPLER_MIN_SEP_EVAL + 0.05
 
 _REJECT_FACTOR = 1000  # rejection budget multiplier for state sampling
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -227,143 +227,138 @@ def make_meta_test_suite(system: str, mode: str, K: int, seed: int,
 # -- serialization -------------------------------------------------------------
 
 
-def _task_header(system: str) -> list:
-    n = DOF[system]
-    cols = ["split"]
-    cols += list(PARAM_NAMES[system])
-    cols += [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
-    cols += [f"qdot{i+1}" for i in range(n)] + [f"pdot{i+1}" for i in range(n)]
-    return cols
+def _manifest(system: str, seed, n_tasks, n_points, digests) -> dict:
+    """A dataset's manifest; `digests` maps each array file to its sha256."""
+    ranges = lambda boxes: [[float(a), float(b)] for a, b in boxes[system]]
+    return {"format_version": DATASET_FORMAT_VERSION, "system": system,
+            "seed": seed, "n_tasks": n_tasks, "n_points": n_points,
+            "param_names": list(PARAM_NAMES[system]),
+            "param_ranges": ranges(PARAM_RANGES),
+            "state_ranges": ranges(STATE_RANGES), "sha256": digests}
+
+
+def _shapes(system: str, n_tasks: int, n_points: int) -> dict:
+    """Each array file and the shape the manifest implies for it."""
+    return {"params.npy": (n_tasks, len(PARAM_NAMES[system])),
+            "points.npy": (n_tasks, 2, n_points, 4 * DOF[system])}
+
+
+def _sha256(fname: str) -> str:
+    with open(fname, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def write_dataset(path: str, system: str, seed: int, tasks: list) -> None:
-    """Dataset directory: manifest.json + tasks/task_<i>.csv."""
-    os.makedirs(os.path.join(path, "tasks"), exist_ok=True)
+    """Dataset directory: manifest.json, params.npy and points.npy.
+
+    Task i is params[i] and points[i]: points[i, 0] is its train split and
+    points[i, 1] its test split, each row x then xdot."""
+    os.makedirs(path, exist_ok=True)
     n_points = int(tasks[0].train_x.shape[0]) if tasks else 0
-    manifest = {
-        "format_version": DATASET_FORMAT_VERSION,
-        "system": system,
-        "seed": int(seed),
-        "n_tasks": len(tasks),
-        "n_points": n_points,
-        "param_names": list(PARAM_NAMES[system]),
-        "param_ranges": [[float(a), float(b)] for a, b in PARAM_RANGES[system]],
-        "state_ranges": [[float(a), float(b)] for a, b in STATE_RANGES[system]],
-    }
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    header = ",".join(_task_header(system))
+    params, points = (np.empty(shape) for shape
+                      in _shapes(system, len(tasks), n_points).values())
     for i, task in enumerate(tasks):
-        lines = [header]
-        # repr of a Python float is the shortest round-trip string
-        pvals = ",".join(map(repr, task.params.as_vector().tolist()))
-        for split_name, X, Xd in (("train", task.train_x, task.train_xdot),
-                                  ("test", task.test_x, task.test_xdot)):
-            prefix = f"{split_name},{pvals},"
-            lines += [prefix + ",".join(map(repr, row))
-                      for row in np.hstack([X, Xd]).tolist()]
-        fname = os.path.join(path, "tasks", f"task_{i:05d}.csv")
-        with open(fname, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def _read_task(fname: str, system: str, n_points: int) -> Task:
-    """Parse one task CSV and check it against the manifest's shape.
-
-    Any malformation is a ValueError that names the file.
-    """
-    header = _task_header(system)
-    n = DOF[system]
-    n_par = len(PARAM_NAMES[system])
-    rows = {"train": [], "test": []}
-    pvec = None
-    try:
-        with open(fname) as fh:
-            lines = fh.read().strip().split("\n")
-        if lines[0] != ",".join(header):
-            raise ValueError("unexpected header")
-        for lineno, line in enumerate(lines[1:], 2):
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"line {lineno} has {len(cells)} columns, "
-                                 f"expected {len(header)}")
-            if cells[0] not in rows:
-                raise ValueError(f"line {lineno} has split label "
-                                 f"{cells[0]!r}")
-            pvec = [float(c) for c in cells[1 : 1 + n_par]]
-            rows[cells[0]].append([float(c) for c in cells[1 + n_par :]])
-        for split, got in rows.items():
-            if len(got) != n_points:
-                raise ValueError(f"{len(got)} {split} rows, the manifest "
-                                 f"says {n_points}")
-        params = PhysicalParams.from_vector(system, pvec)
-        tr = np.array(rows["train"])
-        te = np.array(rows["test"])
-        if not (np.all(np.isfinite(tr)) and np.all(np.isfinite(te))):
-            raise ValueError("non-finite state or derivative")
-    except ValueError as err:
-        raise ValueError(f"{fname}: {err}") from None
-    return Task(params, tr[:, : 2 * n], tr[:, 2 * n :],
-                te[:, : 2 * n], te[:, 2 * n :])
+        params[i] = task.params.as_vector()
+        points[i] = [np.hstack([task.train_x, task.train_xdot]),
+                     np.hstack([task.test_x, task.test_xdot])]
+    digests = {}
+    for name, array in (("params.npy", params), ("points.npy", points)):
+        np.save(os.path.join(path, name), array)
+        digests[name] = _sha256(os.path.join(path, name))
+    with open(os.path.join(path, "manifest.json"), "w") as fh:
+        json.dump(_manifest(system, int(seed), len(tasks), n_points, digests),
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class TaskPool(Sequence):
-    """Read-only view of a dataset's tasks.
+    """Read-only view of a dataset's tasks over its memory-mapped arrays.
 
-    Every task file must exist when the pool is made.  Task i is parsed on
-    first index and cached, so repeated draws see the same Task object and
-    a run pays only for the tasks it uses.
+    Task i is copied out of the map and checked on first index, then
+    cached, so repeated draws see the same Task object and a run pays only
+    for the tasks it uses.  `digest` is the manifest's sha256; the manifest
+    holds each array's, so it names the whole dataset.
     """
 
-    def __init__(self, task_dir: str, system: str, n_tasks: int,
-                 n_points: int):
-        present = set(os.listdir(task_dir))
-        # one of the first len(present) + 1 names is missing if any is
-        names = [f"task_{i:05d}.csv" for i in range(min(n_tasks,
-                                                        len(present) + 1))]
-        missing = [n for n in names if n not in present]
-        if missing:
-            raise FileNotFoundError(f"dataset is missing "
-                                    f"{os.path.join(task_dir, missing[0])}")
-        self._files = [os.path.join(task_dir, n) for n in names]
+    def __init__(self, path: str, system: str, arrays: dict, digest: str):
+        self._files = [os.path.join(path, name) for name in arrays]
+        self._params, self._points = arrays.values()
         self._system = system
-        self._n_points = n_points
-        self._tasks = [None] * n_tasks
+        self._tasks = [None] * len(self._params)
+        self.digest = digest
 
     def __len__(self) -> int:
         return len(self._tasks)
 
     def __getitem__(self, i) -> Task:
-        i = operator.index(i)
-        if i < 0:
-            i += len(self._tasks)
-        if not 0 <= i < len(self._tasks):
-            raise IndexError("task index out of range")
+        i = range(len(self._tasks))[i]  # an int in range, or IndexError
         if self._tasks[i] is None:
-            self._tasks[i] = _read_task(self._files[i], self._system,
-                                        self._n_points)
+            pvals = self._params[i].tolist()  # Python floats
+            # one C-contiguous (n_points, 4n) array per split
+            tr, te = np.array(self._points[i, 0]), np.array(self._points[i, 1])
+            fname = self._files[0]
+            try:
+                if not np.all(np.isfinite(pvals)):
+                    raise ValueError("non-finite parameter")
+                params = PhysicalParams.from_vector(self._system, pvals)
+                fname = self._files[1]
+                if not (np.all(np.isfinite(tr)) and np.all(np.isfinite(te))):
+                    raise ValueError("non-finite state or derivative")
+            except ValueError as err:
+                raise ValueError(f"{fname}: task {i}: {err}") from None
+            n2 = 2 * params.n
+            self._tasks[i] = Task(params, tr[:, :n2], tr[:, n2:],
+                                  te[:, :n2], te[:, n2:])
         return self._tasks[i]
 
 
 def load_dataset(path: str):
     """Read back (manifest, tasks); exact float round-trip.
 
-    The manifest is checked and every task file must exist, but a task
-    file is parsed only when its task is first indexed (see TaskPool).
+    The manifest is checked, and each array file must exist, match the
+    manifest's sha256 and hold <f8 values of the shape the manifest
+    implies.  A task is checked only when it is first indexed (TaskPool).
     """
     fname = os.path.join(path, "manifest.json")
-    with open(fname) as fh:
-        manifest = json.load(fh)
-    if type(manifest) is not dict or \
-            manifest.get("format_version") != DATASET_FORMAT_VERSION:
+    with open(fname, "rb") as fh:
+        raw = fh.read()
+    manifest = json.loads(raw)
+    if type(manifest) is not dict:
         raise ValueError(f"unsupported dataset format in {fname}")
     system = manifest.get("system")
     if system not in SYSTEMS:  # a tuple: an unhashable value is no error
         raise ValueError(f"{fname} has unknown system {system!r}")
-    n_tasks, n_points = manifest.get("n_tasks"), manifest.get("n_points")
-    for key, value in (("n_tasks", n_tasks), ("n_points", n_points)):
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{fname} has bad {key} {value!r}")
-    return manifest, TaskPool(os.path.join(path, "tasks"), system, n_tasks,
-                              n_points)
+    seed, n_tasks, n_points = counts = [manifest.get(key) for key in
+                                        ("seed", "n_tasks", "n_points")]
+    if not all(type(v) is int and v >= 0 for v in counts):
+        raise ValueError(f"{fname} has a bad seed, n_tasks or n_points")
+    if manifest.get("format_version") == 1:
+        raise ValueError(f"{fname} is a format 1 (CSV) dataset; regenerate "
+                         f"it with: hamlearn gen --system {system} --seed "
+                         f"{seed} --tasks {n_tasks} --points {n_points} "
+                         f"--out {path}")
+    shapes = _shapes(system, n_tasks, n_points)
+    digests = manifest.get("sha256")
+    want = _manifest(system, seed, n_tasks, n_points, digests)
+    bad = [key for key in sorted({*want, *manifest})
+           if manifest.get(key) != want.get(key)]
+    if bad or type(digests) is not dict or set(digests) != set(shapes):
+        raise ValueError(f"{fname} has a bad {(bad or ['sha256'])[0]!r}")
+    arrays = {}
+    for name, shape in shapes.items():
+        afile = os.path.join(path, name)
+        if not os.path.isfile(afile):
+            raise FileNotFoundError(f"dataset is missing {afile}")
+        if _sha256(afile) != digests[name]:
+            raise ValueError(f"{afile} does not match its sha256 in {fname}")
+        try:
+            array = arrays[name] = np.load(afile, mmap_mode="r",
+                                           allow_pickle=False)
+        except (ValueError, EOFError) as err:
+            raise ValueError(f"{afile}: {err}") from None
+        if not isinstance(array, np.ndarray) or \
+                (array.dtype.str, array.shape) != ("<f8", shape):
+            raise ValueError(f"{afile} does not hold <f8 values of shape "
+                             f"{shape}, as the manifest implies")
+    return manifest, TaskPool(path, system, arrays,
+                              hashlib.sha256(raw).hexdigest())

@@ -1,5 +1,8 @@
 """End-to-end command tests: exit codes, file outputs, reproducibility."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import shutil
@@ -12,11 +15,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hamlearn
-from hamlearn import seeding
+from hamlearn import seeding, taskgen
 from hamlearn.cli import main
 from hamlearn.config import version_string
 
@@ -233,41 +236,131 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+# Well-typed checkpoint values that make no sense, by the key they replace.
+OUT_OF_RANGE = {
+    "episode": st.integers(max_value=-1),
+    "adam": st.integers(max_value=-1),  # as adam.t
+    "system": st.sampled_from(hamlearn.SYSTEMS),
+    "input_dim": st.integers(-2, 8),
+    "hidden": st.lists(st.integers(-2, 8), min_size=1, max_size=3),
+}
+
+
+def _run_quietly(argv):
+    """main(argv) with stderr and warnings captured: (exit code, stderr
+    lines, warnings)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue().splitlines(), caught
+
+
 @settings(max_examples=80, deadline=None, database=None)
 @given(data=st.data())
 def test_any_json_value_in_any_field_exits_0_or_2(data):
     cmd = data.draw(st.sampled_from(sorted(JSON_INPUT_COMMANDS)))
     kind = "manifest" if cmd == "metatrain" else "checkpoint"
     source = "ds/manifest.json" if kind == "manifest" else "run/checkpoint.json"
-    key = data.draw(st.sampled_from(sorted(json.loads(
-        Path(source).read_text()))))
-    value = data.draw(JSON_VALUES)
+    blob = json.loads(Path(source).read_text())
+    key = data.draw(st.sampled_from(sorted(blob)))
+    if kind == "checkpoint" and key in OUT_OF_RANGE and data.draw(st.booleans()):
+        value = data.draw(OUT_OF_RANGE[key])
+        if key == "adam":
+            value = {**blob["adam"], "t": value}
+    else:
+        value = data.draw(JSON_VALUES)
     with tempfile.TemporaryDirectory() as root:
         path = _tampered_input(root, kind, _replace(key, value))
-        assert main([*JSON_INPUT_COMMANDS[cmd], path, "--out",
-                     os.path.join(root, "o")]) in (0, 2)
+        code, lines, caught = _run_quietly([*JSON_INPUT_COMMANDS[cmd], path,
+                                            "--out", os.path.join(root, "o")])
+    assert code in (0, 2)
+    assert not caught  # no numpy warning before the error line
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert path in lines[0]
+
+
+@pytest.mark.parametrize("cmd,mutate,key", [
+    ("resume", lambda b: {**b, "adam": {**b["adam"], "t": -1}}, "adam"),
+    ("resume", _replace("episode", -4), "episode"),
+    ("eval", _replace("system", "kepler"), "input_dim"),
+    ("eval", _replace("hidden", [6, 0]), "hidden"),
+], ids=["adam-t-negative", "episode-negative", "system-kepler",
+        "hidden-zero"])
+def test_out_of_range_checkpoint_value_names_file_and_key(tmp_path, cmd,
+                                                          mutate, key):
+    path = _tampered_input(tmp_path, "checkpoint", mutate)
+    out = tmp_path / "o"
+    code, lines, caught = _run_quietly([*JSON_INPUT_COMMANDS[cmd], path,
+                                        "--out", str(out)])
+    assert code == 2 and not caught
+    assert len(lines) == 1 and lines[0].startswith(f"error: checkpoint {path}")
+    assert key in lines[0]
+    assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_any_damage_to_a_dataset_exits_1_or_2(data):
+    manifest = json.loads(Path("ds/manifest.json").read_text())
+    fault = data.draw(st.sampled_from(["field", "truncate", "flip"]))
+    with tempfile.TemporaryDirectory() as root:
+        ds = Path(root) / "ds"
+        shutil.copytree("ds", ds)
+        if fault == "field":
+            key = data.draw(st.sampled_from(sorted(manifest)))
+            value = data.draw(JSON_VALUES)
+            # the same value, or another seed, describes a valid dataset
+            assume(value != manifest[key] and not (
+                key == "seed" and type(value) is int and value >= 0))
+            (ds / "manifest.json").write_text(json.dumps({**manifest,
+                                                          key: value}))
+        else:
+            name = data.draw(st.sampled_from(["params.npy", "points.npy"]))
+            raw = bytearray((ds / name).read_bytes())
+            if fault == "truncate":
+                del raw[data.draw(st.integers(0, len(raw) - 1)):]
+            else:
+                for i in data.draw(st.sets(st.integers(0, len(raw) - 1),
+                                           min_size=1, max_size=4)):
+                    raw[i] ^= data.draw(st.integers(1, 255))
+            (ds / name).write_bytes(raw)
+        out = Path(root) / "o"
+        code, lines, caught = _run_quietly([*JSON_INPUT_COMMANDS["metatrain"],
+                                            str(ds), "--out", str(out)])
+        assert not out.exists()  # refused before anything was written
+    assert code in (1, 2) and not caught
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def _corrupt_dataset(tmp_path, corrupt):
-    """A two-task dataset whose task_00001.csv `corrupt` has changed."""
+    """A two-task dataset whose points.npy `corrupt` has changed."""
     ds = tmp_path / "ds"
     assert main(["gen", "--system", "spring_mass", "--tasks", "2",
                  "--points", "6", "--seed", "3", "--out", str(ds)]) == 0
-    corrupt(ds / "tasks" / "task_00001.csv")
+    corrupt(ds / "points.npy")
     return str(ds)
 
 
 def test_metatrain_drawn_corrupt_task_exits_2(tmp_path, capsys):
-    def drop_test_rows(path):
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(l for l in lines if not l.startswith("test,")))
+    def nan_in_task_1(path):  # with a digest that matches
+        points = np.load(path)
+        points[1, 1, 0, 0] = np.nan
+        np.save(path, points)
+        mf = path.parent / "manifest.json"
+        manifest = json.loads(mf.read_text())
+        manifest["sha256"]["points.npy"] = \
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        mf.write_text(json.dumps(manifest))
 
-    ds = _corrupt_dataset(tmp_path, drop_test_rows)
+    ds = _corrupt_dataset(tmp_path, nan_in_task_1)
     # a batch of 2 from a pool of 2 draws the corrupt task in episode 0
     assert main(["metatrain", "--dataset", ds, "--learner", "hanil",
                  "--out", str(tmp_path / "run"), *TRAIN_FLAGS]) == 2
     err = capsys.readouterr().err
-    assert "task_00001.csv" in err and "0 test rows" in err
+    assert "points.npy: task 1: non-finite state or derivative" in err
 
 
 def test_metatrain_missing_task_file_exits_2_at_load(tmp_path, capsys):
@@ -275,8 +368,22 @@ def test_metatrain_missing_task_file_exits_2_at_load(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["metatrain", "--dataset", ds, "--learner", "hanil",
                  "--out", str(out), *TRAIN_FLAGS]) == 2
-    assert "task_00001.csv" in capsys.readouterr().err
+    assert "dataset is missing " + os.path.join(ds, "points.npy") in \
+        capsys.readouterr().err
     assert not out.exists()  # refused before anything was written
+
+
+def test_format_1_dataset_exits_2_with_the_gen_command(tmp_path, capsys):
+    manifest = json.loads(Path("ds/manifest.json").read_text())
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "manifest.json").write_text(
+        json.dumps({**manifest, "format_version": 1}))
+    out = tmp_path / "run"
+    assert main(["metatrain", "--dataset", str(tmp_path / "old"),
+                 "--learner", "hanil", "--out", str(out), *TRAIN_FLAGS]) == 2
+    assert ("hamlearn gen --system spring_mass --seed 3 --tasks 8 "
+            f"--points 6 --out {tmp_path / 'old'}\n") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -294,7 +401,7 @@ def test_gen_same_seed_is_byte_identical(tmp_path, capsys):
         assert main(["gen", "--system", "pendulum", "--tasks", "3",
                      "--points", "5", "--seed", "11",
                      "--out", str(tmp_path / out)]) == 0
-    for rel in ("manifest.json", "tasks/task_00000.csv", "tasks/task_00002.csv"):
+    for rel in ("manifest.json", "params.npy", "points.npy"):
         assert (tmp_path / "a" / rel).read_bytes() == \
             (tmp_path / "b" / rel).read_bytes()
     capsys.readouterr()
@@ -367,7 +474,8 @@ def test_resume_matches_uninterrupted_run(tmp_path, optimizer, capsys):
     capsys.readouterr()
 
 
-def test_retried_resume_does_not_repeat_curve_rows(tmp_path, capsys):
+def test_retried_resume_does_not_repeat_curve_rows(tmp_path, monkeypatch,
+                                                   capsys):
     ds = tmp_path / "ds"
     assert main(["gen", "--system", "spring_mass", "--tasks", "30",
                  "--points", "6", "--seed", "3", "--out", str(ds)]) == 0
@@ -379,18 +487,22 @@ def test_retried_resume_does_not_repeat_curve_rows(tmp_path, capsys):
         rng = seeding.split(9, seeding.EPISODE, ep)
         return set(rng.choice(30, size=2, replace=False).tolist())
 
-    fresh = drawn(4) - set().union(*(drawn(ep) for ep in range(4)))
-    task = ds / "tasks" / f"task_{min(fresh):05d}.csv"
+    bad = min(drawn(4) - set().union(*(drawn(ep) for ep in range(4))))
     full, out = tmp_path / "full", tmp_path / "run"
     assert main(base + ["--episodes", "6", "--out", str(full)]) == 0
     assert main(base + ["--episodes", "2", "--out", str(out)]) == 0
     resume = base + ["--episodes", "6", "--out", str(out),
                      "--resume", str(out / "checkpoint.json")]
-    good = task.read_text()
-    task.write_text("".join(l for l in good.splitlines(keepends=True)
-                            if not l.startswith("test,")))
-    assert main(resume) == 2  # fails at episode 4, after rows 2 and 3
-    task.write_text(good)
+    read = taskgen.TaskPool.__getitem__
+
+    def unreadable_bad_task(pool, i):
+        if range(len(pool))[i] == bad:
+            raise ValueError(f"task {bad} is unreadable")
+        return read(pool, i)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(taskgen.TaskPool, "__getitem__", unreadable_bad_task)
+        assert main(resume) == 2  # fails at episode 4, after rows 2 and 3
     assert main(resume) == 0
     curve = (out / "curve.csv").read_text()
     assert [int(l.split(",")[0]) for l in curve.splitlines()[1:]] == \
@@ -450,6 +562,43 @@ def test_resume_with_a_changed_config_is_refused(tmp_path, key, capsys):
                         *RESUME_CHANGES[key]]) == 2
     assert key in capsys.readouterr().err
     assert [(out / name).read_bytes() for name in names] == before
+
+
+def test_resume_on_another_dataset_is_refused(tmp_path, capsys):
+    for seed in ("1", "2"):
+        assert main(["gen", "--system", "spring_mass", "--tasks", "20",
+                     "--points", "6", "--seed", seed,
+                     "--out", str(tmp_path / f"ds{seed}")]) == 0
+    out = tmp_path / "run"
+    base = ["metatrain", "--learner", "hanil", "--hidden", "6", "--seed", "9",
+            "--strict-serial", "--out", str(out)]
+    assert main([*base, "--dataset", str(tmp_path / "ds1"),
+                 "--episodes", "2"]) == 0
+    names = ("curve.csv", "config.txt", "checkpoint.json")
+    before = [(out / name).read_bytes() for name in names]
+    resume = [*base, "--episodes", "4", "--resume",
+              str(out / "checkpoint.json"), "--dataset"]
+    assert main([*resume, str(tmp_path / "ds2")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot resume {out / 'checkpoint.json'}")
+    assert "dataset '" in err
+    assert [(out / name).read_bytes() for name in names] == before
+    # the record names the data, not where it is
+    shutil.copytree(tmp_path / "ds1", tmp_path / "moved")
+    assert main([*resume, str(tmp_path / "moved")]) == 0
+    capsys.readouterr()
+
+
+def test_checkpoint_without_a_dataset_record_evaluates_but_cannot_resume(
+        tmp_path, capsys):
+    path = _tampered_input(tmp_path, "checkpoint", lambda blob: {
+        k: v for k, v in blob.items() if k != "dataset"})
+    assert main([*JSON_INPUT_COMMANDS["resume"], path,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "dataset not recorded" in capsys.readouterr().err
+    assert main([*JSON_INPUT_COMMANDS["eval"], path,
+                 "--out", str(tmp_path / "e")]) == 0
+    capsys.readouterr()
 
 
 CKPT = ["--checkpoint", "run/checkpoint.json"]

@@ -1,4 +1,7 @@
-import os
+import hashlib
+import io
+import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from hamlearn import seeding, taskgen
 from hamlearn.physics import PARAM_NAMES, PhysicalParams, true_field_many
 from hamlearn.taskgen import (GRID_PER_AXIS, PARAM_RANGES, STATE_RANGES,
-                              build_grid, load_dataset, make_meta_test,
+                              Task, build_grid, load_dataset, make_meta_test,
                               make_meta_test_suite, make_meta_train, make_task,
                               sample_params, sample_states, write_dataset)
 
@@ -223,43 +226,117 @@ def test_dataset_parses_a_task_only_when_indexed(tmp_path, monkeypatch):
     tasks = make_meta_train("spring_mass", n_tasks=4, n_points=3, seed=5)
     path = str(tmp_path / "ds")
     write_dataset(path, "spring_mass", 5, tasks)
-    opened = []
-    real_open = open
+    built = []
 
-    def spy(file, *args, **kwargs):
-        opened.append(os.path.basename(file))
-        return real_open(file, *args, **kwargs)
+    def spy(*args):
+        built.append(args)
+        return Task(*args)
 
-    monkeypatch.setattr("builtins.open", spy)
+    monkeypatch.setattr(taskgen, "Task", spy)
     _, back = load_dataset(path)
-    assert opened == ["manifest.json"]
+    assert built == []
     back[2]
     back[2]
-    assert opened == ["manifest.json", "task_00002.csv"]
+    assert len(built) == 1 and built[0][0].values == tasks[2].params.values
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda lines: ["split,m,k,q0,q,p,qdot,pdot"] + lines[1:],
-    lambda lines: lines[:2] + [lines[2] + ",1.0"] + lines[3:],
-    lambda lines: lines[:2] + ["valid" + lines[2][len("train"):]] + lines[3:],
-    lambda lines: [l for l in lines if not l.startswith("test,")],
-    lambda lines: lines + [lines[-1]],
-    lambda lines: lines[:2] + [lines[2].replace(",", ",x", 1)] + lines[3:],
-    lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",nan"]
-    + lines[3:],
-    lambda lines: [],
-], ids=["header", "columns", "split", "no-test-rows", "extra-row",
-        "not-a-float", "nan", "empty"])
-def test_corrupt_task_file_names_the_file(tmp_path, corrupt):
+def test_dataset_tasks_have_the_parsed_memory_layout(tmp_path):
+    # each split is one C-contiguous (n_points, 4n) array, sliced into
+    # x and xdot views, so the kernels see the strides they always saw
+    tasks = make_meta_train("kepler", n_tasks=2, n_points=5, seed=3)
+    write_dataset(str(tmp_path / "ds"), "kepler", 3, tasks)
+    task = load_dataset(str(tmp_path / "ds"))[1][1]
+    for x, xdot in ((task.train_x, task.train_xdot),
+                    (task.test_x, task.test_xdot)):
+        assert x.base is xdot.base and x.base.flags.c_contiguous
+        assert type(x.base) is np.ndarray and x.base.shape == (5, 8)
+        assert x.strides == xdot.strides == (64, 8)
+    assert all(type(v) is float for v in task.params.values.values())
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _rewrite_array(path, name, data, rehash=True):
+    """Replace dataset array `name` by `data` (None deletes it); with
+    rehash, the manifest records the new bytes' sha256."""
+    if data is None:
+        (path / name).unlink()
+        return
+    (path / name).write_bytes(data)
+    if rehash:
+        mf = path / "manifest.json"
+        manifest = json.loads(mf.read_text())
+        manifest["sha256"][name] = hashlib.sha256(data).hexdigest()
+        mf.write_text(json.dumps(manifest))
+
+
+def _flip(raw: bytes) -> bytes:
+    return raw[:-1] + bytes([raw[-1] ^ 1])
+
+
+def _set(index, value):
+    def corrupt(raw, array):
+        array = array.copy()
+        array[index] = value
+        return _npy(array)
+    return corrupt
+
+
+# How a task file goes bad: the array file, its new bytes from its old
+# bytes and array (None deletes it), whether the manifest's sha256 is
+# updated to match them, and what indexing task 1 then reports (None: the
+# dataset fails at load).
+TASK_FILE_FAULTS = {
+    "header": ("points.npy", lambda raw, a: b"\x93NUMPX" + raw[6:], True,
+               None),
+    "columns": ("points.npy", lambda raw, a: _npy(a[..., :-1]), True, None),
+    "extra-row": ("points.npy", lambda raw, a: _npy(np.concatenate(
+        [a, a[:, :, :1]], axis=2)), True, None),
+    "no-test-rows": ("points.npy", lambda raw, a: _npy(a[:, :1]), True, None),
+    "empty": ("points.npy", lambda raw, a: b"", True, None),
+    "truncated": ("points.npy", lambda raw, a: raw[:-8], True, None),
+    "not-a-float": ("params.npy", lambda raw, a: _npy(a.astype(np.int64)),
+                    True, None),
+    "single": ("params.npy", lambda raw, a: _npy(a.astype("<f4")), True,
+               None),
+    "big-endian": ("points.npy", lambda raw, a: _npy(a.astype(">f8")), True,
+                   None),
+    "params-shape": ("params.npy", lambda raw, a: _npy(a[:-1]), True, None),
+    "digest": ("points.npy", lambda raw, a: _flip(raw), False, None),
+    "params-digest": ("params.npy", lambda raw, a: _flip(raw), False, None),
+    "missing": ("points.npy", lambda raw, a: None, False, None),
+    "missing-params": ("params.npy", lambda raw, a: None, False, None),
+    "nan": ("points.npy", _set((1, 1, 2, 1), np.nan), True,
+            "non-finite state"),
+    "inf": ("points.npy", _set((1, 0, 0, 0), np.inf), True,
+            "non-finite state"),
+    "nan-param": ("params.npy", _set((1, 0), np.nan), True,
+                  "non-finite parameter"),
+    "bad-param": ("params.npy", _set((1, 1), -2.0), True,
+                  "k must be strictly positive"),
+}
+
+
+@pytest.mark.parametrize("fault", list(TASK_FILE_FAULTS))
+def test_corrupt_task_file_names_the_file(tmp_path, fault):
+    name, corrupt, rehash, why = TASK_FILE_FAULTS[fault]
     tasks = make_meta_train("spring_mass", n_tasks=2, n_points=3, seed=5)
     path = tmp_path / "ds"
     write_dataset(str(path), "spring_mass", 5, tasks)
-    bad = path / "tasks" / "task_00001.csv"
-    lines = bad.read_text().strip().split("\n")
-    bad.write_text("\n".join(corrupt(lines)) + "\n")
-    _, back = load_dataset(str(path))
+    raw = (path / name).read_bytes()
+    _rewrite_array(path, name, corrupt(raw, np.load(path / name)), rehash)
+    fname = re.escape(str(path / name))
+    if why is None:  # the array files are checked at load
+        with pytest.raises((ValueError, FileNotFoundError), match=fname):
+            load_dataset(str(path))
+        return
+    _, back = load_dataset(str(path))  # the digest matches: it loads
     back[0]  # the intact task still loads
-    with pytest.raises(ValueError, match="task_00001.csv"):
+    with pytest.raises(ValueError, match=f"{fname}: task 1: {why}"):
         back[1]
 
 
@@ -267,7 +344,7 @@ def test_dataset_regeneration_byte_identical(tmp_path):
     for d in ("one", "two"):
         tasks = make_meta_train("pendulum", n_tasks=2, n_points=5, seed=99)
         write_dataset(str(tmp_path / d), "pendulum", 99, tasks)
-    for rel in ("manifest.json", "tasks/task_00000.csv", "tasks/task_00001.csv"):
+    for rel in ("manifest.json", "params.npy", "points.npy"):
         one = (tmp_path / "one" / rel).read_bytes()
         two = (tmp_path / "two" / rel).read_bytes()
         assert one == two
@@ -277,12 +354,26 @@ def test_dataset_bad_version_rejected(tmp_path):
     tasks = make_meta_train("spring_mass", n_tasks=1, n_points=3, seed=1)
     path = str(tmp_path / "ds")
     write_dataset(path, "spring_mass", 1, tasks)
-    import json
     mf = tmp_path / "ds" / "manifest.json"
     good = json.loads(mf.read_text())
     # the version, and the other manifest fields the reader relies on
     for key, value in (("format_version", 999), ("system", "rigid_rotor"),
-                       ("n_tasks", "1"), ("n_tasks", -1), ("n_points", 1.5)):
+                       ("n_tasks", "1"), ("n_tasks", -1), ("n_points", 1.5),
+                       ("seed", -1), ("system", "pendulum"),
+                       ("param_ranges", [[0.5, 5.0]] * 3),
+                       ("sha256", None), ("sha256", {"points.npy": "0"})):
         mf.write_text(json.dumps({**good, key: value}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(mf))):
             load_dataset(path)
+
+
+def test_format_1_dataset_names_the_command_that_regenerates_it(tmp_path):
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "manifest.json").write_text(json.dumps(
+        {"format_version": 1, "system": "pendulum", "seed": 4,
+         "n_tasks": 30, "n_points": 7}))
+    path = str(tmp_path / "old")
+    with pytest.raises(ValueError, match=re.escape(
+            "hamlearn gen --system pendulum --seed 4 --tasks 30 --points 7 "
+            f"--out {path}")):
+        load_dataset(path)
