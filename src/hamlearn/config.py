@@ -205,8 +205,9 @@ def _conforms(value, kind) -> bool:
                                            for k, t in kind.items())
     if isinstance(kind, range):
         return type(value) is int and value in kind
-    if isinstance(kind, list):
-        return type(value) is list and set(map(type, value)) <= kind[0]
+    if isinstance(kind, list):  # each int must round to a finite float
+        return type(value) is list and set(map(type, value)) <= kind[0] and \
+            all(abs(v) < 2 ** 1024 - 2 ** 970 for v in value if type(v) is int)
     return value in kind if isinstance(kind, tuple) else type(value) in kind
 
 
@@ -239,11 +240,11 @@ def save_checkpoint(path: str, learner: LearnerDef, theta: np.ndarray,
                  "t": int(adam.t)},
         "version": version_string(),
     }
-    text = json.dumps(blob, allow_nan=False)  # raises before writing
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text + "\n")
+        with open(tmp, "w") as fh:  # streamed: the text is never whole
+            json.dump(blob, fh, allow_nan=False)
+            fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

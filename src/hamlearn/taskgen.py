@@ -129,15 +129,18 @@ def make_task(params: PhysicalParams, rng: np.random.Generator,
 
 
 def make_meta_train(system: str, n_tasks: int = 10000, n_points: int = 50,
-                    seed: int = 0) -> list:
+                    seed: int = 0) -> TaskPool:
     """Meta-train pool; task i is derived from split(seed, TASK, i)."""
     if n_tasks < 1 or n_points < 1:
         raise ValueError("n_tasks and n_points must be >= 1")
-    tasks = []
+    params, points = map(np.empty, _shapes(system, n_tasks, n_points).values())
     for i in range(n_tasks):
         rng = seeding.split(seed, seeding.TASK, i)
-        tasks.append(make_task(sample_params(system, rng), rng, n_points))
-    return tasks
+        task = make_task(sample_params(system, rng), rng, n_points)
+        params[i] = task.params.as_vector()
+        points[i] = [np.hstack([task.train_x, task.train_xdot]),
+                     np.hstack([task.test_x, task.test_xdot])]
+    return TaskPool(system, params, points)
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,44 +251,33 @@ def _sha256(fname: str) -> str:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
-def write_dataset(path: str, system: str, seed: int, tasks: list) -> None:
-    """Dataset directory: manifest.json, params.npy and points.npy.
-
-    Task i is params[i] and points[i]: points[i, 0] is its train split and
-    points[i, 1] its test split, each row x then xdot."""
+def write_dataset(path: str, system: str, seed: int, pool: TaskPool) -> None:
+    """Dataset directory of a generated pool: manifest.json, params.npy and
+    points.npy."""
     os.makedirs(path, exist_ok=True)
-    n_points = int(tasks[0].train_x.shape[0]) if tasks else 0
-    params, points = (np.empty(shape) for shape
-                      in _shapes(system, len(tasks), n_points).values())
-    for i, task in enumerate(tasks):
-        params[i] = task.params.as_vector()
-        points[i] = [np.hstack([task.train_x, task.train_xdot]),
-                     np.hstack([task.test_x, task.test_xdot])]
     digests = {}
-    for name, array in (("params.npy", params), ("points.npy", points)):
+    for name, array in (("params.npy", pool.params), ("points.npy", pool.points)):
         np.save(os.path.join(path, name), array)
         digests[name] = _sha256(os.path.join(path, name))
     with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(_manifest(system, int(seed), len(tasks), n_points, digests),
-                  fh, indent=2, sort_keys=True)
+        json.dump(_manifest(system, int(seed), len(pool), pool.points.shape[2],
+                            digests), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 class TaskPool(Sequence):
-    """Read-only view of a dataset's tasks over its memory-mapped arrays.
+    """Tasks over params (n_tasks, n_par) and points (n_tasks, 2, n_points,
+    4n): points[i] is task i's train then test split, each row x then xdot.
+    Task i is built and checked on first index, then cached, so repeated
+    draws see the same Task object; a loaded pool reads it only then
+    (_PointsFile).  `files` name the arrays in errors; `digest` is a loaded
+    pool's manifest sha256, which covers each array's."""
 
-    Task i is copied out of the map and checked on first index, then
-    cached, so repeated draws see the same Task object and a run pays only
-    for the tasks it uses.  `digest` is the manifest's sha256; the manifest
-    holds each array's, so it names the whole dataset.
-    """
-
-    def __init__(self, path: str, system: str, arrays: dict, digest: str):
-        self._files = [os.path.join(path, name) for name in arrays]
-        self._params, self._points = arrays.values()
-        self._system = system
-        self._tasks = [None] * len(self._params)
-        self.digest = digest
+    def __init__(self, system: str, params: np.ndarray, points,
+                 files=("params", "points"), digest: str = None):
+        self.params, self.points, self.digest = params, points, digest
+        self._system, self._files = system, files
+        self._tasks = [None] * len(params)
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -293,15 +285,14 @@ class TaskPool(Sequence):
     def __getitem__(self, i) -> Task:
         i = range(len(self._tasks))[i]  # an int in range, or IndexError
         if self._tasks[i] is None:
-            pvals = self._params[i].tolist()  # Python floats
-            # one C-contiguous (n_points, 4n) array per split
-            tr, te = np.array(self._points[i, 0]), np.array(self._points[i, 1])
+            pvals = self.params[i].tolist()  # Python floats
             fname = self._files[0]
             try:
                 if not np.all(np.isfinite(pvals)):
                     raise ValueError("non-finite parameter")
                 params = PhysicalParams.from_vector(self._system, pvals)
                 fname = self._files[1]
+                tr, te = self.points[i]  # C-contiguous (n_points, 4n) splits
                 if not (np.all(np.isfinite(tr)) and np.all(np.isfinite(te))):
                     raise ValueError("non-finite state or derivative")
             except ValueError as err:
@@ -312,12 +303,27 @@ class TaskPool(Sequence):
         return self._tasks[i]
 
 
+class _PointsFile:
+    """Item i: task i's splits in points.npy, by one positioned read."""
+
+    def __init__(self, fname: str, offset: int, shape: tuple):
+        self._fname, self._offset, self._split = fname, offset, shape[2:]
+
+    def __getitem__(self, i) -> list:
+        splits = [np.empty(self._split), np.empty(self._split)]
+        size = 2 * splits[0].nbytes
+        with open(self._fname, "rb") as fh:
+            if os.preadv(fh.fileno(), splits, self._offset + i * size) < size:
+                raise ValueError("short read")
+        return splits
+
+
 def load_dataset(path: str):
     """Read back (manifest, tasks); exact float round-trip.
 
     The manifest is checked, and each array file must exist, match the
-    manifest's sha256 and hold <f8 values of the shape the manifest
-    implies.  A task is checked only when it is first indexed (TaskPool).
+    manifest's sha256 and hold <f8 values, in C order, of the shape the
+    manifest implies.  A task is read and checked on first index (TaskPool).
     """
     fname = os.path.join(path, "manifest.json")
     with open(fname, "rb") as fh:
@@ -351,14 +357,16 @@ def load_dataset(path: str):
             raise FileNotFoundError(f"dataset is missing {afile}")
         if _sha256(afile) != digests[name]:
             raise ValueError(f"{afile} does not match its sha256 in {fname}")
-        try:
-            array = arrays[name] = np.load(afile, mmap_mode="r",
-                                           allow_pickle=False)
+        try:  # a map this call drops: the pool keeps none
+            array = arrays[afile] = np.load(afile, mmap_mode="r",
+                                            allow_pickle=False)
         except (ValueError, EOFError) as err:
             raise ValueError(f"{afile}: {err}") from None
-        if not isinstance(array, np.ndarray) or \
-                (array.dtype.str, array.shape) != ("<f8", shape):
+        if not isinstance(array, np.ndarray) or not array.flags.c_contiguous \
+                or (array.dtype.str, array.shape) != ("<f8", shape):
             raise ValueError(f"{afile} does not hold <f8 values of shape "
-                             f"{shape}, as the manifest implies")
-    return manifest, TaskPool(path, system, arrays,
-                              hashlib.sha256(raw).hexdigest())
+                             f"{shape}, in C order, as the manifest implies")
+    (pfile, params), (xfile, points) = arrays.items()
+    return manifest, TaskPool(system, np.array(params), _PointsFile(
+        xfile, points.offset, points.shape), [pfile, xfile],
+        hashlib.sha256(raw).hexdigest())

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import hamlearn
 from hamlearn import seeding, taskgen
 from hamlearn.cli import main
-from hamlearn.config import version_string
+from hamlearn.config import RunConfig, version_string
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -236,10 +236,16 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+# An int no double can hold: it rounds past the largest one.
+HUGE_INT = st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024)
+
 # Well-typed checkpoint values that make no sense, by the key they replace.
 OUT_OF_RANGE = {
     "episode": st.integers(max_value=-1),
-    "adam": st.integers(max_value=-1),  # as adam.t
+    # (field, value): a negative adam.t, or a huge first moment
+    "adam": st.tuples(st.just("t"), st.integers(max_value=-1))
+    | st.tuples(st.sampled_from("mv"), HUGE_INT),
+    "params": HUGE_INT,  # as params[0]
     "system": st.sampled_from(hamlearn.SYSTEMS),
     "input_dim": st.integers(-2, 8),
     "hidden": st.lists(st.integers(-2, 8), min_size=1, max_size=3),
@@ -268,7 +274,12 @@ def test_any_json_value_in_any_field_exits_0_or_2(data):
     if kind == "checkpoint" and key in OUT_OF_RANGE and data.draw(st.booleans()):
         value = data.draw(OUT_OF_RANGE[key])
         if key == "adam":
-            value = {**blob["adam"], "t": value}
+            field, value = value
+            old = blob["adam"][field]
+            value = {**blob["adam"],
+                     field: value if field == "t" else [value, *old[1:]]}
+        if key == "params":
+            value = [value, *blob["params"][1:]]
     else:
         value = data.draw(JSON_VALUES)
     with tempfile.TemporaryDirectory() as root:
@@ -287,8 +298,12 @@ def test_any_json_value_in_any_field_exits_0_or_2(data):
     ("resume", _replace("episode", -4), "episode"),
     ("eval", _replace("system", "kepler"), "input_dim"),
     ("eval", _replace("hidden", [6, 0]), "hidden"),
+    ("eval", lambda b: {**b, "params": [10 ** 400, *b["params"][1:]]},
+     "params"),
+    ("resume", lambda b: {**b, "adam": {**b["adam"], "m": [
+        *b["adam"]["m"][:3], -10 ** 400, *b["adam"]["m"][4:]]}}, "adam"),
 ], ids=["adam-t-negative", "episode-negative", "system-kepler",
-        "hidden-zero"])
+        "hidden-zero", "params-int-overflow", "adam-m-int-overflow"])
 def test_out_of_range_checkpoint_value_names_file_and_key(tmp_path, cmd,
                                                           mutate, key):
     path = _tampered_input(tmp_path, "checkpoint", mutate)
@@ -373,6 +388,30 @@ def test_metatrain_missing_task_file_exits_2_at_load(tmp_path, capsys):
     assert not out.exists()  # refused before anything was written
 
 
+def test_a_short_read_of_a_drawn_task_exits_2(tmp_path, monkeypatch):
+    ds = tmp_path / "ds"
+    assert main(["gen", "--system", "spring_mass", "--tasks", "30",
+                 "--points", "6", "--seed", "3", "--out", str(ds)]) == 0
+    points = ds / "points.npy"
+    load = taskgen.load_dataset
+
+    def load_then_truncate(path):  # cut all but 10 tasks behind the pool
+        loaded = load(path)
+        os.truncate(points, points.stat().st_size - 20 * 2 * 6 * 4 * 8)
+        return loaded
+
+    monkeypatch.setattr(taskgen, "load_dataset", load_then_truncate)
+    # the first task meta_train draws from the part that was cut off
+    cut = next(i for ep in range(3) for i in seeding.split(
+        9, seeding.EPISODE, ep).choice(30, size=2, replace=False) if i >= 10)
+    code, lines, caught = _run_quietly([
+        "metatrain", "--dataset", str(ds), "--learner", "hanil", "--out",
+        str(tmp_path / "run"), *TRAIN_FLAGS])
+    assert code == 2 and not caught
+    assert len(lines) == 1 and lines[0].startswith(f"error: {points}: "
+                                                   f"task {cut}: ")
+
+
 def test_format_1_dataset_exits_2_with_the_gen_command(tmp_path, capsys):
     manifest = json.loads(Path("ds/manifest.json").read_text())
     (tmp_path / "old").mkdir()
@@ -391,6 +430,26 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     bad.write_text("walrus = 3\n")
     assert main(["gen", "--tasks", "2", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+# A config file line: any bytes, or an assignment to a known key of any value.
+CONFIG_LINES = st.binary(max_size=16) | st.builds(
+    "{} = {}".format, st.sampled_from(sorted(RunConfig.__dataclass_fields__)),
+    st.text(max_size=12)).map(str.encode)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(cmd=st.sampled_from(["metatrain", "eval"]),
+       lines=st.lists(CONFIG_LINES, max_size=5))
+def test_any_config_file_exits_1_or_2(cmd, lines):
+    # neither command has a dataset or checkpoint to run on, so each fails
+    with tempfile.TemporaryDirectory() as root, contextlib.chdir(root):
+        Path("run.cfg").write_bytes(b"\n".join(lines) + b"\n")
+        code, err, caught = _run_quietly([cmd, "--config", "run.cfg",
+                                          "--out", "o"])
+        assert not os.path.exists("o")
+    assert code in (1, 2) and not caught
+    assert len(err) == 1 and err[0].startswith(("error: ", "usage error: "))
 
 
 # -- gen ----------------------------------------------------------------------

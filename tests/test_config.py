@@ -1,6 +1,7 @@
 """Config file grammar, resolution order, and checkpoint round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,3 +212,20 @@ def test_a_failed_checkpoint_write_keeps_the_previous_file(tmp_path,
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
     assert load_checkpoint(str(path))[3]["episode"] == 1
+
+
+def test_saving_a_checkpoint_holds_no_second_copy(tmp_path):
+    # the desk network: 8,577 parameters, each with two Adam moments
+    learner, theta, adam = _checkpoint_state(hidden=(64, 64, 64))
+    path = tmp_path / "ck.json"
+    version_string()  # cached before the measurement
+    tracemalloc.start()
+    try:
+        save_checkpoint(str(path), learner, theta, adam, 3, 0, "spring_mass")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
+    # the text json.dumps gives for the whole object, one line
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text)) + "\n"

@@ -2,11 +2,14 @@ import hashlib
 import io
 import json
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hamlearn import seeding, taskgen
+from hamlearn.cli import main
 from hamlearn.physics import PARAM_NAMES, PhysicalParams, true_field_many
 from hamlearn.taskgen import (GRID_PER_AXIS, PARAM_RANGES, STATE_RANGES,
                               Task, build_grid, load_dataset, make_meta_test,
@@ -377,3 +380,60 @@ def test_format_1_dataset_names_the_command_that_regenerates_it(tmp_path):
             "hamlearn gen --system pendulum --seed 4 --tasks 30 --points 7 "
             f"--out {path}")):
         load_dataset(path)
+
+
+# sha256 of what `gen --tasks 20 --points 7 --seed 5` writes, recorded while
+# gen still built a list of Task objects and copied it into the arrays, so
+# that filling the arrays in place keeps each task's draws in their order.
+GEN_SHA256 = {
+    "spring_mass": {
+        "params.npy": "da8e50f2c286cf492a78f42fcacf14284f71801a5d02b15d26fe6ee9177d3513",
+        "points.npy": "59a5e22d3a09ab7cefea451a16128155814a8f3ff4530d395099eefd849ae8ee",
+        "manifest.json": "fb9a62fdbabd52e9866d2f67d04c4b9ac45958a42805e6a1f537d9761d03f8df"},
+    "pendulum": {
+        "params.npy": "4269404ac2e637fdc29c415082dd6a4bfe59a491a52329adab2b08ea537bdc22",
+        "points.npy": "f6e60792fd931e6e5e1f3c3869a7dd259b37e93707d929a346981b4374e20044",
+        "manifest.json": "16518ed382b35d9f6c6ab74ed8d7d5879c4be325658d2d9b249b084bf4461f59"},
+    "kepler": {
+        "params.npy": "5409ca1a9499916faf671a0869ba6343bda8bc206b1e643571e0b72ef093bad3",
+        "points.npy": "ec025f70328e23c2fb4adcf949368a97d90bfffc6339698da047762512069012",
+        "manifest.json": "19abe00abbecbc647e92a8e412fe1b0109045fe25b3c3fc927885d779a069b09"},
+}
+
+
+@pytest.mark.parametrize("system", sorted(GEN_SHA256))
+def test_gen_writes_the_pinned_bytes(tmp_path, system, capsys):
+    assert main(["gen", "--system", system, "--tasks", "20", "--points", "7",
+                 "--seed", "5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name, digest in GEN_SHA256[system].items():
+        raw = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == digest, name
+
+
+def test_a_loaded_pool_maps_no_file(tmp_path):
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        pytest.skip("no /proc/self/maps on this platform")
+    path = tmp_path / "ds"
+    write_dataset(str(path), "spring_mass", 1,
+                  make_meta_train("spring_mass", n_tasks=30, n_points=5,
+                                  seed=1))
+    _, back = load_dataset(str(path))
+    for i in range(10):
+        back[3 * i]
+    assert str(path / "points.npy") not in maps.read_text()
+    assert len(back) == 30  # the pool is still alive
+
+
+def test_generating_and_writing_a_pool_holds_it_once(tmp_path):
+    n_tasks, n_points = 1000, 50
+    pool_bytes = 8 * n_tasks * (3 + 2 * n_points * 4)  # 3.22 MB
+    tracemalloc.start()  # numpy's buffers are traced too
+    try:
+        write_dataset(str(tmp_path), "spring_mass", 0,
+                      make_meta_train("spring_mass", n_tasks, n_points, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * pool_bytes, peak
