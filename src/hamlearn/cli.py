@@ -20,9 +20,9 @@ import sys
 import time
 
 from . import LEARNER_KINDS, SYSTEMS
-from .config import (TRAINING_KEYS, RunConfig, load_checkpoint,
-                     read_config_file, resolve_config, save_checkpoint,
-                     version_string, write_provenance)
+from .config import (TRAINING_KEYS, RunConfig, comma_list, load_checkpoint,
+                     non_negative_int, read_config_file, resolve_config,
+                     save_checkpoint, version_string, write_provenance)
 
 
 class UsageError(Exception):
@@ -38,18 +38,11 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _comma_list(kind):
-    """argparse type: comma-separated `kind` values, blanks skipped."""
-    def read(text: str) -> tuple:
-        return tuple(kind(v) for v in text.split(",") if v.strip())
-    read.__name__ = f"comma-separated {kind.__name__}"  # in usage errors
-    return read
-
-
 def _common_flags(sub):
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--seed", type=int, help="run seed (env HAMLEARN_SEED "
-                     "is the fallback when neither flag nor file sets one)")
+    sub.add_argument("--seed", type=non_negative_int,
+                     help="run seed (env HAMLEARN_SEED is the fallback when "
+                     "neither flag nor file sets one)")
     sub.add_argument("--out", dest="out_dir", help="output directory")
     sub.add_argument("--strict-serial", dest="strict_serial",
                      action="store_const", const=True,
@@ -89,9 +82,7 @@ def build_parser() -> _Parser:
     m.add_argument("--outer-lr", dest="outer_lr", type=float)
     m.add_argument("--first-order", dest="second_order", action="store_const",
                    const=False)
-    m.add_argument("--hidden", type=_comma_list(int))
-    m.add_argument("--optimizer", choices=("adam", "sgd"), default="adam",
-                   help="outer update rule; sgd exists for exactness tests")
+    m.add_argument("--hidden", type=comma_list(int))
     m.add_argument("--resume", help="checkpoint to continue from")
     _common_flags(m)
     m.set_defaults(func=cmd_metatrain)
@@ -106,7 +97,7 @@ def build_parser() -> _Parser:
     e.add_argument("--steps", dest="adapt_steps", type=int)
     e.add_argument("--adapt-lr", dest="adapt_lr", type=float)
     e.add_argument("--n-systems", dest="n_systems", type=int)
-    e.add_argument("--hidden", type=_comma_list(int))
+    e.add_argument("--hidden", type=comma_list(int))
     _common_flags(e)
     e.set_defaults(func=cmd_eval)
 
@@ -115,7 +106,7 @@ def build_parser() -> _Parser:
     r.add_argument("--oracle", action="store_true",
                    help="integrate the analytic field as the learner")
     r.add_argument("--system", choices=SYSTEMS)
-    r.add_argument("--x0", type=_comma_list(float), help="comma-separated "
+    r.add_argument("--x0", type=comma_list(float), help="comma-separated "
                    "initial state; sampled from the state region when omitted")
     r.add_argument("--T", dest="t_span", type=float, default=20.0)
     r.add_argument("--samples", type=int, default=200)
@@ -127,10 +118,10 @@ def build_parser() -> _Parser:
     r.set_defaults(func=cmd_rollout)
 
     a = sub.add_parser("ablate", help="task-count sweep or learning curve")
-    a.add_argument("--counts", type=_comma_list(int),
+    a.add_argument("--counts", type=comma_list(int),
                    default="10,50,200,500,1000",
                    help="comma-separated ascending task counts")
-    a.add_argument("--learners", type=_comma_list(str),
+    a.add_argument("--learners", type=comma_list(str),
                    default="hanil,hnn_pretrained")
     a.add_argument("--step-range", dest="step_range",
                    help="0:N  -> export the adaptation learning curve "
@@ -144,7 +135,7 @@ def build_parser() -> _Parser:
     a.add_argument("--episodes", type=int)
     a.add_argument("--task-batch", dest="task_batch", type=int)
     a.add_argument("--inner-steps", dest="inner_steps", type=int)
-    a.add_argument("--hidden", type=_comma_list(int))
+    a.add_argument("--hidden", type=comma_list(int))
     _common_flags(a)
     a.set_defaults(func=cmd_ablate)
     return p
@@ -180,7 +171,7 @@ def _truncate_curve(path: str, episode: int) -> None:
 def _check_resume(path: str, blob, cfg, record: dict) -> None:
     """Refuse a checkpoint of another learner or system, or trained with
     other settings or on other data than this run's `record`; only the
-    episode count may grow."""
+    episode count may grow, and Adam has taken one step per episode."""
     want = {"learner": cfg.learner, "system": cfg.system, "seed": cfg.seed,
             "hidden": list(cfg.hidden), **record}
     diffs = [f"{key} {blob[key]!r} (this run: {value!r})" if key in blob
@@ -192,6 +183,9 @@ def _check_resume(path: str, blob, cfg, record: dict) -> None:
     if cfg.episodes < blob["episode"]:
         raise ValueError(f"{path} is at episode {blob['episode']}, "
                          f"past --episodes {cfg.episodes}")
+    if blob["adam"]["t"] != blob["episode"]:
+        raise ValueError(f"{path} has adam.t {blob['adam']['t']} but "
+                         f"episode {blob['episode']}")
 
 
 def cmd_metatrain(args) -> int:
@@ -212,11 +206,11 @@ def cmd_metatrain(args) -> int:
         raise ValueError(f"dataset holds {manifest['system']!r} tasks, "
                          f"config says {file_values['system']!r}")
     cfg.system = manifest["system"]
-    learner = cfg.learner_def()
-    # what the checkpoint records for a resume to insist on; the manifest's
-    # digest covers each array's digest, so it names the data
+    learner, outer = cfg.learner_def(), cfg.outer_config()
+    # what the checkpoint records for a resume to insist on: older builds
+    # also trained with sgd, and the manifest's digest names the data
     record = {**{key: getattr(cfg, key) for key in TRAINING_KEYS},
-              "optimizer": args.optimizer, "dataset": tasks.digest}
+              "optimizer": "adam", "dataset": tasks.digest}
     start_episode = 0
     adam = None
     if args.resume:
@@ -242,9 +236,8 @@ def cmd_metatrain(args) -> int:
             fh.write(f"{ep},{_fmt(loss)},{_fmt(wall)}\n")
 
         theta, adam, episode = train_learner(
-            learner, theta, tasks, cfg.outer_config(), cfg.seed, adam=adam,
-            optimizer=args.optimizer, start_episode=start_episode,
-            on_episode=log)
+            learner, theta, tasks, outer, cfg.seed, adam=adam,
+            start_episode=start_episode, on_episode=log)
     save_checkpoint(ckpt_path, learner, theta, adam, episode, cfg.seed,
                     cfg.system, record)
     print(f"trained {cfg.learner} to episode {episode}; "
@@ -373,10 +366,10 @@ def cmd_ablate(args) -> int:
         from .evaluation import learning_curve
         from .taskgen import make_meta_test_suite
         learner, theta = _load_learner_state(args, cfg)
-        write_provenance(cfg.out_dir, cfg)
         suite = make_meta_test_suite(cfg.system, cfg.mode, cfg.k, cfg.seed,
                                      cfg.n_systems)
         curve = learning_curve(learner, theta, suite, hi, cfg.adapt_lr)
+        write_provenance(cfg.out_dir, cfg)
         path = os.path.join(cfg.out_dir, "curve.csv")
         with open(path, "w") as fh:
             fh.write("step,mse_mean\n")
@@ -391,13 +384,13 @@ def cmd_ablate(args) -> int:
     if not kinds or not set(kinds) <= set(LEARNER_KINDS):
         raise UsageError("--learners must be among " + ",".join(LEARNER_KINDS))
     from .evaluation import ablation_tasks
-    write_provenance(cfg.out_dir, cfg)
     table = ablation_tasks(kinds, counts, cfg.system, cfg.mode, cfg.k,
                            cfg.seed, cfg.inner_config(), cfg.outer_config(),
                            n_points=args.points, n_systems=cfg.n_systems,
                            hidden=tuple(cfg.hidden),
                            adapt_steps=cfg.adapt_steps,
                            adapt_lr=cfg.adapt_lr)
+    write_provenance(cfg.out_dir, cfg)
     path = os.path.join(cfg.out_dir, "ablation.csv")
     with open(path, "w") as fh:
         fh.write("learner,task_count,mse_mean,mse_std\n")

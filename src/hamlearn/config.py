@@ -3,7 +3,8 @@
 Config files are flat `key = value` text: one assignment per line, `#`
 starts a comment, blank lines ignored.  Keys are RunConfig field names;
 values are parsed by the field's type (ints, floats, true/false bools,
-comma-separated ints for `hidden`).  CLI flags override file values.
+comma-separated ints for `hidden`, a non-negative int for `seed`).  CLI
+flags override file values.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ if TYPE_CHECKING:  # the kernels load only where a method needs them
 
 CHECKPOINT_FORMAT_VERSION = 1
 
-# RunConfig fields that, with the optimizer, seed and hidden sizes, fix a
-# training run; a checkpoint records them so a resume can insist on them.
+# RunConfig fields that, with the seed and hidden sizes, fix a training
+# run; a checkpoint records them so a resume can insist on them.
 TRAINING_KEYS = ("inner_steps", "inner_lr", "outer_lr", "task_batch",
                  "second_order")
 
@@ -94,37 +95,50 @@ class RunConfig:
                              self.inner_config())
 
 
+def comma_list(kind):
+    """Reader of comma-separated `kind` values, blanks skipped."""
+    def read(text: str) -> tuple:
+        return tuple(kind(v) for v in text.split(",") if v.strip())
+    read.__name__ = f"comma-separated {kind.__name__}"  # in usage errors
+    return read
+
+
+def non_negative_int(text: str) -> int:
+    """int(text), refusing a negative value: the reader of every seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_value(name: str, kind, text: str):
     """text as a value of `kind`; an error names where it was set, `name`."""
     text = text.strip()
     try:
-        if kind is bool:
-            low = text.lower()
-            if low in ("1", "true", "yes"):
-                return True
-            if low in ("0", "false", "no"):
-                return False
-            raise ValueError(f"expected a boolean, got {text!r}")
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        if kind is tuple:
-            return tuple(int(p) for p in text.split(",") if p.strip())
-        return text
+        if kind is not bool:
+            return kind(text)
+        low = text.lower()
+        if low in ("1", "true", "yes"):
+            return True
+        if low in ("0", "false", "no"):
+            return False
+        raise ValueError(f"expected a boolean, got {text!r}")
     except ValueError as err:
         raise ValueError(f"{name}: {err}") from None
 
 
-_FIELD_KINDS = {f.name: (tuple if f.name == "hidden" else type(f.default))
-                for f in fields(RunConfig)}
+_FIELD_KINDS = {f.name: type(f.default) for f in fields(RunConfig)}
+_FIELD_KINDS.update(hidden=comma_list(int), seed=non_negative_int)
 
 
 def read_config_file(path: str) -> dict:
     """Parse a flat key = value file into typed values."""
     values = {}
-    with open(path) as fh:
+    # an undecodable byte reads as a lone surrogate, whose line is named
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if any("\udc80" <= c <= "\udcff" for c in raw):
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -145,7 +159,8 @@ def resolve_config(file_values: dict = None, overrides: dict = None) -> RunConfi
     merged.update(file_values or {})
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
     if "seed" not in merged and os.environ.get(ENV_SEED):
-        merged["seed"] = _parse_value(ENV_SEED, int, os.environ[ENV_SEED])
+        merged["seed"] = _parse_value(ENV_SEED, non_negative_int,
+                                      os.environ[ENV_SEED])
     unknown = set(merged) - set(_FIELD_KINDS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

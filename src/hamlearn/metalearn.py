@@ -178,9 +178,8 @@ def _task_meta_grad_fast(spec, theta, task, cfg: InnerConfig, second_order,
 
 
 def meta_step(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
-              outer_cfg: OuterConfig, adam: AdamState, *, loss_kind="hnn",
-              optimizer="adam"):
-    """One outer update on a task batch.
+              outer_cfg: OuterConfig, adam: AdamState, *, loss_kind="hnn"):
+    """One outer Adam update on a task batch.
 
     Returns (theta_new, adam_new, meta_loss) where meta_loss is the sum of
     post-adaptation test losses evaluated before the update.
@@ -197,20 +196,13 @@ def meta_step(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
         total_grad += gvec
     if not np.isfinite(total_loss) or not np.all(np.isfinite(total_grad)):
         raise FloatingPointError("non-finite meta-gradient")
-    if optimizer == "adam":
-        theta_new, adam = adam_update(adam, theta, total_grad, outer_cfg.lr)
-    elif optimizer == "sgd":
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta_new = theta - outer_cfg.lr * total_grad
-    else:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    theta_new, adam = adam_update(adam, theta, total_grad, outer_cfg.lr)
     return theta_new, adam, float(total_loss)
 
 
 def meta_train(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
                outer_cfg: OuterConfig, seed: int, *, adam: AdamState = None,
-               loss_kind="hnn", optimizer="adam",
-               start_episode: int = 0, on_episode=None):
+               loss_kind="hnn", start_episode: int = 0, on_episode=None):
     """Episode loop: each episode draws task_batch tasks from the pool
     without replacement and applies one meta_step.  The draw for episode
     e depends only on (seed, e), so a run can resume mid-stream."""
@@ -222,8 +214,7 @@ def meta_train(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
         k = min(outer_cfg.task_batch, len(tasks))
         batch = [tasks[i] for i in rng.choice(len(tasks), size=k, replace=False)]
         theta, adam, loss = meta_step(spec, theta, batch, inner_cfg, outer_cfg,
-                                      adam, loss_kind=loss_kind,
-                                      optimizer=optimizer)
+                                      adam, loss_kind=loss_kind)
         if on_episode is not None:
             on_episode(ep, loss)
     return theta, adam
@@ -287,7 +278,7 @@ def build_learner(kind: str, state_dim: int = 2, hidden=(64, 64, 64),
 
 
 def train_learner(learner: LearnerDef, theta, tasks, outer_cfg: OuterConfig,
-                  seed: int, *, adam: AdamState = None, optimizer="adam",
+                  seed: int, *, adam: AdamState = None,
                   start_episode: int = 0, on_episode=None):
     """Train a learner from theta on a task pool; returns (theta, adam,
     episode).
@@ -302,7 +293,6 @@ def train_learner(learner: LearnerDef, theta, tasks, outer_cfg: OuterConfig,
         theta, adam = meta_train(learner.spec, theta, tasks, learner.inner,
                                  outer_cfg, seed, adam=adam,
                                  loss_kind=learner.loss_kind,
-                                 optimizer=optimizer,
                                  start_episode=start_episode,
                                  on_episode=on_episode)
         return theta, adam, outer_cfg.episodes

@@ -1,0 +1,121 @@
+"""Run every command of the CLI at tiny sizes and digest what each writes.
+
+Usage: PYTHONPATH=src python tests/cli_sweep.py DIR
+
+Each command runs as `python -m hamlearn` in DIR, with its own --out
+directory DIR/<name>.  DIR/SHA256SUMS then holds, per command in run
+order, its exit code and the sha256 of each file in its --out directory.
+The version string is stripped before hashing (the `# version = ` lines
+and the checkpoint's "version" value), so two checkouts that should
+behave alike give identical SHA256SUMS files: diff them.  pytest does
+not collect this file; the sweep takes under ten seconds on two cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+
+SEED = ["--seed", "5", "--strict-serial"]
+TRAIN = ["--episodes", "3", "--task-batch", "2", "--inner-steps", "2",
+         "--hidden", "6"]
+EVAL = ["--k", "6", "--n-systems", "2", "--steps", "3"]
+CKPT = "{}/checkpoint.json"
+DATA = "data-spring_mass"
+
+
+def _commands():
+    """(name, argv without --out, expected to succeed) in run order."""
+    yield from ((f"data-{s}", ["gen", "--system", s, "--tasks", "30",
+                               "--points", "6"], True)
+                for s in ("spring_mass", "pendulum", "kepler"))
+    for kind in ("naive_maml", "naive_anil", "hamaml", "hanil", "hanil_inv",
+                 "hnn_pretrained"):
+        yield (f"train-{kind}", ["metatrain", "--dataset", DATA, "--learner",
+                                 kind, *TRAIN], True)
+    yield ("train-hanil-first-order", ["metatrain", "--dataset", DATA,
+                                       "--learner", "hanil", "--first-order",
+                                       *TRAIN], True)
+    yield ("train-kepler", ["metatrain", "--dataset", "data-kepler",
+                            "--learner", "hamaml", *TRAIN], True)
+    # a 2-episode run, then resumed in place to episode 3
+    yield ("resume", ["metatrain", "--dataset", DATA, "--learner", "hamaml",
+                      *TRAIN, "--episodes", "2"], True)
+    yield ("resume", ["metatrain", "--dataset", DATA, "--learner", "hamaml",
+                      *TRAIN, "--resume", CKPT.format("resume")], True)
+    hanil = CKPT.format("train-hanil")
+    yield ("eval-points", ["eval", "--checkpoint", hanil, *EVAL], True)
+    yield ("eval-trajectories", ["eval", "--checkpoint", hanil,
+                                 "--mode", "trajectories", *EVAL], True)
+    yield ("eval-kepler", ["eval", "--checkpoint", CKPT.format("train-kepler"),
+                           *EVAL], True)
+    yield ("eval-scratch", ["eval", "--learner", "hnn_scratch", "--hidden",
+                            "6", *EVAL], True)
+    yield ("ablate-curve", ["ablate", "--step-range", "0:3", "--checkpoint",
+                            hanil, "--k", "6", "--n-systems", "1"], True)
+    yield ("ablate-counts", ["ablate", "--counts", "4,8", "--learners",
+                             "hanil,hnn_pretrained", "--points", "6",
+                             "--episodes", "2", "--task-batch", "2",
+                             "--inner-steps", "1", "--hidden", "6", "--k",
+                             "6", "--n-systems", "1"], True)
+    yield ("rollout", ["rollout", "--checkpoint", hanil, "--k", "6",
+                       "--steps", "3", "--T", "2", "--samples", "20"], True)
+    yield ("rollout-oracle", ["rollout", "--oracle", "--system", "pendulum",
+                              "--T", "2", "--samples", "20"], True)
+    yield ("fail-gen-no-tasks", ["gen", "--tasks", "0"], False)
+    yield ("fail-no-dataset", ["metatrain", "--dataset", "no-such-dir",
+                               "--learner", "hanil", *TRAIN], False)
+    yield ("fail-no-episodes", ["metatrain", "--dataset", DATA, "--learner",
+                                "hanil", *TRAIN, "--episodes", "0"], False)
+    yield ("fail-optimizer", ["metatrain", "--dataset", DATA, "--learner",
+                              "hanil", *TRAIN, "--optimizer", "adam"], False)
+    yield ("fail-resume-other-lr", ["metatrain", "--dataset", DATA,
+                                    "--learner", "hanil", *TRAIN,
+                                    "--episodes", "4", "--resume", hanil,
+                                    "--inner-lr", "0.5"], False)
+    yield ("fail-eval-no-checkpoint", ["eval", "--checkpoint", "missing.json",
+                                       *EVAL], False)
+    yield ("fail-rollout-nan-T", ["rollout", "--oracle", "--T", "nan"], False)
+
+
+def _digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    data = re.sub(rb"(?m)^# version = .*\n", b"", data)
+    data = re.sub(rb'"version": "[^"]*"', b'"version": ""', data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(root: str) -> int:
+    import hamlearn  # the children run the package this process imports
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hamlearn.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    os.makedirs(root, exist_ok=True)
+    lines, surprises = [], []
+    for name, argv, should_pass in _commands():
+        proc = subprocess.run([sys.executable, "-m", "hamlearn", *argv, *SEED,
+                               "--out", name], cwd=root, env=env,
+                              capture_output=True, text=True)
+        code = proc.returncode
+        if (code == 0) != should_pass:
+            surprises.append(f"{name} exited {code}: {proc.stderr.strip()}")
+        lines.append(f"exit {code}  {name} {json.dumps(argv)}")
+        out = os.path.join(root, name)
+        for file in sorted(os.listdir(out)) if os.path.isdir(out) else ():
+            lines.append(f"{_digest(os.path.join(out, file))}  {name}/{file}")
+    with open(os.path.join(root, "SHA256SUMS"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    for line in surprises:
+        print(f"unexpected: {line}", file=sys.stderr)
+    print(f"{len(lines)} lines in {os.path.join(root, 'SHA256SUMS')}")
+    return 1 if surprises else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))

@@ -105,6 +105,10 @@ def test_usage_errors_exit_1(argv, capsys):
     (["ablate", "--counts", "10,20", "--learners", "hanil,foo"],
      "--learners"),
     (["metatrain", "--dataset", "ds", "--learner", "foo"], "--learner"),
+    (["gen", "--tasks", "2", "--seed", "-3"], "--seed"),
+    # Adam is the only outer update rule
+    (["metatrain", "--dataset", "ds", "--learner", "hanil", *TRAIN_FLAGS,
+      "--optimizer", "adam"], "--optimizer"),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, argv, flag, capsys):
     out = tmp_path / "o"
@@ -514,11 +518,10 @@ def test_metatrain_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_resume_matches_uninterrupted_run(tmp_path, optimizer, capsys):
+def test_resume_matches_uninterrupted_run(tmp_path, capsys):
     base = ["metatrain", "--dataset", "ds", "--learner", "hanil",
             "--task-batch", "2", "--inner-steps", "2", "--hidden", "6",
-            "--seed", "9", "--strict-serial", "--optimizer", optimizer]
+            "--seed", "9", "--strict-serial"]
     full, part = str(tmp_path / "full"), str(tmp_path / "part")
     assert main(base + ["--episodes", "4", "--out", full]) == 0
     assert main(base + ["--episodes", "2", "--out", part]) == 0
@@ -594,7 +597,8 @@ def test_resume_of_a_pretrained_learner_is_refused(tmp_path, capsys):
             for name in ("curve.csv", "checkpoint.json")] == before
 
 
-# A setting a checkpoint records, and flags that change it from TRAIN_FLAGS.
+# A setting a checkpoint records, and flags that change it from TRAIN_FLAGS,
+# or an edit of the checkpoint that a resume must refuse.
 RESUME_CHANGES = {
     "seed": ["--seed", "77"],
     "task_batch": ["--task-batch", "3"],
@@ -602,7 +606,11 @@ RESUME_CHANGES = {
     "inner_lr": ["--inner-lr", "0.5"],
     "outer_lr": ["--outer-lr", "0.1"],
     "second_order": ["--first-order"],
-    "optimizer": ["--optimizer", "sgd"],
+    # older builds could also train with sgd
+    "optimizer": lambda blob: blob.update(optimizer="sgd"),
+    # Adam steps once per episode; a wrong step count skews its bias
+    # correction
+    "adam.t": lambda blob: blob["adam"].update(t=blob["episode"] - 1),
     "hidden": ["--hidden", "5"],
     "episode": ["--episodes", "2"],  # fewer than the checkpoint's 3
 }
@@ -614,13 +622,39 @@ def test_resume_with_a_changed_config_is_refused(tmp_path, key, capsys):
     base = ["metatrain", "--dataset", "ds", "--learner", "hanil",
             "--out", str(out), *TRAIN_FLAGS]
     assert main(base) == 0
+    change = RESUME_CHANGES[key]
+    if callable(change):
+        blob = json.loads((out / "checkpoint.json").read_text())
+        change(blob)
+        (out / "checkpoint.json").write_text(json.dumps(blob))
+        change = []
     names = ("curve.csv", "config.txt", "checkpoint.json")
     before = [(out / name).read_bytes() for name in names]
     assert main(base + ["--episodes", "5", "--resume",
-                        str(out / "checkpoint.json"),
-                        *RESUME_CHANGES[key]]) == 2
+                        str(out / "checkpoint.json"), *change]) == 2
     assert key in capsys.readouterr().err
     assert [(out / name).read_bytes() for name in names] == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["metatrain", "--dataset", "ds", *TRAIN_FLAGS, "--episodes", "0"],
+    ["metatrain", "--dataset", "ds", *TRAIN_FLAGS, "--task-batch", "0"],
+    ["ablate", "--counts", "5", "--learners", "hanil", "--episodes", "0"],
+    ["ablate", "--counts", "5", "--learners", "hanil", "--inner-steps", "-1"],
+    ["ablate", "--counts", "5", "--learners", "hanil", "--episodes", "1",
+     "--k", "0"],
+    ["ablate", "--step-range", "0:2", "--checkpoint", "run/checkpoint.json",
+     "--n-systems", "0"],
+], ids=["metatrain-no-episodes", "metatrain-no-batch", "ablate-no-episodes",
+        "ablate-negative-inner-steps", "ablate-k0", "curve-no-systems"])
+def test_bad_counts_leave_the_run_directory_untouched(tmp_path, argv, capsys):
+    out = tmp_path / "run"
+    assert main(["metatrain", "--dataset", "ds", "--learner", "hanil",
+                 "--out", str(out), *TRAIN_FLAGS]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main([*argv, "--seed", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_resume_on_another_dataset_is_refused(tmp_path, capsys):
@@ -949,14 +983,15 @@ def _kernels(*names):
                                   ["rollout", "--oracle", "--x0", "1,y"],
                                   ["ablate", "--learners", "hanil,foo"],
                                   ["metatrain", "--learner", "foo"],
-                                  ["eval", "--learner", "foo"]],
+                                  ["eval", "--learner", "foo"],
+                                  ["gen", "--seed", "-3"]],
                          ids=["version", "no-command", "bad-command",
                               "bad-flag", "gen-no-tasks", "metatrain-scratch",
                               "metatrain-no-dataset", "ablate-descending",
                               "ablate-bad-count", "rollout-bad-x0",
                               "ablate-unknown-learner",
                               "metatrain-unknown-learner",
-                              "eval-unknown-learner"])
+                              "eval-unknown-learner", "negative-seed"])
 def test_version_and_usage_errors_load_no_numpy(argv):
     proc, loaded = _loaded_modules(argv)
     assert proc.returncode == (0 if argv == ["--version"] else 1)

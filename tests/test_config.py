@@ -73,10 +73,13 @@ def test_parser_handles_comments_blanks_and_types(tmp_path):
     ("just some words", "key = value"),
     ("second_order = maybe", "boolean"),
     ("inner_steps = 1.5", "inner_steps: invalid literal"),
+    ("seed = -1", "seed: expected a non-negative integer, got '-1'"),
+    (b"\xff\xfe = 2", "not UTF-8 text"),
 ])
 def test_parse_errors_carry_the_line_number(tmp_path, line, frag):
     path = tmp_path / "bad.cfg"
-    path.write_text("seed = 1\n" + line + "\n")
+    text = line if isinstance(line, bytes) else line.encode()
+    path.write_bytes(b"seed = 1\n" + text + b"\n")
     with pytest.raises(ValueError, match=frag) as err:
         read_config_file(str(path))
     assert ":2" in str(err.value) or "boolean" in str(err.value)
@@ -98,6 +101,9 @@ def test_env_seed_is_the_last_fallback(monkeypatch):
     assert resolve_config({}, {"seed": 5}).seed == 5
     monkeypatch.setenv(ENV_SEED, "abc")
     with pytest.raises(ValueError, match=f"{ENV_SEED}: invalid literal"):
+        resolve_config({}, {})
+    monkeypatch.setenv(ENV_SEED, "-4")
+    with pytest.raises(ValueError, match=f"{ENV_SEED}: expected a non-neg"):
         resolve_config({}, {})
     monkeypatch.delenv(ENV_SEED)
     assert resolve_config({}, {}).seed == 0
