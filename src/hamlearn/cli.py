@@ -102,9 +102,10 @@ def build_parser() -> _Parser:
     e.set_defaults(func=cmd_eval)
 
     r = sub.add_parser("rollout", help="integrate a learner against truth")
-    r.add_argument("--checkpoint", help="required unless --oracle")
-    r.add_argument("--oracle", action="store_true",
-                   help="integrate the analytic field as the learner")
+    source = r.add_mutually_exclusive_group()
+    source.add_argument("--checkpoint", help="required unless --oracle")
+    source.add_argument("--oracle", action="store_true",
+                        help="integrate the analytic field as the learner")
     r.add_argument("--system", choices=SYSTEMS)
     r.add_argument("--x0", type=comma_list(float), help="comma-separated "
                    "initial state; sampled from the state region when omitted")
@@ -308,10 +309,10 @@ def cmd_rollout(args) -> int:
     cfg, file_values = _resolve(args)
     if args.adapt_steps is None and "adapt_steps" not in file_values:
         cfg.adapt_steps = 50  # rollouts default to a longer adaptation
-    spec, theta, loss_kind = None, None, "oracle"
+    spec, theta = None, None  # spec None: the oracle
     if not args.oracle:
         learner, theta = _load_learner_state(args, cfg)
-        spec, loss_kind = learner.spec, learner.loss_kind
+        spec = learner.spec
     rng = seeding.split(cfg.seed, seeding.ROLLOUT, 0)
     params = sample_params(cfg.system, rng)
     if not args.oracle:
@@ -324,8 +325,7 @@ def cmd_rollout(args) -> int:
             raise UsageError(f"--x0 needs {2 * params.n} components")
     else:
         x0 = sample_states(params, rng, 1)[0]
-    report = rollout_eval(spec, theta, params, x0, args.t_span, args.samples,
-                          loss_kind)
+    report = rollout_eval(spec, theta, params, x0, args.t_span, args.samples)
     write_provenance(cfg.out_dir, cfg)
     n = params.n
     cols = ["t", "state_mse", "energy_mse"]

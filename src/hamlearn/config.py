@@ -275,8 +275,13 @@ def load_checkpoint(path: str):
 
     from .metalearn import AdamState, build_learner
     from .network import ACTIVATION, param_count
+
+    def refuse(token):  # save_checkpoint writes strict JSON
+        raise ValueError(f"checkpoint {path} holds {token}, which is not "
+                         "strict JSON")
+
     with open(path) as fh:
-        blob = json.load(fh)
+        blob = json.load(fh, parse_constant=refuse)
     if type(blob) is not dict or \
             blob.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format in {path}")

@@ -54,7 +54,7 @@ class RolloutReport:
     failure_time: float | None = None
 
 
-def field_mse(spec, params, loss_kind: str, grid: GridTestSet,
+def field_mse(spec, params, grid: GridTestSet,
               features: fastops.HeadFeatures | None = None) -> float:
     """Mean squared field error over the evaluation lattice.
 
@@ -64,7 +64,7 @@ def field_mse(spec, params, loss_kind: str, grid: GridTestSet,
     if grid.states.shape[0] == 0:
         raise ValueError("empty grid")
     if features is None:
-        F = fastops.predicted_field(spec, params, grid.states, loss_kind)
+        F = fastops.predicted_field(spec, params, grid.states)
     elif features.X is not grid.states:
         raise ValueError("features were built on another grid")
     else:
@@ -82,7 +82,7 @@ def _adam_path(learner: LearnerDef, theta, X, Xdot, steps: int, lr: float):
     head-only learner steps in head space on features built once."""
     theta = np.array(theta, np.float64)
     sel, fn = adaptation_objective(learner.spec, theta, X, Xdot,
-                                   learner.loss_kind, learner.inner.update_set)
+                                   learner.inner.update_set)
     sub = theta[sel]
     adam = adam_init(sub.size)
     yield theta
@@ -107,8 +107,7 @@ def _with_grid_features(learner: LearnerDef, theta, systems):
         if (head_only(learner.inner.update_set) and s.grid.states.shape[0] > 0
                 and (features is None or features.X is not s.grid.states)):
             features = fastops.head_features(learner.spec, theta,
-                                             s.grid.states, learner.loss_kind,
-                                             keep_state=False)
+                                             s.grid.states, keep_state=False)
         yield s, features
 
 
@@ -134,8 +133,7 @@ def adapt_and_eval(learner: LearnerDef, theta_meta, systems,
     for s, features in _with_grid_features(learner, theta_meta, systems):
         th = adapt_params(learner, theta_meta, s.train_x, s.train_xdot,
                           adapt_steps, adapt_lr)
-        per.append(field_mse(learner.spec, th, learner.loss_kind, s.grid,
-                             features))
+        per.append(field_mse(learner.spec, th, s.grid, features))
     per = np.asarray(per)
     return EvalReport(learner.kind, systems[0].params.system, systems[0].mode,
                       int(systems[0].k), float(per.mean()), float(per.std()),
@@ -153,8 +151,7 @@ def learning_curve(learner: LearnerDef, theta_meta, systems,
         path = _adam_path(learner, theta_meta, s.train_x, s.train_xdot,
                           max_steps, adapt_lr)
         for step, theta in enumerate(path):
-            curves[i, step] = field_mse(learner.spec, theta,
-                                        learner.loss_kind, s.grid, features)
+            curves[i, step] = field_mse(learner.spec, theta, s.grid, features)
     return curves.mean(axis=0)
 
 
@@ -178,8 +175,7 @@ def _reached(field, x0, T_span: float, samples: int):
 
 
 def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
-                 T_span: float = 20.0, samples: int = 200,
-                 loss_kind: str = "hnn") -> RolloutReport:
+                 T_span: float = 20.0, samples: int = 200) -> RolloutReport:
     """Integrate the learner's field against the true flow from x0.
 
     state_mse(t) = ||x_pred(t) - x_true(t)||^2 and energy_mse(t) =
@@ -187,19 +183,19 @@ def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
     integration fails or a sample crosses the evaluation guard, the series
     stop at the last good sample and failure_time records the earliest stop.
 
-    loss_kind "oracle" integrates the true field on both sides, which
+    spec None (the oracle) integrates the true field on both sides, which
     bounds the integrator noise floor of the two MSE series.  Both sides
     run at the data-generation tolerances, `integrate`'s defaults, so that
     integrator noise sits far below the 1e-10 scale the reports are read at.
     """
     x0 = np.asarray(x0, np.float64)
 
-    if loss_kind == "oracle":
+    if spec is None:
         pred_field = field_fn(true_params)
     else:
         def pred_field(x):
-            return fastops.predicted_field(spec, params_adapted, x[None, :],
-                                           loss_kind)[0]
+            return fastops.predicted_field(spec, params_adapted,
+                                           x[None, :])[0]
 
     Xp, failure = _reached(pred_field, x0, T_span, samples)
     n = Xp.shape[0]

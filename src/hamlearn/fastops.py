@@ -65,21 +65,25 @@ def _quiet(fn):
 _ROW_BLOCK = 128
 
 
-def _check(spec: NetworkSpec, params, X, loss_kind: str | None = None):
-    """(params, per-layer [W; b] blocks, X) as float64 arrays, once a given
-    loss kind is known and the head has the shape it needs."""
-    if loss_kind is not None and loss_kind not in _FIELD:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
+def _check(spec: NetworkSpec, params, X):
+    """(params, per-layer [W; b] blocks, X) as float64 arrays."""
     params = np.asarray(params, np.float64)
     blocks = unpack_blocks(spec, params)  # checks the length
     X = np.atleast_2d(np.asarray(X, np.float64))
     if X.shape[1] != spec.input_dim:
         raise ValueError("input dim mismatch")
-    if loss_kind == "hnn" and spec.output_dim != 1:
-        raise ValueError("Hamiltonian kernels need output_dim == 1")
-    if loss_kind == "naive" and spec.output_dim != spec.input_dim:
-        raise ValueError("field kernels need output_dim == input_dim")
     return params, blocks, X
+
+
+def _loss(spec: NetworkSpec) -> str:
+    """The loss the head's width fixes: "hnn" for a scalar Hamiltonian,
+    whose field is Omega dH/dx, "naive" for a head that is the field."""
+    if spec.output_dim == 1:
+        return "hnn"
+    if spec.output_dim == spec.input_dim:
+        return "naive"
+    raise ValueError(f"a head of width {spec.output_dim} is neither a "
+                     f"Hamiltonian (1) nor a field ({spec.input_dim})")
 
 
 def _softplus_sigmoid(z, out):
@@ -180,7 +184,6 @@ class Linearization:
     indexed by layer l = 1..L; blocks[l - 1] is layer l's [W; b].
     """
     spec: NetworkSpec
-    loss_kind: str
     params: np.ndarray
     X: np.ndarray
     Xdot: np.ndarray
@@ -237,8 +240,8 @@ def _hnn_linearize(spec, params, blocks, X, Xdot):
         G[l - 1] += A[l - 1].T @ barz[l]
         if l > 1:
             bara[l - 1] = barz[l] @ W[l - 1].T
-    return Linearization(spec, "hnn", params, X, Xdot, loss, grad, blocks,
-                         A, S, barz, bara, SP, U, V, barv, baru)
+    return Linearization(spec, params, X, Xdot, loss, grad, blocks, A, S,
+                         barz, bara, SP, U, V, barv, baru)
 
 
 def _hnn_tangent(lin: Linearization, vec):
@@ -306,8 +309,8 @@ def _naive_linearize(spec, params, blocks, X, Xdot):
         if l > 1:
             bara[l - 1] = barz[l] @ blocks[l - 1][:-1].T
             barz[l - 1] = bara[l - 1] * S[l - 1]
-    return Linearization(spec, "naive", params, X, Xdot, loss, grad, blocks,
-                         A, S, barz, bara)
+    return Linearization(spec, params, X, Xdot, loss, grad, blocks, A, S,
+                         barz, bara)
 
 
 def _naive_tangent(lin: Linearization, vec):
@@ -383,7 +386,6 @@ class HeadFeatures(NamedTuple):
     tangent chains that `loss_hvp`'s reverse pass runs through.
     """
     spec: NetworkSpec
-    loss_kind: str
     body: np.ndarray  # copy of the parameters below the last layer
     X: np.ndarray
     phi: np.ndarray
@@ -408,7 +410,7 @@ class HeadFeatures(NamedTuple):
     def field(self, params) -> np.ndarray:
         """The field on X at params."""
         _, P = self._head(params)
-        if self.loss_kind == "naive":
+        if _loss(self.spec) == "naive":
             return self.phi @ P
         d, B, h = self.phi.shape
         return (self.phi.reshape(d * B, h) @ P[:-1, 0]).reshape(d, B).T
@@ -424,7 +426,7 @@ class HeadFeatures(NamedTuple):
         B = self.X.shape[0]
         grad = np.zeros(P.size)
         G = grad.reshape(P.shape)
-        if self.loss_kind == "naive":
+        if _loss(self.spec) == "naive":
             R = self.phi @ P - Xdot
             np.matmul(self.phi.T, (2.0 / B) * R, out=G)
         else:  # the gradient of b_L stays exactly 0
@@ -432,9 +434,8 @@ class HeadFeatures(NamedTuple):
             phi = self.phi.reshape(d * B, h)
             R = (phi @ P[:-1, 0]).reshape(d, B).T - Xdot
             np.matmul(((2.0 / B) * R.T).ravel(), phi, out=G[:-1, 0])
-        return HeadLinearization(self.spec, self.loss_kind, params, self.X,
-                                 Xdot, float(np.sum(R * R) / B), grad, self,
-                                 R)
+        return HeadLinearization(self.spec, params, self.X, Xdot,
+                                 float(np.sum(R * R) / B), grad, self, R)
 
 
 class HeadLinearization(NamedTuple):
@@ -442,7 +443,6 @@ class HeadLinearization(NamedTuple):
     a `Linearization`, for directions in the last layer.  `grad` covers
     the last layer's [W; b] block only."""
     spec: NetworkSpec
-    loss_kind: str
     params: np.ndarray
     X: np.ndarray
     Xdot: np.ndarray
@@ -469,7 +469,7 @@ def _head_tangent(lin: HeadLinearization, vec):
     hvp = np.zeros(vec.size)
     H = unpack_blocks(lin.spec, hvp)
     B, d = lin.X.shape
-    if lin.loss_kind == "naive":
+    if _loss(lin.spec) == "naive":
         dbarz = (2.0 / B) * (f.phi @ U)
         np.matmul(f.phi.T, dbarz, out=H[-1])
         bara = dbarz @ P[:-1].T + ((2.0 / B) * lin.R) @ U[:-1].T
@@ -517,75 +517,75 @@ def mlp_forward(spec: NetworkSpec, params, X) -> np.ndarray:
 
 
 @_quiet
-def predicted_field(spec: NetworkSpec, params, X, loss_kind: str) -> np.ndarray:
+def predicted_field(spec: NetworkSpec, params, X) -> np.ndarray:
     """Learner's vector-field prediction at states X."""
-    _, blocks, X = _check(spec, params, X, loss_kind)
-    return _by_rows(_FIELD[loss_kind], blocks, X)
+    _, blocks, X = _check(spec, params, X)
+    return _by_rows(_FIELD[_loss(spec)], blocks, X)
 
 
 @_quiet
-def head_features(spec: NetworkSpec, params, X, loss_kind: str,
+def head_features(spec: NetworkSpec, params, X,
                   keep_state: bool = True) -> HeadFeatures:
     """Features of the batch X at params' body (see `HeadFeatures`).
 
     keep_state=False builds phi alone, in row blocks, for a batch that is
     only scored, such as an evaluation grid.
     """
-    params, blocks, X = _check(spec, params, X, loss_kind)
+    params, blocks, X = _check(spec, params, X)
+    loss = _loss(spec)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     body = params[: layer_slice(spec, spec.n_layers - 1).start].copy()
     if not keep_state:
-        return HeadFeatures(spec, loss_kind, body, X,
-                            _by_rows(_PHI[loss_kind], blocks, X,
-                                     axis=int(loss_kind == "hnn")))
-    if loss_kind == "naive":
+        return HeadFeatures(spec, body, X, _by_rows(_PHI[loss], blocks, X,
+                                                    axis=int(loss == "hnn")))
+    if loss == "naive":
         A, S = _forward(blocks, X)
-        return HeadFeatures(spec, loss_kind, body, X, A[-1], A, S)
+        return HeadFeatures(spec, body, X, A[-1], A, S)
     phi, A, S, TZ, T = _hnn_features(blocks, X)
     SP = [None] + [s * (1.0 - s) for s in S[1:]]
-    return HeadFeatures(spec, loss_kind, body, X, phi, A, S, SP, TZ, T)
+    return HeadFeatures(spec, body, X, phi, A, S, SP, TZ, T)
 
 
 @_quiet
-def loss_value(spec: NetworkSpec, params, X, Xdot, loss_kind: str) -> float:
+def loss_value(spec: NetworkSpec, params, X, Xdot) -> float:
     """Batch loss: mean over rows of the squared field error."""
-    F = predicted_field(spec, params, X, loss_kind)
+    F = predicted_field(spec, params, X)
     Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
     R = F - Xdot
     return float(np.sum(R * R) / R.shape[0])
 
 
-def _linearize(spec, params, X, Xdot, loss_kind) -> Linearization:
-    params, blocks, X = _check(spec, params, X, loss_kind)
+def _linearize(spec, params, X, Xdot) -> Linearization:
+    params, blocks, X = _check(spec, params, X)
     Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
     if Xdot.shape != X.shape:
         raise ValueError("Xdot shape must match X")
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    return _LINEARIZE[loss_kind](spec, params, blocks, X, Xdot)
+    return _LINEARIZE[_loss(spec)](spec, params, blocks, X, Xdot)
 
 
 @_quiet
-def loss_grad(spec: NetworkSpec, params, X, Xdot, loss_kind: str):
+def loss_grad(spec: NetworkSpec, params, X, Xdot):
     """(loss, dloss/dparams, linearization) for one batch.
 
     The linearization lets `loss_hvp` at the same arrays run only the
     tangent pass.  It refers to params, X and Xdot without copying them,
     so they must not be modified while it is in use.
     """
-    lin = _linearize(spec, params, X, Xdot, loss_kind)
+    lin = _linearize(spec, params, X, Xdot)
     return lin.loss, lin.grad, lin
 
 
 @_quiet
-def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec, loss_kind: str,
+def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec,
              lin: Linearization | HeadLinearization | None = None):
     """(loss, grad, H @ vec) where H is the loss Hessian in params.
 
-    `lin`, from `loss_grad` with the same spec, loss kind and params, X
-    and Xdot arrays, skips the primal+adjoint pass.  A linearization made
-    for another spec or loss kind, or at other arrays, is a ValueError.
+    `lin`, from `loss_grad` with the same spec and params, X and Xdot
+    arrays, skips the primal+adjoint pass.  A linearization made for
+    another spec or at other arrays is a ValueError.
     `lin` may also be a `HeadLinearization`; then vec must lie in the last
     layer, grad covers the last layer only, and H @ vec is exact in every
     parameter.
@@ -594,13 +594,12 @@ def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec, loss_kind: str,
     if vec.shape != (param_count(spec),):
         raise ValueError("direction length does not match spec")
     if lin is None:
-        lin = _linearize(spec, params, X, Xdot, loss_kind)
-    elif not (lin.spec == spec and lin.loss_kind == loss_kind
+        lin = _linearize(spec, params, X, Xdot)
+    elif not (lin.spec == spec
               and lin.params is np.asarray(params, np.float64)
               and lin.X is np.atleast_2d(np.asarray(X, np.float64))
               and lin.Xdot is np.atleast_2d(np.asarray(Xdot, np.float64))):
-        raise ValueError("linearization was made at other arrays, spec or "
-                         "loss kind")
+        raise ValueError("linearization was made at other arrays or spec")
     if isinstance(lin, HeadLinearization):
         return lin.loss, lin.grad, _head_tangent(lin, vec)
-    return lin.loss, lin.grad, _TANGENT[loss_kind](lin, vec)
+    return lin.loss, lin.grad, _TANGENT[_loss(spec)](lin, vec)

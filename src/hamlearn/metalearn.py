@@ -109,14 +109,13 @@ def head_only(update_set: str) -> bool:
     return update_set == "last"
 
 
-def adaptation_objective(spec: NetworkSpec, theta0, X, Xdot, loss_kind: str,
-                         update_set: str):
+def adaptation_objective(spec: NetworkSpec, theta0, X, Xdot, update_set: str):
     """(sel, fn): theta[sel] is what one adaptation step on (X, Xdot)
     writes, and fn(theta) is (loss, gradient on theta[sel], linearization).
     A head-only update set steps in head space, on features of X built once
     at theta0's body."""
     if head_only(update_set):
-        features = fastops.head_features(spec, theta0, X, loss_kind)
+        features = fastops.head_features(spec, theta0, X)
 
         def fn(theta):
             lin = features.linearize(theta, Xdot)
@@ -126,21 +125,20 @@ def adaptation_objective(spec: NetworkSpec, theta0, X, Xdot, loss_kind: str,
     mask = update_mask(spec, update_set)
 
     def fn(theta):
-        loss, grad, lin = fastops.loss_grad(spec, theta, X, Xdot, loss_kind)
+        loss, grad, lin = fastops.loss_grad(spec, theta, X, Xdot)
         return loss, grad[mask], lin
 
     return mask, fn
 
 
-def _adapt(spec, theta, X, Xdot, cfg: InnerConfig, loss_kind):
+def _adapt(spec, theta, X, Xdot, cfg: InnerConfig):
     """Masked gradient descent; returns (theta_S, [(theta_k, linearization
     at theta_k) for k = 0 .. S-1])."""
     theta = np.array(theta, np.float64)
     trace = []
     if not cfg.steps:
         return theta, trace
-    sel, fn = adaptation_objective(spec, theta, X, Xdot, loss_kind,
-                                   cfg.update_set)
+    sel, fn = adaptation_objective(spec, theta, X, Xdot, cfg.update_set)
     for k in range(cfg.steps):
         loss, grad, lin = fn(theta)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
@@ -152,33 +150,29 @@ def _adapt(spec, theta, X, Xdot, cfg: InnerConfig, loss_kind):
     return theta, trace
 
 
-def inner_adapt(spec: NetworkSpec, theta, X, Xdot, cfg: InnerConfig,
-                loss_kind="hnn") -> np.ndarray:
+def inner_adapt(spec: NetworkSpec, theta, X, Xdot,
+                cfg: InnerConfig) -> np.ndarray:
     """Adapted parameters after cfg.steps full-batch descent steps."""
-    return _adapt(spec, theta, X, Xdot, cfg, loss_kind)[0]
+    return _adapt(spec, theta, X, Xdot, cfg)[0]
 
 
 # -- outer loop -----------------------------------------------------------------
 
 
-def _task_meta_grad_fast(spec, theta, task, cfg: InnerConfig, second_order,
-                         loss_kind):
-    theta_s, trace = _adapt(spec, theta, task.train_x, task.train_xdot,
-                            cfg, loss_kind)
-    loss, v, _ = fastops.loss_grad(spec, theta_s, task.test_x, task.test_xdot,
-                                   loss_kind)
+def _task_meta_grad_fast(spec, theta, task, cfg: InnerConfig, second_order):
+    theta_s, trace = _adapt(spec, theta, task.train_x, task.train_xdot, cfg)
+    loss, v, _ = fastops.loss_grad(spec, theta_s, task.test_x, task.test_xdot)
     if second_order and trace:
         maskf = update_mask(spec, cfg.update_set).astype(np.float64)
         for theta_k, lin in reversed(trace):
             _, _, hv = fastops.loss_hvp(spec, theta_k, task.train_x,
-                                        task.train_xdot, maskf * v, loss_kind,
-                                        lin)
+                                        task.train_xdot, maskf * v, lin)
             v = v - cfg.lr * hv
     return loss, v
 
 
 def meta_step(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
-              outer_cfg: OuterConfig, adam: AdamState, *, loss_kind="hnn"):
+              outer_cfg: OuterConfig, adam: AdamState):
     """One outer Adam update on a task batch.
 
     Returns (theta_new, adam_new, meta_loss) where meta_loss is the sum of
@@ -191,7 +185,7 @@ def meta_step(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
     total_loss = 0.0
     for task in tasks:
         loss, gvec = _task_meta_grad_fast(spec, theta, task, inner_cfg,
-                                          outer_cfg.second_order, loss_kind)
+                                          outer_cfg.second_order)
         total_loss += loss
         total_grad += gvec
     if not np.isfinite(total_loss) or not np.all(np.isfinite(total_grad)):
@@ -202,7 +196,7 @@ def meta_step(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
 
 def meta_train(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
                outer_cfg: OuterConfig, seed: int, *, adam: AdamState = None,
-               loss_kind="hnn", start_episode: int = 0, on_episode=None):
+               start_episode: int = 0, on_episode=None):
     """Episode loop: each episode draws task_batch tasks from the pool
     without replacement and applies one meta_step.  The draw for episode
     e depends only on (seed, e), so a run can resume mid-stream."""
@@ -214,7 +208,7 @@ def meta_train(spec: NetworkSpec, theta, tasks, inner_cfg: InnerConfig,
         k = min(outer_cfg.task_batch, len(tasks))
         batch = [tasks[i] for i in rng.choice(len(tasks), size=k, replace=False)]
         theta, adam, loss = meta_step(spec, theta, batch, inner_cfg, outer_cfg,
-                                      adam, loss_kind=loss_kind)
+                                      adam)
         if on_episode is not None:
             on_episode(ep, loss)
     return theta, adam
@@ -241,7 +235,7 @@ def pretrain(spec: NetworkSpec, theta, tasks, epochs: int, lr: float,
     for _ in range(epochs):
         for task in tasks:
             loss, grad, _ = fastops.loss_grad(spec, theta, task.train_x,
-                                              task.train_xdot, "hnn")
+                                              task.train_xdot)
             if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
                 raise FloatingPointError("non-finite pretraining loss or "
                                          "gradient")
@@ -259,21 +253,19 @@ class LearnerDef:
     kind: str
     spec: NetworkSpec
     inner: InnerConfig
-    loss_kind: str
     meta_trained: bool
     pretrained: bool
 
 
 def build_learner(kind: str, state_dim: int = 2, hidden=(64, 64, 64),
                   inner: InnerConfig = None) -> LearnerDef:
-    """Wiring for one learner variant: head shape, loss, inner update set."""
+    """Wiring for one learner variant: head shape (which fixes the loss)
+    and inner update set."""
     if kind not in LEARNER_KINDS:
         raise ValueError(f"unknown learner kind {kind!r}")
-    is_hnn = kind in _HNN_KINDS
-    spec = hnn_spec(state_dim, hidden) if is_hnn else naive_spec(state_dim, hidden)
+    spec = (hnn_spec if kind in _HNN_KINDS else naive_spec)(state_dim, hidden)
     cfg = replace(inner or InnerConfig(), update_set=_UPDATE_FOR[kind])
-    return LearnerDef(kind, spec, cfg, "hnn" if is_hnn else "naive",
-                      meta_trained=kind in _META_KINDS,
+    return LearnerDef(kind, spec, cfg, meta_trained=kind in _META_KINDS,
                       pretrained=kind == "hnn_pretrained")
 
 
@@ -292,7 +284,6 @@ def train_learner(learner: LearnerDef, theta, tasks, outer_cfg: OuterConfig,
     if learner.meta_trained:
         theta, adam = meta_train(learner.spec, theta, tasks, learner.inner,
                                  outer_cfg, seed, adam=adam,
-                                 loss_kind=learner.loss_kind,
                                  start_episode=start_episode,
                                  on_episode=on_episode)
         return theta, adam, outer_cfg.episodes

@@ -8,7 +8,7 @@ order, its exit code and the sha256 of each file in its --out directory.
 The version string is stripped before hashing (the `# version = ` lines
 and the checkpoint's "version" value), so two checkouts that should
 behave alike give identical SHA256SUMS files: diff them.  pytest does
-not collect this file; the sweep takes under ten seconds on two cores.
+not collect this file; the sweep takes about 12 seconds on two cores.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ CKPT = "{}/checkpoint.json"
 DATA = "data-spring_mass"
 
 
-def _commands():
-    """(name, argv without --out, expected to succeed) in run order."""
+def _commands(root: str):
+    """(name, argv without --out, expected to succeed) in run order.  A
+    command may read what an earlier one wrote, so run each before drawing
+    the next."""
     yield from ((f"data-{s}", ["gen", "--system", s, "--tasks", "30",
                                "--points", "6"], True)
                 for s in ("spring_mass", "pendulum", "kepler"))
@@ -66,6 +68,20 @@ def _commands():
                        "--steps", "3", "--T", "2", "--samples", "20"], True)
     yield ("rollout-oracle", ["rollout", "--oracle", "--system", "pendulum",
                               "--T", "2", "--samples", "20"], True)
+    for kind in ("naive_maml", "naive_anil", "hamaml", "hanil_inv"):
+        ckpt = CKPT.format(f"train-{kind}")
+        yield (f"eval-{kind}", ["eval", "--checkpoint", ckpt, *EVAL], True)
+        yield (f"ablate-curve-{kind}", ["ablate", "--step-range", "0:3",
+                                        "--checkpoint", ckpt, "--k", "6",
+                                        "--n-systems", "1"], True)
+        yield (f"rollout-{kind}", ["rollout", "--checkpoint", ckpt, "--k", "6",
+                                   "--steps", "3", "--T", "2", "--samples",
+                                   "20"], True)
+    yield ("ablate-counts-naive", ["ablate", "--counts", "4,8", "--learners",
+                                   "naive_anil,naive_maml", "--points", "6",
+                                   "--episodes", "2", "--task-batch", "2",
+                                   "--inner-steps", "1", "--hidden", "6",
+                                   "--k", "6", "--n-systems", "1"], True)
     yield ("fail-gen-no-tasks", ["gen", "--tasks", "0"], False)
     yield ("fail-no-dataset", ["metatrain", "--dataset", "no-such-dir",
                                "--learner", "hanil", *TRAIN], False)
@@ -80,6 +96,17 @@ def _commands():
     yield ("fail-eval-no-checkpoint", ["eval", "--checkpoint", "missing.json",
                                        *EVAL], False)
     yield ("fail-rollout-nan-T", ["rollout", "--oracle", "--T", "nan"], False)
+    yield ("fail-rollout-oracle-checkpoint", ["rollout", "--oracle",
+                                              "--checkpoint", hanil], False)
+    with open(os.path.join(root, hanil)) as fh:
+        blob = json.load(fh)
+    blob["adam"]["m"][0] = float("inf")
+    with open(os.path.join(root, "non-finite.json"), "w") as fh:
+        json.dump(blob, fh)  # Infinity, which save_checkpoint never writes
+    yield ("fail-resume-non-finite", ["metatrain", "--dataset", DATA,
+                                      "--learner", "hanil", *TRAIN,
+                                      "--episodes", "4", "--resume",
+                                      "non-finite.json"], False)
 
 
 def _digest(path: str) -> str:
@@ -96,7 +123,7 @@ def main(root: str) -> int:
     env = {**os.environ, "PYTHONPATH": src}
     os.makedirs(root, exist_ok=True)
     lines, surprises = [], []
-    for name, argv, should_pass in _commands():
+    for name, argv, should_pass in _commands(root):
         proc = subprocess.run([sys.executable, "-m", "hamlearn", *argv, *SEED,
                                "--out", name], cwd=root, env=env,
                               capture_output=True, text=True)

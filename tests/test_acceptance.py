@@ -81,7 +81,7 @@ def test_criterion_1_autodiff_gradients_match_finite_differences(adam_grads):
         theta = init_params(spec, 1000 + i)
         X = rng.uniform(-2.0, 2.0, (16, 2))
         Xdot = rng.uniform(-2.0, 2.0, (16, 2))
-        _, grad, _ = fastops.loss_grad(spec, theta, X, Xdot, "hnn")
+        _, grad, _ = fastops.loss_grad(spec, theta, X, Xdot)
         # full coordinate sweep on three nets, a random subset on the rest
         coords = (np.arange(n) if i < 3
                   else rng.choice(n, size=48, replace=False))
@@ -89,8 +89,8 @@ def test_criterion_1_autodiff_gradients_match_finite_differences(adam_grads):
         for j in coords:
             e = np.zeros(n)
             e[j] = h
-            fd = (fastops.loss_value(spec, theta + e, X, Xdot, "hnn")
-                  - fastops.loss_value(spec, theta - e, X, Xdot, "hnn")) / (2 * h)
+            fd = (fastops.loss_value(spec, theta + e, X, Xdot)
+                  - fastops.loss_value(spec, theta - e, X, Xdot)) / (2 * h)
             worst = max(worst, abs(grad[j] - fd) / max(1.0, abs(fd)))
     assert worst < 1e-5, f"worst hnn_loss gradient rel err {worst:.3g}"
 
@@ -104,7 +104,7 @@ def test_criterion_1_autodiff_gradients_match_finite_differences(adam_grads):
         ids = g.leaf_many(theta)
         node = hnn_loss(g, gspec, ids, X, Xdot)
         graph_grad = g.grad_values(node, ids)
-        _, fast_grad, _ = fastops.loss_grad(gspec, theta, X, Xdot, "hnn")
+        _, fast_grad, _ = fastops.loss_grad(gspec, theta, X, Xdot)
         np.testing.assert_allclose(graph_grad, fast_grad, rtol=1e-9)
 
     # second-order meta-gradient vs finite differences of the composed
@@ -132,8 +132,8 @@ def test_criterion_1_autodiff_gradients_match_finite_differences(adam_grads):
     def composed(th):
         total = 0.0
         for t in tasks:
-            tp = inner_adapt(bspec, th, t.train_x, t.train_xdot, inner, "hnn")
-            total += fastops.loss_value(bspec, tp, t.test_x, t.test_xdot, "hnn")
+            tp = inner_adapt(bspec, th, t.train_x, t.train_xdot, inner)
+            total += fastops.loss_value(bspec, tp, t.test_x, t.test_xdot)
         return total
 
     meta_step(bspec, theta0, tasks, inner, outer, adam_init(bn))
@@ -188,8 +188,7 @@ def test_criterion_3_anil_updates_touch_only_their_layers():
     for kind in ("hanil", "hanil_inv"):
         learner = build_learner(kind)
         theta = init_params(learner.spec, 4)
-        adapted = inner_adapt(learner.spec, theta, X, Xdot, learner.inner,
-                              "hnn")
+        adapted = inner_adapt(learner.spec, theta, X, Xdot, learner.inner)
         mask = update_mask(learner.spec, learner.inner.update_set)
         frozen = ~mask
         assert np.array_equal(adapted[frozen], theta[frozen]), \
@@ -292,8 +291,7 @@ def test_criterion_8_learned_flow_conserves_its_own_hamiltonian(spring_runs):
     x0 = sample_states(s.params, rng, 1)[0]
 
     def learned_field(x):
-        return fastops.predicted_field(learner.spec, adapted, x[None, :],
-                                       "hnn")[0]
+        return fastops.predicted_field(learner.spec, adapted, x[None, :])[0]
 
     _, X = integrate(learned_field, x0, 1.0, 100, rtol=1e-8, atol=1e-10)
     H = fastops.mlp_forward(learner.spec, adapted,

@@ -109,6 +109,10 @@ def test_usage_errors_exit_1(argv, capsys):
     # Adam is the only outer update rule
     (["metatrain", "--dataset", "ds", "--learner", "hanil", *TRAIN_FLAGS,
       "--optimizer", "adam"], "--optimizer"),
+    # the oracle is the learner, so a checkpoint has no part in it
+    (["rollout", "--oracle", "--checkpoint", "run/checkpoint.json"],
+     "--oracle"),
+    (["rollout", "--oracle", "--checkpoint", "missing.json"], "--checkpoint"),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, argv, flag, capsys):
     out = tmp_path / "o"
@@ -318,6 +322,40 @@ def test_out_of_range_checkpoint_value_names_file_and_key(tmp_path, cmd,
     assert len(lines) == 1 and lines[0].startswith(f"error: checkpoint {path}")
     assert key in lines[0]
     assert not out.exists()
+
+
+NON_FINITE_COMMANDS = {
+    "eval": JSON_INPUT_COMMANDS["eval"],
+    "rollout": ["rollout", "--k", "6", "--steps", "0", "--T", "1",
+                "--samples", "4", "--checkpoint"],
+    "resume": ["metatrain", "--dataset", "ds", "--learner", "hanil",
+               *TRAIN_FLAGS, "--episodes", "4", "--resume"],
+}
+
+
+@pytest.mark.parametrize("field", ["params", "m", "v"])
+@pytest.mark.parametrize("cmd", sorted(NON_FINITE_COMMANDS))
+def test_a_non_finite_checkpoint_value_exits_2_before_any_output(
+        tmp_path, cmd, field):
+    # save_checkpoint writes strict JSON; the last parameter is hanil's
+    # output bias, which its field ignores
+    for token, value in [("NaN", np.nan), ("Infinity", np.inf),
+                         ("-Infinity", -np.inf)]:
+        def mutate(blob):
+            holder = blob if field == "params" else blob["adam"]
+            holder[field] = [*holder[field][:-1], value]
+            return blob
+
+        root = tmp_path / token
+        root.mkdir()
+        path = _tampered_input(root, "checkpoint", mutate)
+        out = root / "o"
+        code, lines, caught = _run_quietly([*NON_FINITE_COMMANDS[cmd], path,
+                                            "--out", str(out)])
+        assert code == 2 and not caught
+        assert lines == [f"error: checkpoint {path} holds {token}, which is "
+                         "not strict JSON"]
+        assert not out.exists()
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -30,9 +30,9 @@ def test_field_mse_zero_for_perfect_predictor():
     spec = NetworkSpec(2, (4,), 2)
     theta = init_params(spec, 1)
     states = np.random.default_rng(0).uniform(-1, 1, (30, 2))
-    F = fastops.predicted_field(spec, theta, states, "naive")
+    F = fastops.predicted_field(spec, theta, states)
     grid = GridTestSet(states, F, 0)
-    assert E.field_mse(spec, theta, "naive", grid) == 0.0
+    assert E.field_mse(spec, theta, grid) == 0.0
 
 
 def test_field_mse_zero_for_true_hamiltonian_on_tape():
@@ -49,7 +49,7 @@ def test_field_mse_zero_predictor_matches_direct_sum():
     params = sample_params("spring_mass", rng)
     grid = build_grid(params, per_axis=9)
     spec = NetworkSpec(2, (4,), 1)
-    got = E.field_mse(spec, np.zeros(param_count(spec)), "hnn", grid)
+    got = E.field_mse(spec, np.zeros(param_count(spec)), grid)
     want = sum(float(v @ v) for v in grid.derivatives) / grid.states.shape[0]
     assert abs(got - want) < 1e-12 * want
 
@@ -58,7 +58,7 @@ def test_field_mse_empty_grid_rejected():
     spec = NetworkSpec(2, (4,), 1)
     grid = GridTestSet(np.zeros((0, 2)), np.zeros((0, 2)), 0)
     with pytest.raises(ValueError):
-        E.field_mse(spec, np.zeros(param_count(spec)), "hnn", grid)
+        E.field_mse(spec, np.zeros(param_count(spec)), grid)
 
 
 # -- adaptation ------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_adapt_and_eval_aggregation_matches_recomputation():
     per = []
     for s in systems:
         th = E.adapt_params(learner, theta, s.train_x, s.train_xdot, 3)
-        per.append(E.field_mse(learner.spec, th, "hnn", s.grid))
+        per.append(E.field_mse(learner.spec, th, s.grid))
     assert rep.mse_mean == float(np.mean(per))
     assert rep.mse_std == float(np.std(per))  # population convention
     assert rep.n_systems == 4 and rep.adapt_steps == 3
@@ -98,7 +98,7 @@ def test_adapt_step_zero_evaluates_raw_initialization():
     theta = init_params(learner.spec, 9)
     systems = suite_for(n_systems=2)
     rep = E.adapt_and_eval(learner, theta, systems, adapt_steps=0)
-    direct = np.mean([E.field_mse(learner.spec, theta, "hnn", s.grid)
+    direct = np.mean([E.field_mse(learner.spec, theta, s.grid)
                       for s in systems])
     assert rep.mse_mean == float(direct)
 
@@ -130,8 +130,8 @@ def test_perfectly_fitted_system_stays_at_zero_mse():
     Xg = rng.uniform(-1, 1, (40, 2))
     sysm = fake_system(
         spring(), GridTestSet(Xg, fastops.predicted_field(
-            learner.spec, theta, Xg, "naive"), 0),
-        Xtr, fastops.predicted_field(learner.spec, theta, Xtr, "naive"))
+            learner.spec, theta, Xg), 0),
+        Xtr, fastops.predicted_field(learner.spec, theta, Xtr))
     for steps in (0, 1, 10):
         rep = E.adapt_and_eval(learner, theta, [sysm], adapt_steps=steps)
         assert rep.mse_mean == 0.0
@@ -231,8 +231,7 @@ def _generic_adam_path(learner, theta, X, Xdot, steps, lr):
     adam = M.adam_init(sub.size)
     path = [theta.copy()]
     for _ in range(steps):
-        _, grad, _ = fastops.loss_grad(learner.spec, theta, X, Xdot,
-                                       learner.loss_kind)
+        _, grad, _ = fastops.loss_grad(learner.spec, theta, X, Xdot)
         sub, adam = M.adam_update(adam, sub, grad[mask], lr)
         theta[mask] = sub
         path.append(theta.copy())
@@ -252,14 +251,13 @@ def test_head_space_adaptation_matches_generic_masked_adam(kind):
                                   steps, E.ADAPT_LR)
         got = E.adapt_params(learner, theta, s.train_x, s.train_xdot, steps)
         assert np.abs(got - path[-1]).max() <= 1e-12 * np.abs(path[-1]).max()
-        per_step += [E.field_mse(learner.spec, th, learner.loss_kind, s.grid)
-                     for th in path]
+        per_step += [E.field_mse(learner.spec, th, s.grid) for th in path]
     want = per_step / len(systems)
     assert np.all(np.abs(curve - want) <= 1e-12 * want)
     assert curve[-1] < curve[0]
 
 
-def _q_squared_field(spec, params, X, loss_kind):
+def _q_squared_field(spec, params, X):
     return np.stack([X[:, 0] ** 2, np.zeros(X.shape[0])], axis=1)
 
 
@@ -274,8 +272,8 @@ def test_rollout_keeps_every_sample_the_learned_field_reached(monkeypatch):
     monkeypatch.setattr(E, "integrate", counted)
     monkeypatch.setattr(fastops, "predicted_field", _q_squared_field)
     params = spring()
-    report = E.rollout_eval(None, None, params, np.array([1.0, 0.5]),
-                            T_span=20.0, samples=200)
+    report = E.rollout_eval(NetworkSpec(2, (1,), 1), None, params,
+                            np.array([1.0, 0.5]), T_span=20.0, samples=200)
     Xp, Xt = report.pred_states, report.true_states
     assert report.times.shape == (10,)
     np.testing.assert_array_equal(report.times, sample_times(20.0, 200)[:10])
@@ -300,16 +298,16 @@ def hnn_fit_to(params, seed=0, steps=400, n=60, hidden=(16,)):
     theta = init_params(spec, seed)
     adam = M.adam_init(theta.size)
     for _ in range(steps):
-        _, g, _ = fastops.loss_grad(spec, theta, X, Xdot, "hnn")
+        _, g, _ = fastops.loss_grad(spec, theta, X, Xdot)
         theta, adam = M.adam_update(adam, theta, g, 0.01)
     return spec, theta
 
 
 def test_rollout_true_field_is_noise_level():
-    # oracle mode integrates the analytic field on both sides
+    # spec None, the oracle, integrates the analytic field on both sides
     params = spring(m=1.3, k=0.7)
     report = E.rollout_eval(None, None, params, np.array([1.0, 0.0]),
-                            T_span=5.0, samples=50, loss_kind="oracle")
+                            T_span=5.0, samples=50)
     assert report.failure_time is None
     assert report.times.shape == (50,)
     assert np.all(report.state_mse < 1e-10)
@@ -321,7 +319,7 @@ def test_rollout_zero_field_matches_harmonic_closed_form():
     spec = NetworkSpec(2, (3,), 2)
     theta = np.zeros(param_count(spec))
     report = E.rollout_eval(spec, theta, params, np.array([1.0, 0.0]),
-                            T_span=6.0, samples=30, loss_kind="naive")
+                            T_span=6.0, samples=30)
     t = report.times
     want = (1.0 - np.cos(t)) ** 2 + np.sin(t) ** 2
     np.testing.assert_allclose(report.state_mse, want, atol=1e-8)
@@ -348,7 +346,7 @@ def test_rollout_blowup_reports_failure_time():
     theta[3] = 10.0   # W1[0, 0] -> qdot
     theta[4] = 10.0   # W1[0, 1] -> pdot
     report = E.rollout_eval(spec, theta, spring(), np.array([1.0, 0.0]),
-                            T_span=20.0, samples=100, loss_kind="naive")
+                            T_span=20.0, samples=100)
     assert report.failure_time is not None
     assert 0.0 < report.failure_time <= 20.0
     assert report.times.shape == report.state_mse.shape == report.energy_mse.shape
@@ -383,23 +381,23 @@ def test_hnn_field_is_symplectically_divergence_free():
     rng = np.random.default_rng(8)
     pts = rng.uniform(-2, 2, (50, 2))
     h = 1e-5
-    scale = np.abs(fastops.predicted_field(spec, theta, pts, "hnn")).max()
+    scale = np.abs(fastops.predicted_field(spec, theta, pts)).max()
 
-    def div(spec_, th_, kind, x):
+    def div(spec_, th_, x):
         eq = np.array([h, 0.0])
         ep = np.array([0.0, h])
-        dq = (fastops.predicted_field(spec_, th_, (x + eq)[None], kind)[0, 0]
-              - fastops.predicted_field(spec_, th_, (x - eq)[None], kind)[0, 0])
-        dp = (fastops.predicted_field(spec_, th_, (x + ep)[None], kind)[0, 1]
-              - fastops.predicted_field(spec_, th_, (x - ep)[None], kind)[0, 1])
+        dq = (fastops.predicted_field(spec_, th_, (x + eq)[None])[0, 0]
+              - fastops.predicted_field(spec_, th_, (x - eq)[None])[0, 0])
+        dp = (fastops.predicted_field(spec_, th_, (x + ep)[None])[0, 1]
+              - fastops.predicted_field(spec_, th_, (x - ep)[None])[0, 1])
         return (dq + dp) / (2 * h)
 
-    worst = max(abs(div(spec, theta, "hnn", x)) for x in pts)
+    worst = max(abs(div(spec, theta, x)) for x in pts)
     assert worst < 1e-4 * scale
     # a generic field-valued net has no such structure
     nspec = NetworkSpec(2, (10, 8), 2)
     ntheta = init_params(nspec, 8)
-    nworst = max(abs(div(nspec, ntheta, "naive", x)) for x in pts)
+    nworst = max(abs(div(nspec, ntheta, x)) for x in pts)
     assert nworst > 100 * worst
 
 

@@ -56,7 +56,7 @@ def test_hnn_field_matches_tape_route(lane):
     spec = N.NetworkSpec(4, (8, 7), 1)
     params = rand_net(3, spec)
     X = RNG(4).uniform(-2, 2, (6, 4))
-    np.testing.assert_allclose(F.predicted_field(spec, params, X, "hnn"),
+    np.testing.assert_allclose(F.predicted_field(spec, params, X),
                                tape_hnn_field(spec, params, X),
                                rtol=1e-12, atol=1e-14)
 
@@ -69,9 +69,9 @@ def test_loss_grad_matches_fd(lane, kind, out_mul):
     rng = RNG(6)
     X = rng.uniform(-1.5, 1.5, (8, d0))
     Xd = rng.uniform(-1.5, 1.5, (8, d0))
-    loss, grad, _ = F.loss_grad(spec, params, X, Xd, kind)
-    assert loss == pytest.approx(F.loss_value(spec, params, X, Xd, kind), rel=1e-12)
-    fd = fd_grad(lambda th: F.loss_value(spec, th, X, Xd, kind), params)
+    loss, grad, _ = F.loss_grad(spec, params, X, Xd)
+    assert loss == pytest.approx(F.loss_value(spec, params, X, Xd), rel=1e-12)
+    fd = fd_grad(lambda th: F.loss_value(spec, th, X, Xd), params)
     rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
     assert rel.max() < 1e-7
 
@@ -85,13 +85,13 @@ def test_hvp_matches_fd_of_grad(lane, kind):
     X = rng.uniform(-1.5, 1.5, (6, d0))
     Xd = rng.uniform(-1.5, 1.5, (6, d0))
     v = rng.normal(0, 1, params.size)
-    loss, grad, hvp = F.loss_hvp(spec, params, X, Xd, v, kind)
-    loss2, grad2, _ = F.loss_grad(spec, params, X, Xd, kind)
+    loss, grad, hvp = F.loss_hvp(spec, params, X, Xd, v)
+    loss2, grad2, _ = F.loss_grad(spec, params, X, Xd)
     assert loss == pytest.approx(loss2, rel=1e-13)
     np.testing.assert_allclose(grad, grad2, rtol=1e-12, atol=1e-15)
     h = 1e-6
-    _, gp, _ = F.loss_grad(spec, params + h * v, X, Xd, kind)
-    _, gm, _ = F.loss_grad(spec, params - h * v, X, Xd, kind)
+    _, gp, _ = F.loss_grad(spec, params + h * v, X, Xd)
+    _, gm, _ = F.loss_grad(spec, params - h * v, X, Xd)
     fd = (gp - gm) / (2 * h)
     rel = np.abs(hvp - fd) / np.maximum(1.0, np.abs(fd))
     assert rel.max() < 1e-7
@@ -114,20 +114,20 @@ def test_hvp_from_linearization_on_update_set_directions(kind, update_set,
     X = rng.uniform(-1.5, 1.5, (6, d0))
     Xd = rng.uniform(-1.5, 1.5, (6, d0))
     v = N.update_mask(spec, update_set) * rng.normal(0, 1, params.size)
-    loss, grad, lin = F.loss_grad(spec, params, X, Xd, kind)
-    cached = F.loss_hvp(spec, params, X, Xd, v, kind, lin)
-    fresh = F.loss_hvp(spec, params, X, Xd, v, kind)
+    loss, grad, lin = F.loss_grad(spec, params, X, Xd)
+    cached = F.loss_hvp(spec, params, X, Xd, v, lin)
+    fresh = F.loss_hvp(spec, params, X, Xd, v)
     assert cached[0] == fresh[0] == loss
     np.testing.assert_array_equal(cached[1], grad)
     np.testing.assert_array_equal(fresh[1], grad)
     np.testing.assert_array_equal(cached[2], fresh[2])
     # skipping the terms fed only by zero blocks of v changes no bit
     monkeypatch.setattr(F, "_tangent_blocks", _keep_zero_blocks)
-    np.testing.assert_array_equal(F.loss_hvp(spec, params, X, Xd, v, kind,
-                                             lin)[2], cached[2])
+    np.testing.assert_array_equal(F.loss_hvp(spec, params, X, Xd, v, lin)[2],
+                                  cached[2])
     h = 1e-6
-    _, gp, _ = F.loss_grad(spec, params + h * v, X, Xd, kind)
-    _, gm, _ = F.loss_grad(spec, params - h * v, X, Xd, kind)
+    _, gp, _ = F.loss_grad(spec, params + h * v, X, Xd)
+    _, gm, _ = F.loss_grad(spec, params - h * v, X, Xd)
     fd = (gp - gm) / (2 * h)
     rel = np.abs(cached[2] - fd) / np.maximum(1.0, np.abs(fd))
     assert rel.max() < 1e-7
@@ -140,16 +140,17 @@ def test_loss_hvp_refuses_a_foreign_linearization():
     X = rng.uniform(-1, 1, (5, 2))
     Xd = rng.uniform(-1, 1, (5, 2))
     v = rng.normal(0, 1, params.size)
-    _, _, lin = F.loss_grad(spec, params, X, Xd, "hnn")
-    for args in [(spec, params + 1e-3, X, Xd, "hnn"),
-                 (spec, params.copy(), X, Xd, "hnn"),
-                 (spec, params, X + 1e-3, Xd, "hnn"),
-                 (spec, params, X, Xd[::-1], "hnn"),
-                 (spec, params, X, Xd, "naive")]:
-        sp, p, x, xd, kind = args
+    _, _, lin = F.loss_grad(spec, params, X, Xd)
+    field_spec = N.NetworkSpec(2, (1, 4), 2)  # a field head, as many params
+    assert N.param_count(field_spec) == params.size
+    for sp, p, x, xd in [(spec, params + 1e-3, X, Xd),
+                         (spec, params.copy(), X, Xd),
+                         (spec, params, X + 1e-3, Xd),
+                         (spec, params, X, Xd[::-1]),
+                         (field_spec, params, X, Xd)]:
         with pytest.raises(ValueError, match="linearization"):
-            F.loss_hvp(sp, p, x, xd, v, kind, lin)
-    F.loss_hvp(spec, params, X, Xd, v, "hnn", lin)  # its own arrays pass
+            F.loss_hvp(sp, p, x, xd, v, lin)
+    F.loss_hvp(spec, params, X, Xd, v, lin)  # its own arrays pass
 
 
 @pytest.mark.parametrize("kind", ["hnn", "naive"])
@@ -162,8 +163,8 @@ def test_hessian_symmetry_through_hvp(kind):
     Xd = rng.uniform(-1, 1, (5, d0))
     u = rng.normal(0, 1, params.size)
     w = rng.normal(0, 1, params.size)
-    _, _, Hu = F.loss_hvp(spec, params, X, Xd, u, kind)
-    _, _, Hw = F.loss_hvp(spec, params, X, Xd, w, kind)
+    _, _, Hu = F.loss_hvp(spec, params, X, Xd, u)
+    _, _, Hw = F.loss_hvp(spec, params, X, Xd, w)
     assert np.dot(w, Hu) == pytest.approx(np.dot(u, Hw), rel=1e-10)
 
 
@@ -174,15 +175,15 @@ def test_hnn_last_bias_gradient_is_exactly_zero(lane):
     rng = RNG(12)
     X = rng.uniform(-2, 2, (10, 2))
     Xd = rng.uniform(-2, 2, (10, 2))
-    _, grad, _ = F.loss_grad(spec, params, X, Xd, "hnn")
+    _, grad, _ = F.loss_grad(spec, params, X, Xd)
     assert grad[-1] == 0.0
     v = rng.normal(0, 1, params.size)
-    _, _, hvp = F.loss_hvp(spec, params, X, Xd, v, "hnn")
+    _, _, hvp = F.loss_hvp(spec, params, X, Xd, v)
     assert hvp[-1] == 0.0
     shifted = params.copy()
     shifted[-1] += 5.0
-    np.testing.assert_array_equal(F.predicted_field(spec, params, X, "hnn"),
-                                  F.predicted_field(spec, shifted, X, "hnn"))
+    np.testing.assert_array_equal(F.predicted_field(spec, params, X),
+                                  F.predicted_field(spec, shifted, X))
 
 
 def tape_loss_hvp(spec, params, X, Xd, v, kind):
@@ -207,7 +208,7 @@ def test_backends_agree():
         spec = N.NetworkSpec(d0, (8, 6), 1 if kind == "hnn" else d0)
         params = rand_net(13, spec)
         v = rng.normal(0, 1, params.size)
-        _, _, hvp = F.loss_hvp(spec, params, X, Xd, v, kind)
+        _, _, hvp = F.loss_hvp(spec, params, X, Xd, v)
         np.testing.assert_allclose(
             hvp, tape_loss_hvp(spec, params, X, Xd, v, kind),
             rtol=1e-12, atol=1e-14)
@@ -219,10 +220,10 @@ def test_single_layer_network_edge_case(lane):
     params = np.array([0.7, -0.4, 0.9])  # w1, w2, b
     X = RNG(15).uniform(-1, 1, (4, 2))
     Xd = np.zeros((4, 2))
-    FF = F.predicted_field(spec, params, X, "hnn")
+    FF = F.predicted_field(spec, params, X)
     np.testing.assert_allclose(FF, np.tile([-0.4, -0.7], (4, 1)), rtol=1e-15)
-    _, grad, _ = F.loss_grad(spec, params, X, Xd, "hnn")
-    fd = fd_grad(lambda th: F.loss_value(spec, th, X, Xd, "hnn"), params)
+    _, grad, _ = F.loss_grad(spec, params, X, Xd)
+    fd = fd_grad(lambda th: F.loss_value(spec, th, X, Xd), params)
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
 
@@ -231,13 +232,23 @@ def test_wrapper_validation():
     params = rand_net(16, spec)
     X = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        F.loss_grad(spec, params, X, np.zeros((2, 2)), "hnn")  # shape mismatch
+        F.loss_grad(spec, params, X, np.zeros((2, 2)))  # shape mismatch
     with pytest.raises(ValueError):
-        F.loss_grad(spec, params[:-1], X, np.zeros((3, 2)), "hnn")
-    with pytest.raises(ValueError):
-        F.loss_grad(spec, params, X, np.zeros((3, 2)), "other")
-    with pytest.raises(ValueError):
-        F.predicted_field(spec, params, X, "naive")  # output_dim != input_dim
+        F.loss_grad(spec, params[:-1], X, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("name", ["predicted_field", "loss_value",
+                                  "loss_grad", "loss_hvp", "head_features"])
+def test_a_head_neither_scalar_nor_field_wide_is_refused(name):
+    # the head's width fixes the loss: 1 is a Hamiltonian, input_dim a field
+    spec = N.NetworkSpec(4, (5,), 3)
+    params = rand_net(27, spec)
+    X = RNG(28).uniform(-1, 1, (6, 4))
+    Xd = np.zeros((6, 4))
+    rest = {"loss_value": (Xd,), "loss_grad": (Xd,),
+            "loss_hvp": (Xd, np.ones(params.size))}.get(name, ())
+    with pytest.raises(ValueError, match="neither a Hamiltonian"):
+        getattr(F, name)(spec, params, X, *rest)
 
 
 # -- head space -------------------------------------------------------------------
@@ -253,17 +264,17 @@ def test_head_features_agree_with_the_generic_kernels(kind, state_dim, hidden):
     rng = RNG(22)
     X = rng.uniform(-1.5, 1.5, (50, state_dim))
     Xd = rng.uniform(-1.5, 1.5, (50, state_dim))
-    feats = F.head_features(spec, params, X, kind)
+    feats = F.head_features(spec, params, X)
     head = N.layer_slice(spec, spec.n_layers - 1)
     v = np.zeros(params.size)
     v[head] = rng.normal(0, 1, v[head].size)
     # at another head the features still hold
     params[head] += rng.normal(0, 0.3, v[head].size)
     lin = feats.linearize(params, Xd)
-    loss, grad, glin = F.loss_grad(spec, params, X, Xd, kind)
-    _, _, want = F.loss_hvp(spec, params, X, Xd, v, kind, glin)
-    got = F.loss_hvp(spec, params, X, Xd, v, kind, lin)
-    field = F.predicted_field(spec, params, X, kind)
+    loss, grad, glin = F.loss_grad(spec, params, X, Xd)
+    _, _, want = F.loss_hvp(spec, params, X, Xd, v, glin)
+    got = F.loss_hvp(spec, params, X, Xd, v, lin)
+    field = F.predicted_field(spec, params, X)
     if kind == "naive":  # the same operations as the generic kernels
         assert lin.loss == loss
         np.testing.assert_array_equal(lin.grad, grad[head])
@@ -277,7 +288,7 @@ def test_head_features_agree_with_the_generic_kernels(kind, state_dim, hidden):
             1e-14 * np.abs(field).max()
         assert lin.grad[-1] == 0.0 and got[2][-1] == 0.0
     assert got[0] == lin.loss and got[1] is lin.grad
-    grid = F.head_features(spec, params, X, kind, keep_state=False)
+    grid = F.head_features(spec, params, X, keep_state=False)
     np.testing.assert_array_equal(grid.phi, feats.phi)
 
 
@@ -285,12 +296,12 @@ def test_grid_head_features_are_built_in_row_blocks():
     spec = N.NetworkSpec(2, (8, 8), 1)
     params = rand_net(23, spec)
     X = RNG(24).uniform(-2, 2, (700, 2))
-    grid = F.head_features(spec, params, X, "hnn", keep_state=False)
+    grid = F.head_features(spec, params, X, keep_state=False)
     assert grid.S is None
     np.testing.assert_allclose(grid.field(params),
-                               F.predicted_field(spec, params, X, "hnn"),
+                               F.predicted_field(spec, params, X),
                                rtol=1e-13, atol=1e-15)
-    whole = F.head_features(spec, params, X, "hnn")
+    whole = F.head_features(spec, params, X)
     np.testing.assert_array_equal(grid.phi, whole.phi)
 
 
@@ -300,7 +311,7 @@ def test_head_features_refuse_another_body_or_batch():
     rng = RNG(26)
     X = rng.uniform(-1, 1, (6, 2))
     Xd = rng.uniform(-1, 1, (6, 2))
-    feats = F.head_features(spec, params, X, "hnn")
+    feats = F.head_features(spec, params, X)
     moved = params.copy()
     moved[0] += 1e-12
     for bad in (moved, params[:-1]):
@@ -311,10 +322,8 @@ def test_head_features_refuse_another_body_or_batch():
     with pytest.raises(ValueError, match="Xdot"):
         feats.linearize(params, Xd[:5])
     with pytest.raises(ValueError, match="empty"):
-        F.head_features(spec, params, X[:0], "hnn")
-    with pytest.raises(ValueError, match="loss kind"):
-        F.head_features(spec, params, X, "other")
-    grid = F.head_features(spec, params, X, "hnn", keep_state=False)
+        F.head_features(spec, params, X[:0])
+    grid = F.head_features(spec, params, X, keep_state=False)
     lin = grid.linearize(params, Xd)
     with pytest.raises(ValueError, match="keep_state"):
-        F.loss_hvp(spec, params, X, Xd, np.zeros(params.size), "hnn", lin)
+        F.loss_hvp(spec, params, X, Xd, np.zeros(params.size), lin)

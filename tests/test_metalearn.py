@@ -25,9 +25,8 @@ def synth_task(seed, spec, n_points=5):
     X = rng.uniform(-1, 1, (n_points, spec.input_dim))
     Xt = rng.uniform(-1, 1, (n_points, spec.input_dim))
     truth = init_params(spec, seed + 1)
-    kind = "hnn" if spec.output_dim == 1 else "naive"
-    return Task(None, X, fastops.predicted_field(spec, truth, X, kind),
-                Xt, fastops.predicted_field(spec, truth, Xt, kind))
+    return Task(None, X, fastops.predicted_field(spec, truth, X),
+                Xt, fastops.predicted_field(spec, truth, Xt))
 
 
 # -- adam ----------------------------------------------------------------------
@@ -106,8 +105,7 @@ def test_inner_one_step_quadratic():
     task = spring_task(4)
     cfg = M.InnerConfig(steps=1, lr=0.25, update_set="all_but_first")
     out = M.inner_adapt(spec, theta, task.train_x, task.train_xdot, cfg)
-    _, grad, _ = fastops.loss_grad(spec, theta, task.train_x, task.train_xdot,
-                                   "hnn")
+    _, grad, _ = fastops.loss_grad(spec, theta, task.train_x, task.train_xdot)
     want = theta - cfg.lr * update_mask(spec, cfg.update_set) * grad
     assert out.tobytes() == want.tobytes()
 
@@ -139,7 +137,7 @@ def test_one_step_changes_exactly_the_update_mask(kind):
     mask = update_mask(learner.spec, learner.inner.update_set)
     inner = replace(learner.inner, steps=1)
     for out in (M.inner_adapt(learner.spec, theta, task.train_x,
-                              task.train_xdot, inner, learner.loss_kind),
+                              task.train_xdot, inner),
                 adapt_params(learner, theta, task.train_x, task.train_xdot,
                              steps=1)):
         assert out[~mask].tobytes() == theta[~mask].tobytes()
@@ -197,7 +195,7 @@ def test_hnn_loss_zero_parameter_net(lane):
                       task.train_x, task.train_xdot)
     assert abs(g.value(node) - want) < 1e-12 * want
     fast = fastops.loss_value(spec, np.zeros(param_count(spec)),
-                              task.train_x, task.train_xdot, "hnn")
+                              task.train_x, task.train_xdot)
     assert abs(fast - want) < 1e-12 * want
 
 
@@ -206,7 +204,7 @@ def test_naive_loss_zero_when_net_matches_labels():
     theta = init_params(spec, 9)
     X = np.random.default_rng(1).uniform(-1, 1, (6, 2))
     labels = fastops.mlp_forward(spec, theta, X)
-    assert fastops.loss_value(spec, theta, X, labels, "naive") == 0.0
+    assert fastops.loss_value(spec, theta, X, labels) == 0.0
     g = T.Graph()
     node = G.naive_loss(g, spec, g.leaf_many(theta), X, labels)
     assert g.value(node) < 1e-25
@@ -269,7 +267,7 @@ def test_meta_gradient_fast_matches_graph(lane, update_set, second_order):
     theta = init_params(spec, 21)
     task = spring_task(22, n_points=3)
     cfg = M.InnerConfig(steps=2, lr=0.01, update_set=update_set)
-    lf, gf = M._task_meta_grad_fast(spec, theta, task, cfg, second_order, "hnn")
+    lf, gf = M._task_meta_grad_fast(spec, theta, task, cfg, second_order)
     lg, gg = G._task_meta_grad_graph(spec, theta, task, cfg, second_order, "hnn")
     assert abs(lf - lg) < 1e-10 * max(1.0, abs(lg))
     np.testing.assert_allclose(gf, gg, rtol=1e-9, atol=1e-12)
@@ -280,7 +278,7 @@ def test_meta_gradient_fast_matches_graph_naive(lane):
     theta = init_params(spec, 4)
     task = spring_task(25, n_points=3)
     cfg = M.InnerConfig(steps=2, lr=0.01)
-    lf, gf = M._task_meta_grad_fast(spec, theta, task, cfg, True, "naive")
+    lf, gf = M._task_meta_grad_fast(spec, theta, task, cfg, True)
     lg, gg = G._task_meta_grad_graph(spec, theta, task, cfg, True, "naive")
     np.testing.assert_allclose(gf, gg, rtol=1e-9, atol=1e-12)
 
@@ -302,12 +300,12 @@ def test_meta_gradient_matches_fd_of_bilevel_objective():
         for task in tasks:
             th_s = M.inner_adapt(spec, th, task.train_x, task.train_xdot, cfg)
             total += fastops.loss_value(spec, th_s, task.test_x,
-                                        task.test_xdot, "hnn")
+                                        task.test_xdot)
         return total
 
     grad = np.zeros_like(theta)
     for task in tasks:
-        _, g = M._task_meta_grad_fast(spec, theta, task, cfg, True, "hnn")
+        _, g = M._task_meta_grad_fast(spec, theta, task, cfg, True)
         grad += g
     h = 1e-5
     for i in range(theta.size):
@@ -328,9 +326,9 @@ def test_meta_gradient_matches_central_differences_at_desk_size(kind):
     def objective(th):
         return sum(fastops.loss_value(
             spec, M.inner_adapt(spec, th, t.train_x, t.train_xdot, inner),
-            t.test_x, t.test_xdot, "hnn") for t in tasks)
+            t.test_x, t.test_xdot) for t in tasks)
 
-    grad = sum(M._task_meta_grad_fast(spec, theta, t, inner, True, "hnn")[1]
+    grad = sum(M._task_meta_grad_fast(spec, theta, t, inner, True)[1]
                for t in tasks)
     rng = np.random.default_rng(1)
     h = 1e-4
@@ -346,8 +344,8 @@ def test_first_order_approaches_second_order_for_tiny_alpha():
     theta = init_params(spec, 40)
     task = spring_task(41, n_points=5)
     cfg = M.InnerConfig(steps=1, lr=1e-6)
-    _, g2 = M._task_meta_grad_fast(spec, theta, task, cfg, True, "hnn")
-    _, g1 = M._task_meta_grad_fast(spec, theta, task, cfg, False, "hnn")
+    _, g2 = M._task_meta_grad_fast(spec, theta, task, cfg, True)
+    _, g1 = M._task_meta_grad_fast(spec, theta, task, cfg, False)
     assert np.linalg.norm(g2 - g1) / np.linalg.norm(g2) < 1e-3
 
 
@@ -379,7 +377,7 @@ def test_zero_inner_steps_reduces_to_pooled_adam():
     total = np.zeros_like(theta)
     pooled = 0.0
     for t in tasks:
-        l, g, _ = fastops.loss_grad(spec, theta, t.test_x, t.test_xdot, "hnn")
+        l, g, _ = fastops.loss_grad(spec, theta, t.test_x, t.test_xdot)
         pooled += l
         total += g
     want, _ = M.adam_update(M.adam_init(theta.size), theta, total, 0.002)
@@ -399,7 +397,7 @@ def test_meta_loss_descends_on_fixed_batch():
     losses = []
     for _ in range(10):
         theta, adam, loss = M.meta_step(spec, theta, [fixed], inner, outer,
-                                        adam, loss_kind="naive")
+                                        adam)
         losses.append(loss)
     assert losses[-1] < losses[0]
     drops = sum(b < a for a, b in zip(losses, losses[1:]))
@@ -448,8 +446,7 @@ def test_learned_flow_conserves_learned_energy():
     for seed in (0, 1, 2):
         theta = init_params(spec, seed)
         x0 = np.random.default_rng(seed).uniform(-1, 1, 2)
-        field = lambda x: fastops.predicted_field(spec, theta, x[None, :],
-                                                  "hnn")[0]
+        field = lambda x: fastops.predicted_field(spec, theta, x[None, :])[0]
         _, traj = integrate(field, x0, 1.0, 20, rtol=1e-8, atol=1e-10)
         traj = np.vstack([x0, traj])
         H = fastops.mlp_forward(spec, theta, traj)[:, 0]
@@ -491,8 +488,7 @@ def test_pretrain_single_task_is_plain_training():
     want = theta.copy()
     adam = M.adam_init(theta.size)
     for _ in range(5):
-        _, g, _ = fastops.loss_grad(spec, want, task.train_x, task.train_xdot,
-                                    "hnn")
+        _, g, _ = fastops.loss_grad(spec, want, task.train_x, task.train_xdot)
         want, adam = M.adam_update(adam, want, g, 0.01)
     np.testing.assert_array_equal(got, want)
 
@@ -525,9 +521,9 @@ def test_build_learner_wiring():
         ld = M.build_learner(kind, state_dim=2)
         assert ld.kind == kind
         if kind in ("naive_maml", "naive_anil"):
-            assert ld.spec.output_dim == 2 and ld.loss_kind == "naive"
+            assert ld.spec.output_dim == 2
         else:
-            assert ld.spec.output_dim == 1 and ld.loss_kind == "hnn"
+            assert ld.spec.output_dim == 1
     assert M.build_learner("hanil").inner.update_set == "last"
     assert M.build_learner("hamaml").inner.update_set == "all"
     assert M.build_learner("hanil_inv").inner.update_set == "all_but_first"
@@ -545,22 +541,21 @@ def test_build_learner_wiring():
 # -- head space ---------------------------------------------------------------------
 
 
-def _generic_meta_grad(spec, theta, task, cfg, loss_kind):
+def _generic_meta_grad(spec, theta, task, cfg):
     """The second-order meta-gradient by masked descent on `loss_grad` and
     a reverse sweep of `loss_hvp` on its linearizations."""
     mask = update_mask(spec, cfg.update_set)
     th, trace = np.array(theta), []
     for _ in range(cfg.steps):
         _, grad, lin = fastops.loss_grad(spec, th, task.train_x,
-                                         task.train_xdot, loss_kind)
+                                         task.train_xdot)
         trace.append((th, lin))
         th = th.copy()
         th[mask] -= cfg.lr * grad[mask]
-    loss, v, _ = fastops.loss_grad(spec, th, task.test_x, task.test_xdot,
-                                   loss_kind)
+    loss, v, _ = fastops.loss_grad(spec, th, task.test_x, task.test_xdot)
     for th_k, lin in reversed(trace):
         _, _, hv = fastops.loss_hvp(spec, th_k, task.train_x, task.train_xdot,
-                                    mask * v, loss_kind, lin)
+                                    mask * v, lin)
         v = v - cfg.lr * hv
     return loss, v, th
 
@@ -572,13 +567,11 @@ def test_head_space_meta_gradient_matches_generic_path_at_desk_size(kind):
     theta = init_params(spec, 0)
     for task in make_meta_train("spring_mass", 2, 50, 0):
         th_s, trace = M._adapt(spec, theta, task.train_x, task.train_xdot,
-                               inner, learner.loss_kind)
+                               inner)
         assert all(isinstance(lin, fastops.HeadLinearization)
                    for _, lin in trace)
-        loss, g = M._task_meta_grad_fast(spec, theta, task, inner, True,
-                                         learner.loss_kind)
-        want_loss, want, want_s = _generic_meta_grad(spec, theta, task, inner,
-                                                     learner.loss_kind)
+        loss, g = M._task_meta_grad_fast(spec, theta, task, inner, True)
+        want_loss, want, want_s = _generic_meta_grad(spec, theta, task, inner)
         scale = np.abs(want).max()
         assert np.abs(g - want).max() <= 1e-13 * scale
         assert abs(loss - want_loss) <= 1e-13 * want_loss
@@ -598,7 +591,7 @@ def test_head_space_meta_gradient_matches_tape(kind, state_dim, hidden):
     rng = np.random.default_rng(24)
     task = Task(None, *(rng.uniform(-1, 1, (3, state_dim)) for _ in range(4)))
     cfg = M.InnerConfig(steps=2, lr=0.05, update_set="last")
-    lf, gf = M._task_meta_grad_fast(spec, theta, task, cfg, True, kind)
+    lf, gf = M._task_meta_grad_fast(spec, theta, task, cfg, True)
     lg, gg = G._task_meta_grad_graph(spec, theta, task, cfg, True, kind)
     assert abs(lf - lg) < 1e-12 * lg
     np.testing.assert_allclose(gf, gg, rtol=1e-10, atol=1e-13)
@@ -609,11 +602,10 @@ def test_head_space_keeps_the_hnn_output_bias_gradient_exactly_zero():
     spec, inner = learner.spec, learner.inner
     theta = init_params(spec, 5)
     task = make_meta_train("spring_mass", 1, 50, 5)[0]
-    _, trace = M._adapt(spec, theta, task.train_x, task.train_xdot, inner,
-                        "hnn")
+    _, trace = M._adapt(spec, theta, task.train_x, task.train_xdot, inner)
     for _, lin in trace:
         assert lin.grad[-1] == 0.0  # adaptation gradient of b_L
-    _, g = M._task_meta_grad_fast(spec, theta, task, inner, True, "hnn")
+    _, g = M._task_meta_grad_fast(spec, theta, task, inner, True)
     assert g[-1] == 0.0  # meta-gradient of b_L
     assert g[:-1].any()
 
@@ -624,12 +616,11 @@ def test_head_space_hvp_refuses_body_directions():
     task = spring_task(7, n_points=5)
     cfg = M.InnerConfig(steps=1, update_set="last")
     _, [(th, lin)] = M._adapt(spec, theta, task.train_x, task.train_xdot,
-                              cfg, "hnn")
+                              cfg)
     v = np.zeros(theta.size)
     v[0] = 1.0
     with pytest.raises(ValueError, match="last layer"):
-        fastops.loss_hvp(spec, th, task.train_x, task.train_xdot, v, "hnn",
-                         lin)
+        fastops.loss_hvp(spec, th, task.train_x, task.train_xdot, v, lin)
     with pytest.raises(ValueError, match="linearization"):
         fastops.loss_hvp(spec, th.copy(), task.train_x, task.train_xdot,
-                         v * 0, "hnn", lin)
+                         v * 0, lin)
