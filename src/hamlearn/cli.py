@@ -4,8 +4,10 @@ Exit codes are a stable scripting contract: 0 on success, 1 for usage
 errors (bad flags, missing arguments), 2 for runtime or numeric failures
 (bad config files, missing files, corrupt data, non-finite losses).
 
-Every command writes the resolved configuration and version string to
-<out>/config.txt so a run can be reproduced from its own output.
+Every command writes <out>/config.txt: the version string and each
+RunConfig setting as resolved, whether the command reads it or not.  Flags
+outside RunConfig, such as --checkpoint, --tasks or --T, are not in it.
+A flag that the chosen mode of a command ignores is a usage error.
 
 Each command imports the modules it runs inside its cmd_* function, so
 `--version` and a command line the parser rejects load no numpy and no
@@ -38,7 +40,16 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _common_flags(sub):
+def _refuse(args, mode: str, **flags) -> None:
+    """Usage error naming `mode` and the `flags` (dest=flag) set it ignores."""
+    given = [f for dest, f in flags.items() if getattr(args, dest) is not None]
+    if given:
+        raise UsageError(f"{mode} ignores {', '.join(given)}")
+
+
+def _common_flags(sub, func):
+    """The flags every command takes, and `func`, which runs it."""
+    sub.set_defaults(func=func)
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--seed", type=non_negative_int,
                      help="run seed (env HAMLEARN_SEED is the fallback when "
@@ -46,8 +57,8 @@ def _common_flags(sub):
     sub.add_argument("--out", dest="out_dir", help="output directory")
     sub.add_argument("--strict-serial", dest="strict_serial",
                      action="store_const", const=True,
-                     help="serial execution; zeroes wall_time columns so "
-                     "reruns are byte-identical")
+                     help="write 0.0 for wall_time, so reruns are "
+                     "byte-identical (nothing runs in parallel either way)")
 
 
 def _resolve(args):
@@ -69,8 +80,7 @@ def build_parser() -> _Parser:
     g.add_argument("--system", choices=SYSTEMS)
     g.add_argument("--tasks", type=int, default=10000)
     g.add_argument("--points", type=int, default=50)
-    _common_flags(g)
-    g.set_defaults(func=cmd_gen)
+    _common_flags(g, cmd_gen)
 
     m = sub.add_parser("metatrain", help="meta-train a learner on a dataset")
     m.add_argument("--dataset", help="dataset directory from gen")
@@ -84,8 +94,7 @@ def build_parser() -> _Parser:
                    const=False)
     m.add_argument("--hidden", type=comma_list(int))
     m.add_argument("--resume", help="checkpoint to continue from")
-    _common_flags(m)
-    m.set_defaults(func=cmd_metatrain)
+    _common_flags(m, cmd_metatrain)
 
     e = sub.add_parser("eval", help="adapt to held-out systems and score")
     e.add_argument("--checkpoint", help="required unless learner is "
@@ -98,8 +107,7 @@ def build_parser() -> _Parser:
     e.add_argument("--adapt-lr", dest="adapt_lr", type=float)
     e.add_argument("--n-systems", dest="n_systems", type=int)
     e.add_argument("--hidden", type=comma_list(int))
-    _common_flags(e)
-    e.set_defaults(func=cmd_eval)
+    _common_flags(e, cmd_eval)
 
     r = sub.add_parser("rollout", help="integrate a learner against truth")
     source = r.add_mutually_exclusive_group()
@@ -115,15 +123,12 @@ def build_parser() -> _Parser:
     r.add_argument("--steps", dest="adapt_steps", type=int,
                    help="adaptation steps before the rollout (default 50)")
     r.add_argument("--adapt-lr", dest="adapt_lr", type=float)
-    _common_flags(r)
-    r.set_defaults(func=cmd_rollout)
+    _common_flags(r, cmd_rollout)
 
     a = sub.add_parser("ablate", help="task-count sweep or learning curve")
     a.add_argument("--counts", type=comma_list(int),
-                   default="10,50,200,500,1000",
                    help="comma-separated ascending task counts")
-    a.add_argument("--learners", type=comma_list(str),
-                   default="hanil,hnn_pretrained")
+    a.add_argument("--learners", type=comma_list(str))
     a.add_argument("--step-range", dest="step_range",
                    help="0:N  -> export the adaptation learning curve "
                    "for --checkpoint instead of sweeping task counts")
@@ -132,13 +137,12 @@ def build_parser() -> _Parser:
     a.add_argument("--mode", choices=("points", "trajectories"))
     a.add_argument("--k", type=int)
     a.add_argument("--n-systems", dest="n_systems", type=int)
-    a.add_argument("--points", type=int, default=50)
+    a.add_argument("--points", type=int)
     a.add_argument("--episodes", type=int)
     a.add_argument("--task-batch", dest="task_batch", type=int)
     a.add_argument("--inner-steps", dest="inner_steps", type=int)
     a.add_argument("--hidden", type=comma_list(int))
-    _common_flags(a)
-    a.set_defaults(func=cmd_ablate)
+    _common_flags(a, cmd_ablate)
     return p
 
 
@@ -146,10 +150,9 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    if args.tasks < 1:
-        raise UsageError("--tasks must be >= 1")
-    if args.points < 1:
-        raise UsageError("--points must be >= 1")
+    for flag, value in (("--tasks", args.tasks), ("--points", args.points)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1")
     from .taskgen import make_meta_train, write_dataset
     cfg, _ = _resolve(args)
     tasks = make_meta_train(cfg.system, args.tasks, args.points, cfg.seed)
@@ -159,17 +162,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _truncate_curve(path: str, episode: int) -> None:
-    """Keep the header and the rows of episodes before `episode`, so that a
-    resume retried after a failure does not repeat the failed run's rows."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    rows = [l for l in lines[1:] if int(l.split(",", 1)[0]) < episode]
-    with open(path, "w") as fh:
-        fh.writelines(lines[:1] + rows)
-
-
-def _check_resume(path: str, blob, cfg, record: dict) -> None:
+def _check_resume(path: str, blob, adam, cfg, record: dict) -> None:
     """Refuse a checkpoint of another learner or system, or trained with
     other settings or on other data than this run's `record`; only the
     episode count may grow, and Adam has taken one step per episode."""
@@ -184,8 +177,8 @@ def _check_resume(path: str, blob, cfg, record: dict) -> None:
     if cfg.episodes < blob["episode"]:
         raise ValueError(f"{path} is at episode {blob['episode']}, "
                          f"past --episodes {cfg.episodes}")
-    if blob["adam"]["t"] != blob["episode"]:
-        raise ValueError(f"{path} has adam.t {blob['adam']['t']} but "
+    if adam.t != blob["episode"]:
+        raise ValueError(f"{path} has adam.t {adam.t} but "
                          f"episode {blob['episode']}")
 
 
@@ -212,11 +205,10 @@ def cmd_metatrain(args) -> int:
     # also trained with sgd, and the manifest's digest names the data
     record = {**{key: getattr(cfg, key) for key in TRAINING_KEYS},
               "optimizer": "adam", "dataset": tasks.digest}
-    start_episode = 0
-    adam = None
+    start_episode, adam = 0, None
     if args.resume:
         _, theta, adam, blob = load_checkpoint(args.resume)
-        _check_resume(args.resume, blob, cfg, record)
+        _check_resume(args.resume, blob, adam, cfg, record)
         start_episode = blob["episode"]
     else:
         theta = init_params(learner.spec, cfg.seed)
@@ -224,13 +216,17 @@ def cmd_metatrain(args) -> int:
     curve_path = os.path.join(cfg.out_dir, "curve.csv")
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.json")
 
+    lines = ["episode,meta_loss,wall_time\n"]
+    if args.resume and os.path.exists(curve_path):
+        # the rows before the resumed episode, so that a resume retried
+        # after a failure does not repeat the failed run's rows
+        with open(curve_path) as fh:
+            lines = fh.readlines()
+        lines[1:] = [l for l in lines[1:]
+                     if int(l.split(",", 1)[0]) < start_episode]
     t0 = time.monotonic()
-    mode = "a" if args.resume and os.path.exists(curve_path) else "w"
-    if mode == "a":
-        _truncate_curve(curve_path, start_episode)
-    with open(curve_path, mode) as fh:
-        if mode == "w":
-            fh.write("episode,meta_loss,wall_time\n")
+    with open(curve_path, "w") as fh:
+        fh.writelines(lines)
 
         def log(ep, loss):
             wall = 0.0 if cfg.strict_serial else time.monotonic() - t0
@@ -255,21 +251,15 @@ def _load_learner_state(args, cfg):
     from .network import init_params
     if args.checkpoint:
         learner, theta, _, blob = load_checkpoint(args.checkpoint)
-        want = getattr(args, "learner", None)
-        if want and want != learner.kind:
-            raise ValueError(f"checkpoint is {learner.kind!r}, "
-                             f"--learner says {want!r}")
-        want = getattr(args, "system", None)
-        if want and want != blob["system"]:
-            raise ValueError("checkpoint system does not match --system")
-        want = getattr(args, "hidden", None)
-        if want is not None and list(want) != blob["hidden"]:
-            raise ValueError(
-                f"checkpoint has hidden {','.join(map(str, blob['hidden']))}, "
-                f"--hidden says {','.join(map(str, want))}")
-        cfg.learner = learner.kind
-        cfg.system = blob["system"]
-        cfg.hidden = tuple(blob["hidden"])
+        have = {"learner": learner.kind, "system": blob["system"],
+                "hidden": tuple(blob["hidden"])}
+        for key, value in have.items():
+            want = getattr(args, key, None)
+            if want is not None and want != value:
+                say = lambda v: ",".join(map(str, v)) if key == "hidden" else v
+                raise ValueError(f"checkpoint has {key} {say(value)}, "
+                                 f"--{key} says {say(want)}")
+        cfg.learner, cfg.system, cfg.hidden = have.values()
         return learner, theta
     if cfg.learner != "hnn_scratch":
         raise UsageError("--checkpoint is required unless the learner is "
@@ -300,6 +290,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
+    if args.oracle:
+        _refuse(args, "--oracle", k="--k", adapt_steps="--steps",
+                adapt_lr="--adapt-lr")
     import numpy as np
 
     from . import seeding
@@ -327,11 +320,9 @@ def cmd_rollout(args) -> int:
         x0 = sample_states(params, rng, 1)[0]
     report = rollout_eval(spec, theta, params, x0, args.t_span, args.samples)
     write_provenance(cfg.out_dir, cfg)
-    n = params.n
-    cols = ["t", "state_mse", "energy_mse"]
-    for tag in ("pred", "true"):
-        cols += [f"q{i+1}_{tag}" for i in range(n)]
-        cols += [f"p{i+1}_{tag}" for i in range(n)]
+    cols = ["t", "state_mse", "energy_mse"] + [
+        f"{c}{i + 1}_{tag}" for tag in ("pred", "true") for c in "qp"
+        for i in range(params.n)]
     path = os.path.join(cfg.out_dir, "rollout.csv")
     with open(path, "w") as fh:
         fh.write(f"# version = {version_string()}\n")
@@ -356,6 +347,9 @@ def cmd_rollout(args) -> int:
 def cmd_ablate(args) -> int:
     cfg, _ = _resolve(args)
     if args.step_range:
+        _refuse(args, "--step-range", counts="--counts", points="--points",
+                learners="--learners", episodes="--episodes",
+                task_batch="--task-batch", inner_steps="--inner-steps")
         lo, _, hi = args.step_range.partition(":")
         try:
             lo, hi = int(lo), int(hi)
@@ -377,7 +371,12 @@ def cmd_ablate(args) -> int:
                 fh.write(f"{step},{_fmt(mse)}\n")
         print(f"learning curve (0..{hi}) in {path}")
         return 0
-    counts, kinds = list(args.counts), args.learners
+    _refuse(args, "ablate without --step-range", checkpoint="--checkpoint")
+    # the defaults of --counts, --learners and --points
+    counts = list((10, 50, 200, 500, 1000) if args.counts is None
+                  else args.counts)
+    kinds = ("hanil", "hnn_pretrained") if args.learners is None \
+        else args.learners
     if not counts or counts != sorted(set(counts)) or counts[0] < 1:
         raise UsageError("--counts must be one or more positive, strictly "
                          "ascending task counts")
@@ -386,7 +385,8 @@ def cmd_ablate(args) -> int:
     from .evaluation import ablation_tasks
     table = ablation_tasks(kinds, counts, cfg.system, cfg.mode, cfg.k,
                            cfg.seed, cfg.inner_config(), cfg.outer_config(),
-                           n_points=args.points, n_systems=cfg.n_systems,
+                           n_points=50 if args.points is None
+                           else args.points, n_systems=cfg.n_systems,
                            hidden=tuple(cfg.hidden),
                            adapt_steps=cfg.adapt_steps,
                            adapt_lr=cfg.adapt_lr)

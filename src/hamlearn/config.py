@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # the kernels load only where a method needs them
 
     from .metalearn import AdamState, InnerConfig, LearnerDef, OuterConfig
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 # RunConfig fields that, with the seed and hidden sizes, fix a training
 # run; a checkpoint records them so a resume can insist on them.
@@ -29,16 +29,6 @@ TRAINING_KEYS = ("inner_steps", "inner_lr", "outer_lr", "task_batch",
                  "second_order")
 
 ENV_SEED = "HAMLEARN_SEED"
-
-# What loading reads from a checkpoint: a tuple of allowed values, a range
-# of allowed ints, a set of JSON types, a one-item list for a list of those,
-# or a nested object.
-_COUNT = range(2 ** 63)
-_CHECKPOINT_FIELDS = {
-    "learner": LEARNER_KINDS, "system": SYSTEMS, "episode": _COUNT,
-    "input_dim": {int}, "hidden": [{int}], "output_dim": {int},
-    "activation": {str}, "params": [{int, float}],
-    "adam": {"m": [{int, float}], "v": [{int, float}], "t": _COUNT}}
 
 
 @dataclass
@@ -211,64 +201,92 @@ def version_string() -> str:
     return _VERSION_CACHE
 
 
-# -- checkpoints ----------------------------------------------------------------
+# -- arrays beside a JSON document, and checkpoints ---------------------------
 
 
-def _conforms(value, kind) -> bool:
-    if isinstance(kind, dict):
-        return type(value) is dict and all(_conforms(value.get(k), t)
-                                           for k, t in kind.items())
-    if isinstance(kind, range):
-        return type(value) is int and value in kind
-    if isinstance(kind, list):  # each int must round to a finite float
-        return type(value) is list and set(map(type, value)) <= kind[0] and \
-            all(abs(v) < 2 ** 1024 - 2 ** 970 for v in value if type(v) is int)
-    return value in kind if isinstance(kind, tuple) else type(value) in kind
+def _sha256(fname: str) -> str:
+    import hashlib
+    with open(fname, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def write_arrays(path: str, doc: dict, arrays: dict) -> None:
+    """`doc` as the JSON file `path`, its "sha256" naming each of `arrays`
+    ({file name: array}), saved beside it as .npy.  Each file goes to
+    <file>.tmp, and the targets are replaced once all are whole; a failure
+    removes the temporaries, so the previous files stay as they were."""
+    import json
+
+    import numpy as np
+    tmps, digests = [], {}
+    try:
+        for name, array in arrays.items():
+            tmps.append(os.path.join(os.path.dirname(path), name) + ".tmp")
+            with open(tmps[-1], "wb") as fh:
+                np.save(fh, array)
+            digests[name] = _sha256(tmps[-1])
+        tmps.append(path + ".tmp")
+        with open(tmps[-1], "w") as fh:
+            json.dump({**doc, "sha256": digests}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for tmp in tmps:
+            os.replace(tmp, tmp[:-len(".tmp")])
+    except BaseException:
+        for tmp in filter(os.path.exists, tmps):
+            os.remove(tmp)
+        raise
+
+
+def read_arrays(fname: str, digests, shapes: dict) -> dict:
+    """{path: read-only memory map} of each .npy file that `shapes` ({file
+    name: shape}) names beside the JSON file `fname`, whose "sha256" value
+    `digests` must name exactly those files.  Each must exist, match its
+    digest and hold <f8 values, in C order, of its shape."""
+    import numpy as np
+    if type(digests) is not dict or set(digests) != set(shapes):
+        raise ValueError(f"{fname} has a bad 'sha256': it must name "
+                         f"{', '.join(shapes)} and nothing else")
+    arrays = {}
+    for name, shape in shapes.items():
+        afile = os.path.join(os.path.dirname(fname), name)
+        if not os.path.isfile(afile):
+            raise FileNotFoundError(f"{fname} names {afile}, which is missing")
+        if _sha256(afile) != digests[name]:
+            raise ValueError(f"{afile} does not match its sha256 in {fname}")
+        try:
+            array = arrays[afile] = np.load(afile, mmap_mode="r",
+                                            allow_pickle=False)
+        except (ValueError, EOFError) as err:
+            raise ValueError(f"{afile}, named in {fname}: {err}") from None
+        if not isinstance(array, np.ndarray) or not array.flags.c_contiguous \
+                or (array.dtype.str, array.shape) != ("<f8", shape):
+            raise ValueError(f"{afile} does not hold <f8 values of shape "
+                             f"{shape}, in C order, as {fname} implies")
+    return arrays
 
 
 def save_checkpoint(path: str, learner: LearnerDef, theta: np.ndarray,
                     adam: AdamState, episode: int, seed: int,
                     system: str, training: dict = None) -> None:
-    """JSON snapshot of a training state; floats round-trip exactly.
-
-    `training`, the run's TRAINING_KEYS settings, optimizer and dataset
-    digest, is stored beside the seed.  The text goes to a temporary file
-    beside `path` that then replaces it, so a failed write leaves the
-    previous checkpoint whole."""
-    import json
+    """A training state as the JSON file `path` and, beside it as <stem>.npy,
+    the (3, n) array of the parameters and Adam's two moments.  The run's
+    `training` record (TRAINING_KEYS, optimizer, dataset) is kept."""
+    import numpy as np
 
     from .network import ACTIVATION
-    blob = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "learner": learner.kind,
-        "system": system,
-        "seed": int(seed),
-        **(training or {}),
-        "episode": int(episode),
-        "input_dim": learner.spec.input_dim,
-        "hidden": list(learner.spec.hidden_dims),
-        "output_dim": learner.spec.output_dim,
-        "activation": ACTIVATION,
-        "params": [float(v) for v in theta],
-        "adam": {"m": [float(v) for v in adam.m],
-                 "v": [float(v) for v in adam.v],
-                 "t": int(adam.t)},
-        "version": version_string(),
-    }
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:  # streamed: the text is never whole
-            json.dump(blob, fh, allow_nan=False)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    doc = {"format_version": CHECKPOINT_FORMAT_VERSION,
+           "learner": learner.kind, "system": system, "seed": int(seed),
+           **(training or {}), "episode": int(episode),
+           "hidden": list(learner.spec.hidden_dims), "activation": ACTIVATION,
+           "adam": {"t": int(adam.t)}, "version": version_string()}
+    npy = os.path.splitext(os.path.basename(path))[0] + ".npy"
+    write_arrays(path, doc, {npy: np.stack([theta, adam.m, adam.v])})
 
 
 def load_checkpoint(path: str):
-    """Returns (learner_def, theta, adam, blob) rebuilt from disk."""
+    """Returns (learner_def, theta, adam, blob) rebuilt from disk.  The
+    array file, <stem>.npy beside `path` whatever the JSON says, must pass
+    read_arrays for the shape the learner implies and be finite."""
     import json
 
     import numpy as np
@@ -282,29 +300,34 @@ def load_checkpoint(path: str):
 
     with open(path) as fh:
         blob = json.load(fh, parse_constant=refuse)
-    if type(blob) is not dict or \
-            blob.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+    if type(blob) is not dict:
         raise ValueError(f"unsupported checkpoint format in {path}")
-    bad = [key for key, kind in _CHECKPOINT_FIELDS.items()
-           if not _conforms(blob.get(key), kind)]
+    if blob.get("format_version") == 1:
+        raise ValueError(f"checkpoint {path} is format 1, which an older "
+                         "build of hamlearn wrote; this build reads format "
+                         f"{CHECKPOINT_FORMAT_VERSION}")
+    kind, system, hidden, adam = map(blob.get, ("learner", "system",
+                                                "hidden", "adam"))
+    t = adam.get("t") if type(adam) is dict else None
+    count = lambda v: type(v) is int and v >= 0
+    bad = [key for key, ok in (
+        ("format_version",
+         blob.get("format_version") == CHECKPOINT_FORMAT_VERSION),
+        ("learner", kind in LEARNER_KINDS), ("system", system in SYSTEMS),
+        ("hidden", type(hidden) is list
+         and all(type(h) is int and h > 0 for h in hidden)),
+        ("activation", blob.get("activation") == ACTIVATION),
+        ("episode", count(blob.get("episode"))),
+        ("adam", count(t) and adam == {"t": t})) if not ok]
     if bad:
-        raise ValueError(f"checkpoint {path} has a bad or missing {bad[0]!r}")
-    if blob["input_dim"] != 2 * DOF[blob["system"]] or \
-            min(blob["hidden"], default=1) < 1:
-        raise ValueError(f"checkpoint {path} has input_dim "
-                         f"{blob['input_dim']} and hidden {blob['hidden']}, "
-                         f"which do not fit a {blob['system']} network")
-    learner = build_learner(blob["learner"], blob["input_dim"],
-                            tuple(blob["hidden"]))
-    spec, adam = learner.spec, blob["adam"]
-    if spec.output_dim != blob["output_dim"] or \
-            blob["activation"] != ACTIVATION:
-        raise ValueError(f"checkpoint {path}: head does not match its "
-                         "learner kind")
-    if {len(blob["params"]), len(adam["m"]), len(adam["v"])} != \
-            {param_count(spec)}:
-        raise ValueError(f"checkpoint {path}: parameter or moment count "
-                         "does not match its shape")
-    theta, m, v = (np.asarray(x, np.float64)
-                   for x in (blob["params"], adam["m"], adam["v"]))
-    return learner, theta, AdamState(m, v, adam["t"]), blob
+        raise ValueError(f"checkpoint {path} has a bad {bad[0]!r}")
+    learner = build_learner(kind, 2 * DOF[system], tuple(hidden))
+    npy = os.path.splitext(os.path.basename(path))[0] + ".npy"
+    (afile, stack), = read_arrays(path, blob.get("sha256"), {
+        npy: (3, param_count(learner.spec))}).items()
+    theta, m, v = np.array(stack)
+    for name, row in (("params", theta), ("adam.m", m), ("adam.v", v)):
+        if not np.isfinite(row).all():
+            raise ValueError(f"{afile} holds a non-finite value in its "
+                             f"{name} row")
+    return learner, theta, AdamState(m, v, t), blob

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import SYSTEMS, seeding
+from .config import read_arrays, write_arrays
 from .physics import (DOF, PARAM_NAMES, KEPLER_MIN_SEP_SAMPLE,
                       KEPLER_MIN_SEP_EVAL, IntegrationError, PhysicalParams,
                       field_fn, integrate, true_field_many)
@@ -230,14 +231,14 @@ def make_meta_test_suite(system: str, mode: str, K: int, seed: int,
 # -- serialization -------------------------------------------------------------
 
 
-def _manifest(system: str, seed, n_tasks, n_points, digests) -> dict:
-    """A dataset's manifest; `digests` maps each array file to its sha256."""
+def _manifest(system: str, seed, n_tasks, n_points) -> dict:
+    """A dataset's manifest, before write_arrays adds each array's sha256."""
     ranges = lambda boxes: [[float(a), float(b)] for a, b in boxes[system]]
     return {"format_version": DATASET_FORMAT_VERSION, "system": system,
             "seed": seed, "n_tasks": n_tasks, "n_points": n_points,
             "param_names": list(PARAM_NAMES[system]),
             "param_ranges": ranges(PARAM_RANGES),
-            "state_ranges": ranges(STATE_RANGES), "sha256": digests}
+            "state_ranges": ranges(STATE_RANGES)}
 
 
 def _shapes(system: str, n_tasks: int, n_points: int) -> dict:
@@ -246,23 +247,13 @@ def _shapes(system: str, n_tasks: int, n_points: int) -> dict:
             "points.npy": (n_tasks, 2, n_points, 4 * DOF[system])}
 
 
-def _sha256(fname: str) -> str:
-    with open(fname, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
-
-
 def write_dataset(path: str, system: str, seed: int, pool: TaskPool) -> None:
     """Dataset directory of a generated pool: manifest.json, params.npy and
-    points.npy."""
+    points.npy, written by write_arrays."""
     os.makedirs(path, exist_ok=True)
-    digests = {}
-    for name, array in (("params.npy", pool.params), ("points.npy", pool.points)):
-        np.save(os.path.join(path, name), array)
-        digests[name] = _sha256(os.path.join(path, name))
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(_manifest(system, int(seed), len(pool), pool.points.shape[2],
-                            digests), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_arrays(os.path.join(path, "manifest.json"),
+                 _manifest(system, int(seed), len(pool), pool.points.shape[2]),
+                 {"params.npy": pool.params, "points.npy": pool.points})
 
 
 class TaskPool(Sequence):
@@ -321,9 +312,9 @@ class _PointsFile:
 def load_dataset(path: str):
     """Read back (manifest, tasks); exact float round-trip.
 
-    The manifest is checked, and each array file must exist, match the
-    manifest's sha256 and hold <f8 values, in C order, of the shape the
-    manifest implies.  A task is read and checked on first index (TaskPool).
+    The manifest is checked, and then its array files as read_arrays
+    checks them, against the shapes the manifest implies.  A task is read
+    and checked on first index (TaskPool).
     """
     fname = os.path.join(path, "manifest.json")
     with open(fname, "rb") as fh:
@@ -343,30 +334,15 @@ def load_dataset(path: str):
                          f"it with: hamlearn gen --system {system} --seed "
                          f"{seed} --tasks {n_tasks} --points {n_points} "
                          f"--out {path}")
-    shapes = _shapes(system, n_tasks, n_points)
-    digests = manifest.get("sha256")
-    want = _manifest(system, seed, n_tasks, n_points, digests)
-    bad = [key for key in sorted({*want, *manifest})
+    want = _manifest(system, seed, n_tasks, n_points)
+    bad = [key for key in sorted({*want, *manifest} - {"sha256"})
            if manifest.get(key) != want.get(key)]
-    if bad or type(digests) is not dict or set(digests) != set(shapes):
-        raise ValueError(f"{fname} has a bad {(bad or ['sha256'])[0]!r}")
-    arrays = {}
-    for name, shape in shapes.items():
-        afile = os.path.join(path, name)
-        if not os.path.isfile(afile):
-            raise FileNotFoundError(f"dataset is missing {afile}")
-        if _sha256(afile) != digests[name]:
-            raise ValueError(f"{afile} does not match its sha256 in {fname}")
-        try:  # a map this call drops: the pool keeps none
-            array = arrays[afile] = np.load(afile, mmap_mode="r",
-                                            allow_pickle=False)
-        except (ValueError, EOFError) as err:
-            raise ValueError(f"{afile}: {err}") from None
-        if not isinstance(array, np.ndarray) or not array.flags.c_contiguous \
-                or (array.dtype.str, array.shape) != ("<f8", shape):
-            raise ValueError(f"{afile} does not hold <f8 values of shape "
-                             f"{shape}, in C order, as the manifest implies")
-    (pfile, params), (xfile, points) = arrays.items()
+    if bad:
+        raise ValueError(f"{fname} has a bad {bad[0]!r}")
+    shapes = _shapes(system, n_tasks, n_points)
+    # memory maps that this call drops: the pool keeps none
+    (pfile, params), (xfile, points) = read_arrays(
+        fname, manifest.get("sha256"), shapes).items()
     return manifest, TaskPool(system, np.array(params), _PointsFile(
         xfile, points.offset, points.shape), [pfile, xfile],
         hashlib.sha256(raw).hexdigest())

@@ -3,12 +3,20 @@
 Usage: PYTHONPATH=src python tests/cli_sweep.py DIR
 
 Each command runs as `python -m hamlearn` in DIR, with its own --out
-directory DIR/<name>.  DIR/SHA256SUMS then holds, per command in run
-order, its exit code and the sha256 of each file in its --out directory.
-The version string is stripped before hashing (the `# version = ` lines
-and the checkpoint's "version" value), so two checkouts that should
-behave alike give identical SHA256SUMS files: diff them.  pytest does
-not collect this file; the sweep takes about 12 seconds on two cores.
+directory DIR/<name>.  DIR/SHA256SUMS then holds the environment's
+fingerprint (see `fingerprint`) and, per command in run order, its exit
+code and the sha256 of each file in its --out directory.  The version
+string is stripped before hashing (the `# version = ` lines and the
+checkpoint's "version" value), so two checkouts that should behave alike
+give identical SHA256SUMS files: diff them.  The sweep takes about 12
+seconds on two cores.
+
+tests/test_sweep.py runs it against tests/sweep.sha256, a copy of the
+SHA256SUMS file of the current code.  A change that alters an output on
+purpose regenerates that file in the same commit:
+
+    PYTHONPATH=src python tests/cli_sweep.py DIR && \
+        cp DIR/SHA256SUMS tests/sweep.sha256
 """
 
 from __future__ import annotations
@@ -16,7 +24,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import re
+import shutil
 import subprocess
 import sys
 
@@ -98,15 +108,28 @@ def _commands(root: str):
     yield ("fail-rollout-nan-T", ["rollout", "--oracle", "--T", "nan"], False)
     yield ("fail-rollout-oracle-checkpoint", ["rollout", "--oracle",
                                               "--checkpoint", hanil], False)
+    # a copy of the hanil checkpoint, as non-finite.json and .npy, whose
+    # array holds an inf where adam.m[0] was, with its digest updated
+    import numpy as np
+    stack = np.load(os.path.join(root, "train-hanil", "checkpoint.npy"))
+    stack[1, 0] = np.inf
+    np.save(os.path.join(root, "non-finite.npy"), stack)
     with open(os.path.join(root, hanil)) as fh:
         blob = json.load(fh)
-    blob["adam"]["m"][0] = float("inf")
+    with open(os.path.join(root, "non-finite.npy"), "rb") as fh:
+        blob["sha256"] = {"non-finite.npy": hashlib.file_digest(
+            fh, "sha256").hexdigest()}
     with open(os.path.join(root, "non-finite.json"), "w") as fh:
-        json.dump(blob, fh)  # Infinity, which save_checkpoint never writes
+        json.dump(blob, fh)
     yield ("fail-resume-non-finite", ["metatrain", "--dataset", DATA,
                                       "--learner", "hanil", *TRAIN,
                                       "--episodes", "4", "--resume",
                                       "non-finite.json"], False)
+    # the hanil checkpoint's JSON alone, without its array file
+    os.makedirs(os.path.join(root, "no-npy"), exist_ok=True)
+    shutil.copy(os.path.join(root, hanil), os.path.join(root, "no-npy"))
+    yield ("fail-eval-missing-npy", ["eval", "--checkpoint",
+                                     "no-npy/checkpoint.json", *EVAL], False)
 
 
 def _digest(path: str) -> str:
@@ -117,12 +140,25 @@ def _digest(path: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def fingerprint() -> str:
+    """What the outputs' bytes depend on beyond the code: the Python minor
+    version, numpy and its BLAS, and the machine with the SIMD targets
+    numpy dispatches to on it."""
+    import numpy as np
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]["found"]
+    return (f"python {sys.version_info[0]}.{sys.version_info[1]}, numpy "
+            f"{np.__version__}, {blas['name']} {blas['version']}, "
+            f"{platform.machine()} {'+'.join(simd)}")
+
+
 def main(root: str) -> int:
     import hamlearn  # the children run the package this process imports
     src = os.path.dirname(os.path.dirname(os.path.abspath(hamlearn.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     os.makedirs(root, exist_ok=True)
-    lines, surprises = [], []
+    lines, surprises = [f"# fingerprint: {fingerprint()}"], []
     for name, argv, should_pass in _commands(root):
         proc = subprocess.run([sys.executable, "-m", "hamlearn", *argv, *SEED,
                                "--out", name], cwd=root, env=env,

@@ -113,11 +113,27 @@ def test_usage_errors_exit_1(argv, capsys):
     (["rollout", "--oracle", "--checkpoint", "run/checkpoint.json"],
      "--oracle"),
     (["rollout", "--oracle", "--checkpoint", "missing.json"], "--checkpoint"),
+    # a flag that the chosen mode ignores: the error names it and the mode
+    (["rollout", "--oracle", "--steps", "7", "--k", "3", "--adapt-lr", "0.5",
+      "--T", "1", "--samples", "4"], ("--oracle", "--steps", "--k",
+                                      "--adapt-lr")),
+    (["rollout", "--oracle", "--system", "pendulum", "--k", "3"],
+     ("--oracle", "--k")),
+    (["ablate", "--step-range", "0:2", "--checkpoint", "run/checkpoint.json",
+      "--counts", "4,8", "--learners", "naive_anil", "--episodes", "2"],
+     ("--step-range", "--counts", "--learners", "--episodes")),
+    (["ablate", "--step-range", "0:2", "--checkpoint", "run/checkpoint.json",
+      "--points", "6", "--task-batch", "2", "--inner-steps", "1"],
+     ("--step-range", "--points", "--task-batch", "--inner-steps")),
+    (["ablate", "--counts", "4", "--learners", "hanil", "--points", "6",
+      "--episodes", "1", "--checkpoint", "run/checkpoint.json"],
+     ("--checkpoint", "--step-range")),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, argv, flag, capsys):
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 1
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(f in err for f in ((flag,) if isinstance(flag, str) else flag))
     assert not out.exists()
 
 
@@ -186,18 +202,26 @@ def test_non_finite_pretraining_exits_2(tmp_path, capsys):
 # -- JSON inputs of the wrong shape ------------------------------------------------
 
 
-def _tampered_input(root, kind, mutate) -> str:
+def _tampered_input(root, kind, mutate, array=None) -> str:
     """Path of a copy, under root, of the shared checkpoint (kind
-    "checkpoint") or dataset directory ("manifest"), whose JSON file is
-    rewritten as mutate maps it."""
+    "checkpoint", its JSON and array files) or dataset directory
+    ("manifest"), whose JSON file is rewritten as mutate maps it.  For a
+    checkpoint, `array` maps its (3, n) array to what the array file then
+    holds, with the JSON's sha256 updated to match."""
     if kind == "checkpoint":
         path = target = Path(root) / "checkpoint.json"
-        shutil.copy("run/checkpoint.json", path)
+        for name in ("checkpoint.json", "checkpoint.npy"):
+            shutil.copy(f"run/{name}", root)
     else:
         target = Path(root) / "ds"
         shutil.copytree("ds", target)
         path = target / "manifest.json"
-    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    blob = mutate(json.loads(path.read_text()))
+    if array is not None:
+        npy = Path(root) / "checkpoint.npy"
+        np.save(npy, array(np.load(npy)))
+        blob["sha256"][npy.name] = hashlib.sha256(npy.read_bytes()).hexdigest()
+    path.write_text(json.dumps(blob))
     return str(target)
 
 
@@ -218,12 +242,12 @@ JSON_INPUT_COMMANDS = {
 @pytest.mark.parametrize("cmd,kind,mutate,key", [
     ("eval", "checkpoint", _replace("hidden", 5), "hidden"),
     ("resume", "checkpoint", _replace("hidden", 5), "hidden"),
-    ("eval", "checkpoint", _replace("input_dim", "4"), "input_dim"),
+    ("eval", "checkpoint", _replace("adam", {"t": "3"}), "adam"),
     ("resume", "checkpoint", _replace("episode", "3"), "episode"),
     ("eval", "checkpoint", lambda blob: [blob], None),
     ("metatrain", "manifest", lambda blob: [blob], None),
     ("metatrain", "manifest", _replace("system", ["kepler"]), "system"),
-], ids=["eval-hidden-int", "resume-hidden-int", "eval-input-dim-str",
+], ids=["eval-hidden-int", "resume-hidden-int", "eval-adam-t-str",
         "resume-episode-str", "checkpoint-array", "manifest-array",
         "manifest-system-list"])
 def test_json_input_of_the_wrong_type_exits_2(tmp_path, cmd, kind, mutate,
@@ -244,18 +268,11 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-# An int no double can hold: it rounds past the largest one.
-HUGE_INT = st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024)
-
 # Well-typed checkpoint values that make no sense, by the key they replace.
 OUT_OF_RANGE = {
     "episode": st.integers(max_value=-1),
-    # (field, value): a negative adam.t, or a huge first moment
-    "adam": st.tuples(st.just("t"), st.integers(max_value=-1))
-    | st.tuples(st.sampled_from("mv"), HUGE_INT),
-    "params": HUGE_INT,  # as params[0]
+    "adam": st.integers(max_value=-1).map(lambda t: {"t": t}),
     "system": st.sampled_from(hamlearn.SYSTEMS),
-    "input_dim": st.integers(-2, 8),
     "hidden": st.lists(st.integers(-2, 8), min_size=1, max_size=3),
 }
 
@@ -281,13 +298,6 @@ def test_any_json_value_in_any_field_exits_0_or_2(data):
     key = data.draw(st.sampled_from(sorted(blob)))
     if kind == "checkpoint" and key in OUT_OF_RANGE and data.draw(st.booleans()):
         value = data.draw(OUT_OF_RANGE[key])
-        if key == "adam":
-            field, value = value
-            old = blob["adam"][field]
-            value = {**blob["adam"],
-                     field: value if field == "t" else [value, *old[1:]]}
-        if key == "params":
-            value = [value, *blob["params"][1:]]
     else:
         value = data.draw(JSON_VALUES)
     with tempfile.TemporaryDirectory() as root:
@@ -301,26 +311,45 @@ def test_any_json_value_in_any_field_exits_0_or_2(data):
         assert path in lines[0]
 
 
-@pytest.mark.parametrize("cmd,mutate,key", [
-    ("resume", lambda b: {**b, "adam": {**b["adam"], "t": -1}}, "adam"),
-    ("resume", _replace("episode", -4), "episode"),
-    ("eval", _replace("system", "kepler"), "input_dim"),
-    ("eval", _replace("hidden", [6, 0]), "hidden"),
-    ("eval", lambda b: {**b, "params": [10 ** 400, *b["params"][1:]]},
-     "params"),
-    ("resume", lambda b: {**b, "adam": {**b["adam"], "m": [
-        *b["adam"]["m"][:3], -10 ** 400, *b["adam"]["m"][4:]]}}, "adam"),
+def _with_int(row, col, value):
+    """A map of the checkpoint's (3, n) array to a Python-int array with
+    `value` at [row, col]: an array file that np.save must pickle."""
+    def change(stack):
+        out = stack.astype(object)
+        out[row, col] = value
+        return out
+    return change
+
+
+# A value that makes no sense, in the JSON or in the array file, and what
+# the error line says: "checkpoint <path> has a bad '<key>'", or the array
+# file's name and what is wrong with it.
+@pytest.mark.parametrize("cmd,mutate,array,says", [
+    ("resume", lambda b: {**b, "adam": {**b["adam"], "t": -1}}, None,
+     "{path} has a bad 'adam'"),
+    ("resume", _replace("episode", -4), None, "{path} has a bad 'episode'"),
+    # a kepler network has other parameter counts: the shape is wrong
+    ("eval", _replace("system", "kepler"), None,
+     "{npy} does not hold <f8 values of shape (3, "),
+    ("eval", _replace("hidden", [6, 0]), None, "{path} has a bad 'hidden'"),
+    # an int no double can hold, where params[0] and adam.m[3] were
+    ("eval", dict, _with_int(0, 0, 10 ** 400),
+     "{npy}, named in {path}: "),
+    ("resume", dict, _with_int(1, 3, -10 ** 400),
+     "{npy}, named in {path}: "),
 ], ids=["adam-t-negative", "episode-negative", "system-kepler",
         "hidden-zero", "params-int-overflow", "adam-m-int-overflow"])
 def test_out_of_range_checkpoint_value_names_file_and_key(tmp_path, cmd,
-                                                          mutate, key):
-    path = _tampered_input(tmp_path, "checkpoint", mutate)
+                                                          mutate, array,
+                                                          says):
+    path = _tampered_input(tmp_path, "checkpoint", mutate, array)
     out = tmp_path / "o"
     code, lines, caught = _run_quietly([*JSON_INPUT_COMMANDS[cmd], path,
                                         "--out", str(out)])
     assert code == 2 and not caught
-    assert len(lines) == 1 and lines[0].startswith(f"error: checkpoint {path}")
-    assert key in lines[0]
+    npy = tmp_path / "checkpoint.npy"
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert says.format(path=path, npy=npy) in lines[0]
     assert not out.exists()
 
 
@@ -337,24 +366,55 @@ NON_FINITE_COMMANDS = {
 @pytest.mark.parametrize("cmd", sorted(NON_FINITE_COMMANDS))
 def test_a_non_finite_checkpoint_value_exits_2_before_any_output(
         tmp_path, cmd, field):
-    # save_checkpoint writes strict JSON; the last parameter is hanil's
-    # output bias, which its field ignores
+    # written into the array file with a digest that matches; the last
+    # parameter is hanil's output bias, which its field ignores
+    row = ["params", "m", "v"].index(field)
+    name = ["params", "adam.m", "adam.v"][row]
     for token, value in [("NaN", np.nan), ("Infinity", np.inf),
                          ("-Infinity", -np.inf)]:
-        def mutate(blob):
-            holder = blob if field == "params" else blob["adam"]
-            holder[field] = [*holder[field][:-1], value]
-            return blob
+        def change(stack):
+            stack = stack.copy()
+            stack[row, -1] = value
+            return stack
 
         root = tmp_path / token
         root.mkdir()
-        path = _tampered_input(root, "checkpoint", mutate)
+        path = _tampered_input(root, "checkpoint", dict, change)
         out = root / "o"
         code, lines, caught = _run_quietly([*NON_FINITE_COMMANDS[cmd], path,
                                             "--out", str(out)])
         assert code == 2 and not caught
-        assert lines == [f"error: checkpoint {path} holds {token}, which is "
-                         "not strict JSON"]
+        assert lines == [f"error: {root / 'checkpoint.npy'} holds a "
+                         f"non-finite value in its {name} row"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_a_checkpoint_is_read_as_strict_json(tmp_path, token):
+    path = _tampered_input(tmp_path, "checkpoint", _replace("seed", 0))
+    text = Path(path).read_text().replace('"seed": 0', f'"seed": {token}')
+    Path(path).write_text(text)
+    out = tmp_path / "o"
+    code, lines, caught = _run_quietly([*NON_FINITE_COMMANDS["eval"], path,
+                                        "--out", str(out)])
+    assert code == 2 and not caught
+    assert lines == [f"error: checkpoint {path} holds {token}, which is not "
+                     "strict JSON"]
+    assert not out.exists()
+
+
+def test_a_format_1_checkpoint_exits_2_naming_an_older_build(tmp_path):
+    # format 1 held the arrays in the JSON, as lists of floats
+    path = _tampered_input(tmp_path, "checkpoint", lambda b: {
+        **b, "format_version": 1, "params": [0.5] * 3, "sha256": None})
+    for cmd in sorted(NON_FINITE_COMMANDS):
+        out = tmp_path / cmd
+        code, lines, caught = _run_quietly([*NON_FINITE_COMMANDS[cmd], path,
+                                            "--out", str(out)])
+        assert code == 2 and not caught
+        assert lines == [f"error: checkpoint {path} is format 1, which an "
+                         "older build of hamlearn wrote; this build reads "
+                         "format 2"]
         assert not out.exists()
 
 
@@ -363,6 +423,7 @@ def test_a_non_finite_checkpoint_value_exits_2_before_any_output(
 def test_any_damage_to_a_dataset_exits_1_or_2(data):
     manifest = json.loads(Path("ds/manifest.json").read_text())
     fault = data.draw(st.sampled_from(["field", "truncate", "flip"]))
+    cmd = "metatrain"
     with tempfile.TemporaryDirectory() as root:
         ds = Path(root) / "ds"
         shutil.copytree("ds", ds)
@@ -375,17 +436,23 @@ def test_any_damage_to_a_dataset_exits_1_or_2(data):
             (ds / "manifest.json").write_text(json.dumps({**manifest,
                                                           key: value}))
         else:
-            name = data.draw(st.sampled_from(["params.npy", "points.npy"]))
-            raw = bytearray((ds / name).read_bytes())
+            name = data.draw(st.sampled_from(["params.npy", "points.npy",
+                                              "checkpoint.npy"]))
+            if name == "checkpoint.npy":  # the damaged input is a checkpoint
+                cmd, ds = "eval", _tampered_input(root, "checkpoint", dict)
+                file = Path(root) / name
+            else:
+                file = ds / name
+            raw = bytearray(file.read_bytes())
             if fault == "truncate":
                 del raw[data.draw(st.integers(0, len(raw) - 1)):]
             else:
                 for i in data.draw(st.sets(st.integers(0, len(raw) - 1),
                                            min_size=1, max_size=4)):
                     raw[i] ^= data.draw(st.integers(1, 255))
-            (ds / name).write_bytes(raw)
+            file.write_bytes(raw)
         out = Path(root) / "o"
-        code, lines, caught = _run_quietly([*JSON_INPUT_COMMANDS["metatrain"],
+        code, lines, caught = _run_quietly([*JSON_INPUT_COMMANDS[cmd],
                                             str(ds), "--out", str(out)])
         assert not out.exists()  # refused before anything was written
     assert code in (1, 2) and not caught
@@ -425,7 +492,8 @@ def test_metatrain_missing_task_file_exits_2_at_load(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["metatrain", "--dataset", ds, "--learner", "hanil",
                  "--out", str(out), *TRAIN_FLAGS]) == 2
-    assert "dataset is missing " + os.path.join(ds, "points.npy") in \
+    assert os.path.join(ds, "manifest.json") + " names " + \
+        os.path.join(ds, "points.npy") + ", which is missing" in \
         capsys.readouterr().err
     assert not out.exists()  # refused before anything was written
 
@@ -551,7 +619,7 @@ def test_metatrain_rerun_is_byte_identical(tmp_path, capsys):
                      "naive_anil", "--out", out, *TRAIN_FLAGS]) == 0
         snapshots.append({rel: (tmp_path / "r" / rel).read_bytes()
                           for rel in ("curve.csv", "checkpoint.json",
-                                      "config.txt")})
+                                      "checkpoint.npy", "config.txt")})
     assert snapshots[0] == snapshots[1]
     capsys.readouterr()
 
@@ -567,7 +635,9 @@ def test_resume_matches_uninterrupted_run(tmp_path, capsys):
                         "--resume", part + "/checkpoint.json"]) == 0
     a = json.load(open(full + "/checkpoint.json"))
     b = json.load(open(part + "/checkpoint.json"))
-    assert a["params"] == b["params"]
+    # params, adam.m and adam.v, bitwise
+    assert np.load(full + "/checkpoint.npy").tobytes() == \
+        np.load(part + "/checkpoint.npy").tobytes()
     assert a["adam"] == b["adam"]
     assert b["episode"] == 4
     assert open(full + "/curve.csv").read() == open(part + "/curve.csv").read()
@@ -627,12 +697,11 @@ def test_resume_of_a_pretrained_learner_is_refused(tmp_path, capsys):
     base = ["metatrain", "--dataset", "ds", "--learner", "hnn_pretrained",
             "--out", str(out), *TRAIN_FLAGS]
     assert main(base) == 0
-    before = [(out / name).read_bytes()
-              for name in ("curve.csv", "checkpoint.json")]
+    names = ("curve.csv", "checkpoint.json", "checkpoint.npy")
+    before = [(out / name).read_bytes() for name in names]
     assert main(base + ["--resume", str(out / "checkpoint.json")]) == 1
     assert "cannot be resumed" in capsys.readouterr().err
-    assert [(out / name).read_bytes()
-            for name in ("curve.csv", "checkpoint.json")] == before
+    assert [(out / name).read_bytes() for name in names] == before
 
 
 # A setting a checkpoint records, and flags that change it from TRAIN_FLAGS,
@@ -666,7 +735,7 @@ def test_resume_with_a_changed_config_is_refused(tmp_path, key, capsys):
         change(blob)
         (out / "checkpoint.json").write_text(json.dumps(blob))
         change = []
-    names = ("curve.csv", "config.txt", "checkpoint.json")
+    names = ("curve.csv", "config.txt", "checkpoint.json", "checkpoint.npy")
     before = [(out / name).read_bytes() for name in names]
     assert main(base + ["--episodes", "5", "--resume",
                         str(out / "checkpoint.json"), *change]) == 2
@@ -705,7 +774,7 @@ def test_resume_on_another_dataset_is_refused(tmp_path, capsys):
             "--strict-serial", "--out", str(out)]
     assert main([*base, "--dataset", str(tmp_path / "ds1"),
                  "--episodes", "2"]) == 0
-    names = ("curve.csv", "config.txt", "checkpoint.json")
+    names = ("curve.csv", "config.txt", "checkpoint.json", "checkpoint.npy")
     before = [(out / name).read_bytes() for name in names]
     resume = [*base, "--episodes", "4", "--resume",
               str(out / "checkpoint.json"), "--dataset"]

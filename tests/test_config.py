@@ -1,6 +1,9 @@
 """Config file grammar, resolution order, and checkpoint round-trips."""
 
+import hashlib
 import json
+import re
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from hamlearn.config import (CHECKPOINT_FORMAT_VERSION, ENV_SEED, RunConfig,
                              write_provenance)
 from hamlearn.metalearn import AdamState, build_learner
 from hamlearn.network import param_count
+from hamlearn.taskgen import load_dataset, make_meta_train, write_dataset
 
 
 def test_defaults_match_documented_values():
@@ -139,36 +143,51 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     back, theta2, adam2, blob = load_checkpoint(path)
     assert back.kind == "hanil"
     assert back.inner.update_set == learner.inner.update_set
-    assert np.array_equal(theta2, theta)
-    assert np.array_equal(adam2.m, adam.m)
-    assert np.array_equal(adam2.v, adam.v)
+    assert theta2.tobytes() == theta.tobytes()
+    assert adam2.m.tobytes() == adam.m.tobytes()
+    assert adam2.v.tobytes() == adam.v.tobytes()
     assert adam2.t == 7
     assert blob["episode"] == 42 and blob["seed"] == 9
     assert blob["system"] == "pendulum"
     assert blob["format_version"] == CHECKPOINT_FORMAT_VERSION
+    # the arrays sit in ck.npy beside it, one (3, n) stack
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json", "ck.npy"]
+    stack = np.load(tmp_path / "ck.npy")
+    assert stack.tobytes() == np.stack([theta, adam.m, adam.v]).tobytes()
+    assert blob["sha256"] == {"ck.npy": hashlib.sha256(
+        (tmp_path / "ck.npy").read_bytes()).hexdigest()}
 
 
-def _tampered(tmp_path, mutate):
+def _tampered(tmp_path, mutate=None, array=None):
+    """Path of a saved checkpoint whose JSON `mutate` has edited, or whose
+    (3, n) array `array` maps to the array file's new contents (with the
+    JSON's sha256 updated to match)."""
     learner, theta, adam = _checkpoint_state()
     path = str(tmp_path / "ck.json")
     save_checkpoint(path, learner, theta, adam, 1, 0, "spring_mass")
     blob = json.loads(open(path).read())
-    mutate(blob)
+    if mutate:
+        mutate(blob)
+    if array:
+        npy = tmp_path / "ck.npy"
+        np.save(npy, array(np.load(npy)))
+        blob["sha256"]["ck.npy"] = hashlib.sha256(
+            npy.read_bytes()).hexdigest()
     with open(path, "w") as fh:
         json.dump(blob, fh)
     return path
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda b: b.update(format_version=99),
-    lambda b: b.update(learner="mlp"),
-    lambda b: b.update(params=b["params"][:-1]),
-    lambda b: b["adam"].update(m=b["adam"]["m"][:-1]),
-    lambda b: b.update(activation="relu"),
+@pytest.mark.parametrize("mutate,array", [
+    (lambda b: b.update(format_version=99), None),
+    (lambda b: b.update(learner="mlp"), None),
+    (None, lambda a: a[:, :-1]),
+    (None, lambda a: a[:2]),
+    (lambda b: b.update(activation="relu"), None),
 ], ids=["format", "kind", "param-count", "moment-shape", "head"])
-def test_corrupt_checkpoints_are_rejected(tmp_path, mutate):
+def test_corrupt_checkpoints_are_rejected(tmp_path, mutate, array):
     with pytest.raises(ValueError):
-        load_checkpoint(_tampered(tmp_path, mutate))
+        load_checkpoint(_tampered(tmp_path, mutate, array))
 
 
 def test_checkpoint_floats_roundtrip_exactly(tmp_path):
@@ -182,16 +201,43 @@ def test_checkpoint_floats_roundtrip_exactly(tmp_path):
     assert theta2.tobytes() == theta.tobytes()
 
 
-def test_a_failed_checkpoint_write_keeps_the_previous_file(tmp_path,
-                                                           monkeypatch):
+def test_the_array_file_is_named_by_the_path_not_the_json(tmp_path):
+    path = _tampered(tmp_path)
+    # a copy of the JSON elsewhere has no array file beside it
+    (tmp_path / "copy").mkdir()
+    shutil.copy(path, tmp_path / "copy")
+    with pytest.raises(FileNotFoundError, match=re.escape(
+            str(tmp_path / "copy" / "ck.npy"))):
+        load_checkpoint(str(tmp_path / "copy" / "ck.json"))
+    # the JSON must name exactly <stem>.npy, whatever else exists
+    shutil.copy(tmp_path / "ck.npy", tmp_path / "other.npy")
+    good = json.load(open(path))
+    for digests in (good["sha256"], {}, None,
+                    {**good["sha256"], "other.npy": "0"}):
+        blob = {**good, "sha256": digests}
+        (tmp_path / "other.json").write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="has a bad 'sha256'"):
+            load_checkpoint(str(tmp_path / "other.json"))
+
+
+def _write_checkpoint(path, shift):
     learner, theta, adam = _checkpoint_state()
-    path = tmp_path / "checkpoint.json"
-    save_checkpoint(str(path), learner, theta, adam, 1, 0, "spring_mass")
-    before = path.read_bytes()
+    save_checkpoint(str(path / "checkpoint.json"), learner, theta + shift,
+                    adam, 1 + shift, 0, "spring_mass")
+
+
+def _write_dataset(path, seed):
+    write_dataset(str(path), "spring_mass", seed,
+                  make_meta_train("spring_mass", 3, 4, seed))
+
+
+@pytest.fixture
+def torn_writes(monkeypatch):
+    """From its call on, every file opened for writing stops halfway
+    through its first write, as on a full disk."""
     real_open = open
 
     class Torn:
-        """A file whose write stops halfway, as on a full disk."""
         def __init__(self, fh):
             self.fh = fh
 
@@ -210,14 +256,26 @@ def test_a_failed_checkpoint_write_keeps_the_previous_file(tmp_path,
         fh = real_open(file, mode, *args, **kwargs)
         return Torn(fh) if "w" in mode else fh
 
-    monkeypatch.setattr("builtins.open", torn_open)
-    with pytest.raises(OSError, match="No space"):
-        save_checkpoint(str(path), learner, theta + 1, adam, 2, 0,
-                        "spring_mass")
-    monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
-    assert load_checkpoint(str(path))[3]["episode"] == 1
+    return lambda: monkeypatch.setattr("builtins.open", torn_open)
+
+
+def test_a_failed_checkpoint_write_keeps_the_previous_file(tmp_path,
+                                                           monkeypatch,
+                                                           torn_writes):
+    # both writers of JSON with arrays: a checkpoint and a dataset
+    for write in (_write_checkpoint, _write_dataset):
+        out = tmp_path / write.__name__
+        out.mkdir()
+        write(out, 1)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        torn_writes()
+        with pytest.raises(OSError, match="No space"):
+            write(out, 2)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert load_checkpoint(str(tmp_path / "_write_checkpoint" /
+                               "checkpoint.json"))[3]["episode"] == 2
+    assert load_dataset(str(tmp_path / "_write_dataset"))[0]["seed"] == 1
 
 
 def test_saving_a_checkpoint_holds_no_second_copy(tmp_path):
@@ -232,6 +290,7 @@ def test_saving_a_checkpoint_holds_no_second_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6, peak
-    # the text json.dumps gives for the whole object, one line
+    # the JSON as write_arrays writes every document
     text = path.read_text()
-    assert text == json.dumps(json.loads(text)) + "\n"
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) \
+        + "\n"
