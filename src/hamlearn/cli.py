@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from . import LEARNER_KINDS, SYSTEMS
+from . import DOF, LEARNER_KINDS, SYSTEMS
 from .config import (TRAINING_KEYS, RunConfig, comma_list, load_checkpoint,
                      non_negative_int, read_config_file, resolve_config,
                      save_checkpoint, version_string, write_provenance)
@@ -293,31 +293,28 @@ def cmd_rollout(args) -> int:
     if args.oracle:
         _refuse(args, "--oracle", k="--k", adapt_steps="--steps",
                 adapt_lr="--adapt-lr")
+    cfg, file_values = _resolve(args)
+    if args.adapt_steps is None and "adapt_steps" not in file_values:
+        cfg.adapt_steps = 50  # rollouts default to a longer adaptation
+    spec, theta = None, None  # spec None: the oracle
+    if not args.oracle:
+        learner, theta = _load_learner_state(args, cfg)  # sets cfg.system
+        spec = learner.spec
+    if args.x0 and len(args.x0) != 2 * DOF[cfg.system]:
+        raise UsageError(f"--x0 needs {2 * DOF[cfg.system]} components")
     import numpy as np
 
     from . import seeding
     from .evaluation import adapt_params, rollout_eval
     from .physics import true_field_many
     from .taskgen import sample_params, sample_states
-    cfg, file_values = _resolve(args)
-    if args.adapt_steps is None and "adapt_steps" not in file_values:
-        cfg.adapt_steps = 50  # rollouts default to a longer adaptation
-    spec, theta = None, None  # spec None: the oracle
-    if not args.oracle:
-        learner, theta = _load_learner_state(args, cfg)
-        spec = learner.spec
     rng = seeding.split(cfg.seed, seeding.ROLLOUT, 0)
     params = sample_params(cfg.system, rng)
     if not args.oracle:
         X = sample_states(params, rng, cfg.k)
         theta = adapt_params(learner, theta, X, true_field_many(params, X),
                              cfg.adapt_steps, cfg.adapt_lr)
-    if args.x0:
-        x0 = np.array(args.x0)
-        if x0.size != 2 * params.n:
-            raise UsageError(f"--x0 needs {2 * params.n} components")
-    else:
-        x0 = sample_states(params, rng, 1)[0]
+    x0 = np.array(args.x0) if args.x0 else sample_states(params, rng, 1)[0]
     report = rollout_eval(spec, theta, params, x0, args.t_span, args.samples)
     write_provenance(cfg.out_dir, cfg)
     cols = ["t", "state_mse", "energy_mse"] + [

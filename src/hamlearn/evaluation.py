@@ -20,8 +20,8 @@ from .metalearn import (InnerConfig, LearnerDef, OuterConfig, adam_init,
                         adam_update, adaptation_objective, build_learner,
                         head_only, train_learner)
 from .network import init_params
-from .physics import (DOF, DomainError, IntegrationError, PhysicalParams,
-                      field_fn, hamiltonian_many, integrate, sample_times)
+from .physics import (DOF, IntegrationError, PhysicalParams, field_fn,
+                      hamiltonian_many, integrate, sample_times)
 from .taskgen import GridTestSet, make_meta_test_suite, make_meta_train
 
 ADAPT_STEPS = 10
@@ -155,17 +155,6 @@ def learning_curve(learner: LearnerDef, theta_meta, systems,
     return curves.mean(axis=0)
 
 
-def _true_energies(true_params: PhysicalParams, X: np.ndarray):
-    """Per-row true H, truncated at the first guard violation."""
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        try:
-            out[i] = hamiltonian_many(true_params, X[i : i + 1])[0]
-        except DomainError:
-            return out[:i], i
-    return out, X.shape[0]
-
-
 def _reached(field, x0, T_span: float, samples: int):
     """(states integrate reached, failure time or None)."""
     try:
@@ -179,9 +168,13 @@ def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
     """Integrate the learner's field against the true flow from x0.
 
     state_mse(t) = ||x_pred(t) - x_true(t)||^2 and energy_mse(t) =
-    (H_true(x_pred) - H_true(x_true))^2 at t_k = k * T / samples.  If either
-    integration fails or a sample crosses the evaluation guard, the series
-    stop at the last good sample and failure_time records the earliest stop.
+    (H_true(x_pred) - H_true(x_true))^2 at t_k = k * T / samples.  A
+    non-finite value ends what can be scored: the series stop at the last
+    sample both integrations reached, and before the first sample whose
+    states, state_mse or energy_mse are not all finite (the true H is NaN
+    inside the Kepler guard).  failure_time is the earliest of that
+    sample's time and the two integrations' failure times, None if no
+    series stopped early.
 
     spec None (the oracle) integrates the true field on both sides, which
     bounds the integrator noise floor of the two MSE series.  Both sides
@@ -197,20 +190,24 @@ def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
             return fastops.predicted_field(spec, params_adapted,
                                            x[None, :])[0]
 
-    Xp, failure = _reached(pred_field, x0, T_span, samples)
-    n = Xp.shape[0]
-    Xt, true_failure = (_reached(field_fn(true_params), x0,
-                                 n * T_span / samples, n) if n else (Xp, None))
-    Hp, kp = _true_energies(true_params, Xp)
-    Ht, kt = _true_energies(true_params, Xt)
-    kept, times = min(kp, kt), sample_times(T_span, samples)
-    if kept < Xt.shape[0]:  # a sample crossed the evaluation guard
-        failure = float(times[kept])
-    elif true_failure is not None:  # the true orbit stopped first
-        failure = min(f for f in (failure, true_failure) if f is not None)
-    Xp, Xt, Hp, Ht = Xp[:kept], Xt[:kept], Hp[:kept], Ht[:kept]
-    return RolloutReport(times[:kept], np.sum((Xp - Xt) ** 2, axis=1),
-                         (Hp - Ht) ** 2, Xp, Xt, failure)
+    with np.errstate(all="ignore"):  # a non-finite value ends the series
+        Xp, failure = _reached(pred_field, x0, T_span, samples)
+        n = Xp.shape[0]
+        Xt, true_failure = (_reached(field_fn(true_params), x0,
+                                     n * T_span / samples, n)
+                            if n else (Xp, None))
+        Xp = Xp[: len(Xt)]
+        state_mse = np.sum((Xp - Xt) ** 2, axis=1)
+        energy_mse = (hamiltonian_many(true_params, Xp)
+                      - hamiltonian_many(true_params, Xt)) ** 2
+    finite = np.isfinite(np.column_stack([Xp, Xt, state_mse, energy_mse]))
+    bad = np.flatnonzero(~finite.all(axis=1))
+    kept = int(bad[0]) if bad.size else len(Xt)
+    times = sample_times(T_span, samples)
+    stops = [t for t in (failure, true_failure) if t is not None]
+    stops += [float(times[kept])] if bad.size else []
+    return RolloutReport(times[:kept], state_mse[:kept], energy_mse[:kept],
+                         Xp[:kept], Xt[:kept], min(stops, default=None))
 
 
 def ablation_tasks(kinds, task_counts, system: str, mode: str, K: int,

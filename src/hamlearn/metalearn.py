@@ -220,8 +220,9 @@ def pretrain_budget(outer_cfg: OuterConfig, inner_cfg: InnerConfig) -> int:
 
 
 def pretrain(spec: NetworkSpec, theta, tasks, epochs: int, lr: float,
-             history=None) -> np.ndarray:
-    """Plain Adam on the pooled field loss, one task's train set per step.
+             on_step=None) -> np.ndarray:
+    """Plain Adam on the pooled field loss, one task's train set per step;
+    on_step(i, loss) is called as step i completes.
 
     Visiting tasks round robin makes each step an unbiased minibatch of
     the pooled objective (every task contributes the same point count).
@@ -232,16 +233,16 @@ def pretrain(spec: NetworkSpec, theta, tasks, epochs: int, lr: float,
         raise ValueError("epochs must be >= 1")
     theta = np.array(theta, np.float64)
     adam = adam_init(theta.shape[0])
-    for _ in range(epochs):
-        for task in tasks:
-            loss, grad, _ = fastops.loss_grad(spec, theta, task.train_x,
-                                              task.train_xdot)
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                raise FloatingPointError("non-finite pretraining loss or "
-                                         "gradient")
-            if history is not None:
-                history.append(loss)
-            theta, adam = adam_update(adam, theta, grad, lr)
+    for step in range(epochs * len(tasks)):
+        task = tasks[step % len(tasks)]
+        loss, grad, _ = fastops.loss_grad(spec, theta, task.train_x,
+                                          task.train_xdot)
+        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+            raise FloatingPointError("non-finite pretraining loss or "
+                                     "gradient")
+        theta, adam = adam_update(adam, theta, grad, lr)
+        if on_step is not None:
+            on_step(step, loss)
     return theta
 
 
@@ -278,8 +279,8 @@ def train_learner(learner: LearnerDef, theta, tasks, outer_cfg: OuterConfig,
     A meta-learner runs `meta_train` to outer_cfg.episodes.  hnn_pretrained
     runs `pretrain` at the outer learning rate for the loss-evaluation
     budget of that meta-training, one round-robin pass per epoch, and
-    reports each step's loss to on_episode afterwards; its episode count
-    is the number of steps.  hnn_scratch is not trained.
+    reports each step's loss to on_episode as the step completes; its
+    episode count is the number of steps.  hnn_scratch is not trained.
     """
     if learner.meta_trained:
         theta, adam = meta_train(learner.spec, theta, tasks, learner.inner,
@@ -287,13 +288,10 @@ def train_learner(learner: LearnerDef, theta, tasks, outer_cfg: OuterConfig,
                                  start_episode=start_episode,
                                  on_episode=on_episode)
         return theta, adam, outer_cfg.episodes
-    theta = np.array(theta, np.float64)
-    history = []
+    theta, steps = np.array(theta, np.float64), 0
     if learner.pretrained:
         epochs = max(1, pretrain_budget(outer_cfg, learner.inner) // len(tasks))
         theta = pretrain(learner.spec, theta, tasks, epochs, outer_cfg.lr,
-                         history)
-    if on_episode is not None:
-        for i, loss in enumerate(history):
-            on_episode(i, loss)
-    return theta, adam_init(theta.size), len(history)
+                         on_episode)
+        steps = epochs * len(tasks)
+    return theta, adam_init(theta.size), steps

@@ -29,15 +29,11 @@ GRAV_ACC = 1.0   # pendulum g
 GRAV_CONST = 1.0  # Kepler G
 
 # Kepler separation guards: sampling keeps |q - q0| >= 0.5 by rejection;
-# evaluating H or the field below 0.1 is a domain error (the bare 1/r
-# blow-up otherwise destroys training and integration).
+# below 0.1, H and the force (pdot) are NaN, since the bare 1/r blow-up
+# would otherwise destroy training and integration.  `integrate` and the
+# rollout read a non-finite value as the end of what can be scored.
 KEPLER_MIN_SEP_SAMPLE = 0.5
 KEPLER_MIN_SEP_EVAL = 0.1
-
-
-class DomainError(ValueError):
-    """A quantity was evaluated outside its domain, such as a Kepler state
-    closer to the centre than KEPLER_MIN_SEP_EVAL."""
 
 
 class IntegrationError(RuntimeError):
@@ -88,18 +84,16 @@ class PhysicalParams:
 
 
 def _kepler_sep(params: PhysicalParams, Q: np.ndarray) -> np.ndarray:
+    """|q - q0| per row, NaN inside the evaluation guard."""
     q0 = np.array([params.values["q0x"], params.values["q0y"]])
     d = Q - q0
     r = np.sqrt(np.sum(d * d, axis=-1))
-    if np.any(r < KEPLER_MIN_SEP_EVAL):
-        raise DomainError(
-            f"kepler separation {float(np.min(r)):.4g} below "
-            f"{KEPLER_MIN_SEP_EVAL} (near-singular)")
-    return r
+    return np.where(r < KEPLER_MIN_SEP_EVAL, np.nan, r)
 
 
 def hamiltonian_many(params: PhysicalParams, X) -> np.ndarray:
-    """Energies for a batch of flat states X (B, 2n)."""
+    """Energies for a batch of flat states X (B, 2n); a Kepler state inside
+    the evaluation guard has energy NaN."""
     X = np.atleast_2d(np.asarray(X, np.float64))
     n = params.n
     if X.shape[1] != 2 * n:
@@ -118,7 +112,8 @@ def hamiltonian_many(params: PhysicalParams, X) -> np.ndarray:
 
 
 def true_field_many(params: PhysicalParams, X) -> np.ndarray:
-    """Analytic xdot = Omega dH/dx for a batch of flat states."""
+    """Analytic xdot = Omega dH/dx for a batch of flat states; the Kepler
+    force (pdot) is NaN inside the evaluation guard."""
     X = np.atleast_2d(np.asarray(X, np.float64))
     n = params.n
     if X.shape[1] != 2 * n:
@@ -298,10 +293,10 @@ def integrate(field, x0, T_span: float, samples: int,
     positive, raises ValueError.
 
     Failure to reach T raises IntegrationError.  Its t_failure is the time
-    at which `field` was called when the derivative is non-finite or
-    `field` raises a domain error, and the last sample time reached (0.0
-    if none) when the step size falls below the spacing of floats.  Its
-    times and states are the samples reached before the failure.
+    at which `field` was called when the derivative is non-finite (as the
+    true field is outside its domain), and the last sample time reached
+    (0.0 if none) when the step size falls below the spacing of floats.
+    Its times and states are the samples reached before the failure.
     """
     x0 = np.asarray(x0, np.float64).ravel()
     if not 0 < T_span < np.inf:  # NaN or inf T would step forever
@@ -311,12 +306,7 @@ def integrate(field, x0, T_span: float, samples: int,
     times = sample_times(T_span, samples)
 
     def rhs(t, y):
-        try:
-            d = np.asarray(field(y), np.float64)
-        except DomainError as exc:
-            raise IntegrationError(
-                f"field raised a domain error near t = {t:.6g}: {exc}",
-                t) from exc
+        d = np.asarray(field(y), np.float64)
         # a NaN derivative makes the step size NaN, and the step loop then
         # never ends
         if not np.isfinite(d).all():

@@ -329,6 +329,9 @@ def load_dataset(path: str):
                                         ("seed", "n_tasks", "n_points")]
     if not all(type(v) is int and v >= 0 for v in counts):
         raise ValueError(f"{fname} has a bad seed, n_tasks or n_points")
+    for key, count in (("n_tasks", n_tasks), ("n_points", n_points)):
+        if count < 1:  # as gen refuses, before a command writes anything
+            raise ValueError(f"{fname} has {key} {count}; it must be >= 1")
     if manifest.get("format_version") == 1:
         raise ValueError(f"{fname} is a format 1 (CSV) dataset; regenerate "
                          f"it with: hamlearn gen --system {system} --seed "

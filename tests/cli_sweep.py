@@ -8,7 +8,7 @@ fingerprint (see `fingerprint`) and, per command in run order, its exit
 code and the sha256 of each file in its --out directory.  The version
 string is stripped before hashing (the `# version = ` lines and the
 checkpoint's "version" value), so two checkouts that should behave alike
-give identical SHA256SUMS files: diff them.  The sweep takes about 12
+give identical SHA256SUMS files: diff them.  The sweep takes about 15
 seconds on two cores.
 
 tests/test_sweep.py runs it against tests/sweep.sha256, a copy of the
@@ -78,6 +78,23 @@ def _commands(root: str):
                        "--steps", "3", "--T", "2", "--samples", "20"], True)
     yield ("rollout-oracle", ["rollout", "--oracle", "--system", "pendulum",
                               "--T", "2", "--samples", "20"], True)
+    # rollouts that stop early: under --seed 5 the Kepler centre is near
+    # (2.22, 0.61), so from rest at (2.5, 0.6) the orbit falls through the
+    # evaluation guard; the learned one stops where the true orbit does;
+    # the true energy of the last overflows at every sample
+    kepler_fall = ["--system", "kepler", "--x0", "2.5,0.6,0,0", "--T", "1",
+                   "--samples", "20"]
+    yield ("rollout-oracle-kepler-guard", ["rollout", "--oracle",
+                                           *kepler_fall], True)
+    yield ("rollout-kepler-guard", ["rollout", "--checkpoint",
+                                    CKPT.format("train-kepler"), "--k", "6",
+                                    "--steps", "3", *kepler_fall], True)
+    yield ("rollout-oracle-pendulum-x0", ["rollout", "--oracle", "--system",
+                                          "pendulum", "--x0", "3,0.5", "--T",
+                                          "5", "--samples", "10"], True)
+    yield ("rollout-oracle-overflow", ["rollout", "--oracle", "--system",
+                                       "pendulum", "--x0", "1e308,1e308",
+                                       "--T", "1", "--samples", "5"], True)
     for kind in ("naive_maml", "naive_anil", "hamaml", "hanil_inv"):
         ckpt = CKPT.format(f"train-{kind}")
         yield (f"eval-{kind}", ["eval", "--checkpoint", ckpt, *EVAL], True)

@@ -23,7 +23,11 @@ import math
 
 import numpy as np
 
-from hamlearn.physics import DomainError
+
+class DomainError(ValueError):
+    """An op was evaluated outside its domain, or produced a non-finite
+    value."""
+
 
 LEAF = 0
 ADD = 1

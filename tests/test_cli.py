@@ -498,6 +498,24 @@ def test_metatrain_missing_task_file_exits_2_at_load(tmp_path, capsys):
     assert not out.exists()  # refused before anything was written
 
 
+@pytest.mark.parametrize("key,shapes", [("n_tasks", ((0, 3), (0, 2, 6, 4))),
+                                        ("n_points", ((2, 3), (2, 2, 0, 4)))])
+def test_an_empty_dataset_leaves_an_existing_run_whole(tmp_path, key, shapes,
+                                                       capsys):
+    # a dataset with valid digests but no tasks or no points per task
+    ds = tmp_path / "empty"
+    taskgen.write_dataset(str(ds), "spring_mass", 3, taskgen.TaskPool(
+        "spring_mass", *map(np.ones, shapes)))
+    run = tmp_path / "run"
+    shutil.copytree("run", run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert main(["metatrain", "--dataset", str(ds), "--learner", "hanil",
+                 "--out", str(run), *TRAIN_FLAGS]) == 2
+    assert f"{ds / 'manifest.json'} has {key} 0; it must be >= 1" in \
+        capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_a_short_read_of_a_drawn_task_exits_2(tmp_path, monkeypatch):
     ds = tmp_path / "ds"
     assert main(["gen", "--system", "spring_mass", "--tasks", "30",
@@ -956,6 +974,19 @@ def test_rollout_whose_last_sample_overshoots_T(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rollout_of_an_overflowing_energy_writes_no_rows(tmp_path, capsys):
+    # both integrations reach T, but the true H overflows at every sample
+    out = tmp_path / "ovf"
+    code, err, caught = _run_quietly([
+        "rollout", "--oracle", "--system", "pendulum", "--x0",
+        "1e308,1e308", "--T", "1", "--samples", "5", "--out", str(out)])
+    assert (code, err, caught) == (0, [], [])
+    lines = (out / "rollout.csv").read_text().splitlines()
+    assert "# failure_time = 0.2" in lines
+    assert lines[-1].startswith("t,state_mse,")  # the header, no rows
+    assert "integration stopped at t=0.2" in capsys.readouterr().out
+
+
 def test_rollout_non_finite_x0_exits_2(tmp_path, capsys):
     assert main(["rollout", "--oracle", "--system", "spring_mass", "--x0",
                  "nan,0.5", "--seed", "5", "--T", "2", "--samples", "8",
@@ -1088,6 +1119,7 @@ def _kernels(*names):
                                   ["ablate", "--counts", "50,10"],
                                   ["ablate", "--counts", "10,x"],
                                   ["rollout", "--oracle", "--x0", "1,y"],
+                                  ["rollout", "--oracle", "--x0", "1,2,3"],
                                   ["ablate", "--learners", "hanil,foo"],
                                   ["metatrain", "--learner", "foo"],
                                   ["eval", "--learner", "foo"],
@@ -1096,6 +1128,7 @@ def _kernels(*names):
                               "bad-flag", "gen-no-tasks", "metatrain-scratch",
                               "metatrain-no-dataset", "ablate-descending",
                               "ablate-bad-count", "rollout-bad-x0",
+                              "rollout-x0-length",
                               "ablate-unknown-learner",
                               "metatrain-unknown-learner",
                               "eval-unknown-learner", "negative-seed"])

@@ -372,6 +372,42 @@ def test_rollout_stops_where_the_true_orbit_fails():
     assert report.state_mse.shape == report.energy_mse.shape == (n,)
 
 
+@pytest.mark.filterwarnings("error")
+def test_rollout_stops_before_an_overflowing_energy():
+    # H_true(1e308, 1e308) overflows at every sample, although both
+    # integrations reach T: nothing is scored, and no warning escapes
+    params = PhysicalParams("pendulum", {"m": 1, "l": 10, "q0": 0})
+    report = E.rollout_eval(None, None, params, np.array([1e308, 1e308]),
+                            T_span=1.0, samples=5)
+    assert report.times.size == report.state_mse.size == 0
+    assert report.energy_mse.size == report.pred_states.size == 0
+    assert report.failure_time == 0.2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params,x0,velocity,first_bad", [
+    # |q| grows without bound while the Kepler H stays finite: the state
+    # error overflows first, at t = 1.4
+    (PhysicalParams("kepler", {"M": 1, "m": 1, "q0x": 0, "q0y": 0}),
+     [1.0, 0.0, 0.0, 1.0], [1e154, 0.0, 0.0, 0.0], 6),
+    # a finite spring H whose squared error overflows at t = 1.8
+    (spring(), [1.0, 0.0], [1e77, 0.0], 8),
+], ids=["state_mse", "energy_mse"])
+def test_rollout_stops_before_an_overflowing_error(monkeypatch, params, x0,
+                                                   velocity, first_bad):
+    # the learned field is a constant drift; both integrations reach T
+    monkeypatch.setattr(fastops, "predicted_field", lambda spec, theta, X:
+                        np.tile(velocity, (X.shape[0], 1)))
+    report = E.rollout_eval(NetworkSpec(len(x0), (1,), 1), None, params,
+                            np.array(x0), T_span=2.0, samples=10)
+    times = sample_times(2.0, 10)
+    np.testing.assert_array_equal(report.times, times[:first_bad])
+    assert report.failure_time == times[first_bad]
+    for series in (report.state_mse, report.energy_mse, report.pred_states,
+                   report.true_states):
+        assert len(series) == first_bad and np.isfinite(series).all()
+
+
 # -- structural property -----------------------------------------------------------
 
 

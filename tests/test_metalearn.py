@@ -498,9 +498,31 @@ def test_pretrain_pooled_loss_decreases():
     theta = init_params(spec, 92)
     pool = [spring_task(s, n_points=10) for s in range(200, 210)]
     history = []
-    M.pretrain(spec, theta, pool, epochs=5, lr=0.005, history=history)
+    M.pretrain(spec, theta, pool, epochs=5, lr=0.005,
+               on_step=lambda i, loss: history.append(loss))
     assert len(history) == 50
     assert np.mean(history[-10:]) < np.mean(history[:10])
+
+
+def test_pretraining_reports_each_step_as_it_happens(monkeypatch):
+    # hnn_pretrained's curve rows, and their wall_time, are written as the
+    # steps run: step i has made i + 1 loss_grad calls when it is reported
+    calls, seen = [], []
+    loss_grad = fastops.loss_grad
+
+    def counted(*args):
+        calls.append(1)
+        return loss_grad(*args)
+
+    monkeypatch.setattr(fastops, "loss_grad", counted)
+    learner = M.build_learner("hnn_pretrained", 2, (8,))
+    pool = [spring_task(s, n_points=6) for s in range(3)]
+    outer = M.OuterConfig(episodes=2, task_batch=2)
+    theta, _, steps = M.train_learner(
+        learner, init_params(learner.spec, 5), pool, outer, 5,
+        on_episode=lambda i, loss: seen.append((i, len(calls))))
+    assert steps == len(seen) == len(calls) > len(pool)
+    assert seen == [(i, i + 1) for i in range(steps)]
 
 
 def test_pretrain_budget_default():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hamlearn import physics as P
-from hamlearn.physics import DomainError
 from oracle import graph as G
 
 RNG = np.random.default_rng
@@ -153,10 +152,12 @@ def test_time_reversal():
 
 def test_kepler_guard_and_integration_error():
     par = P.PhysicalParams("kepler", {"M": 2, "m": 1, "q0x": 0, "q0y": 0})
-    with pytest.raises(DomainError):
-        P.hamiltonian_many(par, [0.05, 0.0, 0.0, 0.0])
-    with pytest.raises(DomainError):
-        P.true_field_many(par, np.array([[0.03, 0, 0, 0]]))
+    # inside the guard H and the force (pdot) are NaN, row by row
+    assert np.isnan(P.hamiltonian_many(par, [0.05, 0.0, 0.0, 0.0])).all()
+    F = P.true_field_many(par, np.array([[0.03, 0, 0, 0]]))
+    assert np.isnan(F[:, 2:]).all()
+    F = P.true_field_many(par, np.array([[0.03, 0, 0, 0], [1.0, 0, 0, 0]]))
+    assert np.isnan(F[0, 2:]).all() and np.isfinite(F[1]).all()
     # radial infall: hits the guard, surfaces as IntegrationError with a time
     with pytest.raises(P.IntegrationError) as ei:
         P.integrate(P.field_fn(par), np.array([0.6, 0.0, -0.5, 0.0]), 10.0, 10)
