@@ -1,7 +1,8 @@
 """Meta-learning Hamiltonian neural networks from phase-space observations.
 
-The names the command line and `RunConfig` validate against live here, free
-of numpy, so that parsing arguments loads no kernel module.
+The names the command line and its settings table (`config.SETTINGS`)
+validate against live here, free of numpy, so that parsing arguments loads
+no kernel module.
 """
 
 __version__ = "0.1.0"

@@ -1,17 +1,24 @@
-"""Run configuration, checkpoint persistence, and provenance helpers.
+"""Settings, provenance, checkpoint persistence and the array store.
+
+SETTINGS declares each setting of the command line once: its key (the
+config file key and the parsed flag's name), its flag, its reader and its
+default.  COMMANDS lists the settings each command reads besides `seed`
+and `out_dir`, and IGNORED those that a mode of `rollout` or `ablate` does
+not.  The parser, the config file grammar and the provenance writer all
+come from these tables.
 
 Config files are flat `key = value` text: one assignment per line, `#`
-starts a comment, blank lines ignored.  Keys are RunConfig field names;
-values are parsed by the field's type (ints, floats, true/false bools,
-comma-separated ints for `hidden`, a non-negative int for `seed`).  CLI
-flags override file values.
+starts a comment, blank lines ignored.  Any key of SETTINGS is accepted,
+and its value is parsed by the key's reader (ints, floats, true/false
+bools, one of the listed names, comma-separated lists, a non-negative int
+for `seed`).  A command uses the keys it reads and ignores the others, so
+one file can serve several commands.  CLI flags override file values.
 """
 
 from __future__ import annotations
 
 import os
 import subprocess
-from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import DOF, LEARNER_KINDS, SYSTEMS, __version__
@@ -19,70 +26,16 @@ from . import DOF, LEARNER_KINDS, SYSTEMS, __version__
 if TYPE_CHECKING:  # the kernels load only where a method needs them
     import numpy as np
 
-    from .metalearn import AdamState, InnerConfig, LearnerDef, OuterConfig
+    from .metalearn import AdamState, LearnerDef
 
 CHECKPOINT_FORMAT_VERSION = 2
 
-# RunConfig fields that, with the seed and hidden sizes, fix a training
-# run; a checkpoint records them so a resume can insist on them.
+# Settings that, with the seed and hidden sizes, fix a training run; a
+# checkpoint records them so a resume can insist on them.
 TRAINING_KEYS = ("inner_steps", "inner_lr", "outer_lr", "task_batch",
                  "second_order")
 
 ENV_SEED = "HAMLEARN_SEED"
-
-
-@dataclass
-class RunConfig:
-    system: str = "spring_mass"
-    learner: str = "hanil"
-    seed: int = 0
-    dataset: str = ""
-    out_dir: str = "out"
-    # inner loop
-    inner_steps: int = 5
-    inner_lr: float = 0.002
-    # outer loop
-    episodes: int = 100
-    task_batch: int = 10
-    outer_lr: float = 0.001
-    second_order: bool = True
-    # network
-    hidden: tuple = (64, 64, 64)
-    # meta-test protocol
-    mode: str = "points"
-    k: int = 50
-    n_systems: int = 10
-    adapt_steps: int = 10
-    adapt_lr: float = 0.002
-    # runtime
-    strict_serial: bool = False
-
-    def __post_init__(self):
-        if self.system not in SYSTEMS:
-            raise ValueError(f"unknown system {self.system!r}")
-        if self.learner not in LEARNER_KINDS:
-            raise ValueError(f"unknown learner {self.learner!r}")
-        if self.mode not in ("points", "trajectories"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("inner_lr", "outer_lr", "adapt_lr"):
-            if not 0 < getattr(self, name) < float("inf"):
-                raise ValueError(f"{name.replace('_', ' ')} must be positive "
-                                 "and finite")
-
-    def inner_config(self) -> InnerConfig:
-        from .metalearn import InnerConfig
-        return InnerConfig(self.inner_steps, self.inner_lr)
-
-    def outer_config(self) -> OuterConfig:
-        from .metalearn import OuterConfig
-        return OuterConfig(self.episodes, self.task_batch, self.outer_lr,
-                           self.second_order)
-
-    def learner_def(self) -> LearnerDef:
-        from .metalearn import build_learner
-        return build_learner(self.learner, 2 * DOF[self.system],
-                             tuple(self.hidden),
-                             self.inner_config())
 
 
 def comma_list(kind):
@@ -101,10 +54,87 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+# key: (flag, reader, default[, help]).  A reader is a function of the text
+# or a tuple of the names allowed.  A bool's flag takes no value and sets
+# the opposite of its default; a default of None means "not given".
+SETTINGS = {
+    "seed": ("--seed", non_negative_int, 0, "run seed (env HAMLEARN_SEED "
+             "is the fallback when neither flag nor file sets one)"),
+    "out_dir": ("--out", str, "out", "output directory"),
+    "strict_serial": ("--strict-serial", bool, False, "write 0.0 for "
+                      "wall_time, so reruns are byte-identical (nothing "
+                      "runs in parallel either way)"),
+    "system": ("--system", SYSTEMS, "spring_mass"),
+    "tasks": ("--tasks", int, 10000),
+    "points": ("--points", int, 50),
+    "dataset": ("--dataset", str, None, "dataset directory from gen"),
+    "resume": ("--resume", str, None, "checkpoint to continue from"),
+    "learner": ("--learner", LEARNER_KINDS, "hanil"),
+    "episodes": ("--episodes", int, 100),
+    "task_batch": ("--task-batch", int, 10),
+    "inner_steps": ("--inner-steps", int, 5),
+    "inner_lr": ("--inner-lr", float, 0.002),
+    "outer_lr": ("--outer-lr", float, 0.001),
+    "second_order": ("--first-order", bool, True),
+    "hidden": ("--hidden", comma_list(int), (64, 64, 64)),
+    "checkpoint": ("--checkpoint", str, None, "checkpoint.json of a "
+                   "trained learner"),
+    "oracle": ("--oracle", bool, False, "integrate the analytic field as "
+               "the learner"),
+    "mode": ("--mode", ("points", "trajectories"), "points"),
+    "k": ("--k", int, 50),
+    "n_systems": ("--n-systems", int, 10),
+    "adapt_steps": ("--steps", int, 10, "adaptation steps (rollout: 50 "
+                    "by default)"),
+    "adapt_lr": ("--adapt-lr", float, 0.002),
+    "x0": ("--x0", comma_list(float), None, "comma-separated initial "
+           "state; sampled from the state region when omitted"),
+    "t_span": ("--T", float, 20.0),
+    "samples": ("--samples", int, 200),
+    "counts": ("--counts", comma_list(int), (10, 50, 200, 500, 1000),
+               "comma-separated ascending task counts"),
+    "learners": ("--learners", comma_list(str), ("hanil", "hnn_pretrained")),
+    "step_range": ("--step-range", str, None, "0:N  -> export the "
+                   "adaptation learning curve for --checkpoint instead of "
+                   "sweeping task counts"),
+}
+
+# The settings each command reads besides seed and out_dir; every command
+# also takes --strict-serial, which only metatrain reads.
+COMMANDS = {
+    "gen": ("system", "tasks", "points"),
+    "metatrain": ("dataset", "learner", "episodes", "task_batch",
+                  "inner_steps", "inner_lr", "outer_lr", "second_order",
+                  "hidden", "resume", "strict_serial"),
+    "eval": ("checkpoint", "learner", "system", "mode", "k", "adapt_steps",
+             "adapt_lr", "n_systems", "hidden"),
+    "rollout": ("checkpoint", "oracle", "system", "x0", "t_span", "samples",
+                "k", "adapt_steps", "adapt_lr"),
+    "ablate": ("step_range", "checkpoint", "counts", "learners", "system",
+               "mode", "k", "n_systems", "points", "episodes", "task_batch",
+               "inner_steps", "inner_lr", "outer_lr", "second_order",
+               "adapt_steps", "adapt_lr", "hidden"),
+}
+
+# The settings of its command that a mode of rollout or ablate ignores.
+IGNORED = {
+    "--oracle": ("checkpoint", "k", "adapt_steps", "adapt_lr"),
+    "--step-range": ("counts", "learners", "points", "episodes",
+                     "task_batch", "inner_steps", "inner_lr", "outer_lr",
+                     "second_order", "adapt_steps"),
+    "ablate without --step-range": ("checkpoint",),
+}
+
+
 def _parse_value(name: str, kind, text: str):
     """text as a value of `kind`; an error names where it was set, `name`."""
     text = text.strip()
     try:
+        if isinstance(kind, tuple):
+            if text not in kind:
+                raise ValueError(f"expected one of {', '.join(kind)}, "
+                                 f"got {text!r}")
+            return text
         if kind is not bool:
             return kind(text)
         low = text.lower()
@@ -115,10 +145,6 @@ def _parse_value(name: str, kind, text: str):
         raise ValueError(f"expected a boolean, got {text!r}")
     except ValueError as err:
         raise ValueError(f"{name}: {err}") from None
-
-
-_FIELD_KINDS = {f.name: type(f.default) for f in fields(RunConfig)}
-_FIELD_KINDS.update(hidden=comma_list(int), seed=non_negative_int)
 
 
 def read_config_file(path: str) -> dict:
@@ -136,25 +162,31 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, text = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_KINDS:
+            if key not in SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = _parse_value(f"{path}:{lineno}: {key}",
-                                       _FIELD_KINDS[key], text)
+                                       SETTINGS[key][1], text)
     return values
 
 
-def resolve_config(file_values: dict = None, overrides: dict = None) -> RunConfig:
-    """Defaults <- config file <- CLI flags, with the env seed fallback."""
-    merged = {}
-    merged.update(file_values or {})
-    merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    if "seed" not in merged and os.environ.get(ENV_SEED):
-        merged["seed"] = _parse_value(ENV_SEED, non_negative_int,
+def resolve(keys, file_values: dict, flags: dict,
+            defaults: dict = None) -> dict:
+    """{key: value} for each of `keys`: its default (from `defaults`, else
+    the table) <- HAMLEARN_SEED <- file_values <- the flags not None.  The
+    env seed is read only when neither a flag nor the file sets one."""
+    values = {key: SETTINGS[key][2] for key in keys}
+    values.update(defaults or {})
+    given = {k: v for k, v in file_values.items() if k in values}
+    given.update((k, flags[k]) for k in keys if flags.get(k) is not None)
+    if "seed" in values and "seed" not in given and os.environ.get(ENV_SEED):
+        values["seed"] = _parse_value(ENV_SEED, non_negative_int,
                                       os.environ[ENV_SEED])
-    unknown = set(merged) - set(_FIELD_KINDS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**merged)
+    values.update(given)
+    for key in ("inner_lr", "outer_lr", "adapt_lr"):
+        if key in values and not 0 < values[key] < float("inf"):
+            raise ValueError(f"{key.replace('_', ' ')} must be positive "
+                             "and finite")
+    return values
 
 
 def _fmt_value(v) -> str:
@@ -167,18 +199,20 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def config_text(cfg: RunConfig) -> str:
-    """Resolved config as reloadable key = value text, plus the version."""
-    lines = [f"# version = {version_string()}"]
-    for key in sorted(asdict(cfg)):
-        lines.append(f"{key} = {_fmt_value(getattr(cfg, key))}")
+def config_text(command: str, settings: dict) -> str:
+    """The version, `command`, and each of `settings` that is not None, as
+    sorted key = value text that read_config_file reloads."""
+    lines = [f"# version = {version_string()}", f"# command = {command}"]
+    lines += [f"{key} = {_fmt_value(value)}"
+              for key, value in sorted(settings.items()) if value is not None]
     return "\n".join(lines) + "\n"
 
 
-def write_provenance(out_dir: str, cfg: RunConfig) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.txt"), "w") as fh:
-        fh.write(config_text(cfg))
+def write_provenance(command: str, settings: dict) -> None:
+    """<out_dir>/config.txt: what `command` read, its `settings`."""
+    os.makedirs(settings["out_dir"], exist_ok=True)
+    with open(os.path.join(settings["out_dir"], "config.txt"), "w") as fh:
+        fh.write(config_text(command, settings))
 
 
 _VERSION_CACHE = None

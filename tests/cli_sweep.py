@@ -109,6 +109,18 @@ def _commands(root: str):
                                    "--episodes", "2", "--task-batch", "2",
                                    "--inner-steps", "1", "--hidden", "6",
                                    "--k", "6", "--n-systems", "1"], True)
+    # two hidden layers: the passes over the layers between the first and
+    # the head, which a one-layer network skips
+    for kind in ("hanil", "hamaml"):
+        ckpt = CKPT.format(f"train-{kind}-deep")
+        yield (f"train-{kind}-deep", ["metatrain", "--dataset", DATA,
+                                      "--learner", kind, *TRAIN[:-1], "4,4"],
+               True)
+        yield (f"eval-{kind}-deep", ["eval", "--checkpoint", ckpt, *EVAL],
+               True)
+        yield (f"rollout-{kind}-deep", ["rollout", "--checkpoint", ckpt, "--k",
+                                        "6", "--steps", "3", "--T", "2",
+                                        "--samples", "20"], True)
     yield ("fail-gen-no-tasks", ["gen", "--tasks", "0"], False)
     yield ("fail-no-dataset", ["metatrain", "--dataset", "no-such-dir",
                                "--learner", "hanil", *TRAIN], False)

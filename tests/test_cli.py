@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import hamlearn
 from hamlearn import seeding, taskgen
 from hamlearn.cli import main
-from hamlearn.config import RunConfig, version_string
+from hamlearn.config import SETTINGS, version_string
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -128,6 +128,11 @@ def test_usage_errors_exit_1(argv, capsys):
     (["ablate", "--counts", "4", "--learners", "hanil", "--points", "6",
       "--episodes", "1", "--checkpoint", "run/checkpoint.json"],
      ("--checkpoint", "--step-range")),
+    (["ablate", "--step-range", "0:2", "--checkpoint", "run/checkpoint.json",
+      "--inner-lr", "0.1", "--outer-lr", "0.1", "--first-order", "--steps",
+      "3"], ("--step-range", "--inner-lr", "--outer-lr", "--first-order",
+             "--steps")),
+    (["rollout", "--oracle", "--x0", ""], "--x0"),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, argv, flag, capsys):
     out = tmp_path / "o"
@@ -560,9 +565,10 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-# A config file line: any bytes, or an assignment to a known key of any value.
+# A config file line: any bytes, or an assignment to a key of the settings
+# table, of any value.
 CONFIG_LINES = st.binary(max_size=16) | st.builds(
-    "{} = {}".format, st.sampled_from(sorted(RunConfig.__dataclass_fields__)),
+    "{} = {}".format, st.sampled_from(sorted(SETTINGS)),
     st.text(max_size=12)).map(str.encode)
 
 
@@ -1011,6 +1017,27 @@ def test_ablate_sweep_table(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ablate_counts_take_the_training_and_adaptation_flags(tmp_path,
+                                                             capsys):
+    out = tmp_path / "ab"
+    argv = ["ablate", "--counts", "2", "--learners", "hanil", "--k", "6",
+            "--n-systems", "1", "--points", "6", "--episodes", "1",
+            "--task-batch", "2", "--inner-steps", "1", "--hidden", "6",
+            "--seed", "3", "--inner-lr", "0.003", "--first-order",
+            "--steps", "2", "--adapt-lr", "0.004", "--out", str(out)]
+    assert main([*argv, "--outer-lr", "0"]) == 2
+    assert "outer lr must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--outer-lr", "0.002"]) == 0
+    got = _recorded(out)[1]
+    assert {key: got[key] for key in ("inner_lr", "outer_lr", "second_order",
+                                      "adapt_steps", "adapt_lr")} == {
+        "inner_lr": "0.003", "outer_lr": "0.002", "second_order": "false",
+        "adapt_steps": "2", "adapt_lr": "0.004"}
+    assert "checkpoint" not in got and "step_range" not in got
+    capsys.readouterr()
+
+
 def test_ablate_step_range_exports_learning_curve(tmp_path, capsys):
     out = str(tmp_path / "abc")
     assert main(["ablate", "--step-range", "0:3", "--checkpoint",
@@ -1036,6 +1063,74 @@ def test_config_file_drives_a_run_and_flags_win(tmp_path, capsys):
     assert manifest["system"] == "pendulum"  # from the file
     assert manifest["seed"] == 22            # flag beats file
     capsys.readouterr()
+
+
+def _recorded(out) -> tuple:
+    """(command, {key: text}) of the config.txt in `out`."""
+    lines = (Path(out) / "config.txt").read_text().splitlines()
+    assert lines[0].startswith("# version = v")
+    return lines[1], dict(line.split(" = ", 1) for line in lines[2:])
+
+
+def test_config_txt_holds_what_the_command_read(tmp_path, capsys):
+    common = {"seed", "out_dir"}
+    command, gen = _recorded("ds")
+    assert command == "# command = gen"
+    assert set(gen) == common | {"system", "tasks", "points"}
+    command, train = _recorded("run")
+    assert command == "# command = metatrain"
+    assert set(train) == common | {
+        "dataset", "learner", "episodes", "task_batch", "inner_steps",
+        "inner_lr", "outer_lr", "second_order", "hidden", "strict_serial"}
+    base = ["--seed", "3", "--k", "6", "--n-systems", "1"]
+    assert main(["eval", *CKPT, *base, "--steps", "1", "--out",
+                 str(tmp_path / "ev")]) == 0
+    assert _recorded(tmp_path / "ev")[1]["checkpoint"] == CKPT[1]
+    assert main(["ablate", "--step-range", "0:1", *CKPT, *base, "--out",
+                 str(tmp_path / "curve")]) == 0
+    command, curve = _recorded(tmp_path / "curve")
+    assert command == "# command = ablate"
+    assert set(curve) == common | {"step_range", "checkpoint", "system",
+                                   "hidden", "mode", "k", "n_systems",
+                                   "adapt_lr"}
+    rollout = ["rollout", "--seed", "3", "--T", "1", "--samples", "4"]
+    assert main([*rollout, *CKPT, "--k", "6", "--steps", "1", "--x0",
+                 "1,0.5", "--out", str(tmp_path / "ro")]) == 0
+    ro = _recorded(tmp_path / "ro")[1]
+    assert (ro["t_span"], ro["samples"], ro["x0"]) == ("1.0", "4", "1.0,0.5")
+    assert (ro["checkpoint"], ro["oracle"]) == (CKPT[1], "false")
+    assert main([*rollout, "--oracle", "--out", str(tmp_path / "or")]) == 0
+    assert set(_recorded(tmp_path / "or")[1]) == common | {
+        "oracle", "system", "t_span", "samples"}  # x0 was sampled
+    capsys.readouterr()
+
+
+def test_a_config_file_serves_commands_that_read_part_of_it(tmp_path,
+                                                            capsys):
+    # keys a command does not read are accepted, used by none of its
+    # choices, and not recorded
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("system = pendulum\nlearner = hamaml\nepisodes = 7\n"
+                       "x0 = 1,2\ncheckpoint = missing.json\nk = 3\n"
+                       "oracle = true\n")
+    out = tmp_path / "g"
+    assert main(["gen", "--config", str(cfgfile), "--tasks", "2",
+                 "--points", "4", "--out", str(out)]) == 0
+    assert _recorded(out)[1] == {"out_dir": str(out), "points": "4",
+                                 "seed": "0", "system": "pendulum",
+                                 "tasks": "2"}
+    # the file selects the oracle, which reads no checkpoint and no k
+    out = tmp_path / "o"
+    assert main(["rollout", "--config", str(cfgfile), "--T", "1",
+                 "--samples", "3", "--out", str(out)]) == 0
+    assert _recorded(out)[1] == {
+        "oracle": "true", "out_dir": str(out), "samples": "3", "seed": "0",
+        "system": "pendulum", "t_span": "1.0", "x0": "1.0,2.0"}
+    # but a flag it ignores is a usage error, wherever the mode came from
+    assert main(["rollout", "--config", str(cfgfile), "--k", "3",
+                 "--out", str(tmp_path / "k")]) == 1
+    assert "--oracle ignores --k" in capsys.readouterr().err
+    assert not (tmp_path / "k").exists()
 
 
 def _child_env():
@@ -1120,6 +1215,8 @@ def _kernels(*names):
                                   ["ablate", "--counts", "10,x"],
                                   ["rollout", "--oracle", "--x0", "1,y"],
                                   ["rollout", "--oracle", "--x0", "1,2,3"],
+                                  ["rollout", "--oracle", "--x0", ""],
+                                  ["rollout", "--oracle", "--x0", " , "],
                                   ["ablate", "--learners", "hanil,foo"],
                                   ["metatrain", "--learner", "foo"],
                                   ["eval", "--learner", "foo"],
@@ -1128,7 +1225,8 @@ def _kernels(*names):
                               "bad-flag", "gen-no-tasks", "metatrain-scratch",
                               "metatrain-no-dataset", "ablate-descending",
                               "ablate-bad-count", "rollout-bad-x0",
-                              "rollout-x0-length",
+                              "rollout-x0-length", "rollout-empty-x0",
+                              "rollout-blank-x0",
                               "ablate-unknown-learner",
                               "metatrain-unknown-learner",
                               "eval-unknown-learner", "negative-seed"])
@@ -1140,6 +1238,7 @@ def test_version_and_usage_errors_load_no_numpy(argv):
     else:
         assert "usage error: " in proc.stderr
     assert "numpy" not in loaded
+    assert "dataclasses" not in loaded
     assert not loaded & _kernels("fastops", "metalearn", "evaluation",
                                  "network", "physics", "taskgen", "seeding")
 

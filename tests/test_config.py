@@ -9,52 +9,94 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hamlearn.config import (CHECKPOINT_FORMAT_VERSION, ENV_SEED, RunConfig,
-                             config_text, load_checkpoint, read_config_file,
-                             resolve_config, save_checkpoint, version_string,
-                             write_provenance)
+from hamlearn.config import (CHECKPOINT_FORMAT_VERSION, COMMANDS, ENV_SEED,
+                             IGNORED, SETTINGS, config_text, load_checkpoint,
+                             read_config_file, resolve, save_checkpoint,
+                             version_string, write_provenance)
 from hamlearn.metalearn import AdamState, build_learner
 from hamlearn.network import param_count
 from hamlearn.taskgen import load_dataset, make_meta_train, write_dataset
 
 
-def test_defaults_match_documented_values():
-    cfg = RunConfig()
-    assert cfg.system == "spring_mass"
-    assert cfg.learner == "hanil"
-    assert (cfg.inner_steps, cfg.inner_lr) == (5, 0.002)
-    assert (cfg.episodes, cfg.task_batch, cfg.outer_lr) == (100, 10, 0.001)
-    assert cfg.second_order is True
-    assert cfg.hidden == (64, 64, 64)
-    assert (cfg.mode, cfg.k, cfg.n_systems) == ("points", 50, 10)
-    assert (cfg.adapt_steps, cfg.adapt_lr) == (10, 0.002)
+def test_defaults_match_documented_values(monkeypatch):
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    cfg = resolve(SETTINGS, {}, {})
+    assert cfg["system"] == "spring_mass"
+    assert cfg["learner"] == "hanil"
+    assert (cfg["inner_steps"], cfg["inner_lr"]) == (5, 0.002)
+    assert (cfg["episodes"], cfg["task_batch"], cfg["outer_lr"]) == \
+        (100, 10, 0.001)
+    assert cfg["second_order"] is True
+    assert cfg["hidden"] == (64, 64, 64)
+    assert (cfg["mode"], cfg["k"], cfg["n_systems"]) == ("points", 50, 10)
+    assert (cfg["adapt_steps"], cfg["adapt_lr"]) == (10, 0.002)
+    assert (cfg["tasks"], cfg["points"], cfg["t_span"], cfg["samples"]) == \
+        (10000, 50, 20.0, 200)
+    assert cfg["counts"] == (10, 50, 200, 500, 1000)
+    assert cfg["learners"] == ("hanil", "hnn_pretrained")
+    assert (cfg["seed"], cfg["oracle"], cfg["strict_serial"]) == \
+        (0, False, False)
+    # not given: each command decides what its absence means
+    assert [key for key, value in cfg.items() if value is None] == [
+        "dataset", "resume", "checkpoint", "x0", "step_range"]
+    # a command's own default replaces the table's
+    assert resolve(("adapt_steps",), {}, {}, {"adapt_steps": 50}) == \
+        {"adapt_steps": 50}
+
+
+def test_the_commands_read_settings_of_the_table():
+    for command, keys in COMMANDS.items():
+        assert len(set(keys)) == len(keys) and set(keys) <= set(SETTINGS)
+        assert not {"seed", "out_dir"} & set(keys), command
+    assert set(SETTINGS) == {"seed", "out_dir"}.union(*COMMANDS.values())
+    # a mode ignores some settings of the command it is a mode of
+    assert set(IGNORED["--oracle"]) < set(COMMANDS["rollout"])
+    for mode in ("--step-range", "ablate without --step-range"):
+        assert set(IGNORED[mode]) < set(COMMANDS["ablate"])
+    # each flag belongs to one setting
+    flags = [flag for flag, *_ in SETTINGS.values()]
+    assert len(set(flags)) == len(flags)
 
 
 @pytest.mark.parametrize("field,value", [
     ("system", "rigid_rotor"), ("learner", "sgd"), ("mode", "grids")])
-def test_bad_enum_values_rejected(field, value):
-    with pytest.raises(ValueError):
-        RunConfig(**{field: value})
+def test_bad_enum_values_rejected(tmp_path, field, value):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"{field} = {value}\n")
+    allowed = ", ".join(SETTINGS[field][1])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:1: {field}: expected one of {allowed}, got {value!r}")):
+        read_config_file(str(path))
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")])
 def test_non_positive_adapt_lr_rejected(tmp_path, value):
     with pytest.raises(ValueError, match="adapt lr must be positive"):
-        resolve_config({}, {"adapt_lr": value})
+        resolve(("adapt_lr",), {}, {"adapt_lr": value})
     path = tmp_path / "c.cfg"
     path.write_text(f"adapt_lr = {value}\n")
     with pytest.raises(ValueError, match="adapt lr must be positive"):
-        resolve_config(read_config_file(str(path)))
+        resolve(("adapt_lr",), read_config_file(str(path)), {})
 
 
 def test_config_text_roundtrips_through_parser(tmp_path):
-    cfg = RunConfig(system="kepler", learner="hamaml", seed=17,
-                    inner_lr=0.0042, hidden=(8, 8), second_order=False,
-                    strict_serial=True)
+    settings = {"system": "kepler", "learner": "hamaml", "seed": 17,
+                "inner_lr": 0.0042, "hidden": (8, 8), "second_order": False,
+                "strict_serial": True, "x0": (2.5, 0.6, 0.0, -1e-300),
+                "t_span": 0.1, "counts": (4, 8), "learners": ("hanil",),
+                "checkpoint": "run/checkpoint.json", "oracle": False,
+                "step_range": "0:3", "out_dir": "o", "resume": None}
+    text = config_text("ablate", settings)
+    assert text.splitlines()[:2] == [f"# version = {version_string()}",
+                                     "# command = ablate"]
+    # sorted, and a setting that was not given is not written
+    assert [line.split(" = ")[0] for line in text.splitlines()[2:]] == \
+        sorted(key for key, value in settings.items() if value is not None)
     path = tmp_path / "run.cfg"
-    path.write_text(config_text(cfg))
+    path.write_text(text)
     values = read_config_file(str(path))
-    assert resolve_config(values) == cfg
+    assert values == {k: v for k, v in settings.items() if v is not None}
+    assert resolve(settings, values, {}) == {**settings, "resume": None}
 
 
 def test_parser_handles_comments_blanks_and_types(tmp_path):
@@ -66,10 +108,16 @@ def test_parser_handles_comments_blanks_and_types(tmp_path):
         "hidden = 32, 16\n"
         "second_order = false\n"
         "strict_serial = YES\n"
-        "inner_lr = 1e-3\n")
+        "inner_lr = 1e-3\n"
+        "x0 = 1, -0.5\n"
+        "oracle = 1\n"
+        "learners = hanil,hamaml\n"
+        "t_span = 3\n")
     values = read_config_file(str(path))
     assert values == {"seed": 5, "hidden": (32, 16), "second_order": False,
-                      "strict_serial": True, "inner_lr": 1e-3}
+                      "strict_serial": True, "inner_lr": 1e-3,
+                      "x0": (1.0, -0.5), "oracle": True,
+                      "learners": ("hanil", "hamaml"), "t_span": 3.0}
 
 
 @pytest.mark.parametrize("line,frag", [
@@ -89,36 +137,45 @@ def test_parse_errors_carry_the_line_number(tmp_path, line, frag):
     assert ":2" in str(err.value) or "boolean" in str(err.value)
 
 
-def test_resolution_order_defaults_file_flags():
-    file_values = {"seed": 3, "episodes": 7}
-    overrides = {"episodes": 9, "k": None}
-    cfg = resolve_config(file_values, overrides)
-    assert cfg.seed == 3          # file beats default
-    assert cfg.episodes == 9      # flag beats file
-    assert cfg.k == 50            # None flag never overrides
+def test_resolution_order_defaults_file_flags(monkeypatch):
+    monkeypatch.setenv(ENV_SEED, "8")
+    keys = ("seed", "episodes", "k", "x0")
+    file_values = {"seed": 3, "episodes": 7, "tasks": 5}
+    flags = {"episodes": 9, "k": None, "points": 4}
+    cfg = resolve(keys, file_values, flags)
+    assert cfg["seed"] == 3          # file beats env and default
+    assert cfg["episodes"] == 9      # flag beats file
+    assert cfg["k"] == 50            # None flag never overrides
+    assert cfg["x0"] is None         # not given
+    # what the command does not read is not resolved
+    assert set(cfg) == set(keys)
 
 
 def test_env_seed_is_the_last_fallback(monkeypatch):
     monkeypatch.setenv(ENV_SEED, "123")
-    assert resolve_config({}, {}).seed == 123
-    assert resolve_config({"seed": 4}, {}).seed == 4
-    assert resolve_config({}, {"seed": 5}).seed == 5
+    seed = lambda file_values, flags: resolve(("seed",), file_values,
+                                              flags)["seed"]
+    assert seed({}, {}) == 123
+    assert seed({"seed": 4}, {}) == 4
+    assert seed({}, {"seed": 5}) == 5
     monkeypatch.setenv(ENV_SEED, "abc")
     with pytest.raises(ValueError, match=f"{ENV_SEED}: invalid literal"):
-        resolve_config({}, {})
+        seed({}, {})
+    assert seed({}, {"seed": 5}) == 5  # not read when a flag sets the seed
     monkeypatch.setenv(ENV_SEED, "-4")
     with pytest.raises(ValueError, match=f"{ENV_SEED}: expected a non-neg"):
-        resolve_config({}, {})
+        seed({}, {})
     monkeypatch.delenv(ENV_SEED)
-    assert resolve_config({}, {}).seed == 0
+    assert seed({}, {}) == 0
 
 
 def test_write_provenance_is_reloadable(tmp_path):
-    cfg = RunConfig(seed=11, out_dir=str(tmp_path / "o"))
-    write_provenance(cfg.out_dir, cfg)
-    text = (tmp_path / "o" / "config.txt").read_text()
-    assert text.startswith("# version = v")
-    assert resolve_config(read_config_file(str(tmp_path / "o" / "config.txt"))) == cfg
+    settings = {"seed": 11, "out_dir": str(tmp_path / "o"), "tasks": 3,
+                "points": 5, "system": "pendulum"}
+    write_provenance("gen", settings)
+    path = tmp_path / "o" / "config.txt"
+    assert path.read_text().startswith("# version = v")
+    assert read_config_file(str(path)) == settings
 
 
 def test_version_string_shape():
