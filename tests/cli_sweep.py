@@ -65,6 +65,13 @@ def _commands(root: str):
                                  "--mode", "trajectories", *EVAL], True)
     yield ("eval-kepler", ["eval", "--checkpoint", CKPT.format("train-kepler"),
                            *EVAL], True)
+    # at --seed 5 its sampling redraws trajectories that blew up or passed
+    # too close to the Kepler centre
+    yield ("eval-kepler-trajectories", ["eval", "--checkpoint",
+                                        CKPT.format("train-kepler"), "--mode",
+                                        "trajectories", "--k", "20",
+                                        "--n-systems", "2", "--steps", "3"],
+           True)
     yield ("eval-scratch", ["eval", "--learner", "hnn_scratch", "--hidden",
                             "6", *EVAL], True)
     yield ("ablate-curve", ["ablate", "--step-range", "0:3", "--checkpoint",
