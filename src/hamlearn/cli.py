@@ -22,9 +22,9 @@ import os
 import sys
 import time
 
-from . import DOF, LEARNER_KINDS
+from . import DOF, LEARNERS
 from .config import (COMMANDS, IGNORED, SETTINGS, TRAINING_KEYS,
-                     load_checkpoint, read_config_file, resolve,
+                     format_value, load_checkpoint, read_config_file, resolve,
                      save_checkpoint, version_string, write_provenance)
 
 
@@ -35,10 +35,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we own the codes
         raise UsageError(message)
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def _resolve(args, **defaults):
@@ -126,12 +122,13 @@ def _check_resume(path: str, blob, adam, cfg, system: str,
 
 def cmd_metatrain(args) -> int:
     cfg, file_values = _resolve(args)
-    if cfg.learner == "hnn_scratch":
-        raise UsageError("hnn_scratch has nothing to meta-train")
-    if cfg.resume and cfg.learner == "hnn_pretrained":
+    training = LEARNERS[cfg.learner][2]
+    if training is None:
+        raise UsageError(f"{cfg.learner} has nothing to meta-train")
+    if cfg.resume and training == "pretrain":
         # pretraining keeps no optimizer state across runs, so a resume
         # could only restart it
-        raise UsageError("hnn_pretrained cannot be resumed")
+        raise UsageError(f"{cfg.learner} cannot be resumed")
     if not cfg.dataset:
         raise UsageError("--dataset is required")
     from .metalearn import (InnerConfig, OuterConfig, build_learner,
@@ -176,7 +173,7 @@ def cmd_metatrain(args) -> int:
 
         def log(ep, loss):
             wall = 0.0 if cfg.strict_serial else time.monotonic() - t0
-            fh.write(f"{ep},{_fmt(loss)},{_fmt(wall)}\n")
+            fh.write(f"{ep},{format_value(loss)},{format_value(wall)}\n")
 
         theta, adam, episode = train_learner(
             learner, theta, tasks, outer, cfg.seed, adam=adam,
@@ -189,7 +186,7 @@ def cmd_metatrain(args) -> int:
 
 
 def _load_learner_state(args, cfg):
-    """Learner + parameters from a checkpoint, or a fresh scratch init.
+    """Learner + parameters from a checkpoint, or an untrained fresh init.
 
     The checkpoint's own architecture and system win over config values,
     and replace those of them that `cfg` holds; an explicit conflicting
@@ -209,9 +206,12 @@ def _load_learner_state(args, cfg):
                                  f"--{key} says {say(want)}")
         vars(cfg).update((k, v) for k, v in have.items() if k in vars(cfg))
         return learner, theta
-    if getattr(cfg, "learner", None) != "hnn_scratch":
+    if "learner" not in vars(cfg):  # rollout and ablate take no --learner
+        raise UsageError("--checkpoint is required")
+    untrained = [kind for kind, v in LEARNERS.items() if v[2] is None]
+    if cfg.learner not in untrained:
         raise UsageError("--checkpoint is required unless the learner is "
-                         "hnn_scratch")
+                         + " or ".join(untrained))
     learner = build_learner(cfg.learner, 2 * DOF[cfg.system], cfg.hidden)
     return learner, init_params(learner.spec, cfg.seed)
 
@@ -271,15 +271,15 @@ def cmd_rollout(args) -> int:
     with open(path, "w") as fh:
         fh.write(f"# version = {version_string()}\n")
         fh.write(f"# system = {cfg.system}\n")
-        fh.write(f"# params = {','.join(_fmt(v) for v in params.as_vector())}\n")
-        fh.write(f"# x0 = {','.join(_fmt(v) for v in x0)}\n")
+        for key, values in (("params", params.as_vector()), ("x0", x0)):
+            fh.write(f"# {key} = {','.join(map(format_value, values))}\n")
         if report.failure_time is not None:
-            fh.write(f"# failure_time = {_fmt(report.failure_time)}\n")
+            fh.write(f"# failure_time = {format_value(report.failure_time)}\n")
         fh.write(",".join(cols) + "\n")
         for i in range(len(report.times)):
             row = [report.times[i], report.state_mse[i], report.energy_mse[i]]
             row += list(report.pred_states[i]) + list(report.true_states[i])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(format_value, row)) + "\n")
     if report.failure_time is not None:
         print(f"integration stopped at t={report.failure_time:.3g}; "
               f"partial series in {path}")
@@ -310,7 +310,7 @@ def cmd_ablate(args) -> int:
         with open(path, "w") as fh:
             fh.write("step,mse_mean\n")
             for step, mse in enumerate(curve):
-                fh.write(f"{step},{_fmt(mse)}\n")
+                fh.write(f"{step},{format_value(mse)}\n")
         print(f"learning curve (0..{hi}) in {path}")
         return 0
     _refuse(args, cfg, "ablate without --step-range")
@@ -318,8 +318,8 @@ def cmd_ablate(args) -> int:
     if not counts or counts != sorted(set(counts)) or counts[0] < 1:
         raise UsageError("--counts must be one or more positive, strictly "
                          "ascending task counts")
-    if not kinds or not set(kinds) <= set(LEARNER_KINDS):
-        raise UsageError("--learners must be among " + ",".join(LEARNER_KINDS))
+    if not kinds or not set(kinds) <= set(LEARNERS):
+        raise UsageError("--learners must be among " + ",".join(LEARNERS))
     from .evaluation import ablation_tasks
     from .metalearn import InnerConfig, OuterConfig
     table = ablation_tasks(kinds, counts, cfg.system, cfg.mode, cfg.k,
@@ -337,8 +337,8 @@ def cmd_ablate(args) -> int:
         for kind in kinds:
             for count in counts:
                 rep = table[kind][count]
-                fh.write(f"{kind},{count},{_fmt(rep.mse_mean)},"
-                         f"{_fmt(rep.mse_std)}\n")
+                fh.write(f"{kind},{count},{format_value(rep.mse_mean)},"
+                         f"{format_value(rep.mse_std)}\n")
     print(f"ablation table in {path}")
     return 0
 

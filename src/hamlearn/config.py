@@ -54,21 +54,31 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def one_line(text: str) -> str:
+    """text: the reader of a path or other free text, refusing what a line
+    of config.txt, cut at `#` and stripped, cannot give back."""
+    if any(c in text for c in "#\n\r") or text != text.strip():
+        raise ValueError(f"config.txt cannot record {text!r}")
+    return text
+
+
+one_line.__name__ = "text (no '#', line break or blank at either end)"
+
 # key: (flag, reader, default[, help]).  A reader is a function of the text
 # or a tuple of the names allowed.  A bool's flag takes no value and sets
 # the opposite of its default; a default of None means "not given".
 SETTINGS = {
     "seed": ("--seed", non_negative_int, 0, "run seed (env HAMLEARN_SEED "
              "is the fallback when neither flag nor file sets one)"),
-    "out_dir": ("--out", str, "out", "output directory"),
+    "out_dir": ("--out", one_line, "out", "output directory"),
     "strict_serial": ("--strict-serial", bool, False, "write 0.0 for "
                       "wall_time, so reruns are byte-identical (nothing "
                       "runs in parallel either way)"),
     "system": ("--system", SYSTEMS, "spring_mass"),
     "tasks": ("--tasks", int, 10000),
     "points": ("--points", int, 50),
-    "dataset": ("--dataset", str, None, "dataset directory from gen"),
-    "resume": ("--resume", str, None, "checkpoint to continue from"),
+    "dataset": ("--dataset", one_line, None, "dataset directory from gen"),
+    "resume": ("--resume", one_line, None, "checkpoint to continue from"),
     "learner": ("--learner", LEARNER_KINDS, "hanil"),
     "episodes": ("--episodes", int, 100),
     "task_batch": ("--task-batch", int, 10),
@@ -77,7 +87,7 @@ SETTINGS = {
     "outer_lr": ("--outer-lr", float, 0.001),
     "second_order": ("--first-order", bool, True),
     "hidden": ("--hidden", comma_list(int), (64, 64, 64)),
-    "checkpoint": ("--checkpoint", str, None, "checkpoint.json of a "
+    "checkpoint": ("--checkpoint", one_line, None, "checkpoint.json of a "
                    "trained learner"),
     "oracle": ("--oracle", bool, False, "integrate the analytic field as "
                "the learner"),
@@ -94,7 +104,7 @@ SETTINGS = {
     "counts": ("--counts", comma_list(int), (10, 50, 200, 500, 1000),
                "comma-separated ascending task counts"),
     "learners": ("--learners", comma_list(str), ("hanil", "hnn_pretrained")),
-    "step_range": ("--step-range", str, None, "0:N  -> export the "
+    "step_range": ("--step-range", one_line, None, "0:N  -> export the "
                    "adaptation learning curve for --checkpoint instead of "
                    "sweeping task counts"),
 }
@@ -189,13 +199,15 @@ def resolve(keys, file_values: dict, flags: dict,
     return values
 
 
-def _fmt_value(v) -> str:
+def format_value(v) -> str:
+    """A setting's text in config.txt, and a number's in the curve, rollout
+    and ablation CSV files: a float, numpy's too, as its Python repr."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, tuple):
         return ",".join(str(x) for x in v)
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
@@ -203,7 +215,7 @@ def config_text(command: str, settings: dict) -> str:
     """The version, `command`, and each of `settings` that is not None, as
     sorted key = value text that read_config_file reloads."""
     lines = [f"# version = {version_string()}", f"# command = {command}"]
-    lines += [f"{key} = {_fmt_value(value)}"
+    lines += [f"{key} = {format_value(value)}"
               for key, value in sorted(settings.items()) if value is not None]
     return "\n".join(lines) + "\n"
 

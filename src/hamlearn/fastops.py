@@ -548,57 +548,43 @@ def head_features(spec: NetworkSpec, params, X,
 
 
 @_quiet
-def loss_value(spec: NetworkSpec, params, X, Xdot) -> float:
-    """Batch loss: mean over rows of the squared field error."""
-    F = predicted_field(spec, params, X)
-    Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
-    R = F - Xdot
-    return float(np.sum(R * R) / R.shape[0])
+def loss_grad(spec: NetworkSpec, params, X, Xdot):
+    """(loss, dloss/dparams, linearization) for one batch; the loss is the
+    mean over rows of the squared field error.
 
-
-def _linearize(spec, params, X, Xdot) -> Linearization:
+    The linearization is what `loss_hvp` at the same arrays needs to run
+    only the tangent pass.  It refers to params, X and Xdot without
+    copying them, so they must not be modified while it is in use.
+    """
     params, blocks, X = _check(spec, params, X)
     Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
     if Xdot.shape != X.shape:
         raise ValueError("Xdot shape must match X")
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    return _LINEARIZE[_loss(spec)](spec, params, blocks, X, Xdot)
-
-
-@_quiet
-def loss_grad(spec: NetworkSpec, params, X, Xdot):
-    """(loss, dloss/dparams, linearization) for one batch.
-
-    The linearization lets `loss_hvp` at the same arrays run only the
-    tangent pass.  It refers to params, X and Xdot without copying them,
-    so they must not be modified while it is in use.
-    """
-    lin = _linearize(spec, params, X, Xdot)
+    lin = _LINEARIZE[_loss(spec)](spec, params, blocks, X, Xdot)
     return lin.loss, lin.grad, lin
 
 
 @_quiet
 def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec,
-             lin: Linearization | HeadLinearization | None = None):
+             lin: Linearization | HeadLinearization):
     """(loss, grad, H @ vec) where H is the loss Hessian in params.
 
-    `lin`, from `loss_grad` with the same spec and params, X and Xdot
-    arrays, skips the primal+adjoint pass.  A linearization made for
-    another spec or at other arrays is a ValueError.
-    `lin` may also be a `HeadLinearization`; then vec must lie in the last
-    layer, grad covers the last layer only, and H @ vec is exact in every
-    parameter.
+    The linearization `lin` is required: the one `loss_grad` returns for
+    the same spec and params, X and Xdot arrays, so that only the tangent
+    pass runs.  A linearization made for another spec or at other arrays
+    is a ValueError.  `lin` may also be a `HeadLinearization`; then vec
+    must lie in the last layer, grad covers the last layer only, and
+    H @ vec is exact in every parameter.
     """
     vec = np.asarray(vec, np.float64)
     if vec.shape != (param_count(spec),):
         raise ValueError("direction length does not match spec")
-    if lin is None:
-        lin = _linearize(spec, params, X, Xdot)
-    elif not (lin.spec == spec
-              and lin.params is np.asarray(params, np.float64)
-              and lin.X is np.atleast_2d(np.asarray(X, np.float64))
-              and lin.Xdot is np.atleast_2d(np.asarray(Xdot, np.float64))):
+    if not (lin.spec == spec
+            and lin.params is np.asarray(params, np.float64)
+            and lin.X is np.atleast_2d(np.asarray(X, np.float64))
+            and lin.Xdot is np.atleast_2d(np.asarray(Xdot, np.float64))):
         raise ValueError("linearization was made at other arrays or spec")
     if isinstance(lin, HeadLinearization):
         return lin.loss, lin.grad, _head_tangent(lin, vec)

@@ -25,19 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import LEARNER_KINDS, fastops, seeding
+from . import LEARNERS, fastops, seeding
 from .network import (UPDATE_SETS, NetworkSpec, hnn_spec, layer_slice,
                       naive_spec, update_mask)
-
-# learner kinds whose head is a scalar Hamiltonian
-_HNN_KINDS = ("hnn_scratch", "hnn_pretrained", "hamaml", "hanil", "hanil_inv")
-_META_KINDS = ("naive_maml", "naive_anil", "hamaml", "hanil", "hanil_inv")
-
-_UPDATE_FOR = {
-    "hamaml": "all", "hanil": "last", "hanil_inv": "all_but_first",
-    "naive_maml": "all", "naive_anil": "last",
-    "hnn_scratch": "all", "hnn_pretrained": "all",
-}
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -131,9 +121,9 @@ def adaptation_objective(spec: NetworkSpec, theta0, X, Xdot, update_set: str):
     return mask, fn
 
 
-def _adapt(spec, theta, X, Xdot, cfg: InnerConfig):
-    """Masked gradient descent; returns (theta_S, [(theta_k, linearization
-    at theta_k) for k = 0 .. S-1])."""
+def inner_adapt(spec: NetworkSpec, theta, X, Xdot, cfg: InnerConfig):
+    """cfg.steps steps of masked full-batch gradient descent; returns
+    (theta_S, [(theta_k, linearization at theta_k) for k = 0 .. S-1])."""
     theta = np.array(theta, np.float64)
     trace = []
     if not cfg.steps:
@@ -150,17 +140,12 @@ def _adapt(spec, theta, X, Xdot, cfg: InnerConfig):
     return theta, trace
 
 
-def inner_adapt(spec: NetworkSpec, theta, X, Xdot,
-                cfg: InnerConfig) -> np.ndarray:
-    """Adapted parameters after cfg.steps full-batch descent steps."""
-    return _adapt(spec, theta, X, Xdot, cfg)[0]
-
-
 # -- outer loop -----------------------------------------------------------------
 
 
 def _task_meta_grad_fast(spec, theta, task, cfg: InnerConfig, second_order):
-    theta_s, trace = _adapt(spec, theta, task.train_x, task.train_xdot, cfg)
+    theta_s, trace = inner_adapt(spec, theta, task.train_x, task.train_xdot,
+                                 cfg)
     loss, v, _ = fastops.loss_grad(spec, theta_s, task.test_x, task.test_xdot)
     if second_order and trace:
         maskf = update_mask(spec, cfg.update_set).astype(np.float64)
@@ -254,20 +239,19 @@ class LearnerDef:
     kind: str
     spec: NetworkSpec
     inner: InnerConfig
-    meta_trained: bool
-    pretrained: bool
+    training: str | None  # hamlearn.LEARNERS' training: meta, pretrain, None
 
 
 def build_learner(kind: str, state_dim: int = 2, hidden=(64, 64, 64),
                   inner: InnerConfig = None) -> LearnerDef:
-    """Wiring for one learner variant: head shape (which fixes the loss)
-    and inner update set."""
-    if kind not in LEARNER_KINDS:
+    """Wiring for one learner variant from `hamlearn.LEARNERS`: head shape
+    (which fixes the loss), inner update set and training."""
+    if kind not in LEARNERS:
         raise ValueError(f"unknown learner kind {kind!r}")
-    spec = (hnn_spec if kind in _HNN_KINDS else naive_spec)(state_dim, hidden)
-    cfg = replace(inner or InnerConfig(), update_set=_UPDATE_FOR[kind])
-    return LearnerDef(kind, spec, cfg, meta_trained=kind in _META_KINDS,
-                      pretrained=kind == "hnn_pretrained")
+    head, update_set, training = LEARNERS[kind]
+    spec = (hnn_spec if head == "hnn" else naive_spec)(state_dim, hidden)
+    cfg = replace(inner or InnerConfig(), update_set=update_set)
+    return LearnerDef(kind, spec, cfg, training)
 
 
 def train_learner(learner: LearnerDef, theta, tasks, outer_cfg: OuterConfig,
@@ -276,20 +260,21 @@ def train_learner(learner: LearnerDef, theta, tasks, outer_cfg: OuterConfig,
     """Train a learner from theta on a task pool; returns (theta, adam,
     episode).
 
-    A meta-learner runs `meta_train` to outer_cfg.episodes.  hnn_pretrained
-    runs `pretrain` at the outer learning rate for the loss-evaluation
-    budget of that meta-training, one round-robin pass per epoch, and
-    reports each step's loss to on_episode as the step completes; its
-    episode count is the number of steps.  hnn_scratch is not trained.
+    A "meta" learner runs `meta_train` to outer_cfg.episodes.  A "pretrain"
+    learner runs `pretrain` at the outer learning rate for the
+    loss-evaluation budget of that meta-training, one round-robin pass per
+    epoch, and reports each step's loss to on_episode as the step
+    completes; its episode count is the number of steps.  A learner whose
+    training is None is not trained.
     """
-    if learner.meta_trained:
+    if learner.training == "meta":
         theta, adam = meta_train(learner.spec, theta, tasks, learner.inner,
                                  outer_cfg, seed, adam=adam,
                                  start_episode=start_episode,
                                  on_episode=on_episode)
         return theta, adam, outer_cfg.episodes
     theta, steps = np.array(theta, np.float64), 0
-    if learner.pretrained:
+    if learner.training == "pretrain":
         epochs = max(1, pretrain_budget(outer_cfg, learner.inner) // len(tasks))
         theta = pretrain(learner.spec, theta, tasks, epochs, outer_cfg.lr,
                          on_episode)

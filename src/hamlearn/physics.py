@@ -83,8 +83,9 @@ class PhysicalParams:
         return cls(system, dict(zip(names, (float(v) for v in vec))))
 
 
-def _kepler_sep(params: PhysicalParams, Q: np.ndarray) -> np.ndarray:
-    """|q - q0| per row, NaN inside the evaluation guard."""
+def kepler_separation(params: PhysicalParams, Q: np.ndarray) -> np.ndarray:
+    """|q - q0| per row of Kepler positions Q, NaN inside the evaluation
+    guard: a NaN fails every comparison, so a `>=` test refuses it."""
     q0 = np.array([params.values["q0x"], params.values["q0y"]])
     d = Q - q0
     r = np.sqrt(np.sum(d * d, axis=-1))
@@ -106,7 +107,7 @@ def hamiltonian_many(params: PhysicalParams, X) -> np.ndarray:
         ml2 = v["m"] * v["l"] ** 2
         return (P[:, 0] ** 2 / (2 * ml2)
                 + v["m"] * GRAV_ACC * v["l"] * (1 - np.cos(Q[:, 0] - v["q0"])))
-    r = _kepler_sep(params, Q)
+    r = kepler_separation(params, Q)
     return (np.sum(P * P, axis=1) / (2 * v["m"])
             - GRAV_CONST * v["M"] * v["m"] / r)
 
@@ -128,7 +129,7 @@ def true_field_many(params: PhysicalParams, X) -> np.ndarray:
         out[:, 0] = P[:, 0] / (v["m"] * v["l"] ** 2)
         out[:, 1] = -v["m"] * GRAV_ACC * v["l"] * np.sin(Q[:, 0] - v["q0"])
     else:
-        r = _kepler_sep(params, Q)
+        r = kepler_separation(params, Q)
         q0 = np.array([v["q0x"], v["q0y"]])
         out[:, :n] = P / v["m"]
         out[:, n:] = -GRAV_CONST * v["M"] * v["m"] * (Q - q0) / r[:, None] ** 3

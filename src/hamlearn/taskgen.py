@@ -26,7 +26,7 @@ from . import SYSTEMS, seeding
 from .config import read_arrays, write_arrays
 from .physics import (DOF, PARAM_NAMES, KEPLER_MIN_SEP_SAMPLE,
                       KEPLER_MIN_SEP_EVAL, IntegrationError, PhysicalParams,
-                      field_fn, integrate, true_field_many)
+                      field_fn, integrate, kepler_separation, true_field_many)
 
 PARAM_RANGES = {
     "spring_mass": ((0.5, 5.0), (0.5, 5.0), (-5.0, 5.0)),
@@ -69,7 +69,6 @@ class Task:
 class GridTestSet:
     states: np.ndarray       # (G, 2n) lattice over the sampling region
     derivatives: np.ndarray  # true field at each lattice point
-    per_axis: int
 
 
 @dataclass
@@ -90,12 +89,6 @@ def sample_params(system: str, rng: np.random.Generator) -> PhysicalParams:
     return PhysicalParams.from_vector(system, vals)
 
 
-def _separation(params: PhysicalParams, X: np.ndarray) -> np.ndarray:
-    """|q - q0| of each Kepler state (row) of X."""
-    return np.hypot(X[:, 0] - params.values["q0x"],
-                    X[:, 1] - params.values["q0y"])
-
-
 def sample_states(params: PhysicalParams, rng: np.random.Generator,
                   count: int) -> np.ndarray:
     """Uniform states (count, 2n); Kepler rejects |q - q0| < 0.5."""
@@ -113,20 +106,12 @@ def sample_states(params: PhysicalParams, rng: np.random.Generator,
         if budget <= 0:
             raise RuntimeError("state sampling rejection budget exceeded")
         draw = rng.uniform(lo, hi, (count - have, 4))
-        keep = draw[_separation(params, draw) >= KEPLER_MIN_SEP_SAMPLE]
+        keep = draw[kepler_separation(params, draw[:, :2])
+                    >= KEPLER_MIN_SEP_SAMPLE]
         out[have : have + keep.shape[0]] = keep
         have += keep.shape[0]
         budget -= count - have
     return out
-
-
-def make_task(params: PhysicalParams, rng: np.random.Generator,
-              n_points: int = 50) -> Task:
-    """Independent train/test sets of exact (x, xdot) pairs."""
-    train_x = sample_states(params, rng, n_points)
-    test_x = sample_states(params, rng, n_points)
-    return Task(params, train_x, true_field_many(params, train_x),
-                test_x, true_field_many(params, test_x))
 
 
 def make_meta_train(system: str, n_tasks: int = 10000, n_points: int = 50,
@@ -135,12 +120,14 @@ def make_meta_train(system: str, n_tasks: int = 10000, n_points: int = 50,
     if n_tasks < 1 or n_points < 1:
         raise ValueError("n_tasks and n_points must be >= 1")
     params, points = map(np.empty, _shapes(system, n_tasks, n_points).values())
+    n2 = 2 * DOF[system]
     for i in range(n_tasks):
         rng = seeding.split(seed, seeding.TASK, i)
-        task = make_task(sample_params(system, rng), rng, n_points)
-        params[i] = task.params.as_vector()
-        points[i] = [np.hstack([task.train_x, task.train_xdot]),
-                     np.hstack([task.test_x, task.test_xdot])]
+        task_params = sample_params(system, rng)
+        params[i] = task_params.as_vector()
+        for split in points[i]:  # train, then test: rows of x, then xdot
+            x = sample_states(task_params, rng, n_points)
+            split[:, :n2], split[:, n2:] = x, true_field_many(task_params, x)
     return TaskPool(system, params, points)
 
 
@@ -155,19 +142,18 @@ def _lattice(system: str, per_axis: int) -> np.ndarray:
     return states
 
 
-def build_grid(params: PhysicalParams, per_axis: int | None = None) -> GridTestSet:
+def build_grid(params: PhysicalParams) -> GridTestSet:
     """Evenly spaced lattice spanning the sampling region, with true fields."""
-    per_axis = per_axis or GRID_PER_AXIS[params.system]
-    states = _lattice(params.system, per_axis)
-    return GridTestSet(states, true_field_many(params, states), per_axis)
+    states = _lattice(params.system, GRID_PER_AXIS[params.system])
+    return GridTestSet(states, true_field_many(params, states))
 
 
 def _grid_safe(params: PhysicalParams) -> bool:
     """Kepler only: is every lattice q-point clear of the 1/r guard?"""
     if params.system != "kepler":
         return True
-    sep = _separation(params, _lattice("kepler", GRID_PER_AXIS["kepler"]))
-    return bool(sep.min() >= _GRID_CLEARANCE)
+    Q = _lattice("kepler", GRID_PER_AXIS["kepler"])[:, :2]
+    return bool(kepler_separation(params, Q).min() >= _GRID_CLEARANCE)
 
 
 def _sample_trajectory_pairs(params: PhysicalParams, rng: np.random.Generator,
@@ -182,8 +168,8 @@ def _sample_trajectory_pairs(params: PhysicalParams, rng: np.random.Generator,
                 _, X = integrate(f, x0, TRAJ_SPAN, TRAJ_SAMPLES)
             except IntegrationError:
                 continue  # blow-up: draw a fresh initial state
-            if (params.system == "kepler"
-                    and _separation(params, X).min() < KEPLER_MIN_SEP_SAMPLE):
+            if params.system == "kepler" and not (kepler_separation(
+                    params, X[:, :2]).min() >= KEPLER_MIN_SEP_SAMPLE):
                 continue  # passed too close: these are training points
             xs.append(X)
             break

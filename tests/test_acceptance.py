@@ -89,8 +89,8 @@ def test_criterion_1_autodiff_gradients_match_finite_differences(adam_grads):
         for j in coords:
             e = np.zeros(n)
             e[j] = h
-            fd = (fastops.loss_value(spec, theta + e, X, Xdot)
-                  - fastops.loss_value(spec, theta - e, X, Xdot)) / (2 * h)
+            fd = (fastops.loss_grad(spec, theta + e, X, Xdot)[0]
+                  - fastops.loss_grad(spec, theta - e, X, Xdot)[0]) / (2 * h)
             worst = max(worst, abs(grad[j] - fd) / max(1.0, abs(fd)))
     assert worst < 1e-5, f"worst hnn_loss gradient rel err {worst:.3g}"
 
@@ -132,8 +132,8 @@ def test_criterion_1_autodiff_gradients_match_finite_differences(adam_grads):
     def composed(th):
         total = 0.0
         for t in tasks:
-            tp = inner_adapt(bspec, th, t.train_x, t.train_xdot, inner)
-            total += fastops.loss_value(bspec, tp, t.test_x, t.test_xdot)
+            tp = inner_adapt(bspec, th, t.train_x, t.train_xdot, inner)[0]
+            total += fastops.loss_grad(bspec, tp, t.test_x, t.test_xdot)[0]
         return total
 
     meta_step(bspec, theta0, tasks, inner, outer, adam_init(bn))
@@ -188,7 +188,7 @@ def test_criterion_3_anil_updates_touch_only_their_layers():
     for kind in ("hanil", "hanil_inv"):
         learner = build_learner(kind)
         theta = init_params(learner.spec, 4)
-        adapted = inner_adapt(learner.spec, theta, X, Xdot, learner.inner)
+        adapted = inner_adapt(learner.spec, theta, X, Xdot, learner.inner)[0]
         mask = update_mask(learner.spec, learner.inner.update_set)
         frozen = ~mask
         assert np.array_equal(adapted[frozen], theta[frozen]), \

@@ -133,6 +133,14 @@ def test_usage_errors_exit_1(argv, capsys):
       "3"], ("--step-range", "--inner-lr", "--outer-lr", "--first-order",
              "--steps")),
     (["rollout", "--oracle", "--x0", ""], "--x0"),
+    # text that a line of config.txt could not give back
+    (["eval", "--checkpoint", "c#1/checkpoint.json"], "--checkpoint"),
+    (["metatrain", "--dataset", "ds\nx", "--learner", "hanil"], "--dataset"),
+    (["metatrain", "--dataset", "ds", "--learner", "hanil", "--resume",
+      " run/checkpoint.json"], "--resume"),
+    (["ablate", "--step-range", "0:2\r", "--checkpoint",
+      "run/checkpoint.json"], "--step-range"),
+    (["gen", "--tasks", "2", "--out", "o#1"], "--out"),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, argv, flag, capsys):
     out = tmp_path / "o"
@@ -140,6 +148,18 @@ def test_bad_flag_values_name_the_flag(tmp_path, argv, flag, capsys):
     err = capsys.readouterr().err
     assert all(f in err for f in ((flag,) if isinstance(flag, str) else flag))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,advice", [
+    (["rollout", "--T", "1"], ""),
+    (["ablate", "--step-range", "0:2"], ""),
+    (["eval", "--learner", "hanil"], " unless the learner is hnn_scratch"),
+])
+def test_a_missing_checkpoint_gives_advice_the_command_can_take(argv, advice,
+                                                                capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"usage error: --checkpoint is required{advice}\n"
 
 
 def test_runtime_errors_exit_2(capsys):
@@ -1220,7 +1240,9 @@ def _kernels(*names):
                                   ["ablate", "--learners", "hanil,foo"],
                                   ["metatrain", "--learner", "foo"],
                                   ["eval", "--learner", "foo"],
-                                  ["gen", "--seed", "-3"]],
+                                  ["gen", "--seed", "-3"],
+                                  ["eval", "--checkpoint",
+                                   "c#1/checkpoint.json"]],
                          ids=["version", "no-command", "bad-command",
                               "bad-flag", "gen-no-tasks", "metatrain-scratch",
                               "metatrain-no-dataset", "ablate-descending",
@@ -1229,7 +1251,8 @@ def _kernels(*names):
                               "rollout-blank-x0",
                               "ablate-unknown-learner",
                               "metatrain-unknown-learner",
-                              "eval-unknown-learner", "negative-seed"])
+                              "eval-unknown-learner", "negative-seed",
+                              "eval-hash-in-checkpoint"])
 def test_version_and_usage_errors_load_no_numpy(argv):
     proc, loaded = _loaded_modules(argv)
     assert proc.returncode == (0 if argv == ["--version"] else 1)

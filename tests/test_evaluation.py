@@ -10,7 +10,7 @@ from hamlearn.network import (NetworkSpec, init_params, layer_slice,
                               param_count, update_mask)
 from hamlearn.physics import (PhysicalParams, hamiltonian_many, integrate,
                               sample_times, true_field_many)
-from hamlearn.taskgen import (GridTestSet, MetaTestSystem, build_grid,
+from hamlearn.taskgen import (GridTestSet, MetaTestSystem, _lattice,
                               make_meta_test_suite, sample_params)
 from oracle.graph import graph_field
 
@@ -23,6 +23,12 @@ def fake_system(params, grid, X, Xdot, mode="points"):
     return MetaTestSystem(params, X, Xdot, grid, mode, X.shape[0])
 
 
+def lattice_grid(params, per_axis):
+    """The evaluation lattice at per_axis points per axis, with true fields."""
+    states = _lattice(params.system, per_axis)
+    return GridTestSet(states, true_field_many(params, states))
+
+
 # -- field_mse -------------------------------------------------------------------
 
 
@@ -31,14 +37,14 @@ def test_field_mse_zero_for_perfect_predictor():
     theta = init_params(spec, 1)
     states = np.random.default_rng(0).uniform(-1, 1, (30, 2))
     F = fastops.predicted_field(spec, theta, states)
-    grid = GridTestSet(states, F, 0)
+    grid = GridTestSet(states, F)
     assert E.field_mse(spec, theta, grid) == 0.0
 
 
 def test_field_mse_zero_for_true_hamiltonian_on_tape():
     rng = np.random.default_rng(4)
     params = sample_params("pendulum", rng)
-    grid = build_grid(params, per_axis=7)
+    grid = lattice_grid(params, 7)
     pred = np.array([graph_field(params, s) for s in grid.states])
     R = pred - grid.derivatives
     assert float(np.mean(np.sum(R * R, axis=1))) < 1e-20
@@ -47,7 +53,7 @@ def test_field_mse_zero_for_true_hamiltonian_on_tape():
 def test_field_mse_zero_predictor_matches_direct_sum():
     rng = np.random.default_rng(5)
     params = sample_params("spring_mass", rng)
-    grid = build_grid(params, per_axis=9)
+    grid = lattice_grid(params, 9)
     spec = NetworkSpec(2, (4,), 1)
     got = E.field_mse(spec, np.zeros(param_count(spec)), grid)
     want = sum(float(v @ v) for v in grid.derivatives) / grid.states.shape[0]
@@ -56,7 +62,7 @@ def test_field_mse_zero_predictor_matches_direct_sum():
 
 def test_field_mse_empty_grid_rejected():
     spec = NetworkSpec(2, (4,), 1)
-    grid = GridTestSet(np.zeros((0, 2)), np.zeros((0, 2)), 0)
+    grid = GridTestSet(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError):
         E.field_mse(spec, np.zeros(param_count(spec)), grid)
 
@@ -130,7 +136,7 @@ def test_perfectly_fitted_system_stays_at_zero_mse():
     Xg = rng.uniform(-1, 1, (40, 2))
     sysm = fake_system(
         spring(), GridTestSet(Xg, fastops.predicted_field(
-            learner.spec, theta, Xg), 0),
+            learner.spec, theta, Xg)),
         Xtr, fastops.predicted_field(learner.spec, theta, Xtr))
     for steps in (0, 1, 10):
         rep = E.adapt_and_eval(learner, theta, [sysm], adapt_steps=steps)
@@ -186,7 +192,7 @@ def _with_own_lattice(system):
     """The same system scored on a private copy of its lattice."""
     g = system.grid
     return dataclasses.replace(system, grid=GridTestSet(
-        g.states.copy(), g.derivatives, g.per_axis))
+        g.states.copy(), g.derivatives))
 
 
 @pytest.mark.parametrize("kind", ["hanil", "naive_anil"])

@@ -70,8 +70,9 @@ def test_loss_grad_matches_fd(lane, kind, out_mul):
     X = rng.uniform(-1.5, 1.5, (8, d0))
     Xd = rng.uniform(-1.5, 1.5, (8, d0))
     loss, grad, _ = F.loss_grad(spec, params, X, Xd)
-    assert loss == pytest.approx(F.loss_value(spec, params, X, Xd), rel=1e-12)
-    fd = fd_grad(lambda th: F.loss_value(spec, th, X, Xd), params)
+    R = F.predicted_field(spec, params, X) - Xd  # the loss of the field
+    assert loss == pytest.approx(np.sum(R * R) / len(R), rel=1e-12)
+    fd = fd_grad(lambda th: F.loss_grad(spec, th, X, Xd)[0], params)
     rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
     assert rel.max() < 1e-7
 
@@ -85,8 +86,8 @@ def test_hvp_matches_fd_of_grad(lane, kind):
     X = rng.uniform(-1.5, 1.5, (6, d0))
     Xd = rng.uniform(-1.5, 1.5, (6, d0))
     v = rng.normal(0, 1, params.size)
-    loss, grad, hvp = F.loss_hvp(spec, params, X, Xd, v)
-    loss2, grad2, _ = F.loss_grad(spec, params, X, Xd)
+    loss2, grad2, lin = F.loss_grad(spec, params, X, Xd)
+    loss, grad, hvp = F.loss_hvp(spec, params, X, Xd, v, lin)
     assert loss == pytest.approx(loss2, rel=1e-13)
     np.testing.assert_allclose(grad, grad2, rtol=1e-12, atol=1e-15)
     h = 1e-6
@@ -116,7 +117,8 @@ def test_hvp_from_linearization_on_update_set_directions(kind, update_set,
     v = N.update_mask(spec, update_set) * rng.normal(0, 1, params.size)
     loss, grad, lin = F.loss_grad(spec, params, X, Xd)
     cached = F.loss_hvp(spec, params, X, Xd, v, lin)
-    fresh = F.loss_hvp(spec, params, X, Xd, v)
+    fresh = F.loss_hvp(spec, params, X, Xd, v,
+                       F.loss_grad(spec, params, X, Xd)[2])
     assert cached[0] == fresh[0] == loss
     np.testing.assert_array_equal(cached[1], grad)
     np.testing.assert_array_equal(fresh[1], grad)
@@ -163,8 +165,9 @@ def test_hessian_symmetry_through_hvp(kind):
     Xd = rng.uniform(-1, 1, (5, d0))
     u = rng.normal(0, 1, params.size)
     w = rng.normal(0, 1, params.size)
-    _, _, Hu = F.loss_hvp(spec, params, X, Xd, u)
-    _, _, Hw = F.loss_hvp(spec, params, X, Xd, w)
+    lin = F.loss_grad(spec, params, X, Xd)[2]
+    _, _, Hu = F.loss_hvp(spec, params, X, Xd, u, lin)
+    _, _, Hw = F.loss_hvp(spec, params, X, Xd, w, lin)
     assert np.dot(w, Hu) == pytest.approx(np.dot(u, Hw), rel=1e-10)
 
 
@@ -175,10 +178,10 @@ def test_hnn_last_bias_gradient_is_exactly_zero(lane):
     rng = RNG(12)
     X = rng.uniform(-2, 2, (10, 2))
     Xd = rng.uniform(-2, 2, (10, 2))
-    _, grad, _ = F.loss_grad(spec, params, X, Xd)
+    _, grad, lin = F.loss_grad(spec, params, X, Xd)
     assert grad[-1] == 0.0
     v = rng.normal(0, 1, params.size)
-    _, _, hvp = F.loss_hvp(spec, params, X, Xd, v)
+    _, _, hvp = F.loss_hvp(spec, params, X, Xd, v, lin)
     assert hvp[-1] == 0.0
     shifted = params.copy()
     shifted[-1] += 5.0
@@ -208,7 +211,8 @@ def test_backends_agree():
         spec = N.NetworkSpec(d0, (8, 6), 1 if kind == "hnn" else d0)
         params = rand_net(13, spec)
         v = rng.normal(0, 1, params.size)
-        _, _, hvp = F.loss_hvp(spec, params, X, Xd, v)
+        _, _, hvp = F.loss_hvp(spec, params, X, Xd, v,
+                               F.loss_grad(spec, params, X, Xd)[2])
         np.testing.assert_allclose(
             hvp, tape_loss_hvp(spec, params, X, Xd, v, kind),
             rtol=1e-12, atol=1e-14)
@@ -223,7 +227,7 @@ def test_single_layer_network_edge_case(lane):
     FF = F.predicted_field(spec, params, X)
     np.testing.assert_allclose(FF, np.tile([-0.4, -0.7], (4, 1)), rtol=1e-15)
     _, grad, _ = F.loss_grad(spec, params, X, Xd)
-    fd = fd_grad(lambda th: F.loss_value(spec, th, X, Xd), params)
+    fd = fd_grad(lambda th: F.loss_grad(spec, th, X, Xd)[0], params)
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
 
@@ -237,16 +241,16 @@ def test_wrapper_validation():
         F.loss_grad(spec, params[:-1], X, np.zeros((3, 2)))
 
 
-@pytest.mark.parametrize("name", ["predicted_field", "loss_value",
-                                  "loss_grad", "loss_hvp", "head_features"])
+@pytest.mark.parametrize("name", ["predicted_field", "loss_grad",
+                                  "head_features"])
 def test_a_head_neither_scalar_nor_field_wide_is_refused(name):
-    # the head's width fixes the loss: 1 is a Hamiltonian, input_dim a field
+    # the head's width fixes the loss: 1 is a Hamiltonian, input_dim a field;
+    # loss_hvp needs the linearization that loss_grad refuses to make
     spec = N.NetworkSpec(4, (5,), 3)
     params = rand_net(27, spec)
     X = RNG(28).uniform(-1, 1, (6, 4))
     Xd = np.zeros((6, 4))
-    rest = {"loss_value": (Xd,), "loss_grad": (Xd,),
-            "loss_hvp": (Xd, np.ones(params.size))}.get(name, ())
+    rest = (Xd,) if name == "loss_grad" else ()
     with pytest.raises(ValueError, match="neither a Hamiltonian"):
         getattr(F, name)(spec, params, X, *rest)
 

@@ -9,14 +9,18 @@ from hamlearn import metalearn as M
 from hamlearn.network import (NetworkSpec, init_params, layer_slice,
                               param_count, update_mask)
 from hamlearn.physics import integrate, true_field_many
-from hamlearn.taskgen import Task, make_meta_train, make_task, sample_params
+from hamlearn.taskgen import (Task, make_meta_train, sample_params,
+                              sample_states)
 from oracle import graph as G
 from oracle import tape as T
 
 
 def spring_task(seed, n_points=6):
     rng = np.random.default_rng(seed)
-    return make_task(sample_params("spring_mass", rng), rng, n_points)
+    params = sample_params("spring_mass", rng)
+    X, Xt = (sample_states(params, rng, n_points) for _ in range(2))
+    return Task(params, X, true_field_many(params, X),
+                Xt, true_field_many(params, Xt))
 
 
 def synth_task(seed, spec, n_points=5):
@@ -93,7 +97,7 @@ def test_inner_zero_steps_identity():
     theta = init_params(spec, 0)
     task = spring_task(1)
     out = M.inner_adapt(spec, theta, task.train_x, task.train_xdot,
-                        M.InnerConfig(steps=0))
+                        M.InnerConfig(steps=0))[0]
     np.testing.assert_array_equal(out, theta)
     assert out is not theta
 
@@ -104,7 +108,7 @@ def test_inner_one_step_quadratic():
     theta = init_params(spec, 3)
     task = spring_task(4)
     cfg = M.InnerConfig(steps=1, lr=0.25, update_set="all_but_first")
-    out = M.inner_adapt(spec, theta, task.train_x, task.train_xdot, cfg)
+    out = M.inner_adapt(spec, theta, task.train_x, task.train_xdot, cfg)[0]
     _, grad, _ = fastops.loss_grad(spec, theta, task.train_x, task.train_xdot)
     want = theta - cfg.lr * update_mask(spec, cfg.update_set) * grad
     assert out.tobytes() == want.tobytes()
@@ -119,7 +123,7 @@ def test_masked_updates_freeze_exactly(update_set, frozen_layers):
     theta = init_params(spec, 7)
     task = spring_task(2)
     cfg = M.InnerConfig(steps=7, lr=0.01, update_set=update_set)
-    out = M.inner_adapt(spec, theta, task.train_x, task.train_xdot, cfg)
+    out = M.inner_adapt(spec, theta, task.train_x, task.train_xdot, cfg)[0]
     for layer in frozen_layers:
         sl = layer_slice(spec, layer)
         np.testing.assert_array_equal(out[sl], theta[sl])
@@ -137,7 +141,7 @@ def test_one_step_changes_exactly_the_update_mask(kind):
     mask = update_mask(learner.spec, learner.inner.update_set)
     inner = replace(learner.inner, steps=1)
     for out in (M.inner_adapt(learner.spec, theta, task.train_x,
-                              task.train_xdot, inner),
+                              task.train_xdot, inner)[0],
                 adapt_params(learner, theta, task.train_x, task.train_xdot,
                              steps=1)):
         assert out[~mask].tobytes() == theta[~mask].tobytes()
@@ -194,8 +198,8 @@ def test_hnn_loss_zero_parameter_net(lane):
     node = G.hnn_loss(g, spec, g.leaf_many(np.zeros(param_count(spec))),
                       task.train_x, task.train_xdot)
     assert abs(g.value(node) - want) < 1e-12 * want
-    fast = fastops.loss_value(spec, np.zeros(param_count(spec)),
-                              task.train_x, task.train_xdot)
+    fast = fastops.loss_grad(spec, np.zeros(param_count(spec)),
+                             task.train_x, task.train_xdot)[0]
     assert abs(fast - want) < 1e-12 * want
 
 
@@ -204,7 +208,7 @@ def test_naive_loss_zero_when_net_matches_labels():
     theta = init_params(spec, 9)
     X = np.random.default_rng(1).uniform(-1, 1, (6, 2))
     labels = fastops.mlp_forward(spec, theta, X)
-    assert fastops.loss_value(spec, theta, X, labels) == 0.0
+    assert fastops.loss_grad(spec, theta, X, labels)[0] == 0.0
     g = T.Graph()
     node = G.naive_loss(g, spec, g.leaf_many(theta), X, labels)
     assert g.value(node) < 1e-25
@@ -212,10 +216,9 @@ def test_naive_loss_zero_when_net_matches_labels():
 
 def test_hnn_loss_vanishes_for_injected_true_hamiltonian(lane):
     # closed-form H built on the tape in place of the network head
-    rng = np.random.default_rng(11)
     for system in ("spring_mass", "pendulum", "kepler"):
-        params = sample_params(system, rng)
-        task = make_task(params, rng, n_points=5)
+        task = make_meta_train(system, n_tasks=1, n_points=5, seed=11)[0]
+        params = task.params
         g = T.Graph()
         x_ids = g.leaf_many(task.train_x.ravel()).reshape(task.train_x.shape)
         h_ids = [G.hamiltonian_graph(g, params, x_ids[b])
@@ -298,9 +301,10 @@ def test_meta_gradient_matches_fd_of_bilevel_objective():
     def objective(th):
         total = 0.0
         for task in tasks:
-            th_s = M.inner_adapt(spec, th, task.train_x, task.train_xdot, cfg)
-            total += fastops.loss_value(spec, th_s, task.test_x,
-                                        task.test_xdot)
+            th_s = M.inner_adapt(spec, th, task.train_x, task.train_xdot,
+                                 cfg)[0]
+            total += fastops.loss_grad(spec, th_s, task.test_x,
+                                       task.test_xdot)[0]
         return total
 
     grad = np.zeros_like(theta)
@@ -324,9 +328,9 @@ def test_meta_gradient_matches_central_differences_at_desk_size(kind):
     tasks = make_meta_train("spring_mass", 2, 50, 0)
 
     def objective(th):
-        return sum(fastops.loss_value(
-            spec, M.inner_adapt(spec, th, t.train_x, t.train_xdot, inner),
-            t.test_x, t.test_xdot) for t in tasks)
+        return sum(fastops.loss_grad(
+            spec, M.inner_adapt(spec, th, t.train_x, t.train_xdot, inner)[0],
+            t.test_x, t.test_xdot)[0] for t in tasks)
 
     grad = sum(M._task_meta_grad_fast(spec, theta, t, inner, True)[1]
                for t in tasks)
@@ -539,7 +543,7 @@ def test_pretrain_argument_errors():
 
 
 def test_build_learner_wiring():
-    for kind in M.LEARNER_KINDS:
+    for kind in LEARNER_KINDS:
         ld = M.build_learner(kind, state_dim=2)
         assert ld.kind == kind
         if kind in ("naive_maml", "naive_anil"):
@@ -550,10 +554,9 @@ def test_build_learner_wiring():
     assert M.build_learner("hamaml").inner.update_set == "all"
     assert M.build_learner("hanil_inv").inner.update_set == "all_but_first"
     assert M.build_learner("naive_anil").inner.update_set == "last"
-    assert not M.build_learner("hnn_scratch").meta_trained
-    assert not M.build_learner("hnn_pretrained").meta_trained
-    assert M.build_learner("hnn_pretrained").pretrained
-    assert M.build_learner("hanil").meta_trained
+    assert M.build_learner("hnn_scratch").training is None
+    assert M.build_learner("hnn_pretrained").training == "pretrain"
+    assert M.build_learner("hanil").training == "meta"
     kep = M.build_learner("hamaml", state_dim=4)
     assert kep.spec.input_dim == 4
     with pytest.raises(ValueError):
@@ -588,8 +591,8 @@ def test_head_space_meta_gradient_matches_generic_path_at_desk_size(kind):
     spec, inner = learner.spec, learner.inner
     theta = init_params(spec, 0)
     for task in make_meta_train("spring_mass", 2, 50, 0):
-        th_s, trace = M._adapt(spec, theta, task.train_x, task.train_xdot,
-                               inner)
+        th_s, trace = M.inner_adapt(spec, theta, task.train_x,
+                                    task.train_xdot, inner)
         assert all(isinstance(lin, fastops.HeadLinearization)
                    for _, lin in trace)
         loss, g = M._task_meta_grad_fast(spec, theta, task, inner, True)
@@ -624,7 +627,8 @@ def test_head_space_keeps_the_hnn_output_bias_gradient_exactly_zero():
     spec, inner = learner.spec, learner.inner
     theta = init_params(spec, 5)
     task = make_meta_train("spring_mass", 1, 50, 5)[0]
-    _, trace = M._adapt(spec, theta, task.train_x, task.train_xdot, inner)
+    _, trace = M.inner_adapt(spec, theta, task.train_x, task.train_xdot,
+                             inner)
     for _, lin in trace:
         assert lin.grad[-1] == 0.0  # adaptation gradient of b_L
     _, g = M._task_meta_grad_fast(spec, theta, task, inner, True)
@@ -637,8 +641,8 @@ def test_head_space_hvp_refuses_body_directions():
     theta = init_params(spec, 6)
     task = spring_task(7, n_points=5)
     cfg = M.InnerConfig(steps=1, update_set="last")
-    _, [(th, lin)] = M._adapt(spec, theta, task.train_x, task.train_xdot,
-                              cfg)
+    _, [(th, lin)] = M.inner_adapt(spec, theta, task.train_x,
+                                   task.train_xdot, cfg)
     v = np.zeros(theta.size)
     v[0] = 1.0
     with pytest.raises(ValueError, match="last layer"):

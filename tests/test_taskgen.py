@@ -13,7 +13,7 @@ from hamlearn.cli import main
 from hamlearn.physics import PARAM_NAMES, PhysicalParams, true_field_many
 from hamlearn.taskgen import (GRID_PER_AXIS, PARAM_RANGES, STATE_RANGES,
                               Task, build_grid, load_dataset, make_meta_test,
-                              make_meta_test_suite, make_meta_train, make_task,
+                              make_meta_test_suite, make_meta_train,
                               sample_params, sample_states, write_dataset)
 
 
@@ -67,10 +67,15 @@ def test_zero_count_rejected():
 
 
 def test_task_labels_are_exact_fields():
-    rng = np.random.default_rng(19)
     for system in ("spring_mass", "pendulum", "kepler"):
-        task = make_task(sample_params(system, rng), rng, n_points=40)
-        assert task.train_x.shape == (40, task.train_x.shape[1])
+        task = make_meta_train(system, n_tasks=1, n_points=40, seed=19)[0]
+        # task 0's draws: its parameters, then train and test states
+        rng = seeding.split(19, seeding.TASK, 0)
+        assert task.params == sample_params(system, rng)
+        np.testing.assert_array_equal(
+            task.train_x, sample_states(task.params, rng, 40))
+        np.testing.assert_array_equal(
+            task.test_x, sample_states(task.params, rng, 40))
         np.testing.assert_array_equal(
             task.train_xdot, true_field_many(task.params, task.train_x))
         np.testing.assert_array_equal(
