@@ -5,10 +5,11 @@ Usage: PYTHONPATH=src python tests/cli_sweep.py DIR
 Each command runs as `python -m hamlearn` in DIR, with its own --out
 directory DIR/<name>.  DIR/SHA256SUMS then holds the environment's
 fingerprint (see `fingerprint`) and, per command in run order, its exit
-code and the sha256 of each file in its --out directory.  The version
-string is stripped before hashing (the `# version = ` lines and the
-checkpoint's "version" value), so two checkouts that should behave alike
-give identical SHA256SUMS files: diff them.  The sweep takes about 15
+code, the sha256 of what it printed to stderr (as `<name>/<stderr>`) and
+the sha256 of each file in its --out directory.  The version string is
+stripped before hashing (the `# version = ` lines and the checkpoint's
+"version" value), so two checkouts that should behave alike give
+identical SHA256SUMS files: diff them.  The sweep takes about 15
 seconds on two cores.
 
 tests/test_sweep.py runs it against tests/sweep.sha256, a copy of the
@@ -168,9 +169,7 @@ def _commands(root: str):
                                      "no-npy/checkpoint.json", *EVAL], False)
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _digest(data: bytes) -> str:
     data = re.sub(rb"(?m)^# version = .*\n", b"", data)
     data = re.sub(rb'"version": "[^"]*"', b'"version": ""', data)
     return hashlib.sha256(data).hexdigest()
@@ -203,9 +202,11 @@ def main(root: str) -> int:
         if (code == 0) != should_pass:
             surprises.append(f"{name} exited {code}: {proc.stderr.strip()}")
         lines.append(f"exit {code}  {name} {json.dumps(argv)}")
+        lines.append(f"{_digest(proc.stderr.encode())}  {name}/<stderr>")
         out = os.path.join(root, name)
         for file in sorted(os.listdir(out)) if os.path.isdir(out) else ():
-            lines.append(f"{_digest(os.path.join(out, file))}  {name}/{file}")
+            with open(os.path.join(out, file), "rb") as fh:
+                lines.append(f"{_digest(fh.read())}  {name}/{file}")
     with open(os.path.join(root, "SHA256SUMS"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     for line in surprises:

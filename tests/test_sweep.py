@@ -2,7 +2,8 @@
 replayed from the config.txt it wrote.
 
 tests/sweep.sha256 holds what the sweep wrote for the current code: each
-command's exit code and the sha256 of each file it wrote.  One test per
+command's exit code, the sha256 of what it printed to stderr and the
+sha256 of each file it wrote.  One test per
 command compares its lines, so a failure names the command.  The training
 outputs depend on the BLAS arithmetic, so on an environment with another
 fingerprint (cli_sweep.fingerprint) those tests skip, naming both.  The
@@ -24,7 +25,8 @@ RECORDED = Path(__file__).with_name("sweep.sha256").read_text().splitlines()
 
 def _by_command(lines) -> dict:
     """{command name: its lines}, in run order; lines are `exit CODE  NAME
-    ARGV` or `SHA256  NAME/FILE`."""
+    ARGV` or `SHA256  NAME/FILE`, where FILE `<stderr>` is what the command
+    printed to stderr."""
     out = {}
     for line in lines[1:]:  # after the fingerprint
         name = line.split()[2] if line.startswith("exit ") else \
