@@ -20,8 +20,8 @@ from .metalearn import (InnerConfig, LearnerDef, OuterConfig, adam_init,
                         adam_update, adaptation_objective, build_learner,
                         head_only, train_learner)
 from .network import init_params
-from .physics import (DOF, IntegrationError, PhysicalParams, field_fn,
-                      hamiltonian_many, integrate, sample_times)
+from .physics import (DOF, PhysicalParams, field_fn, hamiltonian_many,
+                      integrate, sample_times)
 from .taskgen import GridTestSet, make_meta_test_suite, make_meta_train
 
 ADAPT_STEPS = 10
@@ -155,14 +155,6 @@ def learning_curve(learner: LearnerDef, theta_meta, systems,
     return curves.mean(axis=0)
 
 
-def _reached(field, x0, T_span: float, samples: int):
-    """(states integrate reached, failure time or None)."""
-    try:
-        return integrate(field, x0, T_span, samples)[1], None
-    except IntegrationError as err:
-        return err.states, err.t_failure
-
-
 def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
                  T_span: float = 20.0, samples: int = 200) -> RolloutReport:
     """Integrate the learner's field against the true flow from x0.
@@ -191,10 +183,10 @@ def rollout_eval(spec, params_adapted, true_params: PhysicalParams, x0,
                                            x[None, :])[0]
 
     with np.errstate(all="ignore"):  # a non-finite value ends the series
-        Xp, failure = _reached(pred_field, x0, T_span, samples)
+        Xp, failure = integrate(pred_field, x0, T_span, samples)
         n = Xp.shape[0]
-        Xt, true_failure = (_reached(field_fn(true_params), x0,
-                                     n * T_span / samples, n)
+        Xt, true_failure = (integrate(field_fn(true_params), x0,
+                                      n * T_span / samples, n)
                             if n else (Xp, None))
         Xp = Xp[: len(Xt)]
         state_mse = np.sum((Xp - Xt) ** 2, axis=1)

@@ -36,19 +36,6 @@ KEPLER_MIN_SEP_SAMPLE = 0.5
 KEPLER_MIN_SEP_EVAL = 0.1
 
 
-class IntegrationError(RuntimeError):
-    """Adaptive integration failed; `t_failure` is the last reached time.
-
-    `integrate` sets `times` and `states` to the samples completed before
-    the failure, laid out as it returns them (empty when none was reached).
-    """
-
-    def __init__(self, message: str, t_failure: float):
-        super().__init__(message)
-        self.t_failure = float(t_failure)
-        self.times, self.states = np.empty(0), np.empty((0, 0))
-
-
 @dataclass(frozen=True)
 class PhysicalParams:
     system: str
@@ -282,6 +269,10 @@ def _dopri45(fun, y0, t_bound, t_eval, rtol, atol, out):
             return done
 
 
+class _NonFinite(Exception):
+    """A non-finite derivative at time args[0]; only `integrate` catches it."""
+
+
 def integrate(field, x0, T_span: float, samples: int,
               rtol: float = 1e-8, atol: float = 1e-10):
     """Integrate xdot = field(x) with adaptive Dormand-Prince 5(4).
@@ -289,15 +280,13 @@ def integrate(field, x0, T_span: float, samples: int,
     The method is Dormand & Prince's 5(4) pair with Shampine's dense
     output, as in scipy's RK45, whose samples this reproduces bit for bit.
     field maps a flat state (2n,) to its derivative (2n,).  Returns
-    (times, states) with states[k] the dense-output solution at
-    t_k = k*T/L.  An empty or non-finite x0, or a T that is not finite and
-    positive, raises ValueError.
-
-    Failure to reach T raises IntegrationError.  Its t_failure is the time
-    at which `field` was called when the derivative is non-finite (as the
-    true field is outside its domain), and the last sample time reached
-    (0.0 if none) when the step size falls below the spacing of floats.
-    Its times and states are the samples reached before the failure.
+    (states, t_failure): states[k] is the dense-output solution at
+    t_k = sample_times(T, L)[k], for each sample reached.  t_failure is
+    None when all L were reached, else the time at which `field` was
+    called when the derivative is non-finite (as the true field is outside
+    its domain), or the last sample time reached (0.0 if none) when the
+    step size falls below the spacing of floats.  An empty or non-finite
+    x0, or a T that is not finite and positive, raises ValueError.
     """
     x0 = np.asarray(x0, np.float64).ravel()
     if not 0 < T_span < np.inf:  # NaN or inf T would step forever
@@ -311,26 +300,17 @@ def integrate(field, x0, T_span: float, samples: int,
         # a NaN derivative makes the step size NaN, and the step loop then
         # never ends
         if not np.isfinite(d).all():
-            raise IntegrationError(
-                f"non-finite derivative at t = {t:.6g}", t)
+            raise _NonFinite(t)
         return d
 
     blocks = []
     # k * (T / L) can overshoot T by one ULP: integrate to the last sample
     t_end = max(float(T_span), float(times[-1]))
-
-    def reached_samples():
-        states = np.vstack(blocks) if blocks else np.empty((0, x0.size))
-        return times[: states.shape[0]], states
-
     try:
         reached = _dopri45(rhs, x0, t_end, times, rtol, atol, blocks)
-        if reached < samples:
-            t_fail = float(times[reached - 1]) if reached else 0.0
-            raise IntegrationError(
-                f"integration stalled at t = {t_fail:.6g}: Required step "
-                "size is less than spacing between numbers.", t_fail)
-    except IntegrationError as exc:
-        exc.times, exc.states = reached_samples()
-        raise
-    return reached_samples()
+        t_failure = (None if reached == samples else
+                     float(times[reached - 1]) if reached else 0.0)
+    except _NonFinite as stop:
+        t_failure = float(stop.args[0])
+    states = np.vstack(blocks) if blocks else np.empty((0, x0.size))
+    return states, t_failure

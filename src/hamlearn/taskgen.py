@@ -25,8 +25,8 @@ import numpy as np
 from . import SYSTEMS, seeding
 from .config import read_arrays, write_arrays
 from .physics import (DOF, PARAM_NAMES, KEPLER_MIN_SEP_SAMPLE,
-                      KEPLER_MIN_SEP_EVAL, IntegrationError, PhysicalParams,
-                      field_fn, integrate, kepler_separation, true_field_many)
+                      KEPLER_MIN_SEP_EVAL, PhysicalParams, field_fn,
+                      integrate, kepler_separation, true_field_many)
 
 PARAM_RANGES = {
     "spring_mass": ((0.5, 5.0), (0.5, 5.0), (-5.0, 5.0)),
@@ -164,9 +164,8 @@ def _sample_trajectory_pairs(params: PhysicalParams, rng: np.random.Generator,
     for _ in range(K):
         for attempt in range(50):
             x0 = sample_states(params, rng, 1)[0]
-            try:
-                _, X = integrate(f, x0, TRAJ_SPAN, TRAJ_SAMPLES)
-            except IntegrationError:
+            X, t_failure = integrate(f, x0, TRAJ_SPAN, TRAJ_SAMPLES)
+            if t_failure is not None:
                 continue  # blow-up: draw a fresh initial state
             if params.system == "kepler" and not (kepler_separation(
                     params, X[:, :2]).min() >= KEPLER_MIN_SEP_SAMPLE):

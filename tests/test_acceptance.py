@@ -171,7 +171,9 @@ def test_criterion_2_true_fields_and_energy_conservation():
     rng = np.random.default_rng(22)
     params = sample_params("pendulum", rng)
     x0 = sample_states(params, rng, 1)[0]
-    _, X = integrate(field_fn(params), x0, 20.0, 200, rtol=1e-8, atol=1e-10)
+    X, t_failure = integrate(field_fn(params), x0, 20.0, 200, rtol=1e-8,
+                             atol=1e-10)
+    assert t_failure is None, f"20s pendulum integration stopped at {t_failure}"
     H = hamiltonian_many(params, X)
     H0 = float(hamiltonian_many(params, x0[None, :])[0])
     drift = float(np.max(np.abs(H - H0))) / max(1.0, abs(H0))
@@ -293,7 +295,9 @@ def test_criterion_8_learned_flow_conserves_its_own_hamiltonian(spring_runs):
     def learned_field(x):
         return fastops.predicted_field(learner.spec, adapted, x[None, :])[0]
 
-    _, X = integrate(learned_field, x0, 1.0, 100, rtol=1e-8, atol=1e-10)
+    X, t_failure = integrate(learned_field, x0, 1.0, 100, rtol=1e-8,
+                             atol=1e-10)
+    assert t_failure is None, f"1s learned rollout stopped at {t_failure}"
     H = fastops.mlp_forward(learner.spec, adapted,
                             np.vstack([x0, X]))[:, 0]
     drift = float(np.max(np.abs(H - H[0]))) / max(1.0, abs(H[0]))

@@ -451,7 +451,8 @@ def test_learned_flow_conserves_learned_energy():
         theta = init_params(spec, seed)
         x0 = np.random.default_rng(seed).uniform(-1, 1, 2)
         field = lambda x: fastops.predicted_field(spec, theta, x[None, :])[0]
-        _, traj = integrate(field, x0, 1.0, 20, rtol=1e-8, atol=1e-10)
+        traj, t_failure = integrate(field, x0, 1.0, 20, rtol=1e-8, atol=1e-10)
+        assert t_failure is None
         traj = np.vstack([x0, traj])
         H = fastops.mlp_forward(spec, theta, traj)[:, 0]
         tol = 10 * (1e-8 * max(1.0, abs(H[0])) + 1e-10)

@@ -10,7 +10,8 @@ import pytest
 
 from hamlearn import seeding, taskgen
 from hamlearn.cli import main
-from hamlearn.physics import PARAM_NAMES, PhysicalParams, true_field_many
+from hamlearn.physics import (PARAM_NAMES, PhysicalParams, field_fn,
+                              integrate, true_field_many)
 from hamlearn.taskgen import (GRID_PER_AXIS, PARAM_RANGES, STATE_RANGES,
                               Task, build_grid, load_dataset, make_meta_test,
                               make_meta_test_suite, make_meta_train,
@@ -149,6 +150,29 @@ def test_meta_test_trajectory_states_follow_the_flow():
     sysm = make_meta_test("pendulum", "trajectories", 4, rng)
     H = hamiltonian_many(sysm.params, sysm.train_x).reshape(4, 5)
     assert np.ptp(H, axis=1).max() < 1e-6
+
+
+def test_a_trajectory_that_stops_is_drawn_again(monkeypatch):
+    # the first rollout reports a stop, as a blow-up would: its samples are
+    # dropped and the pairs come from the next two initial states drawn
+    params = sample_params("spring_mass", np.random.default_rng(30))
+    starts = []
+
+    def first_stops(field, x0, T_span, samples):
+        X, t_failure = integrate(field, x0, T_span, samples)
+        starts.append(x0)
+        return (X[:2], 0.25) if len(starts) == 1 else (X, t_failure)
+
+    monkeypatch.setattr(taskgen, "integrate", first_stops)
+    X, Xdot = taskgen._sample_trajectory_pairs(params,
+                                               np.random.default_rng(31), 2)
+    rng = np.random.default_rng(31)
+    draws = [sample_states(params, rng, 1)[0] for _ in range(3)]
+    np.testing.assert_array_equal(starts, draws)
+    want = np.vstack([integrate(field_fn(params), x0, taskgen.TRAJ_SPAN,
+                                taskgen.TRAJ_SAMPLES)[0] for x0 in draws[1:]])
+    assert X.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(Xdot, true_field_many(params, want))
 
 
 def test_kepler_trajectory_samples_respect_separation():
