@@ -318,8 +318,9 @@ def cmd_ablate(args) -> int:
     if not counts or counts != sorted(set(counts)) or counts[0] < 1:
         raise UsageError("--counts must be one or more positive, strictly "
                          "ascending task counts")
-    if not kinds or not set(kinds) <= set(LEARNERS):
-        raise UsageError("--learners must be among " + ",".join(LEARNERS))
+    if not kinds or len(set(kinds) & set(LEARNERS)) < len(kinds):
+        raise UsageError("--learners must be distinct kinds among "
+                         + ",".join(LEARNERS))
     from .evaluation import ablation_tasks
     from .metalearn import InnerConfig, OuterConfig
     table = ablation_tasks(kinds, counts, cfg.system, cfg.mode, cfg.k,

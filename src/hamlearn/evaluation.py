@@ -209,12 +209,14 @@ def ablation_tasks(kinds, task_counts, system: str, mode: str, K: int,
                    adapt_lr: float = ADAPT_LR):
     """Meta-train each kind at each pool size; score all on one shared suite.
 
-    Returns {kind: {count: EvalReport}}.  Counts must be ascending; each
-    (kind, count) cell trains from its own freshly seeded initialization.
+    Returns {kind: {count: EvalReport}}.  Kinds must be distinct and counts
+    ascending; each cell trains from its own freshly seeded initialization.
     """
     task_counts = list(task_counts)
     if task_counts != sorted(task_counts) or len(set(task_counts)) != len(task_counts):
         raise ValueError("task_counts must be strictly ascending")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError("kinds must be distinct")
     suite = make_meta_test_suite(system, mode, K, seed, n_systems)
     state_dim = 2 * DOF[system]
     table = {}

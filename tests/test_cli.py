@@ -92,6 +92,9 @@ def test_no_subcommand_is_a_usage_error(capsys):
      "--n-systems", "1", "--k", "5"],
     ["metatrain", "--learner", "foo"],
     ["eval", "--learner", "foo"],
+    # a repeated kind would train its cells twice and write one set of rows
+    ["ablate", "--counts", "2", "--learners", "hanil,hanil", "--n-systems",
+     "1", "--k", "5"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -141,6 +144,7 @@ def test_usage_errors_exit_1(argv, capsys):
     (["ablate", "--step-range", "0:2\r", "--checkpoint",
       "run/checkpoint.json"], "--step-range"),
     (["gen", "--tasks", "2", "--out", "o#1"], "--out"),
+    (["ablate", "--counts", "2", "--learners", "hanil,hanil"], "--learners"),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, argv, flag, capsys):
     out = tmp_path / "o"

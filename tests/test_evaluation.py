@@ -462,3 +462,14 @@ def test_ablation_smoke_and_ordering_guard():
     with pytest.raises(ValueError):
         E.ablation_tasks(["hanil"], [4, 2], "spring_mass", "points", K=4,
                          seed=17, inner_cfg=inner, outer_cfg=outer)
+
+
+def test_ablation_refuses_a_repeated_kind():
+    # each copy would retrain the kind's cells, and the last copy's numbers
+    # would stand for both
+    with pytest.raises(ValueError, match="distinct"):
+        E.ablation_tasks(["hanil", "hnn_scratch", "hanil"], [2],
+                         "spring_mass", "points", K=4, seed=17,
+                         inner_cfg=M.InnerConfig(steps=1),
+                         outer_cfg=M.OuterConfig(episodes=1, task_batch=2),
+                         n_points=6, n_systems=1, hidden=(4,), adapt_steps=1)
