@@ -308,9 +308,10 @@ def integrate(field, x0, T_span: float, samples: int,
     t_end = max(float(T_span), float(times[-1]))
     try:
         reached = _dopri45(rhs, x0, t_end, times, rtol, atol, blocks)
-        t_failure = (None if reached == samples else
-                     float(times[reached - 1]) if reached else 0.0)
     except _NonFinite as stop:
         t_failure = float(stop.args[0])
+    else:
+        t_failure = (None if reached == samples else
+                     float(times[reached - 1]) if reached else 0.0)
     states = np.vstack(blocks) if blocks else np.empty((0, x0.size))
     return states, t_failure
