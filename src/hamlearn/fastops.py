@@ -29,7 +29,11 @@ them against a scalar autodiff tape and against finite differences:
   residual at any head for the cost of a matrix-vector product.
   ``loss_hvp`` on such a `HeadLinearization` returns the exact H @ vec for
   a last-layer vec: the head block from phi, the body by one reverse pass
-  through the construction of phi.
+  through the construction of phi.  That pass is linear in the adjoint of
+  phi, so on one inner loop's list of S linearizations ``loss_hvp`` sums
+  the S steps' adjoints and returns sum_k H(theta_k) @ vec_k from a single
+  reverse pass.  `HeadFeatures.gram` is the head block of H, the same at
+  every head.
 
 Each public wrapper runs its kernel with numpy's floating-point warnings
 silenced; callers detect a non-finite result and raise
@@ -416,6 +420,19 @@ class HeadFeatures(NamedTuple):
         return (self.phi.reshape(d * B, h) @ P[:-1, 0]).reshape(d, B).T
 
     @_quiet
+    def gram(self) -> np.ndarray:
+        """(2/B) phi^T phi, the loss Hessian in the last layer's [W; b]
+        block at every head: it multiplies each column of that block.  For
+        the Hamiltonian loss b_L's row and column are 0."""
+        B = self.X.shape[0]
+        if _loss(self.spec) == "naive":
+            return (2.0 / B) * (self.phi.T @ self.phi)
+        phi = self.phi.reshape(-1, self.phi.shape[2])
+        G = np.zeros((phi.shape[1] + 1,) * 2)
+        G[:-1, :-1] = (2.0 / B) * (phi.T @ phi)
+        return G
+
+    @_quiet
     def linearize(self, params, Xdot) -> "HeadLinearization":
         """Loss, residual and last-layer gradient at params against the
         labels Xdot."""
@@ -452,35 +469,42 @@ class HeadLinearization(NamedTuple):
     R: np.ndarray     # residual field - Xdot, (B, 2n)
 
 
-def _head_tangent(lin: HeadLinearization, vec):
-    """H @ vec for vec in the last layer: the head block directly, the body
-    by one reverse pass through the construction of phi."""
-    f = lin.features
+def _head_tangent(lins, vecs):
+    """Sum over k of H(params_k) @ vecs[k] for head-space linearizations
+    on one `HeadFeatures` and last-layer directions vecs, (S, n): the head
+    block directly, the body by one reverse pass through the construction
+    of phi, whose adjoint is linear in each step's terms.  A field head
+    takes S = 1."""
+    f = lins[0].features
     if f.S is None:
         raise ValueError("features built with keep_state=False take no "
                          "tangent pass")
     nb = f.body.size
-    if np.any(np.abs(vec[:nb]) > 0):  # NaN passes on to the caller's guard
+    if np.any(np.abs(vecs[:, :nb]) > 0):  # NaN passes on to the caller's guard
         raise ValueError("a head-space linearization takes directions in "
                          "the last layer only")
-    blocks = unpack_blocks(lin.spec, lin.params)
-    P = blocks[-1]
-    U = vec[nb:].reshape(P.shape)
-    hvp = np.zeros(vec.size)
-    H = unpack_blocks(lin.spec, hvp)
-    B, d = lin.X.shape
-    if _loss(lin.spec) == "naive":
+    blocks = unpack_blocks(f.spec, lins[0].params)  # the body is shared
+    hvp = np.zeros(vecs.shape[1])
+    H = unpack_blocks(f.spec, hvp)
+    B, d = f.X.shape
+    if _loss(f.spec) == "naive":
+        if len(lins) > 1:
+            raise ValueError("a field head takes one linearization")
+        P = blocks[-1]
+        U = vecs[0, nb:].reshape(P.shape)
         dbarz = (2.0 / B) * (f.phi @ U)
         np.matmul(f.phi.T, dbarz, out=H[-1])
-        bara = dbarz @ P[:-1].T + ((2.0 / B) * lin.R) @ U[:-1].T
+        bara = dbarz @ P[:-1].T + ((2.0 / B) * lins[0].R) @ U[:-1].T
         barT = None
     else:  # the b_L entries of H @ vec stay exactly 0
         phi = f.phi.reshape(d * B, -1)
-        u, w = U[:-1, 0], P[:-1, 0]
-        Fu = (phi @ u).reshape(d, B)
-        np.matmul(((2.0 / B) * Fu).ravel(), phi, out=H[-1][:-1, 0])
-        # adjoint of phi_j: (2/B)(R_j u^T + F_u,j w^T)
-        barT = (2.0 / B) * (lin.R.T[:, :, None] * u + Fu[:, :, None] * w)
+        u = vecs[:, nb:-1]  # the w_L rows of the directions, (S, h)
+        w = np.array([lin.params[nb:-1] for lin in lins])
+        Fu = u @ phi.T
+        np.matmul((2.0 / B) * Fu.sum(axis=0), phi, out=H[-1][:-1, 0])
+        # adjoint of phi_j: (2/B) sum_k (R_k,j u_k^T + F_u,k,j w_k^T)
+        Rt = np.array([lin.R.T.ravel() for lin in lins])
+        barT = ((2.0 / B) * (Rt.T @ u + Fu.T @ w)).reshape(d, B, -1)
         bara = None
     for l in range(len(blocks) - 1, 0, -1):
         W = blocks[l - 1][:-1]
@@ -568,7 +592,7 @@ def loss_grad(spec: NetworkSpec, params, X, Xdot):
 
 @_quiet
 def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec,
-             lin: Linearization | HeadLinearization):
+             lin: Linearization | HeadLinearization | list):
     """(loss, grad, H @ vec) where H is the loss Hessian in params.
 
     The linearization `lin` is required: the one `loss_grad` returns for
@@ -577,15 +601,38 @@ def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec,
     is a ValueError.  `lin` may also be a `HeadLinearization`; then vec
     must lie in the last layer, grad covers the last layer only, and
     H @ vec is exact in every parameter.
+
+    `lin` may also be one inner loop's list of S head-space
+    linearizations, all on one `HeadFeatures`, with params the list of
+    the S parameter vectors they were made at and vec an (S, n) stack of
+    last-layer directions.  Then loss and grad are lists over the S
+    linearizations, and the product is the sum over k of
+    H(params[k]) @ vec[k], whose body block takes one reverse pass.  A
+    list of one gives the bits of the single call.
     """
-    vec = np.asarray(vec, np.float64)
-    if vec.shape != (param_count(spec),):
-        raise ValueError("direction length does not match spec")
-    if not (lin.spec == spec
-            and lin.params is np.asarray(params, np.float64)
-            and lin.X is np.atleast_2d(np.asarray(X, np.float64))
-            and lin.Xdot is np.atleast_2d(np.asarray(Xdot, np.float64))):
-        raise ValueError("linearization was made at other arrays or spec")
-    if isinstance(lin, HeadLinearization):
-        return lin.loss, lin.grad, _head_tangent(lin, vec)
-    return lin.loss, lin.grad, _TANGENT[_loss(spec)](lin, vec)
+    trace = isinstance(lin, list)
+    lins, ps = (lin, params) if trace else ([lin], [params])
+    vecs = np.asarray(vec, np.float64)
+    vecs = vecs if trace else vecs[None]
+    if (not lins or len(ps) != len(lins)
+            or vecs.shape != (len(lins), param_count(spec))):
+        raise ValueError("direction length does not match spec, or not one "
+                         "params and direction per linearization")
+    X = np.atleast_2d(np.asarray(X, np.float64))
+    Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
+    features = getattr(lins[0], "features", None)
+    for k, (lk, pk) in enumerate(zip(lins, ps)):
+        if not (lk.spec == spec and lk.params is np.asarray(pk, np.float64)
+                and lk.X is X and lk.Xdot is Xdot):
+            raise ValueError(f"linearization {k} was made at other arrays "
+                             "or spec")
+        if trace and not (isinstance(lk, HeadLinearization)
+                          and lk.features is features):
+            raise ValueError(f"linearization {k} is not a head-space one on "
+                             "the features of linearization 0")
+    if isinstance(lin, Linearization):
+        return lin.loss, lin.grad, _TANGENT[_loss(spec)](lin, vecs[0])
+    hvp = _head_tangent(lins, vecs)
+    if trace:
+        return [lk.loss for lk in lins], [lk.grad for lk in lins], hvp
+    return lin.loss, lin.grad, hvp

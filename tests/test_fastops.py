@@ -331,3 +331,86 @@ def test_head_features_refuse_another_body_or_batch():
     lin = grid.linearize(params, Xd)
     with pytest.raises(ValueError, match="keep_state"):
         F.loss_hvp(spec, params, X, Xd, np.zeros(params.size), lin)
+
+
+def _head_trace(spec, params, X, Xd, steps, rng):
+    """Linearizations of `steps` heads on one `HeadFeatures` of X, with
+    their params and a stack of last-layer directions."""
+    feats = F.head_features(spec, params, X)
+    head = N.layer_slice(spec, spec.n_layers - 1)
+    ps, lins = [], []
+    vecs = np.zeros((steps, params.size))
+    for k in range(steps):
+        p = params.copy()
+        p[head] += rng.normal(0, 0.3, p[head].size)
+        ps.append(p)
+        lins.append(feats.linearize(p, Xd))
+        vecs[k, head] = rng.normal(0, 1, p[head].size)
+    return ps, lins, vecs
+
+
+@pytest.mark.parametrize("kind,state_dim,hidden", [
+    ("hnn", 2, (64, 64, 64)), ("hnn", 4, (7, 5)), ("hnn", 2, ()),
+    ("naive", 4, (7,)),
+])
+def test_loss_hvp_sums_a_head_space_trace(kind, state_dim, hidden):
+    spec = N.NetworkSpec(state_dim, hidden, 1 if kind == "hnn" else state_dim)
+    params = rand_net(27, spec)
+    rng = RNG(28)
+    X = rng.uniform(-1.5, 1.5, (50, state_dim))
+    Xd = rng.uniform(-1.5, 1.5, (50, state_dim))
+    steps = 3 if kind == "hnn" else 1
+    ps, lins, vecs = _head_trace(spec, params, X, Xd, steps, rng)
+    losses, grads, got = F.loss_hvp(spec, ps, X, Xd, vecs, lins)
+    assert losses == [lin.loss for lin in lins]
+    assert all(g is lin.grad for g, lin in zip(grads, lins))
+    singles = [F.loss_hvp(spec, p, X, Xd, v, lin)[2]
+               for p, v, lin in zip(ps, vecs, lins)]
+    want = np.sum(singles, axis=0)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    if kind == "hnn":
+        assert got[-1] == 0.0
+    # the head block of H is the features' Gram matrix at every head
+    head = N.layer_slice(spec, spec.n_layers - 1)
+    G = lins[0].features.gram()
+    for v, single in zip(vecs, singles):
+        hb = G @ v[head].reshape(G.shape[0], -1)
+        assert np.abs(hb.ravel() - single[head]).max() <= \
+            1e-13 * np.abs(single[head]).max()
+    # a trace of one takes the single call's operations
+    one = F.loss_hvp(spec, ps[:1], X, Xd, vecs[:1], lins[:1])[2]
+    np.testing.assert_array_equal(one, singles[0])
+
+
+def test_loss_hvp_refuses_a_trace_off_one_set_of_head_features():
+    spec = N.NetworkSpec(2, (5, 4), 1)
+    params = rand_net(29, spec)
+    rng = RNG(30)
+    X = rng.uniform(-1, 1, (6, 2))
+    Xd = rng.uniform(-1, 1, (6, 2))
+    ps, lins, vecs = _head_trace(spec, params, X, Xd, 2, rng)
+    moved = params.copy()
+    moved[0] += 1e-3
+    other_body = F.head_features(spec, moved, X).linearize(moved, Xd)
+    X2 = X.copy()
+    other_x = F.head_features(spec, params, X2).linearize(params, Xd)
+    generic = F.loss_grad(spec, params, X, Xd)[2]
+    for p, lin in [(moved, other_body), (params, other_x),
+                   (params, generic)]:
+        with pytest.raises(ValueError, match="linearization 1"):
+            F.loss_hvp(spec, [ps[0], p], X, Xd, vecs, [lins[0], lin])
+    with pytest.raises(ValueError, match="linearization 0"):
+        F.loss_hvp(spec, [params, ps[1]], X, Xd, vecs, [generic, lins[1]])
+    body = vecs.copy()
+    body[1, 0] = 1.0
+    with pytest.raises(ValueError, match="last layer"):
+        F.loss_hvp(spec, ps, X, Xd, body, lins)
+    for bad_ps, bad_vecs in [(ps[:1], vecs), (ps, vecs[:1]), (ps, vecs[0]),
+                             ([], vecs[:0])]:
+        with pytest.raises(ValueError):
+            F.loss_hvp(spec, bad_ps, X, Xd, bad_vecs, lins[: len(bad_ps)])
+    field = N.NetworkSpec(2, (5,), 2)
+    fp = rand_net(31, field)
+    fps, flins, fvecs = _head_trace(field, fp, X, Xd, 2, rng)
+    with pytest.raises(ValueError, match="one linearization"):
+        F.loss_hvp(field, fps, X, Xd, fvecs, flins)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hamlearn import LEARNER_KINDS, fastops
+from hamlearn import DOF, LEARNER_KINDS, fastops
 from hamlearn import metalearn as M
 from hamlearn.network import (NetworkSpec, init_params, layer_slice,
                               param_count, update_mask)
@@ -604,6 +604,57 @@ def test_head_space_meta_gradient_matches_generic_path_at_desk_size(kind):
         assert np.abs(th_s - want_s).max() <= 1e-13 * np.abs(want_s).max()
         if kind == "naive_anil":  # the same operations as the generic path
             np.testing.assert_array_equal(g, want)
+
+
+def _per_step_meta_grad(spec, theta, task, cfg):
+    """The second-order meta-gradient by a reverse sweep of one `loss_hvp`
+    per inner step on the head-space trace."""
+    theta_s, trace = M.inner_adapt(spec, theta, task.train_x,
+                                   task.train_xdot, cfg)
+    loss, v, _ = fastops.loss_grad(spec, theta_s, task.test_x, task.test_xdot)
+    mask = update_mask(spec, cfg.update_set)
+    for th_k, lin in reversed(trace):
+        _, _, hv = fastops.loss_hvp(spec, th_k, task.train_x, task.train_xdot,
+                                    mask * v, lin)
+        v = v - cfg.lr * hv
+    return loss, v
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("steps", [1, 2, 5])
+@pytest.mark.parametrize("system,hidden", [
+    ("spring_mass", (64, 64, 64)), ("kepler", (7, 5)), ("spring_mass", ()),
+])
+def test_hanil_one_pass_meta_gradient_matches_the_per_step_sweep(
+        system, hidden, steps, seed):
+    learner = M.build_learner("hanil", 2 * DOF[system], hidden,
+                              M.InnerConfig(steps=steps))
+    spec, inner = learner.spec, learner.inner
+    theta = init_params(spec, seed)
+    task = make_meta_train(system, 1, 50, seed)[0]
+    loss, g = M._task_meta_grad_fast(spec, theta, task, inner, True)
+    want_loss, want = _per_step_meta_grad(spec, theta, task, inner)
+    assert loss == want_loss
+    assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+    assert g[-1] == 0.0  # meta-gradient of b_L
+
+
+@pytest.mark.parametrize("steps,second_order", [(0, True), (0, False),
+                                                (5, False)])
+def test_hanil_meta_gradient_without_a_sweep_is_the_test_gradient(
+        steps, second_order):
+    learner = M.build_learner("hanil", 2, (64, 64, 64),
+                              M.InnerConfig(steps=steps))
+    spec, inner = learner.spec, learner.inner
+    theta = init_params(spec, 8)
+    task = make_meta_train("spring_mass", 1, 50, 8)[0]
+    theta_s, _ = M.inner_adapt(spec, theta, task.train_x, task.train_xdot,
+                               inner)
+    want_loss, want, _ = fastops.loss_grad(spec, theta_s, task.test_x,
+                                           task.test_xdot)
+    loss, g = M._task_meta_grad_fast(spec, theta, task, inner, second_order)
+    assert loss == want_loss
+    np.testing.assert_array_equal(g, want)
 
 
 @pytest.mark.parametrize("kind,state_dim,hidden", [
