@@ -27,13 +27,12 @@ them against a scalar autodiff tape and against finite differences:
   forward-mode input tangents through the body, Omega folded in) and
   `HeadFeatures.linearize` gives the loss, the last-layer gradient and the
   residual at any head for the cost of a matrix-vector product.
-  ``loss_hvp`` on such a `HeadLinearization` returns the exact H @ vec for
-  a last-layer vec: the head block from phi, the body by one reverse pass
-  through the construction of phi.  That pass is linear in the adjoint of
-  phi, so on one inner loop's list of S linearizations ``loss_hvp`` sums
-  the S steps' adjoints and returns sum_k H(theta_k) @ vec_k from a single
-  reverse pass.  `HeadFeatures.gram` is the head block of H, the same at
-  every head.
+  ``loss_hvp`` on one inner loop's list of S such `HeadLinearization`s
+  returns the exact sum_k H(theta_k) @ vec_k for last-layer directions:
+  the head block from phi, the body by one reverse pass through the
+  construction of phi, which is linear in the steps' summed adjoints of
+  phi.  `HeadFeatures.gram` is the head block of H, the same at every
+  head.
 
 Each public wrapper runs its kernel with numpy's floating-point warnings
 silenced; callers detect a non-finite result and raise
@@ -410,14 +409,17 @@ class HeadFeatures(NamedTuple):
         return params, params[self.body.size :].reshape(-1,
                                                         self.spec.output_dim)
 
-    @_quiet
-    def field(self, params) -> np.ndarray:
-        """The field on X at params."""
-        _, P = self._head(params)
+    def _field(self, P):
+        """phi times the last layer's [W; b] block P: the field on X."""
         if _loss(self.spec) == "naive":
             return self.phi @ P
         d, B, h = self.phi.shape
         return (self.phi.reshape(d * B, h) @ P[:-1, 0]).reshape(d, B).T
+
+    @_quiet
+    def field(self, params) -> np.ndarray:
+        """The field on X at params."""
+        return self._field(self._head(params)[1])
 
     @_quiet
     def gram(self) -> np.ndarray:
@@ -443,22 +445,20 @@ class HeadFeatures(NamedTuple):
         B = self.X.shape[0]
         grad = np.zeros(P.size)
         G = grad.reshape(P.shape)
+        R = self._field(P) - Xdot
         if _loss(self.spec) == "naive":
-            R = self.phi @ P - Xdot
             np.matmul(self.phi.T, (2.0 / B) * R, out=G)
         else:  # the gradient of b_L stays exactly 0
-            d, _, h = self.phi.shape
-            phi = self.phi.reshape(d * B, h)
-            R = (phi @ P[:-1, 0]).reshape(d, B).T - Xdot
-            np.matmul(((2.0 / B) * R.T).ravel(), phi, out=G[:-1, 0])
+            np.matmul(((2.0 / B) * R.T).ravel(),
+                      self.phi.reshape(-1, self.phi.shape[2]), out=G[:-1, 0])
         return HeadLinearization(self.spec, params, self.X, Xdot,
                                  float(np.sum(R * R) / B), grad, self, R)
 
 
 class HeadLinearization(NamedTuple):
-    """One point of a head-space descent: `loss_hvp` takes it in place of
-    a `Linearization`, for directions in the last layer.  `grad` covers
-    the last layer's [W; b] block only."""
+    """One point of a head-space descent: `loss_hvp` takes a list of them
+    in place of a `Linearization`, for directions in the last layer.
+    `grad` covers the last layer's [W; b] block only."""
     spec: NetworkSpec
     params: np.ndarray
     X: np.ndarray
@@ -473,8 +473,7 @@ def _head_tangent(lins, vecs):
     """Sum over k of H(params_k) @ vecs[k] for head-space linearizations
     on one `HeadFeatures` and last-layer directions vecs, (S, n): the head
     block directly, the body by one reverse pass through the construction
-    of phi, whose adjoint is linear in each step's terms.  A field head
-    takes S = 1."""
+    of phi, whose adjoint is linear in each step's terms."""
     f = lins[0].features
     if f.S is None:
         raise ValueError("features built with keep_state=False take no "
@@ -488,14 +487,15 @@ def _head_tangent(lins, vecs):
     H = unpack_blocks(f.spec, hvp)
     B, d = f.X.shape
     if _loss(f.spec) == "naive":
-        if len(lins) > 1:
-            raise ValueError("a field head takes one linearization")
-        P = blocks[-1]
-        U = vecs[0, nb:].reshape(P.shape)
-        dbarz = (2.0 / B) * (f.phi @ U)
+        # adjoint of a_{L-1}: (2/B) sum_k ((phi U_k) W_k^T + R_k U_k^T)
+        dbarz = bara = barT = None
+        for lin, vec in zip(lins, vecs):
+            P = lin.params[nb:].reshape(-1, f.spec.output_dim)
+            U = vec[nb:].reshape(P.shape)
+            dz = (2.0 / B) * (f.phi @ U)
+            dbarz = _sum(dbarz, dz)
+            bara = _sum(bara, dz @ P[:-1].T + ((2.0 / B) * lin.R) @ U[:-1].T)
         np.matmul(f.phi.T, dbarz, out=H[-1])
-        bara = dbarz @ P[:-1].T + ((2.0 / B) * lins[0].R) @ U[:-1].T
-        barT = None
     else:  # the b_L entries of H @ vec stay exactly 0
         phi = f.phi.reshape(d * B, -1)
         u = vecs[:, nb:-1]  # the w_L rows of the directions, (S, h)
@@ -592,25 +592,27 @@ def loss_grad(spec: NetworkSpec, params, X, Xdot):
 
 @_quiet
 def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec,
-             lin: Linearization | HeadLinearization | list):
+             lin: Linearization | list):
     """(loss, grad, H @ vec) where H is the loss Hessian in params.
 
     The linearization `lin` is required: the one `loss_grad` returns for
     the same spec and params, X and Xdot arrays, so that only the tangent
     pass runs.  A linearization made for another spec or at other arrays
-    is a ValueError.  `lin` may also be a `HeadLinearization`; then vec
-    must lie in the last layer, grad covers the last layer only, and
-    H @ vec is exact in every parameter.
+    is a ValueError.
 
-    `lin` may also be one inner loop's list of S head-space
+    `lin` may instead be one inner loop's list of S head-space
     linearizations, all on one `HeadFeatures`, with params the list of
     the S parameter vectors they were made at and vec an (S, n) stack of
     last-layer directions.  Then loss and grad are lists over the S
-    linearizations, and the product is the sum over k of
-    H(params[k]) @ vec[k], whose body block takes one reverse pass.  A
-    list of one gives the bits of the single call.
+    linearizations (grad covers the last layer only), and the product is
+    the sum over k of H(params[k]) @ vec[k], exact in every parameter,
+    whose body block takes one reverse pass.  A single step is a list of
+    one.
     """
     trace = isinstance(lin, list)
+    if not (trace or isinstance(lin, Linearization)):
+        raise ValueError("head-space linearizations are passed as a list, "
+                         "with params a list and vec an (S, n) stack")
     lins, ps = (lin, params) if trace else ([lin], [params])
     vecs = np.asarray(vec, np.float64)
     vecs = vecs if trace else vecs[None]
@@ -630,9 +632,7 @@ def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec,
                           and lk.features is features):
             raise ValueError(f"linearization {k} is not a head-space one on "
                              "the features of linearization 0")
-    if isinstance(lin, Linearization):
+    if not trace:
         return lin.loss, lin.grad, _TANGENT[_loss(spec)](lin, vecs[0])
-    hvp = _head_tangent(lins, vecs)
-    if trace:
-        return [lk.loss for lk in lins], [lk.grad for lk in lins], hvp
-    return lin.loss, lin.grad, hvp
+    return ([lk.loss for lk in lins], [lk.grad for lk in lins],
+            _head_tangent(lins, vecs))

@@ -15,11 +15,10 @@ scalar autodiff tape.
 A head-only learner (update set "last": hanil, naive_anil) has a field
 linear in its last layer, so its inner loss is exactly quadratic there.
 For it `adaptation_objective` builds a batch's head features once, and the
-inner loop steps in head space.  For naive_anil the reverse sweep is the
-same loop, with each `loss_hvp` running on a head-space linearization.
-For hanil the head block of every H_tr(theta_k) is G = (2/B) phi^T phi,
-so the masked directions u_k = mask * v_{k+1} follow u_{k-1} = u_k -
-alpha * G @ u_k in head space, and
+inner loop steps in head space.  The head block of every H_tr(theta_k) is
+then G = (2/B) phi^T phi, so the masked directions u_k = mask * v_{k+1}
+follow u_{k-1} = u_k - alpha * G @ u_k in head space (G multiplies each
+column of the last layer's [W; b] block), and
 
     grad = v_S - alpha * sum_k H_tr(theta_k) @ u_k
 
@@ -157,14 +156,14 @@ def _task_meta_grad_fast(spec, theta, task, cfg: InnerConfig, second_order):
     loss, v, _ = fastops.loss_grad(spec, theta_s, task.test_x, task.test_xdot)
     if not (second_order and trace):
         return loss, v
-    if head_only(cfg.update_set) and spec.output_dim == 1:
-        # hanil: directions in head space, one summed pass (see above)
+    if head_only(cfg.update_set):
+        # directions in head space, one summed pass (see above)
         G = trace[0][1].features.gram()
         head = layer_slice(spec, spec.n_layers - 1)
         dirs = np.zeros((len(trace), theta.size))
-        u = v[head]
+        u = v[head].reshape(G.shape[0], -1)
         for k in reversed(range(len(trace))):
-            dirs[k, head] = u
+            dirs[k, head] = u.ravel()
             u = u - cfg.lr * (G @ u)
         thetas, lins = (list(t) for t in zip(*trace))
         _, _, hv = fastops.loss_hvp(spec, thetas, task.train_x,
