@@ -17,10 +17,10 @@ them against a scalar autodiff tape and against finite differences:
 - ``loss_hvp``: the tangent pass, Pearlmutter's R-op (Pearlmutter 1994,
   "Fast exact multiplication by the Hessian") applied to a linearization:
   the tangent of every statement of the primal+adjoint pass, whose
-  gradient tangent is exactly H @ vec.  A term fed only by an
-  exactly-zero block of ``vec`` is skipped (its value would be an exact
-  zero), so a direction confined to the output layer runs no forward
-  tangent below it.
+  gradient tangent is exactly H @ vec, the one array it returns.  A term
+  fed only by an exactly-zero block of ``vec`` is skipped (its value
+  would be an exact zero), so a direction confined to the output layer
+  runs no forward tangent below it.
 - ``head_features``: the head-space path of learners that adapt only the
   last layer.  The field is linear in that layer, F = phi . head, so the
   features phi of a batch are built once (for the Hamiltonian loss, 2n
@@ -28,11 +28,11 @@ them against a scalar autodiff tape and against finite differences:
   `HeadFeatures.linearize` gives the loss, the last-layer gradient and the
   residual at any head for the cost of a matrix-vector product.
   ``loss_hvp`` on one inner loop's list of S such `HeadLinearization`s
-  returns the exact sum_k H(theta_k) @ vec_k for last-layer directions:
-  the head block from phi, the body by one reverse pass through the
-  construction of phi, which is linear in the steps' summed adjoints of
-  phi.  `HeadFeatures.gram` is the head block of H, the same at every
-  head.
+  returns the exact sum_k H(theta_k) @ vec_k for directions vec_k in the
+  last layer's [W; b] block: the head block from phi, the body by one
+  reverse pass through the construction of phi, which is linear in the
+  steps' summed adjoints of phi.  `HeadFeatures.gram` is the head block
+  of H, the same at every head.
 
 Each public wrapper runs its kernel with numpy's floating-point warnings
 silenced; callers detect a non-finite result and raise
@@ -457,8 +457,8 @@ class HeadFeatures(NamedTuple):
 
 class HeadLinearization(NamedTuple):
     """One point of a head-space descent: `loss_hvp` takes a list of them
-    in place of a `Linearization`, for directions in the last layer.
-    `grad` covers the last layer's [W; b] block only."""
+    in place of a `Linearization`.  `grad`, and so each direction, covers
+    the last layer's [W; b] block only."""
     spec: NetworkSpec
     params: np.ndarray
     X: np.ndarray
@@ -471,19 +471,17 @@ class HeadLinearization(NamedTuple):
 
 def _head_tangent(lins, vecs):
     """Sum over k of H(params_k) @ vecs[k] for head-space linearizations
-    on one `HeadFeatures` and last-layer directions vecs, (S, n): the head
-    block directly, the body by one reverse pass through the construction
-    of phi, whose adjoint is linear in each step's terms."""
+    on one `HeadFeatures` and directions vecs, (S, m), in the last layer's
+    [W; b] block: the head block directly, the body by one reverse pass
+    through the construction of phi, whose adjoint is linear in each
+    step's terms."""
     f = lins[0].features
     if f.S is None:
         raise ValueError("features built with keep_state=False take no "
                          "tangent pass")
     nb = f.body.size
-    if np.any(np.abs(vecs[:, :nb]) > 0):  # NaN passes on to the caller's guard
-        raise ValueError("a head-space linearization takes directions in "
-                         "the last layer only")
     blocks = unpack_blocks(f.spec, lins[0].params)  # the body is shared
-    hvp = np.zeros(vecs.shape[1])
+    hvp = np.zeros(param_count(f.spec))
     H = unpack_blocks(f.spec, hvp)
     B, d = f.X.shape
     if _loss(f.spec) == "naive":
@@ -491,14 +489,14 @@ def _head_tangent(lins, vecs):
         dbarz = bara = barT = None
         for lin, vec in zip(lins, vecs):
             P = lin.params[nb:].reshape(-1, f.spec.output_dim)
-            U = vec[nb:].reshape(P.shape)
+            U = vec.reshape(P.shape)
             dz = (2.0 / B) * (f.phi @ U)
             dbarz = _sum(dbarz, dz)
             bara = _sum(bara, dz @ P[:-1].T + ((2.0 / B) * lin.R) @ U[:-1].T)
         np.matmul(f.phi.T, dbarz, out=H[-1])
     else:  # the b_L entries of H @ vec stay exactly 0
         phi = f.phi.reshape(d * B, -1)
-        u = vecs[:, nb:-1]  # the w_L rows of the directions, (S, h)
+        u = vecs[:, :-1]  # the w_L rows of the directions, (S, h)
         w = np.array([lin.params[nb:-1] for lin in lins])
         Fu = u @ phi.T
         np.matmul((2.0 / B) * Fu.sum(axis=0), phi, out=H[-1][:-1, 0])
@@ -592,47 +590,44 @@ def loss_grad(spec: NetworkSpec, params, X, Xdot):
 
 @_quiet
 def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec,
-             lin: Linearization | list):
-    """(loss, grad, H @ vec) where H is the loss Hessian in params.
+             lin: Linearization | list) -> np.ndarray:
+    """H @ vec, where H is the loss Hessian in params.
 
-    The linearization `lin` is required: the one `loss_grad` returns for
-    the same spec and params, X and Xdot arrays, so that only the tangent
-    pass runs.  A linearization made for another spec or at other arrays
-    is a ValueError.
+    `lin` is the linearization `loss_grad` returned, and params, X and
+    Xdot are its own arrays (lin.params, lin.X, lin.Xdot), so that only
+    the tangent pass runs.  A linearization made for another spec or at
+    other arrays is a ValueError.
 
     `lin` may instead be one inner loop's list of S head-space
-    linearizations, all on one `HeadFeatures`, with params the list of
-    the S parameter vectors they were made at and vec an (S, n) stack of
-    last-layer directions.  Then loss and grad are lists over the S
-    linearizations (grad covers the last layer only), and the product is
-    the sum over k of H(params[k]) @ vec[k], exact in every parameter,
-    whose body block takes one reverse pass.  A single step is a list of
-    one.
+    linearizations on one `HeadFeatures`, with params their S params and
+    X, Xdot those of lins[0].  The product is then the sum over k of
+    H(params[k]) @ vec[k], exact in every parameter, whose body block
+    takes one reverse pass.  In both forms vec holds one direction per
+    linearization, as long as its gradient: for a list, an (S, m) stack
+    of last-layer [W; b] blocks.
     """
     trace = isinstance(lin, list)
     if not (trace or isinstance(lin, Linearization)):
         raise ValueError("head-space linearizations are passed as a list, "
-                         "with params a list and vec an (S, n) stack")
+                         "with params a list and vec an (S, m) stack")
     lins, ps = (lin, params) if trace else ([lin], [params])
-    vecs = np.asarray(vec, np.float64)
-    vecs = vecs if trace else vecs[None]
-    if (not lins or len(ps) != len(lins)
-            or vecs.shape != (len(lins), param_count(spec))):
-        raise ValueError("direction length does not match spec, or not one "
-                         "params and direction per linearization")
     X = np.atleast_2d(np.asarray(X, np.float64))
     Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
-    features = getattr(lins[0], "features", None)
     for k, (lk, pk) in enumerate(zip(lins, ps)):
         if not (lk.spec == spec and lk.params is np.asarray(pk, np.float64)
                 and lk.X is X and lk.Xdot is Xdot):
             raise ValueError(f"linearization {k} was made at other arrays "
                              "or spec")
         if trace and not (isinstance(lk, HeadLinearization)
-                          and lk.features is features):
+                          and lk.features is lins[0].features):
             raise ValueError(f"linearization {k} is not a head-space one on "
                              "the features of linearization 0")
+    vecs = np.asarray(vec, np.float64)
+    vecs = vecs if trace else vecs[None]
+    if (not lins or len(ps) != len(lins)
+            or vecs.shape != (len(lins), lins[0].grad.size)):
+        raise ValueError("not one params and direction per linearization, "
+                         "or a direction not the length of its gradient")
     if not trace:
-        return lin.loss, lin.grad, _TANGENT[_loss(spec)](lin, vecs[0])
-    return ([lk.loss for lk in lins], [lk.grad for lk in lins],
-            _head_tangent(lins, vecs))
+        return _TANGENT[_loss(spec)](lin, vecs[0])
+    return _head_tangent(lins, vecs)

@@ -1,8 +1,8 @@
 """Bi-level meta-learning: inner adaptation, outer Adam loop, training.
 
 The inner loop runs through the vectorized kernels of `fastops`, and the
-meta-gradient is recovered by reverse accumulation over the stored inner
-trajectory:
+meta-gradient is recovered by reverse accumulation over the inner loop's
+linearizations, each of which holds its theta_k:
 
     v = grad L_te(theta_S)
     for k = S-1 .. 0:   v <- v - alpha * H_tr(theta_k) @ (mask * v)
@@ -18,7 +18,7 @@ For it `adaptation_objective` builds a batch's head features once, and the
 inner loop steps in head space.  The head block of every H_tr(theta_k) is
 then G = (2/B) phi^T phi, so the masked directions u_k = mask * v_{k+1}
 follow u_{k-1} = u_k - alpha * G @ u_k in head space (G multiplies each
-column of the last layer's [W; b] block), and
+column of the last layer's [W; b] block, and u_k stays that block), and
 
     grad = v_S - alpha * sum_k H_tr(theta_k) @ u_k
 
@@ -113,6 +113,7 @@ def adaptation_objective(spec: NetworkSpec, theta0, X, Xdot, update_set: str):
     at theta0's body."""
     if head_only(update_set):
         features = fastops.head_features(spec, theta0, X)
+        Xdot = np.asarray(Xdot, np.float64)  # one array for every step's lin
 
         def fn(theta):
             lin = features.linearize(theta, Xdot)
@@ -130,50 +131,47 @@ def adaptation_objective(spec: NetworkSpec, theta0, X, Xdot, update_set: str):
 
 def inner_adapt(spec: NetworkSpec, theta, X, Xdot, cfg: InnerConfig):
     """cfg.steps steps of masked full-batch gradient descent; returns
-    (theta_S, [(theta_k, linearization at theta_k) for k = 0 .. S-1])."""
+    (theta_S, lins), lins[k] the linearization at lins[k].params = theta_k."""
     theta = np.array(theta, np.float64)
-    trace = []
+    lins = []
     if not cfg.steps:
-        return theta, trace
+        return theta, lins
     sel, fn = adaptation_objective(spec, theta, X, Xdot, cfg.update_set)
     for k in range(cfg.steps):
         loss, grad, lin = fn(theta)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite training loss at inner step {k}")
-        trace.append((theta, lin))
+        lins.append(lin)
         theta = theta.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             theta[sel] -= cfg.lr * grad  # the next guard reports an overflow
-    return theta, trace
+    return theta, lins
 
 
 # -- outer loop -----------------------------------------------------------------
 
 
 def _task_meta_grad_fast(spec, theta, task, cfg: InnerConfig, second_order):
-    theta_s, trace = inner_adapt(spec, theta, task.train_x, task.train_xdot,
-                                 cfg)
+    theta_s, lins = inner_adapt(spec, theta, task.train_x, task.train_xdot,
+                                cfg)
     loss, v, _ = fastops.loss_grad(spec, theta_s, task.test_x, task.test_xdot)
-    if not (second_order and trace):
+    if not (second_order and lins):
         return loss, v
     if head_only(cfg.update_set):
         # directions in head space, one summed pass (see above)
-        G = trace[0][1].features.gram()
-        head = layer_slice(spec, spec.n_layers - 1)
-        dirs = np.zeros((len(trace), theta.size))
-        u = v[head].reshape(G.shape[0], -1)
-        for k in reversed(range(len(trace))):
-            dirs[k, head] = u.ravel()
+        G = lins[0].features.gram()
+        u = v[layer_slice(spec, spec.n_layers - 1)].reshape(G.shape[0], -1)
+        dirs = np.empty((len(lins), u.size))
+        for k in reversed(range(len(lins))):
+            dirs[k] = u.ravel()
             u = u - cfg.lr * (G @ u)
-        thetas, lins = (list(t) for t in zip(*trace))
-        _, _, hv = fastops.loss_hvp(spec, thetas, task.train_x,
-                                    task.train_xdot, dirs, lins)
+        hv = fastops.loss_hvp(spec, [lin.params for lin in lins], lins[0].X,
+                              lins[0].Xdot, dirs, lins)
         return loss, v - cfg.lr * hv
     maskf = update_mask(spec, cfg.update_set).astype(np.float64)
-    for theta_k, lin in reversed(trace):
-        _, _, hv = fastops.loss_hvp(spec, theta_k, task.train_x,
-                                    task.train_xdot, maskf * v, lin)
-        v = v - cfg.lr * hv
+    for lin in reversed(lins):
+        v = v - cfg.lr * fastops.loss_hvp(spec, lin.params, lin.X, lin.Xdot,
+                                          maskf * v, lin)
     return loss, v
 
 
@@ -271,6 +269,7 @@ def build_learner(kind: str, state_dim: int = 2, hidden=(64, 64, 64),
         raise ValueError(f"unknown learner kind {kind!r}")
     head, update_set, training = LEARNERS[kind]
     spec = (hnn_spec if head == "hnn" else naive_spec)(state_dim, hidden)
+    update_mask(spec, update_set)  # refuses a net too shallow for the set
     cfg = replace(inner or InnerConfig(), update_set=update_set)
     return LearnerDef(kind, spec, cfg, training)
 

@@ -812,6 +812,24 @@ def test_bad_counts_leave_the_run_directory_untouched(tmp_path, argv, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_hanil_inv_without_a_hidden_layer_leaves_the_run_whole(tmp_path,
+                                                              capsys):
+    # all_but_first adapts from layer 2, which a net with no hidden layer
+    # lacks: the learner is refused before curve.csv or config.txt is opened
+    out = tmp_path / "run"
+    argv = ["metatrain", "--dataset", "ds", "--learner", "hanil_inv",
+            "--out", str(out), *TRAIN_FLAGS]
+    assert main(argv) == 0
+    digests = lambda: [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                       for name in ("curve.csv", "config.txt")]
+    before = digests()
+    capsys.readouterr()
+    assert main([*argv, "--hidden", ""]) == 2
+    assert capsys.readouterr().err == \
+        "error: all_but_first needs at least two layers\n"
+    assert digests() == before
+
+
 def test_resume_on_another_dataset_is_refused(tmp_path, capsys):
     for seed in ("1", "2"):
         assert main(["gen", "--system", "spring_mass", "--tasks", "20",

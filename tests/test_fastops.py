@@ -86,10 +86,8 @@ def test_hvp_matches_fd_of_grad(lane, kind):
     X = rng.uniform(-1.5, 1.5, (6, d0))
     Xd = rng.uniform(-1.5, 1.5, (6, d0))
     v = rng.normal(0, 1, params.size)
-    loss2, grad2, lin = F.loss_grad(spec, params, X, Xd)
-    loss, grad, hvp = F.loss_hvp(spec, params, X, Xd, v, lin)
-    assert loss == pytest.approx(loss2, rel=1e-13)
-    np.testing.assert_allclose(grad, grad2, rtol=1e-12, atol=1e-15)
+    lin = F.loss_grad(spec, params, X, Xd)[2]
+    hvp = F.loss_hvp(spec, params, X, Xd, v, lin)
     h = 1e-6
     _, gp, _ = F.loss_grad(spec, params + h * v, X, Xd)
     _, gm, _ = F.loss_grad(spec, params - h * v, X, Xd)
@@ -115,23 +113,20 @@ def test_hvp_from_linearization_on_update_set_directions(kind, update_set,
     X = rng.uniform(-1.5, 1.5, (6, d0))
     Xd = rng.uniform(-1.5, 1.5, (6, d0))
     v = N.update_mask(spec, update_set) * rng.normal(0, 1, params.size)
-    loss, grad, lin = F.loss_grad(spec, params, X, Xd)
+    lin = F.loss_grad(spec, params, X, Xd)[2]
     cached = F.loss_hvp(spec, params, X, Xd, v, lin)
     fresh = F.loss_hvp(spec, params, X, Xd, v,
                        F.loss_grad(spec, params, X, Xd)[2])
-    assert cached[0] == fresh[0] == loss
-    np.testing.assert_array_equal(cached[1], grad)
-    np.testing.assert_array_equal(fresh[1], grad)
-    np.testing.assert_array_equal(cached[2], fresh[2])
+    np.testing.assert_array_equal(cached, fresh)
     # skipping the terms fed only by zero blocks of v changes no bit
     monkeypatch.setattr(F, "_tangent_blocks", _keep_zero_blocks)
-    np.testing.assert_array_equal(F.loss_hvp(spec, params, X, Xd, v, lin)[2],
-                                  cached[2])
+    np.testing.assert_array_equal(F.loss_hvp(spec, params, X, Xd, v, lin),
+                                  cached)
     h = 1e-6
     _, gp, _ = F.loss_grad(spec, params + h * v, X, Xd)
     _, gm, _ = F.loss_grad(spec, params - h * v, X, Xd)
     fd = (gp - gm) / (2 * h)
-    rel = np.abs(cached[2] - fd) / np.maximum(1.0, np.abs(fd))
+    rel = np.abs(cached - fd) / np.maximum(1.0, np.abs(fd))
     assert rel.max() < 1e-7
 
 
@@ -166,8 +161,8 @@ def test_hessian_symmetry_through_hvp(kind):
     u = rng.normal(0, 1, params.size)
     w = rng.normal(0, 1, params.size)
     lin = F.loss_grad(spec, params, X, Xd)[2]
-    _, _, Hu = F.loss_hvp(spec, params, X, Xd, u, lin)
-    _, _, Hw = F.loss_hvp(spec, params, X, Xd, w, lin)
+    Hu = F.loss_hvp(spec, params, X, Xd, u, lin)
+    Hw = F.loss_hvp(spec, params, X, Xd, w, lin)
     assert np.dot(w, Hu) == pytest.approx(np.dot(u, Hw), rel=1e-10)
 
 
@@ -181,7 +176,7 @@ def test_hnn_last_bias_gradient_is_exactly_zero(lane):
     _, grad, lin = F.loss_grad(spec, params, X, Xd)
     assert grad[-1] == 0.0
     v = rng.normal(0, 1, params.size)
-    _, _, hvp = F.loss_hvp(spec, params, X, Xd, v, lin)
+    hvp = F.loss_hvp(spec, params, X, Xd, v, lin)
     assert hvp[-1] == 0.0
     shifted = params.copy()
     shifted[-1] += 5.0
@@ -211,8 +206,8 @@ def test_backends_agree():
         spec = N.NetworkSpec(d0, (8, 6), 1 if kind == "hnn" else d0)
         params = rand_net(13, spec)
         v = rng.normal(0, 1, params.size)
-        _, _, hvp = F.loss_hvp(spec, params, X, Xd, v,
-                               F.loss_grad(spec, params, X, Xd)[2])
+        hvp = F.loss_hvp(spec, params, X, Xd, v,
+                         F.loss_grad(spec, params, X, Xd)[2])
         np.testing.assert_allclose(
             hvp, tape_loss_hvp(spec, params, X, Xd, v, kind),
             rtol=1e-12, atol=1e-14)
@@ -276,22 +271,22 @@ def test_head_features_agree_with_the_generic_kernels(kind, state_dim, hidden):
     params[head] += rng.normal(0, 0.3, v[head].size)
     lin = feats.linearize(params, Xd)
     loss, grad, glin = F.loss_grad(spec, params, X, Xd)
-    _, _, want = F.loss_hvp(spec, params, X, Xd, v, glin)
-    got = F.loss_hvp(spec, [params], X, Xd, v[None], [lin])
+    want = F.loss_hvp(spec, params, X, Xd, v, glin)
+    got = F.loss_hvp(spec, [lin.params], lin.X, lin.Xdot, v[head][None],
+                     [lin])
     field = F.predicted_field(spec, params, X)
     if kind == "naive":  # the same operations as the generic kernels
         assert lin.loss == loss
         np.testing.assert_array_equal(lin.grad, grad[head])
-        np.testing.assert_array_equal(got[2], want)
+        np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(feats.field(params), field)
     else:
         assert abs(lin.loss - loss) <= 1e-14 * loss
         assert np.abs(lin.grad - grad[head]).max() <= 1e-14 * np.abs(grad).max()
-        assert np.abs(got[2] - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert np.abs(feats.field(params) - field).max() <= \
             1e-14 * np.abs(field).max()
-        assert lin.grad[-1] == 0.0 and got[2][-1] == 0.0
-    assert got[0] == [lin.loss] and got[1][0] is lin.grad
+        assert lin.grad[-1] == 0.0 and got[-1] == 0.0
     grid = F.head_features(spec, params, X, keep_state=False)
     np.testing.assert_array_equal(grid.phi, feats.phi)
 
@@ -330,23 +325,22 @@ def test_head_features_refuse_another_body_or_batch():
     grid = F.head_features(spec, params, X, keep_state=False)
     lin = grid.linearize(params, Xd)
     with pytest.raises(ValueError, match="keep_state"):
-        F.loss_hvp(spec, [params], X, Xd, np.zeros((1, params.size)), [lin])
+        F.loss_hvp(spec, [params], X, Xd, np.zeros((1, lin.grad.size)),
+                   [lin])
 
 
 def _head_trace(spec, params, X, Xd, steps, rng):
     """Linearizations of `steps` heads on one `HeadFeatures` of X, with
-    their params and a stack of last-layer directions."""
+    their params and a stack of directions in the last layer's block."""
     feats = F.head_features(spec, params, X)
     head = N.layer_slice(spec, spec.n_layers - 1)
     ps, lins = [], []
-    vecs = np.zeros((steps, params.size))
     for k in range(steps):
         p = params.copy()
         p[head] += rng.normal(0, 0.3, p[head].size)
         ps.append(p)
         lins.append(feats.linearize(p, Xd))
-        vecs[k, head] = rng.normal(0, 1, p[head].size)
-    return ps, lins, vecs
+    return ps, lins, rng.normal(0, 1, (steps, head.stop - head.start))
 
 
 @pytest.mark.parametrize("kind,state_dim,hidden", [
@@ -360,10 +354,8 @@ def test_loss_hvp_sums_a_head_space_trace(kind, state_dim, hidden):
     X = rng.uniform(-1.5, 1.5, (50, state_dim))
     Xd = rng.uniform(-1.5, 1.5, (50, state_dim))
     ps, lins, vecs = _head_trace(spec, params, X, Xd, 3, rng)
-    losses, grads, got = F.loss_hvp(spec, ps, X, Xd, vecs, lins)
-    assert losses == [lin.loss for lin in lins]
-    assert all(g is lin.grad for g, lin in zip(grads, lins))
-    singles = [F.loss_hvp(spec, [p], X, Xd, v[None], [lin])[2]
+    got = F.loss_hvp(spec, ps, X, Xd, vecs, lins)
+    singles = [F.loss_hvp(spec, [p], X, Xd, v[None], [lin])
                for p, v, lin in zip(ps, vecs, lins)]
     want = np.sum(singles, axis=0)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -373,7 +365,7 @@ def test_loss_hvp_sums_a_head_space_trace(kind, state_dim, hidden):
     head = N.layer_slice(spec, spec.n_layers - 1)
     G = lins[0].features.gram()
     for v, single in zip(vecs, singles):
-        hb = G @ v[head].reshape(G.shape[0], -1)
+        hb = G @ v.reshape(G.shape[0], -1)
         assert np.abs(hb.ravel() - single[head]).max() <= \
             1e-13 * np.abs(single[head]).max()
 
@@ -397,10 +389,15 @@ def test_loss_hvp_refuses_a_trace_off_one_set_of_head_features():
             F.loss_hvp(spec, [ps[0], p], X, Xd, vecs, [lins[0], lin])
     with pytest.raises(ValueError, match="linearization 0"):
         F.loss_hvp(spec, [params, ps[1]], X, Xd, vecs, [generic, lins[1]])
-    body = vecs.copy()
-    body[1, 0] = 1.0
-    with pytest.raises(ValueError, match="last layer"):
-        F.loss_hvp(spec, ps, X, Xd, body, lins)
+    with pytest.raises(ValueError, match="linearization 0"):
+        F.loss_hvp(spec, [ps[0].copy(), ps[1]], X, Xd, vecs, lins)
+    # a direction has the length of its linearization's gradient: a
+    # full-length stack, body entries and all, is refused
+    head = N.layer_slice(spec, spec.n_layers - 1)
+    full = np.zeros((len(lins), params.size))
+    full[:, head] = vecs
+    with pytest.raises(ValueError, match="length"):
+        F.loss_hvp(spec, ps, X, Xd, full, lins)
     for bad_ps, bad_vecs in [(ps[:1], vecs), (ps, vecs[:1]), (ps, vecs[0]),
                              ([], vecs[:0])]:
         with pytest.raises(ValueError):

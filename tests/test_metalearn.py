@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -571,18 +572,17 @@ def _generic_meta_grad(spec, theta, task, cfg):
     """The second-order meta-gradient by masked descent on `loss_grad` and
     a reverse sweep of `loss_hvp` on its linearizations."""
     mask = update_mask(spec, cfg.update_set)
-    th, trace = np.array(theta), []
+    th, lins = np.array(theta), []
     for _ in range(cfg.steps):
         _, grad, lin = fastops.loss_grad(spec, th, task.train_x,
                                          task.train_xdot)
-        trace.append((th, lin))
+        lins.append(lin)
         th = th.copy()
         th[mask] -= cfg.lr * grad[mask]
     loss, v, _ = fastops.loss_grad(spec, th, task.test_x, task.test_xdot)
-    for th_k, lin in reversed(trace):
-        _, _, hv = fastops.loss_hvp(spec, th_k, task.train_x, task.train_xdot,
-                                    mask * v, lin)
-        v = v - cfg.lr * hv
+    for lin in reversed(lins):
+        v = v - cfg.lr * fastops.loss_hvp(spec, lin.params, lin.X, lin.Xdot,
+                                          mask * v, lin)
     return loss, v, th
 
 
@@ -592,10 +592,10 @@ def test_head_space_meta_gradient_matches_generic_path_at_desk_size(kind):
     spec, inner = learner.spec, learner.inner
     theta = init_params(spec, 0)
     for task in make_meta_train("spring_mass", 2, 50, 0):
-        th_s, trace = M.inner_adapt(spec, theta, task.train_x,
-                                    task.train_xdot, inner)
+        th_s, lins = M.inner_adapt(spec, theta, task.train_x,
+                                   task.train_xdot, inner)
         assert all(isinstance(lin, fastops.HeadLinearization)
-                   for _, lin in trace)
+                   for lin in lins)
         loss, g = M._task_meta_grad_fast(spec, theta, task, inner, True)
         want_loss, want, want_s = _generic_meta_grad(spec, theta, task, inner)
         scale = np.abs(want).max()
@@ -607,14 +607,13 @@ def test_head_space_meta_gradient_matches_generic_path_at_desk_size(kind):
 def _per_step_meta_grad(spec, theta, task, cfg):
     """The second-order meta-gradient by a reverse sweep of one `loss_hvp`
     per inner step on the head-space trace."""
-    theta_s, trace = M.inner_adapt(spec, theta, task.train_x,
-                                   task.train_xdot, cfg)
+    theta_s, lins = M.inner_adapt(spec, theta, task.train_x,
+                                  task.train_xdot, cfg)
     loss, v, _ = fastops.loss_grad(spec, theta_s, task.test_x, task.test_xdot)
-    mask = update_mask(spec, cfg.update_set)
-    for th_k, lin in reversed(trace):
-        _, _, hv = fastops.loss_hvp(spec, [th_k], task.train_x,
-                                    task.train_xdot, (mask * v)[None], [lin])
-        v = v - cfg.lr * hv
+    head = layer_slice(spec, spec.n_layers - 1)
+    for lin in reversed(lins):
+        v = v - cfg.lr * fastops.loss_hvp(spec, [lin.params], lin.X,
+                                          lin.Xdot, v[head][None], [lin])
     return loss, v
 
 
@@ -679,27 +678,57 @@ def test_head_space_keeps_the_hnn_output_bias_gradient_exactly_zero():
     spec, inner = learner.spec, learner.inner
     theta = init_params(spec, 5)
     task = make_meta_train("spring_mass", 1, 50, 5)[0]
-    _, trace = M.inner_adapt(spec, theta, task.train_x, task.train_xdot,
-                             inner)
-    for _, lin in trace:
+    _, lins = M.inner_adapt(spec, theta, task.train_x, task.train_xdot,
+                            inner)
+    for lin in lins:
         assert lin.grad[-1] == 0.0  # adaptation gradient of b_L
     _, g = M._task_meta_grad_fast(spec, theta, task, inner, True)
     assert g[-1] == 0.0  # meta-gradient of b_L
     assert g[:-1].any()
 
 
-def test_head_space_hvp_refuses_body_directions():
-    spec = NetworkSpec(2, (4,), 1)
-    theta = init_params(spec, 6)
-    task = spring_task(7, n_points=5)
-    cfg = M.InnerConfig(steps=1, update_set="last")
-    _, [(th, lin)] = M.inner_adapt(spec, theta, task.train_x,
-                                   task.train_xdot, cfg)
-    v = np.zeros(theta.size)
-    v[0] = 1.0
-    with pytest.raises(ValueError, match="last layer"):
-        fastops.loss_hvp(spec, [th], task.train_x, task.train_xdot, v[None],
-                         [lin])
-    with pytest.raises(ValueError, match="linearization"):
-        fastops.loss_hvp(spec, [th.copy()], task.train_x, task.train_xdot,
-                         v[None] * 0, [lin])
+# -- what callers of meta_step may pass, and what it calls ----------------------
+
+
+@pytest.mark.parametrize("kind", ["hanil", "naive_anil", "hamaml",
+                                  "naive_maml", "hanil_inv"])
+def test_meta_step_on_unpickled_inputs_is_bit_identical(kind):
+    # an unpickled float64 array carries a dtype object of its own, so
+    # np.asarray(x, np.float64) is a new view of it: the sweep must read
+    # the arrays its linearizations were made at, not the caller's
+    learner = M.build_learner(kind, 2, (8, 8))
+    spec, inner = learner.spec, learner.inner
+    theta = init_params(spec, 3)
+    tasks = list(make_meta_train("spring_mass", 3, 10, 3))
+    outer = M.OuterConfig(task_batch=3)
+    want = M.meta_step(spec, theta, tasks, inner, outer,
+                       M.adam_init(theta.size))
+    theta2, tasks2 = pickle.loads(pickle.dumps((theta, tasks)))
+    got = M.meta_step(spec, theta2, tasks2, inner, outer,
+                      M.adam_init(theta.size))
+    assert got[2] == want[2]
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+def test_hanil_meta_step_calls_each_traced_kernel_once_per_task_on_x(
+        monkeypatch):
+    # a traced benchmark run counts these calls and reads the batch size
+    # of each as len(args[2]), so X is the third positional argument
+    learner = M.build_learner("hanil", 2, (16, 16))
+    spec, inner = learner.spec, learner.inner
+    theta = init_params(spec, 4)
+    tasks = list(make_meta_train("spring_mass", 3, 50, 4))
+    calls = {"loss_hvp": [], "loss_grad": []}
+    for name, seen in calls.items():
+        def spy(*args, _real=getattr(fastops, name), _seen=seen, **kwargs):
+            _seen.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(fastops, name, spy)
+    M.meta_step(spec, theta, tasks, inner, M.OuterConfig(task_batch=3),
+                M.adam_init(theta.size))
+    split = {"loss_hvp": "train_x", "loss_grad": "test_x"}
+    for name, seen in calls.items():
+        assert len(seen) == len(tasks)
+        for args, task in zip(seen, tasks):
+            assert len(args[2]) == 50
+            np.testing.assert_array_equal(args[2], getattr(task, split[name]))
