@@ -25,7 +25,8 @@ import time
 from . import DOF, LEARNERS
 from .config import (COMMANDS, IGNORED, SETTINGS, TRAINING_KEYS,
                      format_value, load_checkpoint, read_config_file, resolve,
-                     save_checkpoint, version_string, write_provenance)
+                     save_checkpoint, start_version, version_string,
+                     write_provenance)
 
 
 class UsageError(Exception):
@@ -58,9 +59,18 @@ def _refuse(args, cfg, mode: str) -> None:
         delattr(cfg, key)
 
 
+class _Version(argparse.Action):
+    """--version, which reads the version only when it is given."""
+
+    def __call__(self, parser, *_):
+        print(version_string())
+        parser.exit()
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="hamlearn", description=__doc__)
-    p.add_argument("--version", action="version", version=version_string())
+    p.add_argument("--version", action=_Version, nargs=0,
+                   help="show program's version number and exit")
     sub = p.add_subparsers(dest="cmd")
     for name, func, about in (
             ("gen", cmd_gen, "generate a task dataset"),
@@ -345,9 +355,9 @@ def cmd_ablate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    start_version()  # git describe runs while the command loads and computes
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if getattr(args, "func", None) is None:
             raise UsageError("a subcommand is required "
                              "(gen, metatrain, eval, rollout, ablate)")
@@ -359,6 +369,8 @@ def main(argv=None) -> int:
             RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        version_string()  # reaps git on every way out, so none outlives us
 
 
 if __name__ == "__main__":

@@ -227,24 +227,38 @@ def write_provenance(command: str, settings: dict) -> None:
         fh.write(config_text(command, settings))
 
 
-_VERSION_CACHE = None
+_VERSION = None  # the running `git describe`, then the version string
+
+
+def start_version() -> None:
+    """Start `git describe` in the background, for version_string to
+    collect, so that it runs while the caller loads and computes."""
+    global _VERSION
+    if _VERSION is None:
+        try:
+            _VERSION = subprocess.Popen(
+                ["git", "describe", "--tags", "--always", "--dirty"],
+                cwd=os.path.dirname(os.path.abspath(__file__)),
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        except OSError:
+            _VERSION = f"v{__version__}"
 
 
 def version_string() -> str:
-    """git-describe when available, else the package version."""
-    global _VERSION_CACHE
-    if _VERSION_CACHE is None:
-        root = os.path.dirname(os.path.abspath(__file__))
+    """git-describe when available, else the package version.  Waits for
+    the `git describe` that start_version started, or starts one."""
+    global _VERSION
+    start_version()
+    if isinstance(_VERSION, subprocess.Popen):
+        git = _VERSION
         try:
-            out = subprocess.run(
-                ["git", "describe", "--tags", "--always", "--dirty"],
-                cwd=root, capture_output=True, text=True, timeout=10)
-            desc = out.stdout.strip()
-            _VERSION_CACHE = (f"v{__version__}+g{desc}" if out.returncode == 0
-                              and desc else f"v{__version__}")
-        except OSError:
-            _VERSION_CACHE = f"v{__version__}"
-    return _VERSION_CACHE
+            desc = git.communicate(timeout=10)[0].strip()
+        except subprocess.TimeoutExpired:  # a killed git describes nothing
+            git.kill()
+            desc = git.communicate()[0]
+        _VERSION = (f"v{__version__}+g{desc}" if git.returncode == 0
+                    and desc else f"v{__version__}")
+    return _VERSION
 
 
 # -- arrays beside a JSON document, and checkpoints ---------------------------

@@ -219,9 +219,12 @@ def ablation_tasks(kinds, task_counts, system: str, mode: str, K: int,
         raise ValueError("kinds must be distinct")
     suite = make_meta_test_suite(system, mode, K, seed, n_systems)
     state_dim = 2 * DOF[system]
+    # every learner first, so that a kind the architecture cannot take is
+    # refused before any training
+    learners = [build_learner(kind, state_dim, hidden, inner_cfg)
+                for kind in kinds]
     table = {}
-    for j, kind in enumerate(kinds):
-        learner = build_learner(kind, state_dim, hidden, inner_cfg)
+    for j, (kind, learner) in enumerate(zip(kinds, learners)):
         table[kind] = {}
         for i, count in enumerate(task_counts):
             sub_seed = int(seeding.split(seed, seeding.ABLATE, i, j)

@@ -13,6 +13,8 @@ autodiff of the same H built on a scalar tape.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,9 +126,38 @@ def true_field_many(params: PhysicalParams, X) -> np.ndarray:
 
 
 def field_fn(params: PhysicalParams):
-    """The analytic field as a flat-array callable (for `integrate`)."""
-    def f(x: np.ndarray) -> np.ndarray:
-        return true_field_many(params, x[None])[0]
+    """The analytic field as a callable on one flat state (for `integrate`).
+
+    It repeats `true_field_many`'s arithmetic operation for operation on the
+    state's Python floats, so each row is bit for bit the same, without the
+    batch checks and slicing that cost more than the arithmetic at one row.
+    The one exception is Kepler's r^3: numpy's power and libm's can differ
+    by an ULP, so it stays numpy's."""
+    v = params.values
+    if params.system == "spring_mass":
+        m, neg_k, q0 = v["m"], -v["k"], v["q0"]
+
+        def f(x: np.ndarray) -> np.ndarray:
+            q, p = x.tolist()
+            return np.array([p / m, neg_k * (q - q0)])
+    elif params.system == "pendulum":
+        ml2, q0 = v["m"] * v["l"] ** 2, v["q0"]
+        neg_mgl = -v["m"] * GRAV_ACC * v["l"]
+
+        def f(x: np.ndarray) -> np.ndarray:
+            q, p = x.tolist()
+            return np.array([p / ml2, neg_mgl * math.sin(q - q0)])
+    else:
+        m, q0x, q0y = v["m"], v["q0x"], v["q0y"]
+        neg_gmm = -GRAV_CONST * v["M"] * v["m"]
+
+        def f(x: np.ndarray) -> np.ndarray:
+            qx, qy, px, py = x.tolist()
+            dx, dy = qx - q0x, qy - q0y
+            r = math.sqrt(dx * dx + dy * dy)
+            r3 = np.power(r if r >= KEPLER_MIN_SEP_EVAL else math.nan, 3)
+            return np.array([px / m, py / m, neg_gmm * dx / r3,
+                             neg_gmm * dy / r3])
     return f
 
 
@@ -187,10 +218,14 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 5
+# stage s: its row of _A, cut to the s stages before it, and its node
+_STAGES = [(s, _A[s, :s], float(_C[s])) for s in range(1, len(_C))]
 
 
 def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size ** 0.5
+    # np.linalg.norm's own arithmetic for a vector, without its dispatch; a
+    # numpy float, so that a division by it cannot raise ZeroDivisionError
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, y0, f0, t_bound, rtol, atol):
@@ -219,9 +254,10 @@ def _dopri45(fun, y0, t_bound, t_eval, rtol, atol, out):
     f = fun(t, y)
     h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
     K = np.empty((len(_C) + 1, y.size))
+    t_list = t_eval.tolist()
     done = 0
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -232,10 +268,10 @@ def _dopri45(fun, y0, t_bound, t_eval, rtol, atol, out):
             if t_new - t_bound > 0:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
-            for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
-                dy = np.dot(K[:s].T, a[:s]) * h
+            for s, a, c in _STAGES:
+                dy = np.dot(K[:s].T, a) * h
                 K[s] = fun(t + c * h, y + dy)
             y_new = y + h * np.dot(K[:-1].T, _B)
             f_new = fun(t + h, y_new)
@@ -256,11 +292,11 @@ def _dopri45(fun, y0, t_bound, t_eval, rtol, atol, out):
             rejected = True
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
-        reached = np.searchsorted(t_eval, t, side="right")
+        reached = bisect.bisect_right(t_list, t)
         if reached > done:
             Q = K.T.dot(_P)
             x = (t_eval[done:reached] - t_old) / h
-            p = np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0)
+            p = np.cumprod(x[None].repeat(Q.shape[1], axis=0), axis=0)
             ys = h * np.dot(Q, p)
             ys += y_old[:, None]
             out.append(ys.T)
@@ -299,7 +335,7 @@ def integrate(field, x0, T_span: float, samples: int,
         d = np.asarray(field(y), np.float64)
         # a NaN derivative makes the step size NaN, and the step loop then
         # never ends
-        if not np.isfinite(d).all():
+        if not all(map(math.isfinite, d.tolist())):
             raise _NonFinite(t)
         return d
 

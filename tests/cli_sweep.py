@@ -175,17 +175,36 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _blas_core() -> str:
+    """The kernel set OpenBLAS picked for this CPU at load time (it is
+    built for several and chooses per machine, or by OPENBLAS_CORETYPE);
+    "unknown core" for a BLAS that does not say."""
+    import ctypes
+    import glob
+
+    import numpy as np
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "libscipy_openblas*.so")
+    for path in glob.glob(libs):
+        name = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_",
+                       None)
+        if name is not None:
+            name.argtypes, name.restype = (), ctypes.c_char_p
+            return name().decode()
+    return "unknown core"
+
+
 def fingerprint() -> str:
     """What the outputs' bytes depend on beyond the code: the Python minor
-    version, numpy and its BLAS, and the machine with the SIMD targets
-    numpy dispatches to on it."""
+    version, numpy and its BLAS with the kernels it runs here, and the
+    machine with the SIMD targets numpy dispatches to on it."""
     import numpy as np
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     simd = config["SIMD Extensions"]["found"]
     return (f"python {sys.version_info[0]}.{sys.version_info[1]}, numpy "
-            f"{np.__version__}, {blas['name']} {blas['version']}, "
-            f"{platform.machine()} {'+'.join(simd)}")
+            f"{np.__version__}, {blas['name']} {blas['version']} "
+            f"({_blas_core()}), {platform.machine()} {'+'.join(simd)}")
 
 
 def main(root: str) -> int:

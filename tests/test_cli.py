@@ -1193,6 +1193,36 @@ def test_module_invocation_works():
     assert proc.stdout.startswith("v0.")
 
 
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["gen", "--tasks", "3", "--points", "4", "--out", "ds"], 0,
+     "wrote 3 spring_mass tasks to ds\n", ""),
+    (["gen", "--tasks", "x"], 1, "",
+     "usage error: argument --tasks: invalid int value: 'x'\n"),
+    (["eval", "--checkpoint", "none.json", "--out", "ev"], 2, "",
+     "error: [Errno 2] No such file or directory: 'none.json'\n"),
+], ids=["ok", "usage-error", "missing-checkpoint"])
+def test_module_exit_flushes_stdio_and_outlives_no_child(tmp_path, argv,
+                                                          code, out, err):
+    # a slow git first on PATH: the command ends only after git has, and
+    # what it printed reaches the pipes although it skips the teardown
+    bin_dir, marker = tmp_path / "bin", tmp_path / "git-finished"
+    bin_dir.mkdir()
+    (bin_dir / "git").write_text(f"#!/bin/sh\nsleep 0.5\necho fake\n"
+                                 f"touch '{marker}'\n")
+    (bin_dir / "git").chmod(0o755)
+    env = _child_env()
+    env["PATH"] = f"{bin_dir}{os.pathsep}{env['PATH']}"
+    env.pop("PYTHONUNBUFFERED", None)  # stdout into a pipe is then buffered
+    proc = subprocess.run([sys.executable, "-m", "hamlearn", *argv, "--seed",
+                           "3"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert marker.exists()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    if code == 0:
+        assert (tmp_path / "ds" / "config.txt").read_text().startswith(
+            "# version = v0.1.0+gfake\n")
+
+
 def test_importing_the_cli_loads_no_scipy(tmp_path):
     # a meta-path finder sees every import that sys.modules cannot answer
     code = ("import json, sys\n"

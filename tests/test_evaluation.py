@@ -473,3 +473,18 @@ def test_ablation_refuses_a_repeated_kind():
                          inner_cfg=M.InnerConfig(steps=1),
                          outer_cfg=M.OuterConfig(episodes=1, task_batch=2),
                          n_points=6, n_systems=1, hidden=(4,), adapt_steps=1)
+
+
+def test_ablation_refuses_an_unbuildable_kind_before_any_training(
+        monkeypatch):
+    # hanil_inv needs two layers; hanil's cells come first in the table but
+    # must not be trained before the refusal
+    def train(*args, **kwargs):
+        raise AssertionError("trained before every learner was built")
+    monkeypatch.setattr(E, "train_learner", train)
+    with pytest.raises(ValueError, match="all_but_first"):
+        E.ablation_tasks(["hanil", "hanil_inv"], [2, 4], "spring_mass",
+                         "points", K=4, seed=17,
+                         inner_cfg=M.InnerConfig(steps=1),
+                         outer_cfg=M.OuterConfig(episodes=1, task_batch=2),
+                         n_points=6, n_systems=1, hidden=(), adapt_steps=1)

@@ -85,6 +85,28 @@ def test_field_matches_tape_route():
         assert rel.max() < 1e-12
 
 
+@pytest.mark.parametrize("system", P.SYSTEMS)
+def test_field_fn_is_true_field_many_row_for_row_bit_for_bit(system):
+    # field_fn repeats true_field_many's arithmetic on one state's floats
+    # (math.sin for np.sin, among others), so the two must agree exactly
+    rng = RNG(3)
+    for _ in range(5):
+        par, _ = random_system(rng, system)
+        X = rng.uniform(-50, 50, (400, 2 * par.n))
+        if system == "kepler":  # 100 states inside the guard
+            q0 = np.array([par.values["q0x"], par.values["q0y"]])
+            X[:100, :2] = q0 + rng.uniform(-0.07, 0.07, (100, 2))
+        want = P.true_field_many(par, X)
+        f = P.field_fn(par)
+        got = np.array([f(x) for x in X])
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        if system == "kepler":
+            assert nan[:100, 2:].all() and not nan[:, :2].any()
+            assert not nan[100:].any()
+
+
 def test_omega_properties():
     rng = RNG(2)
     for n in (1, 2, 5):
