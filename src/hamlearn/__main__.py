@@ -1,23 +1,21 @@
-"""`python -m hamlearn`: the command line as one process that pays for its
-arithmetic.
+"""The one process entry: `python -m hamlearn` and the `hamlearn` script.
 
-glibc returns freed memory at the top of the heap to the kernel once it
-exceeds a threshold, and serves blocks above another from fresh mappings,
-so a kernel that frees and reallocates the same temporaries every step
-page-faults them back in each time.  Fixed thresholds keep them.  Where
-libc has no `mallopt` this does nothing.
+Fixed glibc heap thresholds keep the temporaries that the kernels free and
+reallocate at every step, instead of handing them back to the kernel and
+page-faulting them in again.  Where libc has no `mallopt` this does nothing.
 
-When the command returns, every file it wrote is closed; stdout and stderr
+`git describe` starts before `cli` is imported and is waited for on every
+way out.  When the command returns, its files are closed; stdout and stderr
 are flushed and the process exits without the interpreter's teardown.  A
-flush error, a SystemExit (argparse's --help, --version) or a traceback
-takes the ordinary exit path.
+flush error, a SystemExit (--help, --version) or a traceback takes the
+ordinary exit path.
 """
 
 import ctypes
 import os
 import sys
 
-from .cli import main
+from .config import start_version, version_string
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's <malloc.h>
 
@@ -33,12 +31,21 @@ def _keep_freed_memory() -> None:
     mallopt(M_MMAP_THRESHOLD, 32 << 20)
 
 
-if __name__ == "__main__":
+def main() -> int:
     _keep_freed_memory()
-    code = main()
+    start_version()  # git runs while cli loads
+    try:
+        from . import cli
+        code = cli.main()
+    finally:
+        version_string()  # reaps git on every way out
     try:
         sys.stdout.flush()
         sys.stderr.flush()
     except Exception:  # the interpreter's teardown reports it, as before
-        raise SystemExit(code)
+        return code
     os._exit(code)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

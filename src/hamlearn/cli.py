@@ -25,8 +25,7 @@ import time
 from . import DOF, LEARNERS
 from .config import (COMMANDS, IGNORED, SETTINGS, TRAINING_KEYS,
                      format_value, load_checkpoint, read_config_file, resolve,
-                     save_checkpoint, start_version, version_string,
-                     write_provenance)
+                     save_checkpoint, version_string, write_provenance)
 
 
 class UsageError(Exception):
@@ -59,18 +58,9 @@ def _refuse(args, cfg, mode: str) -> None:
         delattr(cfg, key)
 
 
-class _Version(argparse.Action):
-    """--version, which reads the version only when it is given."""
-
-    def __call__(self, parser, *_):
-        print(version_string())
-        parser.exit()
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="hamlearn", description=__doc__)
-    p.add_argument("--version", action=_Version, nargs=0,
-                   help="show program's version number and exit")
+    p.add_argument("--version", action="version", version=version_string())
     sub = p.add_subparsers(dest="cmd")
     for name, func, about in (
             ("gen", cmd_gen, "generate a task dataset"),
@@ -355,7 +345,8 @@ def cmd_ablate(args) -> int:
 
 
 def main(argv=None) -> int:
-    start_version()  # git describe runs while the command loads and computes
+    """The exit code of the command line `argv`; the process entry, which
+    `python -m hamlearn` and the installed script share, is __main__.main."""
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "func", None) is None:
@@ -369,9 +360,3 @@ def main(argv=None) -> int:
             RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    finally:
-        version_string()  # reaps git on every way out, so none outlives us
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -55,14 +55,17 @@ def non_negative_int(text: str) -> int:
 
 
 def one_line(text: str) -> str:
-    """text: the reader of a path or other free text, refusing what a line
-    of config.txt, cut at `#` and stripped, cannot give back."""
+    """The reader of a path or other free text: refuses it empty, or what
+    a line of config.txt, cut at `#` and stripped, cannot give back."""
+    if not text:
+        raise ValueError("expected non-empty text")
     if any(c in text for c in "#\n\r") or text != text.strip():
         raise ValueError(f"config.txt cannot record {text!r}")
     return text
 
 
-one_line.__name__ = "text (no '#', line break or blank at either end)"
+one_line.__name__ = ("non-empty text (no '#', line break or blank at "
+                     "either end)")
 
 # key: (flag, reader, default[, help]).  A reader is a function of the text
 # or a tuple of the names allowed.  A bool's flag takes no value and sets

@@ -208,6 +208,8 @@ def make_meta_test(system: str, mode: str, K: int,
 def make_meta_test_suite(system: str, mode: str, K: int, seed: int,
                          n_systems: int = 10) -> list:
     """The held-out systems used by one evaluation, independently seeded."""
+    if n_systems < 1:
+        raise ValueError("no meta-test systems")
     return [make_meta_test(system, mode, K,
                            seeding.split(seed, seeding.TEST_SYSTEM, i))
             for i in range(n_systems)]

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tomllib
 import warnings
 from pathlib import Path
 
@@ -144,6 +145,14 @@ def test_usage_errors_exit_1(argv, capsys):
     (["ablate", "--step-range", "0:2\r", "--checkpoint",
       "run/checkpoint.json"], "--step-range"),
     (["gen", "--tasks", "2", "--out", "o#1"], "--out"),
+    # an empty path is not a path
+    (["gen", "--tasks", "2", "--out", ""], "--out"),
+    (["metatrain", "--dataset", "ds", "--learner", "hanil", "--resume", ""],
+     "--resume"),
+    (["metatrain", "--dataset", "", "--learner", "hanil"], "--dataset"),
+    (["eval", "--checkpoint", ""], "--checkpoint"),
+    (["ablate", "--step-range", "", "--checkpoint", "run/checkpoint.json"],
+     "--step-range"),
     (["ablate", "--counts", "2", "--learners", "hanil,hanil"], "--learners"),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, argv, flag, capsys):
@@ -1201,8 +1210,16 @@ def test_module_invocation_works():
     (["eval", "--checkpoint", "none.json", "--out", "ev"], 2, "",
      "error: [Errno 2] No such file or directory: 'none.json'\n"),
 ], ids=["ok", "usage-error", "missing-checkpoint"])
-def test_module_exit_flushes_stdio_and_outlives_no_child(tmp_path, argv,
-                                                          code, out, err):
+@pytest.mark.parametrize("entry", [
+    ["-m", "hamlearn"],
+    # what the installed script runs, with an exit hook that would print
+    # if the interpreter's teardown ran
+    ["-c", "import atexit, sys; atexit.register(print, 'teardown'); "
+           "from hamlearn.__main__ import main; sys.exit(main())"],
+], ids=["module", "script"])
+def test_module_exit_flushes_stdio_and_outlives_no_child(tmp_path, entry,
+                                                          argv, code, out,
+                                                          err):
     # a slow git first on PATH: the command ends only after git has, and
     # what it printed reaches the pipes although it skips the teardown
     bin_dir, marker = tmp_path / "bin", tmp_path / "git-finished"
@@ -1213,14 +1230,29 @@ def test_module_exit_flushes_stdio_and_outlives_no_child(tmp_path, argv,
     env = _child_env()
     env["PATH"] = f"{bin_dir}{os.pathsep}{env['PATH']}"
     env.pop("PYTHONUNBUFFERED", None)  # stdout into a pipe is then buffered
-    proc = subprocess.run([sys.executable, "-m", "hamlearn", *argv, "--seed",
-                           "3"], cwd=tmp_path, env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, *entry, *argv, "--seed", "3"],
+                          cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=60)
     assert marker.exists()
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
     if code == 0:
         assert (tmp_path / "ds" / "config.txt").read_text().startswith(
             "# version = v0.1.0+gfake\n")
+
+
+def test_there_is_one_way_into_the_program():
+    src = Path(hamlearn.__file__).parent
+    with open(src.parent.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"hamlearn": "hamlearn.__main__:main"}
+    blocks = [p.name for p in sorted(src.glob("*.py"))
+              for line in p.read_text().splitlines()
+              if line == 'if __name__ == "__main__":']
+    assert blocks == ["__main__.py"]
+    # importing the entry runs nothing
+    proc = subprocess.run([sys.executable, "-c", "import hamlearn.__main__"],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
@@ -1294,7 +1326,10 @@ def _kernels(*names):
                                   ["eval", "--learner", "foo"],
                                   ["gen", "--seed", "-3"],
                                   ["eval", "--checkpoint",
-                                   "c#1/checkpoint.json"]],
+                                   "c#1/checkpoint.json"],
+                                  ["gen", "--out", ""],
+                                  ["metatrain", "--dataset", "ds",
+                                   "--resume", ""]],
                          ids=["version", "no-command", "bad-command",
                               "bad-flag", "gen-no-tasks", "metatrain-scratch",
                               "metatrain-no-dataset", "ablate-descending",
@@ -1304,7 +1339,8 @@ def _kernels(*names):
                               "ablate-unknown-learner",
                               "metatrain-unknown-learner",
                               "eval-unknown-learner", "negative-seed",
-                              "eval-hash-in-checkpoint"])
+                              "eval-hash-in-checkpoint", "gen-empty-out",
+                              "metatrain-empty-resume"])
 def test_version_and_usage_errors_load_no_numpy(argv):
     proc, loaded = _loaded_modules(argv)
     assert proc.returncode == (0 if argv == ["--version"] else 1)

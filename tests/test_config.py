@@ -127,6 +127,7 @@ def test_parser_handles_comments_blanks_and_types(tmp_path):
     ("inner_steps = 1.5", "inner_steps: invalid literal"),
     ("seed = -1", "seed: expected a non-negative integer, got '-1'"),
     (b"\xff\xfe = 2", "not UTF-8 text"),
+    ("out_dir =", "bad.cfg:2: out_dir: expected non-empty text"),
 ])
 def test_parse_errors_carry_the_line_number(tmp_path, line, frag):
     path = tmp_path / "bad.cfg"

@@ -488,3 +488,15 @@ def test_ablation_refuses_an_unbuildable_kind_before_any_training(
                          inner_cfg=M.InnerConfig(steps=1),
                          outer_cfg=M.OuterConfig(episodes=1, task_batch=2),
                          n_points=6, n_systems=1, hidden=(), adapt_steps=1)
+
+
+def test_ablation_refuses_an_empty_suite_before_any_training(monkeypatch):
+    def train(*args, **kwargs):
+        raise AssertionError("trained before the suite was refused")
+    monkeypatch.setattr(E, "train_learner", train)
+    with pytest.raises(ValueError, match="no meta-test systems"):
+        E.ablation_tasks(["hanil", "hamaml"], [2, 4], "spring_mass",
+                         "points", K=4, seed=17,
+                         inner_cfg=M.InnerConfig(steps=1),
+                         outer_cfg=M.OuterConfig(episodes=1, task_batch=2),
+                         n_points=6, n_systems=0, hidden=(4,), adapt_steps=1)
