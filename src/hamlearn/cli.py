@@ -120,6 +120,14 @@ def _check_resume(path: str, blob, adam, cfg, system: str,
                          f"episode {blob['episode']}")
 
 
+def _episode(path: str, lineno: int, row: str) -> int:
+    """The episode number that begins line `lineno` of a curve file."""
+    try:
+        return int(row.split(",", 1)[0])
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: not an episode row") from None
+
+
 def cmd_metatrain(args) -> int:
     cfg, file_values = _resolve(args)
     training = LEARNERS[cfg.learner][2]
@@ -155,18 +163,17 @@ def cmd_metatrain(args) -> int:
         start_episode = blob["episode"]
     else:
         theta = init_params(learner.spec, cfg.seed)
-    write_provenance("metatrain", vars(cfg))
     curve_path = os.path.join(cfg.out_dir, "curve.csv")
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.json")
-
     lines = ["episode,meta_loss,wall_time\n"]
     if cfg.resume and os.path.exists(curve_path):
         # the rows before the resumed episode, so that a resume retried
         # after a failure does not repeat the failed run's rows
         with open(curve_path) as fh:
             lines = fh.readlines()
-        lines[1:] = [l for l in lines[1:]
-                     if int(l.split(",", 1)[0]) < start_episode]
+        lines[1:] = [l for i, l in enumerate(lines[1:], 2)
+                     if _episode(curve_path, i, l) < start_episode]
+    write_provenance("metatrain", vars(cfg))
     t0 = time.monotonic()
     with open(curve_path, "w") as fh:
         fh.writelines(lines)
@@ -246,6 +253,8 @@ def cmd_rollout(args) -> int:
     else:
         learner, theta = _load_learner_state(args, cfg)  # sets cfg.system
         spec = learner.spec
+        if cfg.k < 1:
+            raise ValueError("K must be >= 1")
     if cfg.x0 is not None and len(cfg.x0) != 2 * DOF[cfg.system]:
         raise UsageError(f"--x0 needs {2 * DOF[cfg.system]} components")
     import numpy as np

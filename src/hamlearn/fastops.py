@@ -14,11 +14,11 @@ them against a scalar autodiff tape and against finite differences:
   input-gradient recurrence (U, V) and every layer's adjoints.  For the
   Hamiltonian loss the forward quantity already contains a reverse sweep,
   so its gradient is a second reverse sweep over both phases.
-- ``loss_hvp``: the tangent pass, Pearlmutter's R-op (Pearlmutter 1994,
-  "Fast exact multiplication by the Hessian") applied to a linearization:
-  the tangent of every statement of the primal+adjoint pass, whose
-  gradient tangent is exactly H @ vec, the one array it returns.  A term
-  fed only by an exactly-zero block of ``vec`` is skipped (its value
+- ``Linearization.hvp``: the tangent pass, Pearlmutter's R-op (Pearlmutter
+  1994, "Fast exact multiplication by the Hessian") applied to that
+  record: the tangent of every statement of the primal+adjoint pass,
+  whose gradient tangent is exactly H @ vec, the one array it returns.  A
+  term fed only by an exactly-zero block of ``vec`` is skipped (its value
   would be an exact zero), so a direction confined to the output layer
   runs no forward tangent below it.
 - ``head_features``: the head-space path of learners that adapt only the
@@ -42,7 +42,6 @@ silenced; callers detect a non-finite result and raise
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -180,18 +179,14 @@ def _tangent_blocks(spec, vec):
     return dP, [None if P is None else P[:-1] for P in dP]
 
 
-@dataclass(frozen=True, eq=False)
-class Linearization:
-    """State of one primal+adjoint pass, reused by tangent passes.
-
-    Refers to the params, X and Xdot arrays it was made at, so that
-    `loss_hvp` can refuse it for any others.  Per-layer lists are
-    indexed by layer l = 1..L; blocks[l - 1] is layer l's [W; b].
+class Linearization(NamedTuple):
+    """State of one primal+adjoint pass at its params and batch X, which
+    `hvp` reuses for tangent passes.  Per-layer lists are indexed by
+    layer l = 1..L; blocks[l - 1] is layer l's [W; b].
     """
     spec: NetworkSpec
     params: np.ndarray
     X: np.ndarray
-    Xdot: np.ndarray
     loss: float
     grad: np.ndarray
     blocks: list      # views into `params`
@@ -204,6 +199,15 @@ class Linearization:
     V: list = None    # hnn: dH/da_l; V[0] = dH/dx
     barv: list = None  # hnn: adjoint of V[l]
     baru: list = None  # hnn: adjoint of U[l]
+
+    @_quiet
+    def hvp(self, vec) -> np.ndarray:
+        """H @ vec, where H is the loss Hessian in params at this
+        linearization's params and batch; only the tangent pass runs."""
+        vec = np.asarray(vec, np.float64)
+        if vec.shape != self.grad.shape:
+            raise ValueError("a direction not the length of the gradient")
+        return _TANGENT[_loss(self.spec)](self, vec)
 
 
 # -- Hamiltonian (hnn) loss ----------------------------------------------------
@@ -245,8 +249,8 @@ def _hnn_linearize(spec, params, blocks, X, Xdot):
         G[l - 1] += A[l - 1].T @ barz[l]
         if l > 1:
             bara[l - 1] = barz[l] @ W[l - 1].T
-    return Linearization(spec, params, X, Xdot, loss, grad, blocks, A, S,
-                         barz, bara, SP, U, V, barv, baru)
+    return Linearization(spec, params, X, loss, grad, blocks, A, S, barz,
+                         bara, SP, U, V, barv, baru)
 
 
 def _hnn_tangent(lin: Linearization, vec):
@@ -314,8 +318,8 @@ def _naive_linearize(spec, params, blocks, X, Xdot):
         if l > 1:
             bara[l - 1] = barz[l] @ blocks[l - 1][:-1].T
             barz[l - 1] = bara[l - 1] * S[l - 1]
-    return Linearization(spec, params, X, Xdot, loss, grad, blocks, A, S,
-                         barz, bara)
+    return Linearization(spec, params, X, loss, grad, blocks, A, S, barz,
+                         bara)
 
 
 def _naive_tangent(lin: Linearization, vec):
@@ -453,17 +457,16 @@ class HeadFeatures(NamedTuple):
         else:  # the gradient of b_L stays exactly 0
             np.matmul(((2.0 / B) * R.T).ravel(),
                       self.phi.reshape(-1, self.phi.shape[2]), out=G[:-1, 0])
-        return HeadLinearization(self.spec, params, self.X, Xdot,
+        return HeadLinearization(self.spec, params, Xdot,
                                  float(np.sum(R * R) / B), grad, self, R)
 
 
 class HeadLinearization(NamedTuple):
-    """One point of a head-space descent: `loss_hvp` takes a list of them
-    in place of a `Linearization`.  `grad`, and so each direction, covers
-    the last layer's [W; b] block only."""
+    """One point of a head-space descent, on the batch `features.X`:
+    `loss_hvp` takes one inner loop's list of them.  `grad`, and so each
+    direction, covers the last layer's [W; b] block only."""
     spec: NetworkSpec
     params: np.ndarray
-    X: np.ndarray
     Xdot: np.ndarray
     loss: float
     grad: np.ndarray
@@ -576,8 +579,8 @@ def loss_grad(spec: NetworkSpec, params, X, Xdot):
     """(loss, dloss/dparams, linearization) for one batch; the loss is the
     mean over rows of the squared field error.
 
-    The linearization is what `loss_hvp` at the same arrays needs to run
-    only the tangent pass.  It refers to params, X and Xdot without
+    The linearization's `hvp` multiplies by the loss Hessian at these
+    arrays with only the tangent pass.  It refers to params and X without
     copying them, so they must not be modified while it is in use.
     """
     params, blocks, X = _check(spec, params, X)
@@ -591,45 +594,30 @@ def loss_grad(spec: NetworkSpec, params, X, Xdot):
 
 
 @_quiet
-def loss_hvp(spec: NetworkSpec, params, X, Xdot, vec,
-             lin: Linearization | list) -> np.ndarray:
-    """H @ vec, where H is the loss Hessian in params.
+def loss_hvp(spec: NetworkSpec, params, X, Xdot, vecs, lins) -> np.ndarray:
+    """The sum over k of H(params[k]) @ vecs[k], where H is the loss
+    Hessian in params, along one inner loop's trace.
 
-    `lin` is the linearization `loss_grad` returned, and params, X and
-    Xdot are its own arrays (lin.params, lin.X, lin.Xdot), so that only
-    the tangent pass runs.  A linearization made for another spec or at
-    other arrays is a ValueError.
-
-    `lin` may instead be one inner loop's list of S head-space
-    linearizations on one `HeadFeatures`, with params their S params and
-    X, Xdot those of lins[0].  The product is then the sum over k of
-    H(params[k]) @ vec[k], exact in every parameter, whose body block
-    takes one reverse pass.  In both forms vec holds one direction per
-    linearization, as long as its gradient: for a list, an (S, m) stack
-    of last-layer [W; b] blocks.
+    `lins` is a list of S head-space linearizations on one `HeadFeatures`,
+    params their S params, and X, Xdot those of lins[0] (features.X and
+    Xdot).  vecs is an (S, m) stack of last-layer [W; b] directions, each
+    as long as its linearization's gradient.  The product is exact in
+    every parameter, and its body block takes one reverse pass.  A
+    generic `Linearization` multiplies by its own Hessian: `hvp`.
     """
-    trace = isinstance(lin, list)
-    if not (trace or isinstance(lin, Linearization)):
-        raise ValueError("head-space linearizations are passed as a list, "
-                         "with params a list and vec an (S, m) stack")
-    lins, ps = (lin, params) if trace else ([lin], [params])
     X = np.atleast_2d(np.asarray(X, np.float64))
     Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
-    for k, (lk, pk) in enumerate(zip(lins, ps)):
-        if not (lk.spec == spec and lk.params is np.asarray(pk, np.float64)
-                and lk.X is X and lk.Xdot is Xdot):
-            raise ValueError(f"linearization {k} was made at other arrays "
-                             "or spec")
-        if trace and not (isinstance(lk, HeadLinearization)
-                          and lk.features is lins[0].features):
-            raise ValueError(f"linearization {k} is not a head-space one on "
-                             "the features of linearization 0")
-    vecs = np.asarray(vec, np.float64)
-    vecs = vecs if trace else vecs[None]
-    if (not lins or len(ps) != len(lins)
+    for k, (lk, pk) in enumerate(zip(lins, params)):
+        if not (isinstance(lk, HeadLinearization) and lk.spec == spec
+                and lk.features is lins[0].features
+                and lk.params is np.asarray(pk, np.float64)
+                and lk.features.X is X and lk.Xdot is Xdot):
+            raise ValueError(f"linearization {k} is not a head-space one at "
+                             "these arrays and spec, on the features of "
+                             "linearization 0")
+    vecs = np.asarray(vecs, np.float64)
+    if (not lins or len(params) != len(lins)
             or vecs.shape != (len(lins), lins[0].grad.size)):
         raise ValueError("not one params and direction per linearization, "
                          "or a direction not the length of its gradient")
-    if not trace:
-        return _TANGENT[_loss(spec)](lin, vecs[0])
     return _head_tangent(lins, vecs)

@@ -2,7 +2,8 @@
 
 The inner loop runs through the vectorized kernels of `fastops`, and the
 meta-gradient is recovered by reverse accumulation over the inner loop's
-linearizations, each of which holds its theta_k:
+linearizations, each of which holds its theta_k and multiplies by its own
+Hessian (`Linearization.hvp`):
 
     v = grad L_te(theta_S)
     for k = S-1 .. 0:   v <- v - alpha * H_tr(theta_k) @ (mask * v)
@@ -165,13 +166,12 @@ def _task_meta_grad_fast(spec, theta, task, cfg: InnerConfig, second_order):
         for k in reversed(range(len(lins))):
             dirs[k] = u.ravel()
             u = u - cfg.lr * (G @ u)
-        hv = fastops.loss_hvp(spec, [lin.params for lin in lins], lins[0].X,
-                              lins[0].Xdot, dirs, lins)
+        hv = fastops.loss_hvp(spec, [lin.params for lin in lins],
+                              lins[0].features.X, lins[0].Xdot, dirs, lins)
         return loss, v - cfg.lr * hv
     maskf = update_mask(spec, cfg.update_set).astype(np.float64)
     for lin in reversed(lins):
-        v = v - cfg.lr * fastops.loss_hvp(spec, lin.params, lin.X, lin.Xdot,
-                                          maskf * v, lin)
+        v = v - cfg.lr * lin.hvp(maskf * v)
     return loss, v
 
 

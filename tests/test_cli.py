@@ -761,8 +761,23 @@ def test_resume_of_a_pretrained_learner_is_refused(tmp_path, capsys):
     assert [(out / name).read_bytes() for name in names] == before
 
 
+def _edit_checkpoint(change):
+    """An edit of a run directory: change(blob) on its checkpoint.json."""
+    def edit(out):
+        blob = json.loads((out / "checkpoint.json").read_text())
+        change(blob)
+        (out / "checkpoint.json").write_text(json.dumps(blob))
+    return edit
+
+
+def _append_blank_curve_row(out):
+    with open(out / "curve.csv", "a") as fh:
+        fh.write("\n")
+
+
 # A setting a checkpoint records, and flags that change it from TRAIN_FLAGS,
-# or an edit of the checkpoint that a resume must refuse.
+# or an edit of the run directory that a resume must refuse, each named by
+# what the error line names.
 RESUME_CHANGES = {
     "seed": ["--seed", "77"],
     "task_batch": ["--task-batch", "3"],
@@ -771,12 +786,15 @@ RESUME_CHANGES = {
     "outer_lr": ["--outer-lr", "0.1"],
     "second_order": ["--first-order"],
     # older builds could also train with sgd
-    "optimizer": lambda blob: blob.update(optimizer="sgd"),
+    "optimizer": _edit_checkpoint(lambda blob: blob.update(optimizer="sgd")),
     # Adam steps once per episode; a wrong step count skews its bias
     # correction
-    "adam.t": lambda blob: blob["adam"].update(t=blob["episode"] - 1),
+    "adam.t": _edit_checkpoint(
+        lambda blob: blob["adam"].update(t=blob["episode"] - 1)),
     "hidden": ["--hidden", "5"],
     "episode": ["--episodes", "2"],  # fewer than the checkpoint's 3
+    # a row after the header and 3 episodes that is no episode's
+    "curve.csv:5": _append_blank_curve_row,
 }
 
 
@@ -788,9 +806,7 @@ def test_resume_with_a_changed_config_is_refused(tmp_path, key, capsys):
     assert main(base) == 0
     change = RESUME_CHANGES[key]
     if callable(change):
-        blob = json.loads((out / "checkpoint.json").read_text())
-        change(blob)
-        (out / "checkpoint.json").write_text(json.dumps(blob))
+        change(out)
         change = []
     names = ("curve.csv", "config.txt", "checkpoint.json", "checkpoint.npy")
     before = [(out / name).read_bytes() for name in names]
@@ -923,6 +939,15 @@ def test_degenerate_input_fails_cleanly(tmp_path, argv):
     # one error line, and no result file beside the provenance
     assert len(err.splitlines()) == 1 and "error: " in err
     assert {p.name for p in out.rglob("*") if p.is_file()} <= {"config.txt"}
+
+
+@pytest.mark.parametrize("cmd", ["eval", "rollout"])
+def test_k_below_one_is_named_before_a_file_is_written(tmp_path, cmd, capsys):
+    out = tmp_path / "o"
+    assert main([cmd, *CKPT, "--k", "0", "--seed", "3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: K must be >= 1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", [["eval"], ["ablate", "--step-range", "0:2"]])

@@ -86,8 +86,7 @@ def test_hvp_matches_fd_of_grad(lane, kind):
     X = rng.uniform(-1.5, 1.5, (6, d0))
     Xd = rng.uniform(-1.5, 1.5, (6, d0))
     v = rng.normal(0, 1, params.size)
-    lin = F.loss_grad(spec, params, X, Xd)[2]
-    hvp = F.loss_hvp(spec, params, X, Xd, v, lin)
+    hvp = F.loss_grad(spec, params, X, Xd)[2].hvp(v)
     h = 1e-6
     _, gp, _ = F.loss_grad(spec, params + h * v, X, Xd)
     _, gm, _ = F.loss_grad(spec, params - h * v, X, Xd)
@@ -114,14 +113,12 @@ def test_hvp_from_linearization_on_update_set_directions(kind, update_set,
     Xd = rng.uniform(-1.5, 1.5, (6, d0))
     v = N.update_mask(spec, update_set) * rng.normal(0, 1, params.size)
     lin = F.loss_grad(spec, params, X, Xd)[2]
-    cached = F.loss_hvp(spec, params, X, Xd, v, lin)
-    fresh = F.loss_hvp(spec, params, X, Xd, v,
-                       F.loss_grad(spec, params, X, Xd)[2])
+    cached = lin.hvp(v)
+    fresh = F.loss_grad(spec, params, X, Xd)[2].hvp(v)
     np.testing.assert_array_equal(cached, fresh)
     # skipping the terms fed only by zero blocks of v changes no bit
     monkeypatch.setattr(F, "_tangent_blocks", _keep_zero_blocks)
-    np.testing.assert_array_equal(F.loss_hvp(spec, params, X, Xd, v, lin),
-                                  cached)
+    np.testing.assert_array_equal(lin.hvp(v), cached)
     h = 1e-6
     _, gp, _ = F.loss_grad(spec, params + h * v, X, Xd)
     _, gm, _ = F.loss_grad(spec, params - h * v, X, Xd)
@@ -130,24 +127,18 @@ def test_hvp_from_linearization_on_update_set_directions(kind, update_set,
     assert rel.max() < 1e-7
 
 
-def test_loss_hvp_refuses_a_foreign_linearization():
+def test_hvp_refuses_a_direction_not_the_gradients_length():
     spec = N.NetworkSpec(2, (5,), 1)
     params = rand_net(19, spec)
     rng = RNG(20)
     X = rng.uniform(-1, 1, (5, 2))
     Xd = rng.uniform(-1, 1, (5, 2))
-    v = rng.normal(0, 1, params.size)
     _, _, lin = F.loss_grad(spec, params, X, Xd)
-    field_spec = N.NetworkSpec(2, (1, 4), 2)  # a field head, as many params
-    assert N.param_count(field_spec) == params.size
-    for sp, p, x, xd in [(spec, params + 1e-3, X, Xd),
-                         (spec, params.copy(), X, Xd),
-                         (spec, params, X + 1e-3, Xd),
-                         (spec, params, X, Xd[::-1]),
-                         (field_spec, params, X, Xd)]:
-        with pytest.raises(ValueError, match="linearization"):
-            F.loss_hvp(sp, p, x, xd, v, lin)
-    F.loss_hvp(spec, params, X, Xd, v, lin)  # its own arrays pass
+    v = rng.normal(0, 1, params.size)
+    for bad in (v[:-1], np.append(v, 0.0), v[None], v[0]):
+        with pytest.raises(ValueError, match="length"):
+            lin.hvp(bad)
+    assert lin.hvp(list(v)).shape == params.shape  # any sequence of floats
 
 
 @pytest.mark.parametrize("kind", ["hnn", "naive"])
@@ -161,8 +152,7 @@ def test_hessian_symmetry_through_hvp(kind):
     u = rng.normal(0, 1, params.size)
     w = rng.normal(0, 1, params.size)
     lin = F.loss_grad(spec, params, X, Xd)[2]
-    Hu = F.loss_hvp(spec, params, X, Xd, u, lin)
-    Hw = F.loss_hvp(spec, params, X, Xd, w, lin)
+    Hu, Hw = lin.hvp(u), lin.hvp(w)
     assert np.dot(w, Hu) == pytest.approx(np.dot(u, Hw), rel=1e-10)
 
 
@@ -176,8 +166,7 @@ def test_hnn_last_bias_gradient_is_exactly_zero(lane):
     _, grad, lin = F.loss_grad(spec, params, X, Xd)
     assert grad[-1] == 0.0
     v = rng.normal(0, 1, params.size)
-    hvp = F.loss_hvp(spec, params, X, Xd, v, lin)
-    assert hvp[-1] == 0.0
+    assert lin.hvp(v)[-1] == 0.0
     shifted = params.copy()
     shifted[-1] += 5.0
     np.testing.assert_array_equal(F.predicted_field(spec, params, X),
@@ -206,8 +195,7 @@ def test_backends_agree():
         spec = N.NetworkSpec(d0, (8, 6), 1 if kind == "hnn" else d0)
         params = rand_net(13, spec)
         v = rng.normal(0, 1, params.size)
-        hvp = F.loss_hvp(spec, params, X, Xd, v,
-                         F.loss_grad(spec, params, X, Xd)[2])
+        hvp = F.loss_grad(spec, params, X, Xd)[2].hvp(v)
         np.testing.assert_allclose(
             hvp, tape_loss_hvp(spec, params, X, Xd, v, kind),
             rtol=1e-12, atol=1e-14)
@@ -240,7 +228,7 @@ def test_wrapper_validation():
                                   "head_features"])
 def test_a_head_neither_scalar_nor_field_wide_is_refused(name):
     # the head's width fixes the loss: 1 is a Hamiltonian, input_dim a field;
-    # loss_hvp needs the linearization that loss_grad refuses to make
+    # hvp is a method of the linearization that loss_grad refuses to make
     spec = N.NetworkSpec(4, (5,), 3)
     params = rand_net(27, spec)
     X = RNG(28).uniform(-1, 1, (6, 4))
@@ -271,9 +259,9 @@ def test_head_features_agree_with_the_generic_kernels(kind, state_dim, hidden):
     params[head] += rng.normal(0, 0.3, v[head].size)
     lin = feats.linearize(params, Xd)
     loss, grad, glin = F.loss_grad(spec, params, X, Xd)
-    want = F.loss_hvp(spec, params, X, Xd, v, glin)
-    got = F.loss_hvp(spec, [lin.params], lin.X, lin.Xdot, v[head][None],
-                     [lin])
+    want = glin.hvp(v)
+    got = F.loss_hvp(spec, [lin.params], lin.features.X, lin.Xdot,
+                     v[head][None], [lin])
     field = F.predicted_field(spec, params, X)
     if kind == "naive":  # the same operations as the generic kernels
         assert lin.loss == loss
@@ -402,5 +390,3 @@ def test_loss_hvp_refuses_a_trace_off_one_set_of_head_features():
                              ([], vecs[:0])]:
         with pytest.raises(ValueError):
             F.loss_hvp(spec, bad_ps, X, Xd, bad_vecs, lins[: len(bad_ps)])
-    with pytest.raises(ValueError, match="list"):  # a bare head linearization
-        F.loss_hvp(spec, ps[0], X, Xd, vecs[0], lins[0])

@@ -570,7 +570,7 @@ def test_build_learner_wiring():
 
 def _generic_meta_grad(spec, theta, task, cfg):
     """The second-order meta-gradient by masked descent on `loss_grad` and
-    a reverse sweep of `loss_hvp` on its linearizations."""
+    a reverse sweep of each linearization's `hvp`."""
     mask = update_mask(spec, cfg.update_set)
     th, lins = np.array(theta), []
     for _ in range(cfg.steps):
@@ -581,8 +581,7 @@ def _generic_meta_grad(spec, theta, task, cfg):
         th[mask] -= cfg.lr * grad[mask]
     loss, v, _ = fastops.loss_grad(spec, th, task.test_x, task.test_xdot)
     for lin in reversed(lins):
-        v = v - cfg.lr * fastops.loss_hvp(spec, lin.params, lin.X, lin.Xdot,
-                                          mask * v, lin)
+        v = v - cfg.lr * lin.hvp(mask * v)
     return loss, v, th
 
 
@@ -612,7 +611,7 @@ def _per_step_meta_grad(spec, theta, task, cfg):
     loss, v, _ = fastops.loss_grad(spec, theta_s, task.test_x, task.test_xdot)
     head = layer_slice(spec, spec.n_layers - 1)
     for lin in reversed(lins):
-        v = v - cfg.lr * fastops.loss_hvp(spec, [lin.params], lin.X,
+        v = v - cfg.lr * fastops.loss_hvp(spec, [lin.params], lin.features.X,
                                           lin.Xdot, v[head][None], [lin])
     return loss, v
 
@@ -710,25 +709,49 @@ def test_meta_step_on_unpickled_inputs_is_bit_identical(kind):
     assert got[0].tobytes() == want[0].tobytes()
 
 
-def test_hanil_meta_step_calls_each_traced_kernel_once_per_task_on_x(
-        monkeypatch):
-    # a traced benchmark run counts these calls and reads the batch size
-    # of each as len(args[2]), so X is the third positional argument
-    learner = M.build_learner("hanil", 2, (16, 16))
+def _kernel_calls(monkeypatch, kind):
+    """(calls, tasks, inner): the positional args of each call of
+    `fastops.loss_hvp`, `fastops.loss_grad` and `Linearization.hvp` in one
+    second-order meta_step of `kind` on three tasks."""
+    learner = M.build_learner(kind, 2, (16, 16))
     spec, inner = learner.spec, learner.inner
     theta = init_params(spec, 4)
     tasks = list(make_meta_train("spring_mass", 3, 50, 4))
-    calls = {"loss_hvp": [], "loss_grad": []}
-    for name, seen in calls.items():
-        def spy(*args, _real=getattr(fastops, name), _seen=seen, **kwargs):
-            _seen.append(args)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(fastops, name, spy)
-    M.meta_step(spec, theta, tasks, inner, M.OuterConfig(task_batch=3),
-                M.adam_init(theta.size))
+    calls = {"loss_hvp": [], "loss_grad": [], "hvp": []}
+    with monkeypatch.context() as patch:
+        for name, seen in calls.items():
+            owner = fastops.Linearization if name == "hvp" else fastops
+            def spy(*args, _real=getattr(owner, name), _seen=seen, **kwargs):
+                _seen.append(args)
+                return _real(*args, **kwargs)
+            patch.setattr(owner, name, spy)
+        M.meta_step(spec, theta, tasks, inner, M.OuterConfig(task_batch=3),
+                    M.adam_init(theta.size))
+    return calls, tasks, inner
+
+
+def test_hanil_meta_step_calls_each_traced_kernel_once_per_task_on_x(
+        monkeypatch):
+    # a traced benchmark run counts the calls of loss_hvp and loss_grad
+    # and reads the batch size of each as len(args[2]), so X is the third
+    # positional argument
+    calls, tasks, _ = _kernel_calls(monkeypatch, "hanil")
+    assert calls["hvp"] == []
     split = {"loss_hvp": "train_x", "loss_grad": "test_x"}
-    for name, seen in calls.items():
+    for name, attr in split.items():
+        seen = calls[name]
         assert len(seen) == len(tasks)
         for args, task in zip(seen, tasks):
             assert len(args[2]) == 50
-            np.testing.assert_array_equal(args[2], getattr(task, split[name]))
+            np.testing.assert_array_equal(args[2], getattr(task, attr))
+    # a generic second-order learner multiplies through each of its
+    # linearizations' hvp and never calls loss_hvp, so that the traced
+    # fastops.loss_hvp.* figures describe the head-space trace alone
+    calls, tasks, inner = _kernel_calls(monkeypatch, "hamaml")
+    assert calls["loss_hvp"] == []
+    assert len(calls["hvp"]) == len(tasks) * inner.steps
+    want = [x for task in tasks
+            for x in [task.train_x] * inner.steps + [task.test_x]]
+    assert len(calls["loss_grad"]) == len(want)
+    for args, x in zip(calls["loss_grad"], want):
+        np.testing.assert_array_equal(args[2], x)
