@@ -25,7 +25,8 @@ import time
 from . import DOF, LEARNERS
 from .config import (COMMANDS, IGNORED, SETTINGS, TRAINING_KEYS,
                      format_value, load_checkpoint, read_config_file, resolve,
-                     save_checkpoint, version_string, write_provenance)
+                     save_checkpoint, text_lines, version_string,
+                     write_provenance)
 
 
 class UsageError(Exception):
@@ -169,10 +170,12 @@ def cmd_metatrain(args) -> int:
     if cfg.resume and os.path.exists(curve_path):
         # the rows before the resumed episode, so that a resume retried
         # after a failure does not repeat the failed run's rows
-        with open(curve_path) as fh:
-            lines = fh.readlines()
-        lines[1:] = [l for i, l in enumerate(lines[1:], 2)
-                     if _episode(curve_path, i, l) < start_episode]
+        rows = text_lines(curve_path)
+        if rows[:1] != lines:
+            raise ValueError(f"{curve_path}:1: expected the header "
+                             f"{lines[0].strip()!r}")
+        lines += [l for i, l in enumerate(rows[1:], 2)
+                  if _episode(curve_path, i, l) < start_episode]
     write_provenance("metatrain", vars(cfg))
     t0 = time.monotonic()
     with open(curve_path, "w") as fh:

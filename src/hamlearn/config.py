@@ -160,25 +160,32 @@ def _parse_value(name: str, kind, text: str):
         raise ValueError(f"{name}: {err}") from None
 
 
+def text_lines(path: str) -> list:
+    """The lines of a UTF-8 text file; a line with an undecodable byte,
+    read as a lone surrogate, is refused by its number."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    for lineno, line in enumerate(lines, start=1):
+        if any("\udc80" <= c <= "\udcff" for c in line):
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text")
+    return lines
+
+
 def read_config_file(path: str) -> dict:
     """Parse a flat key = value file into typed values."""
     values = {}
-    # an undecodable byte reads as a lone surrogate, whose line is named
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if any("\udc80" <= c <= "\udcff" for c in raw):
-                raise ValueError(f"{path}:{lineno}: not UTF-8 text")
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(f"{path}:{lineno}: {key}",
-                                       SETTINGS[key][1], text)
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        if key not in SETTINGS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = _parse_value(f"{path}:{lineno}: {key}",
+                                   SETTINGS[key][1], text)
     return values
 
 

@@ -25,14 +25,14 @@ them against a scalar autodiff tape and against finite differences:
   last layer.  The field is linear in that layer, F = phi . head, so the
   features phi of a batch are built once (for the Hamiltonian loss, 2n
   forward-mode input tangents through the body, Omega folded in) and
-  `HeadFeatures.linearize` gives the loss, the last-layer gradient and the
-  residual at any head for the cost of a matrix-vector product.
-  ``loss_hvp`` on one inner loop's list of S such `HeadLinearization`s
-  returns the exact sum_k H(theta_k) @ vec_k for directions vec_k in the
-  last layer's [W; b] block: the head block from phi, the body by one
-  reverse pass through the construction of phi, which is linear in the
-  steps' summed adjoints of phi.  `HeadFeatures.gram` is the head block
-  of H, the same at every head.
+  `HeadFeatures.linearize` gives the loss and the last-layer gradient at
+  any head for the cost of a matrix-vector product.
+  ``loss_hvp`` takes the features, the labels and (S, m) stacks of one
+  inner loop's heads and directions in the last layer's [W; b] block, and
+  returns the exact sum_k H(theta_k) @ vec_k: the head block from phi,
+  the body by one reverse pass through the construction of phi, which is
+  linear in the steps' summed adjoints of phi.  `HeadFeatures.gram` is
+  the head block of H, the same at every head.
 
 Each public wrapper runs its kernel with numpy's floating-point warnings
 silenced; callers detect a non-finite result and raise
@@ -134,12 +134,22 @@ def _by_rows(kernel, blocks, X, axis=0):
     return out
 
 
+def _input_grad(blocks, S, B):
+    """(U, V): dH/dz_l and dH/da_l on B rows by the reverse recurrence
+    u_L = 1, v_{l-1} = u_l W_l^T, u_{l-1} = v_{l-1} * s_{l-1}; V[0] = dH/dx."""
+    L = len(blocks)
+    U, V = [None] * (L + 1), [None] * L
+    U[L] = np.ones((B, 1))
+    V[L - 1] = np.broadcast_to(blocks[-1][:-1].T, (B, blocks[-1].shape[0] - 1))
+    for l in range(L - 1, 0, -1):
+        U[l] = V[l] * S[l]
+        V[l - 1] = U[l] @ blocks[l - 1][:-1].T
+    return U, V
+
+
 def _hnn_field(blocks, X):
     _, S = _forward(blocks, X)
-    v = blocks[-1][:-1].T  # u_L = 1, so v_{L-1} = W_L^T on every row
-    for l in range(len(blocks) - 1, 0, -1):
-        v = (v * S[l]) @ blocks[l - 1][:-1].T
-    return omega_apply(np.broadcast_to(v, X.shape))
+    return omega_apply(_input_grad(blocks, S, X.shape[0])[1][0])
 
 
 def _mlp(blocks, X):
@@ -218,13 +228,7 @@ def _hnn_linearize(spec, params, blocks, X, Xdot):
     B = X.shape[0]
     W = [P[:-1] for P in blocks]
     A, S = _forward(blocks, X)
-    # reverse to inputs: u_L = 1, v_{l-1} = u_l W_l^T, u_{l-1} = v_{l-1} * s_{l-1}
-    U, V = [None] * (L + 1), [None] * L
-    U[L] = np.ones((B, 1))
-    V[L - 1] = np.broadcast_to(W[L - 1].T, (B, spec.dims[L - 1]))
-    for l in range(L - 1, 0, -1):
-        U[l] = V[l] * S[l]
-        V[l - 1] = U[l] @ W[l - 1].T
+    U, V = _input_grad(blocks, S, B)
     R = omega_apply(V[0]) - Xdot
     loss = float(np.sum(R * R) / B)
 
@@ -442,12 +446,10 @@ class HeadFeatures(NamedTuple):
 
     @_quiet
     def linearize(self, params, Xdot) -> "HeadLinearization":
-        """Loss, residual and last-layer gradient at params against the
-        labels Xdot."""
+        """Loss and last-layer gradient at params against the labels
+        Xdot."""
         params, P = self._head(params)
-        Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
-        if Xdot.shape != self.X.shape:
-            raise ValueError("Xdot shape must match X")
+        Xdot = self._labels(Xdot)
         B = self.X.shape[0]
         grad = np.zeros(P.size)
         G = grad.reshape(P.shape)
@@ -457,60 +459,75 @@ class HeadFeatures(NamedTuple):
         else:  # the gradient of b_L stays exactly 0
             np.matmul(((2.0 / B) * R.T).ravel(),
                       self.phi.reshape(-1, self.phi.shape[2]), out=G[:-1, 0])
-        return HeadLinearization(self.spec, params, Xdot,
-                                 float(np.sum(R * R) / B), grad, self, R)
+        return HeadLinearization(params, float(np.sum(R * R) / B), grad, self)
+
+    def _labels(self, Xdot):
+        Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
+        if Xdot.shape != self.X.shape:
+            raise ValueError("Xdot shape must match X")
+        return Xdot
 
 
 class HeadLinearization(NamedTuple):
-    """One point of a head-space descent, on the batch `features.X`:
-    `loss_hvp` takes one inner loop's list of them.  `grad`, and so each
-    direction, covers the last layer's [W; b] block only."""
-    spec: NetworkSpec
+    """One point of a head-space descent, on the batch `features.X`.
+    `grad` covers the last layer's [W; b] block only."""
     params: np.ndarray
-    Xdot: np.ndarray
     loss: float
     grad: np.ndarray
     features: HeadFeatures
-    R: np.ndarray     # residual field - Xdot, (B, 2n)
 
 
-def _head_tangent(lins, vecs):
-    """Sum over k of H(params_k) @ vecs[k] for head-space linearizations
-    on one `HeadFeatures` and directions vecs, (S, m), in the last layer's
-    [W; b] block: the head block directly, the body by one reverse pass
+@_quiet
+def loss_hvp(features: HeadFeatures, heads, Xdot, vecs) -> np.ndarray:
+    """The sum over k of H(theta_k) @ vecs[k], where H is the loss Hessian
+    in params, along one inner loop's head-space trace.
+
+    theta_k shares the body of `features` and has last layer heads[k]; the
+    loss is against the labels Xdot of the features' batch.  heads and
+    vecs are (S, m) stacks of last-layer [W; b] blocks, and nothing here
+    can be derived from another argument.  The product is exact in every
+    parameter: the head block directly, the body by one reverse pass
     through the construction of phi, whose adjoint is linear in each
-    step's terms."""
-    f = lins[0].features
+    step's terms.  A generic `Linearization` multiplies by its own
+    Hessian: `hvp`.
+    """
+    f = features
     if f.S is None:
         raise ValueError("features built with keep_state=False take no "
                          "tangent pass")
-    nb = f.body.size
-    blocks = unpack_blocks(f.spec, lins[0].params)  # the body is shared
+    heads = np.asarray(heads, np.float64)
+    vecs = np.asarray(vecs, np.float64)
+    m = param_count(f.spec) - f.body.size
+    if heads.shape[1:] != (m,) or vecs.shape != heads.shape or not len(heads):
+        raise ValueError(f"heads and directions must be (S, {m}) stacks of "
+                         "one S >= 1")
+    Xdot = f._labels(Xdot)
     hvp = np.zeros(param_count(f.spec))
     H = unpack_blocks(f.spec, hvp)
     B, d = f.X.shape
+    Ps = [h.reshape(-1, f.spec.output_dim) for h in heads]
+    # each step's residual field - Xdot, as `HeadFeatures.linearize` has it
+    Rs = [f._field(P) - Xdot for P in Ps]
     if _loss(f.spec) == "naive":
         # adjoint of a_{L-1}: (2/B) sum_k ((phi U_k) W_k^T + R_k U_k^T)
         dbarz = bara = barT = None
-        for lin, vec in zip(lins, vecs):
-            P = lin.params[nb:].reshape(-1, f.spec.output_dim)
+        for P, R, vec in zip(Ps, Rs, vecs):
             U = vec.reshape(P.shape)
             dz = (2.0 / B) * (f.phi @ U)
             dbarz = _sum(dbarz, dz)
-            bara = _sum(bara, dz @ P[:-1].T + ((2.0 / B) * lin.R) @ U[:-1].T)
+            bara = _sum(bara, dz @ P[:-1].T + ((2.0 / B) * R) @ U[:-1].T)
         np.matmul(f.phi.T, dbarz, out=H[-1])
     else:  # the b_L entries of H @ vec stay exactly 0
         phi = f.phi.reshape(d * B, -1)
         u = vecs[:, :-1]  # the w_L rows of the directions, (S, h)
-        w = np.array([lin.params[nb:-1] for lin in lins])
         Fu = u @ phi.T
         np.matmul((2.0 / B) * Fu.sum(axis=0), phi, out=H[-1][:-1, 0])
         # adjoint of phi_j: (2/B) sum_k (R_k,j u_k^T + F_u,k,j w_k^T)
-        Rt = np.array([lin.R.T.ravel() for lin in lins])
-        barT = ((2.0 / B) * (Rt.T @ u + Fu.T @ w)).reshape(d, B, -1)
+        Rt = np.array([R.T.ravel() for R in Rs])
+        barT = ((2.0 / B) * (Rt.T @ u + Fu.T @ heads[:, :-1])).reshape(d, B, -1)
         bara = None
-    for l in range(len(blocks) - 1, 0, -1):
-        W = blocks[l - 1][:-1]
+    for l in range(len(H) - 1, 0, -1):
+        W = f.body[layer_slice(f.spec, l - 1)].reshape(H[l - 1].shape)[:-1]
         if barT is None:
             barz = bara * f.S[l]
         else:
@@ -591,33 +608,3 @@ def loss_grad(spec: NetworkSpec, params, X, Xdot):
         raise ValueError("empty batch")
     lin = _LINEARIZE[_loss(spec)](spec, params, blocks, X, Xdot)
     return lin.loss, lin.grad, lin
-
-
-@_quiet
-def loss_hvp(spec: NetworkSpec, params, X, Xdot, vecs, lins) -> np.ndarray:
-    """The sum over k of H(params[k]) @ vecs[k], where H is the loss
-    Hessian in params, along one inner loop's trace.
-
-    `lins` is a list of S head-space linearizations on one `HeadFeatures`,
-    params their S params, and X, Xdot those of lins[0] (features.X and
-    Xdot).  vecs is an (S, m) stack of last-layer [W; b] directions, each
-    as long as its linearization's gradient.  The product is exact in
-    every parameter, and its body block takes one reverse pass.  A
-    generic `Linearization` multiplies by its own Hessian: `hvp`.
-    """
-    X = np.atleast_2d(np.asarray(X, np.float64))
-    Xdot = np.atleast_2d(np.asarray(Xdot, np.float64))
-    for k, (lk, pk) in enumerate(zip(lins, params)):
-        if not (isinstance(lk, HeadLinearization) and lk.spec == spec
-                and lk.features is lins[0].features
-                and lk.params is np.asarray(pk, np.float64)
-                and lk.features.X is X and lk.Xdot is Xdot):
-            raise ValueError(f"linearization {k} is not a head-space one at "
-                             "these arrays and spec, on the features of "
-                             "linearization 0")
-    vecs = np.asarray(vecs, np.float64)
-    if (not lins or len(params) != len(lins)
-            or vecs.shape != (len(lins), lins[0].grad.size)):
-        raise ValueError("not one params and direction per linearization, "
-                         "or a direction not the length of its gradient")
-    return _head_tangent(lins, vecs)

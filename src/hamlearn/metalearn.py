@@ -23,8 +23,8 @@ column of the last layer's [W; b] block, and u_k stays that block), and
 
     grad = v_S - alpha * sum_k H_tr(theta_k) @ u_k
 
-takes one `loss_hvp` over the whole trace: one reverse pass through the
-features per task, not one per inner step.
+takes one `loss_hvp` over the trace's stacked heads: one reverse pass
+through the features per task, not one per inner step.
 """
 
 from __future__ import annotations
@@ -114,7 +114,6 @@ def adaptation_objective(spec: NetworkSpec, theta0, X, Xdot, update_set: str):
     at theta0's body."""
     if head_only(update_set):
         features = fastops.head_features(spec, theta0, X)
-        Xdot = np.asarray(Xdot, np.float64)  # one array for every step's lin
 
         def fn(theta):
             lin = features.linearize(theta, Xdot)
@@ -160,14 +159,16 @@ def _task_meta_grad_fast(spec, theta, task, cfg: InnerConfig, second_order):
         return loss, v
     if head_only(cfg.update_set):
         # directions in head space, one summed pass (see above)
-        G = lins[0].features.gram()
-        u = v[layer_slice(spec, spec.n_layers - 1)].reshape(G.shape[0], -1)
+        head = layer_slice(spec, spec.n_layers - 1)
+        features = lins[0].features
+        G = features.gram()
+        u = v[head].reshape(G.shape[0], -1)
         dirs = np.empty((len(lins), u.size))
         for k in reversed(range(len(lins))):
             dirs[k] = u.ravel()
             u = u - cfg.lr * (G @ u)
-        hv = fastops.loss_hvp(spec, [lin.params for lin in lins],
-                              lins[0].features.X, lins[0].Xdot, dirs, lins)
+        hv = fastops.loss_hvp(features, [lin.params[head] for lin in lins],
+                              task.train_xdot, dirs)
         return loss, v - cfg.lr * hv
     maskf = update_mask(spec, cfg.update_set).astype(np.float64)
     for lin in reversed(lins):

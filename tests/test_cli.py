@@ -770,9 +770,13 @@ def _edit_checkpoint(change):
     return edit
 
 
-def _append_blank_curve_row(out):
-    with open(out / "curve.csv", "a") as fh:
-        fh.write("\n")
+def _edit_curve(change):
+    """An edit of a run directory: its curve.csv's bytes become
+    change(bytes)."""
+    def edit(out):
+        path = out / "curve.csv"
+        path.write_bytes(change(path.read_bytes()))
+    return edit
 
 
 # A setting a checkpoint records, and flags that change it from TRAIN_FLAGS,
@@ -794,7 +798,15 @@ RESUME_CHANGES = {
     "hidden": ["--hidden", "5"],
     "episode": ["--episodes", "2"],  # fewer than the checkpoint's 3
     # a row after the header and 3 episodes that is no episode's
-    "curve.csv:5": _append_blank_curve_row,
+    "curve.csv:5": _edit_curve(lambda b: b + b"\n"),
+    # a byte that is not UTF-8 on a line of its own, and at the end of
+    # episode 2's row, which would be kept and fail only when written back
+    "curve.csv:5: not UTF-8": _edit_curve(lambda b: b + b"\xff\n"),
+    "curve.csv:4: not UTF-8": _edit_curve(lambda b: b[:-1] + b"\xff\n"),
+    # a curve without its header: row 0 in its place, or an empty file
+    "curve.csv:1: expected the header": _edit_curve(
+        lambda b: b.split(b"\n", 1)[1]),
+    "curve.csv:1": _edit_curve(lambda b: b""),
 }
 
 

@@ -260,8 +260,7 @@ def test_head_features_agree_with_the_generic_kernels(kind, state_dim, hidden):
     lin = feats.linearize(params, Xd)
     loss, grad, glin = F.loss_grad(spec, params, X, Xd)
     want = glin.hvp(v)
-    got = F.loss_hvp(spec, [lin.params], lin.features.X, lin.Xdot,
-                     v[head][None], [lin])
+    got = F.loss_hvp(feats, params[head][None], Xd, v[head][None])
     field = F.predicted_field(spec, params, X)
     if kind == "naive":  # the same operations as the generic kernels
         assert lin.loss == loss
@@ -310,25 +309,15 @@ def test_head_features_refuse_another_body_or_batch():
         feats.linearize(params, Xd[:5])
     with pytest.raises(ValueError, match="empty"):
         F.head_features(spec, params, X[:0])
-    grid = F.head_features(spec, params, X, keep_state=False)
-    lin = grid.linearize(params, Xd)
-    with pytest.raises(ValueError, match="keep_state"):
-        F.loss_hvp(spec, [params], X, Xd, np.zeros((1, lin.grad.size)),
-                   [lin])
 
 
-def _head_trace(spec, params, X, Xd, steps, rng):
-    """Linearizations of `steps` heads on one `HeadFeatures` of X, with
-    their params and a stack of directions in the last layer's block."""
-    feats = F.head_features(spec, params, X)
+def _head_trace(spec, params, X, steps, rng):
+    """`HeadFeatures` of X at params' body, and (steps, m) stacks of heads
+    near params' own and of directions, both in the last layer's block."""
     head = N.layer_slice(spec, spec.n_layers - 1)
-    ps, lins = [], []
-    for k in range(steps):
-        p = params.copy()
-        p[head] += rng.normal(0, 0.3, p[head].size)
-        ps.append(p)
-        lins.append(feats.linearize(p, Xd))
-    return ps, lins, rng.normal(0, 1, (steps, head.stop - head.start))
+    shape = (steps, head.stop - head.start)
+    return (F.head_features(spec, params, X),
+            params[head] + rng.normal(0, 0.3, shape), rng.normal(0, 1, shape))
 
 
 @pytest.mark.parametrize("kind,state_dim,hidden", [
@@ -341,52 +330,41 @@ def test_loss_hvp_sums_a_head_space_trace(kind, state_dim, hidden):
     rng = RNG(28)
     X = rng.uniform(-1.5, 1.5, (50, state_dim))
     Xd = rng.uniform(-1.5, 1.5, (50, state_dim))
-    ps, lins, vecs = _head_trace(spec, params, X, Xd, 3, rng)
-    got = F.loss_hvp(spec, ps, X, Xd, vecs, lins)
-    singles = [F.loss_hvp(spec, [p], X, Xd, v[None], [lin])
-               for p, v, lin in zip(ps, vecs, lins)]
+    feats, heads, vecs = _head_trace(spec, params, X, 3, rng)
+    got = F.loss_hvp(feats, heads, Xd, vecs)
+    singles = [F.loss_hvp(feats, h[None], Xd, v[None])
+               for h, v in zip(heads, vecs)]
     want = np.sum(singles, axis=0)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     if kind == "hnn":
         assert got[-1] == 0.0
     # the head block of H is the features' Gram matrix at every head
     head = N.layer_slice(spec, spec.n_layers - 1)
-    G = lins[0].features.gram()
+    G = feats.gram()
     for v, single in zip(vecs, singles):
         hb = G @ v.reshape(G.shape[0], -1)
         assert np.abs(hb.ravel() - single[head]).max() <= \
             1e-13 * np.abs(single[head]).max()
 
 
-def test_loss_hvp_refuses_a_trace_off_one_set_of_head_features():
+def test_loss_hvp_refuses_stacks_that_do_not_fit_the_features():
     spec = N.NetworkSpec(2, (5, 4), 1)
     params = rand_net(29, spec)
     rng = RNG(30)
     X = rng.uniform(-1, 1, (6, 2))
     Xd = rng.uniform(-1, 1, (6, 2))
-    ps, lins, vecs = _head_trace(spec, params, X, Xd, 2, rng)
-    moved = params.copy()
-    moved[0] += 1e-3
-    other_body = F.head_features(spec, moved, X).linearize(moved, Xd)
-    X2 = X.copy()
-    other_x = F.head_features(spec, params, X2).linearize(params, Xd)
-    generic = F.loss_grad(spec, params, X, Xd)[2]
-    for p, lin in [(moved, other_body), (params, other_x),
-                   (params, generic)]:
-        with pytest.raises(ValueError, match="linearization 1"):
-            F.loss_hvp(spec, [ps[0], p], X, Xd, vecs, [lins[0], lin])
-    with pytest.raises(ValueError, match="linearization 0"):
-        F.loss_hvp(spec, [params, ps[1]], X, Xd, vecs, [generic, lins[1]])
-    with pytest.raises(ValueError, match="linearization 0"):
-        F.loss_hvp(spec, [ps[0].copy(), ps[1]], X, Xd, vecs, lins)
-    # a direction has the length of its linearization's gradient: a
-    # full-length stack, body entries and all, is refused
-    head = N.layer_slice(spec, spec.n_layers - 1)
-    full = np.zeros((len(lins), params.size))
-    full[:, head] = vecs
-    with pytest.raises(ValueError, match="length"):
-        F.loss_hvp(spec, ps, X, Xd, full, lins)
-    for bad_ps, bad_vecs in [(ps[:1], vecs), (ps, vecs[:1]), (ps, vecs[0]),
-                             ([], vecs[:0])]:
-        with pytest.raises(ValueError):
-            F.loss_hvp(spec, bad_ps, X, Xd, bad_vecs, lins[: len(bad_ps)])
+    feats, heads, vecs = _head_trace(spec, params, X, 2, rng)
+    # one head per direction, each as wide as the last layer's [W; b]
+    # block: a full-length stack, body entries and all, is refused
+    full = np.zeros((2, params.size))
+    for bad_heads, bad_vecs in [(heads[:1], vecs), (heads, vecs[:1]),
+                                (heads, vecs[0]), (heads[0], vecs[0]),
+                                (heads[:0], vecs[:0]), (full, full),
+                                (heads[:, :-1], vecs[:, :-1])]:
+        with pytest.raises(ValueError, match="stacks"):
+            F.loss_hvp(feats, bad_heads, Xd, bad_vecs)
+    with pytest.raises(ValueError, match="Xdot"):
+        F.loss_hvp(feats, heads, Xd[:5], vecs)
+    grid = F.head_features(spec, params, X, keep_state=False)
+    with pytest.raises(ValueError, match="keep_state"):
+        F.loss_hvp(grid, heads, Xd, vecs)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from hamlearn import DOF, LEARNER_KINDS, fastops
+from hamlearn import evaluation as E
 from hamlearn import metalearn as M
 from hamlearn.network import (NetworkSpec, init_params, layer_slice,
                               param_count, update_mask)
 from hamlearn.physics import integrate, true_field_many
-from hamlearn.taskgen import (Task, make_meta_train, sample_params,
-                              sample_states)
+from hamlearn.taskgen import (Task, build_grid, make_meta_train,
+                              sample_params, sample_states)
 from oracle import graph as G
 from oracle import tape as T
 
@@ -611,8 +612,8 @@ def _per_step_meta_grad(spec, theta, task, cfg):
     loss, v, _ = fastops.loss_grad(spec, theta_s, task.test_x, task.test_xdot)
     head = layer_slice(spec, spec.n_layers - 1)
     for lin in reversed(lins):
-        v = v - cfg.lr * fastops.loss_hvp(spec, [lin.params], lin.features.X,
-                                          lin.Xdot, v[head][None], [lin])
+        v = v - cfg.lr * fastops.loss_hvp(lin.features, lin.params[head][None],
+                                          task.train_xdot, v[head][None])
     return loss, v
 
 
@@ -710,40 +711,51 @@ def test_meta_step_on_unpickled_inputs_is_bit_identical(kind):
 
 
 def _kernel_calls(monkeypatch, kind):
-    """(calls, tasks, inner): the positional args of each call of
-    `fastops.loss_hvp`, `fastops.loss_grad` and `Linearization.hvp` in one
-    second-order meta_step of `kind` on three tasks."""
+    """(calls, tasks, inner): the positional args and result of each call of
+    `fastops.loss_hvp`, `fastops.loss_grad`, `Linearization.hvp` and
+    `fastops.predicted_field` in one second-order meta_step of `kind` on
+    three tasks, followed by a grid score and a short rollout of task 0's
+    system."""
     learner = M.build_learner(kind, 2, (16, 16))
     spec, inner = learner.spec, learner.inner
     theta = init_params(spec, 4)
     tasks = list(make_meta_train("spring_mass", 3, 50, 4))
-    calls = {"loss_hvp": [], "loss_grad": [], "hvp": []}
+    calls = {"loss_hvp": [], "loss_grad": [], "hvp": [], "predicted_field": []}
     with monkeypatch.context() as patch:
         for name, seen in calls.items():
             owner = fastops.Linearization if name == "hvp" else fastops
             def spy(*args, _real=getattr(owner, name), _seen=seen, **kwargs):
-                _seen.append(args)
-                return _real(*args, **kwargs)
+                result = _real(*args, **kwargs)
+                _seen.append((args, result))
+                return result
             patch.setattr(owner, name, spy)
         M.meta_step(spec, theta, tasks, inner, M.OuterConfig(task_batch=3),
                     M.adam_init(theta.size))
+        E.field_mse(spec, theta, build_grid(tasks[0].params))
+        E.rollout_eval(spec, theta, tasks[0].params, tasks[0].test_x[0],
+                       T_span=1.0, samples=5)
     return calls, tasks, inner
 
 
 def test_hanil_meta_step_calls_each_traced_kernel_once_per_task_on_x(
         monkeypatch):
-    # a traced benchmark run counts the calls of loss_hvp and loss_grad
-    # and reads the batch size of each as len(args[2]), so X is the third
-    # positional argument
+    # a traced benchmark run counts the calls of loss_hvp, loss_grad and
+    # predicted_field and reads the batch size of each as len(args[2]):
+    # loss_grad's X, loss_hvp's labels Xdot and the states predicted_field
+    # scores are the third positional argument
     calls, tasks, _ = _kernel_calls(monkeypatch, "hanil")
     assert calls["hvp"] == []
-    split = {"loss_hvp": "train_x", "loss_grad": "test_x"}
+    split = {"loss_hvp": "train_xdot", "loss_grad": "test_x"}
     for name, attr in split.items():
         seen = calls[name]
         assert len(seen) == len(tasks)
-        for args, task in zip(seen, tasks):
+        for (args, _), task in zip(seen, tasks):
             assert len(args[2]) == 50
             np.testing.assert_array_equal(args[2], getattr(task, attr))
+    fields = calls["predicted_field"]
+    assert len(fields) > 1 and len(fields[0][0][2]) == 2500
+    for args, field in fields:
+        assert len(args[2]) == len(field)
     # a generic second-order learner multiplies through each of its
     # linearizations' hvp and never calls loss_hvp, so that the traced
     # fastops.loss_hvp.* figures describe the head-space trace alone
@@ -753,5 +765,5 @@ def test_hanil_meta_step_calls_each_traced_kernel_once_per_task_on_x(
     want = [x for task in tasks
             for x in [task.train_x] * inner.steps + [task.test_x]]
     assert len(calls["loss_grad"]) == len(want)
-    for args, x in zip(calls["loss_grad"], want):
+    for (args, _), x in zip(calls["loss_grad"], want):
         np.testing.assert_array_equal(args[2], x)
