@@ -227,23 +227,28 @@ def _load_learner_state(args, cfg):
 
 
 def cmd_eval(args) -> int:
+    import json
+
     from .evaluation import adapt_and_eval
     from .taskgen import make_meta_test_suite
     cfg, _ = _resolve(args)
     learner, theta = _load_learner_state(args, cfg)
     suite = make_meta_test_suite(cfg.system, cfg.mode, cfg.k, cfg.seed,
                                  cfg.n_systems)
-    rep = adapt_and_eval(learner, theta, suite, cfg.adapt_steps, cfg.adapt_lr)
+    per = adapt_and_eval(learner, theta, suite, cfg.adapt_steps, cfg.adapt_lr)
     write_provenance("eval", vars(cfg))
+    rep = dict(learner=learner.kind, system=cfg.system, mode=cfg.mode,
+               k=cfg.k, mse_mean=float(per.mean()), mse_std=float(per.std()),
+               n_systems=cfg.n_systems, adapt_steps=cfg.adapt_steps)
     with open(os.path.join(cfg.out_dir, "report.json"), "w") as fh:
-        fh.write(rep.to_json() + "\n")
+        fh.write(json.dumps(rep, indent=2, sort_keys=True, allow_nan=False)
+                 + "\n")
     with open(os.path.join(cfg.out_dir, "report.csv"), "w") as fh:
         # the columns of report.json; str of a float is its repr
-        fh.write(",".join(vars(rep)) + "\n"
-                 + ",".join(map(str, vars(rep).values())) + "\n")
-    print(f"{rep.learner} on {rep.system} ({rep.mode}, K={rep.k}): "
-          f"mse {rep.mse_mean:.6g} +- {rep.mse_std:.6g} "
-          f"over {rep.n_systems} systems")
+        fh.write(f"{','.join(rep)}\n{','.join(map(str, rep.values()))}\n")
+    print(f"{learner.kind} on {cfg.system} ({cfg.mode}, K={cfg.k}): "
+          f"mse {rep['mse_mean']:.6g} +- {rep['mse_std']:.6g} "
+          f"over {cfg.n_systems} systems")
     return 0
 
 
@@ -349,9 +354,9 @@ def cmd_ablate(args) -> int:
         fh.write("learner,task_count,mse_mean,mse_std\n")
         for kind in kinds:
             for count in counts:
-                rep = table[kind][count]
-                fh.write(f"{kind},{count},{format_value(rep.mse_mean)},"
-                         f"{format_value(rep.mse_std)}\n")
+                per = table[kind][count]
+                fh.write(f"{kind},{count},{format_value(per.mean())},"
+                         f"{format_value(per.std())}\n")
     print(f"ablation table in {path}")
     return 0
 
@@ -368,7 +373,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, ArithmeticError,
-            RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, ArithmeticError, RuntimeError,
+            MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2

@@ -307,6 +307,18 @@ def write_arrays(path: str, doc: dict, arrays: dict) -> None:
         raise
 
 
+def read_json(path: str, **kwargs) -> tuple:
+    """(raw bytes, value) of the JSON file `path` by json.loads(**kwargs);
+    bytes that do not decode or parse are refused naming the file."""
+    import json
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw, json.loads(raw, **kwargs)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def read_arrays(fname: str, digests, shapes: dict) -> dict:
     """{path: read-only memory map} of each .npy file that `shapes` ({file
     name: shape}) names beside the JSON file `fname`, whose "sha256" value
@@ -357,8 +369,6 @@ def load_checkpoint(path: str):
     """Returns (learner_def, theta, adam, blob) rebuilt from disk.  The
     array file, <stem>.npy beside `path` whatever the JSON says, must pass
     read_arrays for the shape the learner implies and be finite."""
-    import json
-
     import numpy as np
 
     from .metalearn import AdamState, build_learner
@@ -368,8 +378,7 @@ def load_checkpoint(path: str):
         raise ValueError(f"checkpoint {path} holds {token}, which is not "
                          "strict JSON")
 
-    with open(path) as fh:
-        blob = json.load(fh, parse_constant=refuse)
+    _, blob = read_json(path, parse_constant=refuse)
     if type(blob) is not dict:
         raise ValueError(f"unsupported checkpoint format in {path}")
     if blob.get("format_version") == 1:

@@ -1,17 +1,17 @@
-"""Meta-test evaluation: grid MSEs, adaptation protocols, rollouts, ablations.
+"""Meta-test evaluation: lattice MSEs, adaptation, rollouts, ablations.
 
-Adaptation at evaluation time uses Adam (lr 0.002, 10 steps by default) and
-respects the learner's update set, so head-only learners stay head-only at
-test time.  Energy error along a rollout is always measured with the TRUE
-Hamiltonian on both trajectories: the learned one is only defined up to an
-additive constant, so comparing H_theta against H_true directly would be
-meaningless.
+A held-out system is a `Task` scored by its field MSE over its test split,
+the lattice.  Adaptation at evaluation time uses Adam (lr 0.002, 10 steps
+by default) and respects the learner's update set, so head-only learners
+stay head-only at test time.  Energy error along a rollout is always
+measured with the TRUE Hamiltonian on both trajectories: the learned one
+is only defined up to an additive constant, so comparing H_theta against
+H_true directly would be meaningless.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,26 +22,10 @@ from .metalearn import (InnerConfig, LearnerDef, OuterConfig, adam_init,
 from .network import init_params
 from .physics import (DOF, PhysicalParams, field_fn, hamiltonian_many,
                       integrate, sample_times)
-from .taskgen import GridTestSet, make_meta_test_suite, make_meta_train
+from .taskgen import Task, make_meta_test_suite, make_meta_train
 
 ADAPT_STEPS = 10
 ADAPT_LR = 0.002
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    learner: str
-    system: str
-    mode: str
-    k: int
-    mse_mean: float
-    mse_std: float
-    n_systems: int
-    adapt_steps: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True,
-                          allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -54,22 +38,22 @@ class RolloutReport:
     failure_time: float | None = None
 
 
-def field_mse(spec, params, grid: GridTestSet,
+def field_mse(spec, params, task: Task,
               features: fastops.HeadFeatures | None = None) -> float:
-    """Mean squared field error over the evaluation lattice.
+    """Mean squared field error over task's test split.
 
-    `features`, the head features of grid.states at params' body, give the
+    `features`, the head features of task.test_x at params' body, give the
     field as phi times the last layer instead of a pass through the net.
     """
-    if grid.states.shape[0] == 0:
+    if task.test_x.shape[0] == 0:
         raise ValueError("empty grid")
     if features is None:
-        F = fastops.predicted_field(spec, params, grid.states)
-    elif features.X is not grid.states:
+        F = fastops.predicted_field(spec, params, task.test_x)
+    elif features.X is not task.test_x:
         raise ValueError("features were built on another grid")
     else:
         F = features.field(params)
-    R = F - grid.derivatives
+    R = F - task.test_xdot
     mse = float(np.mean(np.sum(R * R, axis=1)))
     if not np.isfinite(mse):
         raise FloatingPointError("non-finite grid MSE")
@@ -104,10 +88,10 @@ def _with_grid_features(learner: LearnerDef, theta, systems):
         raise ValueError("no meta-test systems")
     features = None
     for s in systems:
-        if (head_only(learner.inner.update_set) and s.grid.states.shape[0] > 0
-                and (features is None or features.X is not s.grid.states)):
-            features = fastops.head_features(learner.spec, theta,
-                                             s.grid.states, keep_state=False)
+        if (head_only(learner.inner.update_set) and s.test_x.shape[0] > 0
+                and (features is None or features.X is not s.test_x)):
+            features = fastops.head_features(learner.spec, theta, s.test_x,
+                                             keep_state=False)
         yield s, features
 
 
@@ -123,21 +107,18 @@ def adapt_params(learner: LearnerDef, theta, X, Xdot,
 
 def adapt_and_eval(learner: LearnerDef, theta_meta, systems,
                    adapt_steps: int = ADAPT_STEPS,
-                   adapt_lr: float = ADAPT_LR) -> EvalReport:
-    """Adapt to each held-out system, score on its grid, aggregate.
+                   adapt_lr: float = ADAPT_LR) -> np.ndarray:
+    """Adapt to each held-out system and score it on its lattice: the
+    per-system MSEs, in the order of `systems`.
 
-    theta_meta is never mutated; each system adapts its own copy.  The
-    reported spread is the population std of the per-system MSEs.
+    theta_meta is never mutated; each system adapts its own copy.
     """
     per = []
     for s, features in _with_grid_features(learner, theta_meta, systems):
         th = adapt_params(learner, theta_meta, s.train_x, s.train_xdot,
                           adapt_steps, adapt_lr)
-        per.append(field_mse(learner.spec, th, s.grid, features))
-    per = np.asarray(per)
-    return EvalReport(learner.kind, systems[0].params.system, systems[0].mode,
-                      int(systems[0].k), float(per.mean()), float(per.std()),
-                      len(systems), int(adapt_steps))
+        per.append(field_mse(learner.spec, th, s, features))
+    return np.asarray(per)
 
 
 def learning_curve(learner: LearnerDef, theta_meta, systems,
@@ -151,7 +132,7 @@ def learning_curve(learner: LearnerDef, theta_meta, systems,
         path = _adam_path(learner, theta_meta, s.train_x, s.train_xdot,
                           max_steps, adapt_lr)
         for step, theta in enumerate(path):
-            curves[i, step] = field_mse(learner.spec, theta, s.grid, features)
+            curves[i, step] = field_mse(learner.spec, theta, s, features)
     return curves.mean(axis=0)
 
 
@@ -209,7 +190,7 @@ def ablation_tasks(kinds, task_counts, system: str, mode: str, K: int,
                    adapt_lr: float = ADAPT_LR):
     """Meta-train each kind at each pool size; score all on one shared suite.
 
-    Returns {kind: {count: EvalReport}}.  Kinds must be distinct and counts
+    Returns {kind: {count: MSE array}}.  Kinds must be distinct and counts
     ascending; each cell trains from its own freshly seeded initialization.
     """
     task_counts = list(task_counts)

@@ -2,10 +2,11 @@
 
 A task is one physical system: parameters drawn uniformly from the
 per-system boxes below, plus train/test sets of exact (x, xdot) pairs.
-Meta-test systems come in two observation modes: `points` (K independent
-states) and `trajectories` (K short rollouts contributing L samples each,
-with derivatives recomputed analytically at the sampled states).  Their
-test surface is a full lattice over the sampling region.
+A held-out (meta-test) system is a task too.  Its train split comes in
+two observation modes: `points` (K independent states) and `trajectories`
+(K short rollouts contributing L samples each, with derivatives recomputed
+analytically at the sampled states).  Its test split is the true field on
+a full lattice over the sampling region.
 
 A dataset is a JSON manifest plus two .npy arrays of raw float64s, so a
 load round-trips to the exact same doubles.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import SYSTEMS, seeding
-from .config import read_arrays, write_arrays
+from .config import read_arrays, read_json, write_arrays
 from .physics import (DOF, PARAM_NAMES, KEPLER_MIN_SEP_SAMPLE,
                       KEPLER_MIN_SEP_EVAL, PhysicalParams, field_fn,
                       integrate, kepler_separation, true_field_many)
@@ -58,27 +58,13 @@ DATASET_FORMAT_VERSION = 2
 
 @dataclass
 class Task:
+    """One system's exact (x, xdot) pairs, (rows, 2n) each.  A held-out
+    system's test_x is the shared read-only lattice of its system."""
     params: PhysicalParams
     train_x: np.ndarray
     train_xdot: np.ndarray
     test_x: np.ndarray
     test_xdot: np.ndarray
-
-
-@dataclass
-class GridTestSet:
-    states: np.ndarray       # (G, 2n) lattice over the sampling region
-    derivatives: np.ndarray  # true field at each lattice point
-
-
-@dataclass
-class MetaTestSystem:
-    params: PhysicalParams
-    train_x: np.ndarray
-    train_xdot: np.ndarray
-    grid: GridTestSet
-    mode: str
-    k: int
 
 
 def sample_params(system: str, rng: np.random.Generator) -> PhysicalParams:
@@ -142,12 +128,6 @@ def _lattice(system: str, per_axis: int) -> np.ndarray:
     return states
 
 
-def build_grid(params: PhysicalParams) -> GridTestSet:
-    """Evenly spaced lattice spanning the sampling region, with true fields."""
-    states = _lattice(params.system, GRID_PER_AXIS[params.system])
-    return GridTestSet(states, true_field_many(params, states))
-
-
 def _grid_safe(params: PhysicalParams) -> bool:
     """Kepler only: is every lattice q-point clear of the 1/r guard?"""
     if params.system != "kepler":
@@ -156,9 +136,9 @@ def _grid_safe(params: PhysicalParams) -> bool:
     return bool(kepler_separation(params, Q).min() >= _GRID_CLEARANCE)
 
 
-def _sample_trajectory_pairs(params: PhysicalParams, rng: np.random.Generator,
-                             K: int):
-    """K short rollouts; analytic labels at the sampled states."""
+def _trajectory_states(params: PhysicalParams, rng: np.random.Generator,
+                       K: int) -> np.ndarray:
+    """The stacked samples of K short rollouts."""
     xs = []
     f = field_fn(params)
     for _ in range(K):
@@ -174,17 +154,17 @@ def _sample_trajectory_pairs(params: PhysicalParams, rng: np.random.Generator,
             break
         else:
             raise RuntimeError("trajectory resampling budget exceeded")
-    states = np.vstack(xs)
-    return states, true_field_many(params, states)
+    return np.vstack(xs)
 
 
 def make_meta_test(system: str, mode: str, K: int,
-                   rng: np.random.Generator) -> MetaTestSystem:
-    """One held-out system: K-shot observations plus the lattice test set.
+                   rng: np.random.Generator) -> Task:
+    """One held-out system: K-shot observations, and the lattice as its
+    test split, each state labelled with the true field.
 
-    points mode: K independent (x, xdot) pairs.  trajectories mode: K
-    rollouts of TRAJ_SPAN seconds, each sampled at t_k = k*T/L for
-    L = TRAJ_SAMPLES, so K*L pairs.
+    points mode: K independent states.  trajectories mode: K rollouts of
+    TRAJ_SPAN seconds, each sampled at t_k = k*T/L for L = TRAJ_SAMPLES,
+    so K*L states.
     """
     if mode not in ("points", "trajectories"):
         raise ValueError(f"mode must be points|trajectories, got {mode!r}")
@@ -196,13 +176,11 @@ def make_meta_test(system: str, mode: str, K: int,
             break
     else:
         raise RuntimeError("could not sample grid-safe system parameters")
-    if mode == "points":
-        train_x = sample_states(params, rng, K)
-        train_xdot = true_field_many(params, train_x)
-    else:
-        train_x, train_xdot = _sample_trajectory_pairs(params, rng, K)
-    return MetaTestSystem(params, train_x, train_xdot, build_grid(params),
-                          mode, K)
+    train_x = (sample_states(params, rng, K) if mode == "points"
+               else _trajectory_states(params, rng, K))
+    test_x = _lattice(system, GRID_PER_AXIS[system])
+    return Task(params, train_x, true_field_many(params, train_x), test_x,
+                true_field_many(params, test_x))
 
 
 def make_meta_test_suite(system: str, mode: str, K: int, seed: int,
@@ -248,8 +226,9 @@ class TaskPool(Sequence):
     4n): points[i] is task i's train then test split, each row x then xdot.
     Task i is built and checked on first index, then cached, so repeated
     draws see the same Task object; a loaded pool reads it only then
-    (_PointsFile).  `files` name the arrays in errors; `digest` is a loaded
-    pool's manifest sha256, which covers each array's."""
+    (_PointsFile); a slice gives the list of its tasks.  `files` name the
+    arrays in errors; `digest` is a loaded pool's manifest sha256, which
+    covers each array's."""
 
     def __init__(self, system: str, params: np.ndarray, points,
                  files=("params", "points"), digest: str = None):
@@ -260,7 +239,9 @@ class TaskPool(Sequence):
     def __len__(self) -> int:
         return len(self._tasks)
 
-    def __getitem__(self, i) -> Task:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self._tasks))[i]]
         i = range(len(self._tasks))[i]  # an int in range, or IndexError
         if self._tasks[i] is None:
             pvals = self.params[i].tolist()  # Python floats
@@ -304,9 +285,7 @@ def load_dataset(path: str):
     and checked on first index (TaskPool).
     """
     fname = os.path.join(path, "manifest.json")
-    with open(fname, "rb") as fh:
-        raw = fh.read()
-    manifest = json.loads(raw)
+    raw, manifest = read_json(fname)
     if type(manifest) is not dict:
         raise ValueError(f"unsupported dataset format in {fname}")
     system = manifest.get("system")

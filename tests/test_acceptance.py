@@ -207,7 +207,7 @@ def test_criterion_4_desk_scale_table_ordering(spring_runs):
     wins = 0
     for seed in DESK_SEEDS:
         suite = make_meta_test_suite("spring_mass", "points", 50, seed, 10)
-        mse = {kind: adapt_and_eval(learner, theta, suite, 10, 0.002).mse_mean
+        mse = {kind: adapt_and_eval(learner, theta, suite, 10, 0.002).mean()
                for kind, (learner, theta) in spring_runs[seed].items()}
         rows[seed] = mse
         if (mse["hanil"] < mse["hamaml"] < mse["hnn_scratch"]
@@ -255,10 +255,10 @@ def test_criterion_6_task_count_ablation_trend():
     table = ablation_tasks(["hanil", "hnn_pretrained"], [50, DESK_TASKS],
                            "pendulum", "points", 50, seed, InnerConfig(),
                            OuterConfig(), n_points=DESK_POINTS)
-    h50 = table["hanil"][50].mse_mean
-    h1k = table["hanil"][DESK_TASKS].mse_mean
-    p50 = table["hnn_pretrained"][50].mse_mean
-    p1k = table["hnn_pretrained"][DESK_TASKS].mse_mean
+    h50 = table["hanil"][50].mean()
+    h1k = table["hanil"][DESK_TASKS].mean()
+    p50 = table["hnn_pretrained"][50].mean()
+    p1k = table["hnn_pretrained"][DESK_TASKS].mean()
     f_hanil = h50 / h1k
     f_pre = max(p50, p1k) / min(p50, p1k)
     print(f"criterion 6: hanil 50t {h50:.2f} -> 1000t {h1k:.2f} "
@@ -278,8 +278,8 @@ def test_criterion_7_points_beat_matched_trajectories(spring_runs):
         learner, theta = spring_runs[seed]["hanil"]
         points = make_meta_test_suite("spring_mass", "points", 25, seed, 10)
         trajs = make_meta_test_suite("spring_mass", "trajectories", 5, seed, 10)
-        mp = adapt_and_eval(learner, theta, points, 10, 0.002).mse_mean
-        mt = adapt_and_eval(learner, theta, trajs, 10, 0.002).mse_mean
+        mp = adapt_and_eval(learner, theta, points, 10, 0.002).mean()
+        mt = adapt_and_eval(learner, theta, trajs, 10, 0.002).mean()
         wins += mp <= mt
         detail.append(f"seed {seed}: points {mp:.1f} vs trajectories {mt:.1f}")
     print(f"criterion 7: points <= trajectories on {wins}/3 seeds "

@@ -185,6 +185,17 @@ def test_runtime_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_an_error_without_text_is_named_by_its_type(tmp_path, monkeypatch,
+                                                    capsys):
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(taskgen, "make_meta_train", exhausted)
+    out = tmp_path / "g"
+    assert main(["gen", "--tasks", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["eval", "rollout"])
 def test_non_finite_adaptation_exits_2(tmp_path, cmd, capsys):
     out = tmp_path / "nan"
@@ -456,12 +467,28 @@ def test_a_format_1_checkpoint_exits_2_naming_an_older_build(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("raw", [b'{"a": ', b"\xff{}", b"\xff\xfe{"],
+                         ids=["unfinished", "not-utf-8", "not-utf-16"])
+@pytest.mark.parametrize("cmd", sorted(JSON_INPUT_COMMANDS))
+def test_json_that_does_not_parse_names_its_file(tmp_path, cmd, raw):
+    kind = "manifest" if cmd == "metatrain" else "checkpoint"
+    path = _tampered_input(tmp_path, kind, dict)
+    file = Path(path) / "manifest.json" if kind == "manifest" else Path(path)
+    file.write_bytes(raw)
+    out = tmp_path / "o"
+    code, lines, caught = _run_quietly([*JSON_INPUT_COMMANDS[cmd], path,
+                                        "--out", str(out)])
+    assert code == 2 and not caught
+    assert len(lines) == 1 and lines[0].startswith(f"error: {file}: ")
+    assert not out.exists()
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
 def test_any_damage_to_a_dataset_exits_1_or_2(data):
     manifest = json.loads(Path("ds/manifest.json").read_text())
     fault = data.draw(st.sampled_from(["field", "truncate", "flip"]))
-    cmd = "metatrain"
+    cmd, named = "metatrain", None
     with tempfile.TemporaryDirectory() as root:
         ds = Path(root) / "ds"
         shutil.copytree("ds", ds)
@@ -475,8 +502,10 @@ def test_any_damage_to_a_dataset_exits_1_or_2(data):
                                                           key: value}))
         else:
             name = data.draw(st.sampled_from(["params.npy", "points.npy",
-                                              "checkpoint.npy"]))
-            if name == "checkpoint.npy":  # the damaged input is a checkpoint
+                                              "manifest.json",
+                                              "checkpoint.npy",
+                                              "checkpoint.json"]))
+            if name.startswith("checkpoint"):  # the input is a checkpoint
                 cmd, ds = "eval", _tampered_input(root, "checkpoint", dict)
                 file = Path(root) / name
             else:
@@ -488,6 +517,14 @@ def test_any_damage_to_a_dataset_exits_1_or_2(data):
                 for i in data.draw(st.sets(st.integers(0, len(raw) - 1),
                                            min_size=1, max_size=4)):
                     raw[i] ^= data.draw(st.integers(1, 255))
+            if name.endswith(".json"):
+                # JSON that still parses is a field fault; JSON that does
+                # not is refused by an error that names its file
+                try:
+                    json.loads(raw)
+                except ValueError:
+                    named = str(file)
+                assume(named)
             file.write_bytes(raw)
         out = Path(root) / "o"
         code, lines, caught = _run_quietly([*JSON_INPUT_COMMANDS[cmd],
@@ -495,6 +532,7 @@ def test_any_damage_to_a_dataset_exits_1_or_2(data):
         assert not out.exists()  # refused before anything was written
     assert code in (1, 2) and not caught
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert named is None or named in lines[0]
 
 
 def _corrupt_dataset(tmp_path, corrupt):
@@ -924,12 +962,16 @@ CKPT = ["--checkpoint", "run/checkpoint.json"]
     ["metatrain", "--dataset", "ds", *TRAIN_FLAGS, "--outer-lr", "inf"],
     ["eval", *CKPT, "--k", "6", "--n-systems", "1", "--adapt-lr", "inf"],
     ["eval", *CKPT, "--k", "6", "--n-systems", "1", "--adapt-lr", "1e308"],
+    # PiB-sized requests, which numpy refuses before touching memory
+    ["gen", "--tasks", "1000000000000000"],
+    ["metatrain", "--dataset", "ds", *TRAIN_FLAGS, "--hidden",
+     "100000000,100000000"],
 ], ids=["eval-no-systems", "eval-k0", "rollout-no-samples",
         "rollout-negative-T", "rollout-nan-x0", "eval-nan-lr",
         "curve-no-systems", "eval-hidden-conflict", "rollout-nan-T",
         "rollout-inf-T", "eval-negative-lr", "eval-zero-lr",
         "metatrain-inf-inner-lr", "metatrain-inf-outer-lr", "eval-inf-lr",
-        "eval-huge-lr"])
+        "eval-huge-lr", "gen-pib-pool", "metatrain-pib-net"])
 def test_degenerate_input_fails_cleanly(tmp_path, argv):
     # a child process, so that an input that hangs fails the test at the
     # timeout instead of stalling the suite
@@ -992,6 +1034,14 @@ def test_eval_report_matches_schema(tmp_path, capsys):
     header, row = open(out + "/report.csv").read().strip().split("\n")
     assert header.split(",") == list(REPORT_SCHEMA["required"])
     assert row.split(",")[0] == "hanil"
+    # K trajectories of TRAJ_SAMPLES samples: k is K, not the rows observed
+    out = str(tmp_path / "evt")
+    assert main(["eval", "--checkpoint", "run/checkpoint.json", "--mode",
+                 "trajectories", "--k", "3", "--steps", "2", "--n-systems",
+                 "2", "--seed", "3", "--out", out]) == 0
+    rep = json.load(open(out + "/report.json"))
+    jsonschema.validate(rep, REPORT_SCHEMA)
+    assert rep["mode"] == "trajectories" and rep["k"] == 3
     capsys.readouterr()
 
 

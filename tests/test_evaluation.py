@@ -10,8 +10,8 @@ from hamlearn.network import (NetworkSpec, init_params, layer_slice,
                               param_count, update_mask)
 from hamlearn.physics import (PhysicalParams, hamiltonian_many, integrate,
                               sample_times, true_field_many)
-from hamlearn.taskgen import (GridTestSet, MetaTestSystem, _lattice,
-                              make_meta_test_suite, sample_params)
+from hamlearn.taskgen import (Task, _lattice, make_meta_test_suite,
+                              sample_params)
 from oracle.graph import graph_field
 
 
@@ -19,14 +19,16 @@ def spring(m=1.0, k=1.0, q0=0.0):
     return PhysicalParams("spring_mass", {"m": m, "k": k, "q0": q0})
 
 
-def fake_system(params, grid, X, Xdot, mode="points"):
-    return MetaTestSystem(params, X, Xdot, grid, mode, X.shape[0])
+def scored_on(states, derivatives, params=None):
+    """A task that holds only a test split."""
+    empty = np.zeros((0, states.shape[1]))
+    return Task(params, empty, empty, states, derivatives)
 
 
-def lattice_grid(params, per_axis):
+def lattice_task(params, per_axis):
     """The evaluation lattice at per_axis points per axis, with true fields."""
     states = _lattice(params.system, per_axis)
-    return GridTestSet(states, true_field_many(params, states))
+    return scored_on(states, true_field_many(params, states), params)
 
 
 # -- field_mse -------------------------------------------------------------------
@@ -37,34 +39,33 @@ def test_field_mse_zero_for_perfect_predictor():
     theta = init_params(spec, 1)
     states = np.random.default_rng(0).uniform(-1, 1, (30, 2))
     F = fastops.predicted_field(spec, theta, states)
-    grid = GridTestSet(states, F)
-    assert E.field_mse(spec, theta, grid) == 0.0
+    assert E.field_mse(spec, theta, scored_on(states, F)) == 0.0
 
 
 def test_field_mse_zero_for_true_hamiltonian_on_tape():
     rng = np.random.default_rng(4)
     params = sample_params("pendulum", rng)
-    grid = lattice_grid(params, 7)
-    pred = np.array([graph_field(params, s) for s in grid.states])
-    R = pred - grid.derivatives
+    task = lattice_task(params, 7)
+    pred = np.array([graph_field(params, s) for s in task.test_x])
+    R = pred - task.test_xdot
     assert float(np.mean(np.sum(R * R, axis=1))) < 1e-20
 
 
 def test_field_mse_zero_predictor_matches_direct_sum():
     rng = np.random.default_rng(5)
     params = sample_params("spring_mass", rng)
-    grid = lattice_grid(params, 9)
+    task = lattice_task(params, 9)
     spec = NetworkSpec(2, (4,), 1)
-    got = E.field_mse(spec, np.zeros(param_count(spec)), grid)
-    want = sum(float(v @ v) for v in grid.derivatives) / grid.states.shape[0]
+    got = E.field_mse(spec, np.zeros(param_count(spec)), task)
+    want = sum(float(v @ v) for v in task.test_xdot) / task.test_x.shape[0]
     assert abs(got - want) < 1e-12 * want
 
 
 def test_field_mse_empty_grid_rejected():
     spec = NetworkSpec(2, (4,), 1)
-    grid = GridTestSet(np.zeros((0, 2)), np.zeros((0, 2)))
+    task = scored_on(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        E.field_mse(spec, np.zeros(param_count(spec)), grid)
+        E.field_mse(spec, np.zeros(param_count(spec)), task)
 
 
 # -- adaptation ------------------------------------------------------------------
@@ -87,26 +88,21 @@ def test_adapt_and_eval_aggregation_matches_recomputation():
     learner = M.build_learner("hamaml", hidden=(6,))
     theta = init_params(learner.spec, 3)
     systems = suite_for(n_systems=4)
-    rep = E.adapt_and_eval(learner, theta, systems, adapt_steps=3)
+    got = E.adapt_and_eval(learner, theta, systems, adapt_steps=3)
     per = []
     for s in systems:
         th = E.adapt_params(learner, theta, s.train_x, s.train_xdot, 3)
-        per.append(E.field_mse(learner.spec, th, s.grid))
-    assert rep.mse_mean == float(np.mean(per))
-    assert rep.mse_std == float(np.std(per))  # population convention
-    assert rep.n_systems == 4 and rep.adapt_steps == 3
-    assert rep.learner == "hamaml" and rep.system == "spring_mass"
-    assert rep.mode == "points" and rep.k == 8
+        per.append(E.field_mse(learner.spec, th, s))
+    np.testing.assert_array_equal(got, per)
 
 
 def test_adapt_step_zero_evaluates_raw_initialization():
     learner = M.build_learner("hanil", hidden=(5,))
     theta = init_params(learner.spec, 9)
     systems = suite_for(n_systems=2)
-    rep = E.adapt_and_eval(learner, theta, systems, adapt_steps=0)
-    direct = np.mean([E.field_mse(learner.spec, theta, s.grid)
-                      for s in systems])
-    assert rep.mse_mean == float(direct)
+    per = E.adapt_and_eval(learner, theta, systems, adapt_steps=0)
+    direct = np.mean([E.field_mse(learner.spec, theta, s) for s in systems])
+    assert per.mean() == float(direct)
 
 
 def test_adapt_respects_update_set():
@@ -134,13 +130,12 @@ def test_perfectly_fitted_system_stays_at_zero_mse():
     rng = np.random.default_rng(13)
     Xtr = rng.uniform(-1, 1, (10, 2))
     Xg = rng.uniform(-1, 1, (40, 2))
-    sysm = fake_system(
-        spring(), GridTestSet(Xg, fastops.predicted_field(
-            learner.spec, theta, Xg)),
-        Xtr, fastops.predicted_field(learner.spec, theta, Xtr))
+    sysm = Task(spring(), Xtr,
+                fastops.predicted_field(learner.spec, theta, Xtr), Xg,
+                fastops.predicted_field(learner.spec, theta, Xg))
     for steps in (0, 1, 10):
-        rep = E.adapt_and_eval(learner, theta, [sysm], adapt_steps=steps)
-        assert rep.mse_mean == 0.0
+        per = E.adapt_and_eval(learner, theta, [sysm], adapt_steps=steps)
+        assert per.mean() == 0.0
 
 
 def test_adaptation_reduces_mse_on_real_system():
@@ -149,16 +144,7 @@ def test_adaptation_reduces_mse_on_real_system():
     systems = suite_for(n_systems=2, K=20, seed=5)
     r0 = E.adapt_and_eval(learner, theta, systems, adapt_steps=0)
     r40 = E.adapt_and_eval(learner, theta, systems, adapt_steps=40)
-    assert r40.mse_mean < r0.mse_mean
-
-
-def test_report_json_roundtrip():
-    import json
-    rep = E.EvalReport("hanil", "pendulum", "points", 50, 0.25, 0.1, 10, 10)
-    back = json.loads(rep.to_json())
-    assert back == {"learner": "hanil", "system": "pendulum",
-                    "mode": "points", "k": 50, "mse_mean": 0.25,
-                    "mse_std": 0.1, "n_systems": 10, "adapt_steps": 10}
+    assert r40.mean() < r0.mean()
 
 
 # -- learning curves --------------------------------------------------------------
@@ -171,8 +157,8 @@ def test_learning_curve_consistency_with_adapt_and_eval():
     curve = E.learning_curve(learner, theta, systems, max_steps=5)
     assert curve.shape == (6,)
     for step in (0, 2, 5):
-        rep = E.adapt_and_eval(learner, theta, systems, adapt_steps=step)
-        assert curve[step] == rep.mse_mean
+        per = E.adapt_and_eval(learner, theta, systems, adapt_steps=step)
+        assert curve[step] == per.mean()
 
 
 def test_learning_curve_validation():
@@ -190,9 +176,7 @@ def test_learning_curve_validation():
 
 def _with_own_lattice(system):
     """The same system scored on a private copy of its lattice."""
-    g = system.grid
-    return dataclasses.replace(system, grid=GridTestSet(
-        g.states.copy(), g.derivatives))
+    return dataclasses.replace(system, test_x=system.test_x.copy())
 
 
 @pytest.mark.parametrize("kind", ["hanil", "naive_anil"])
@@ -201,9 +185,10 @@ def test_shared_lattice_scores_equal_per_system_lattices(kind):
     theta = init_params(learner.spec, 51)
     shared = suite_for(n_systems=3, seed=51)
     own = [_with_own_lattice(s) for s in shared]
-    assert own[0].grid.states is not own[1].grid.states
-    assert (E.adapt_and_eval(learner, theta, shared, adapt_steps=4)
-            == E.adapt_and_eval(learner, theta, own, adapt_steps=4))
+    assert own[0].test_x is not own[1].test_x
+    np.testing.assert_array_equal(
+        E.adapt_and_eval(learner, theta, shared, adapt_steps=4),
+        E.adapt_and_eval(learner, theta, own, adapt_steps=4))
     assert (E.learning_curve(learner, theta, shared, max_steps=4).tobytes()
             == E.learning_curve(learner, theta, own, max_steps=4).tobytes())
 
@@ -257,7 +242,7 @@ def test_head_space_adaptation_matches_generic_masked_adam(kind):
                                   steps, E.ADAPT_LR)
         got = E.adapt_params(learner, theta, s.train_x, s.train_xdot, steps)
         assert np.abs(got - path[-1]).max() <= 1e-12 * np.abs(path[-1]).max()
-        per_step += [E.field_mse(learner.spec, th, s.grid) for th in path]
+        per_step += [E.field_mse(learner.spec, th, s) for th in path]
     want = per_step / len(systems)
     assert np.all(np.abs(curve - want) <= 1e-12 * want)
     assert curve[-1] < curve[0]
@@ -456,9 +441,9 @@ def test_ablation_smoke_and_ordering_guard():
     assert set(table) == {"hanil", "hnn_scratch"}
     for kind in table:
         assert sorted(table[kind]) == [2, 4]
-        for rep in table[kind].values():
-            assert np.isfinite(rep.mse_mean) and rep.mse_mean >= 0
-            assert rep.n_systems == 2
+        for per in table[kind].values():
+            assert per.shape == (2,)
+            assert np.all(np.isfinite(per)) and np.all(per >= 0)
     with pytest.raises(ValueError):
         E.ablation_tasks(["hanil"], [4, 2], "spring_mass", "points", K=4,
                          seed=17, inner_cfg=inner, outer_cfg=outer)

@@ -11,7 +11,7 @@ from hamlearn import metalearn as M
 from hamlearn.network import (NetworkSpec, init_params, layer_slice,
                               param_count, update_mask)
 from hamlearn.physics import integrate, true_field_many
-from hamlearn.taskgen import (Task, build_grid, make_meta_train,
+from hamlearn.taskgen import (Task, make_meta_test_suite, make_meta_train,
                               sample_params, sample_states)
 from oracle import graph as G
 from oracle import tape as T
@@ -714,12 +714,13 @@ def _kernel_calls(monkeypatch, kind):
     """(calls, tasks, inner): the positional args and result of each call of
     `fastops.loss_hvp`, `fastops.loss_grad`, `Linearization.hvp` and
     `fastops.predicted_field` in one second-order meta_step of `kind` on
-    three tasks, followed by a grid score and a short rollout of task 0's
-    system."""
+    three tasks, followed by a lattice score of a held-out system and a
+    short rollout of task 0's system."""
     learner = M.build_learner(kind, 2, (16, 16))
     spec, inner = learner.spec, learner.inner
     theta = init_params(spec, 4)
     tasks = list(make_meta_train("spring_mass", 3, 50, 4))
+    held_out, = make_meta_test_suite("spring_mass", "points", 5, 4, 1)
     calls = {"loss_hvp": [], "loss_grad": [], "hvp": [], "predicted_field": []}
     with monkeypatch.context() as patch:
         for name, seen in calls.items():
@@ -731,7 +732,7 @@ def _kernel_calls(monkeypatch, kind):
             patch.setattr(owner, name, spy)
         M.meta_step(spec, theta, tasks, inner, M.OuterConfig(task_batch=3),
                     M.adam_init(theta.size))
-        E.field_mse(spec, theta, build_grid(tasks[0].params))
+        E.field_mse(spec, theta, held_out)
         E.rollout_eval(spec, theta, tasks[0].params, tasks[0].test_x[0],
                        T_span=1.0, samples=5)
     return calls, tasks, inner

@@ -13,7 +13,7 @@ from hamlearn.cli import main
 from hamlearn.physics import (PARAM_NAMES, PhysicalParams, field_fn,
                               integrate, true_field_many)
 from hamlearn.taskgen import (GRID_PER_AXIS, PARAM_RANGES, STATE_RANGES,
-                              Task, build_grid, load_dataset, make_meta_test,
+                              Task, load_dataset, make_meta_test,
                               make_meta_test_suite, make_meta_train,
                               sample_params, sample_states, write_dataset)
 
@@ -104,31 +104,39 @@ def test_meta_train_task_indexing_stable():
         np.testing.assert_array_equal(a.train_x, b.train_x)
 
 
+def test_a_slice_of_a_pool_is_the_list_of_its_cached_tasks():
+    pool = make_meta_train("spring_mass", n_tasks=5, n_points=4, seed=9)
+    head = pool[:3]
+    assert type(head) is list and len(head) == 3
+    assert all(a is b for a, b in zip(head, (pool[0], pool[1], pool[2])))
+    assert pool[-2:][0] is pool[3] and pool[::2][2] is pool[4]
+    assert pool[7:] == []
+
+
 def test_grid_covers_region_exactly():
     rng = np.random.default_rng(5)
     for system in ("spring_mass", "pendulum", "kepler"):
-        params = sample_params(system, rng)
-        grid = build_grid(params)
+        sysm = make_meta_test(system, "points", 1, rng)
         per = GRID_PER_AXIS[system]
         dims = len(STATE_RANGES[system])
-        assert grid.states.shape == (per ** dims, dims)
+        assert sysm.test_x.shape == (per ** dims, dims)
         for j, (lo, hi) in enumerate(STATE_RANGES[system]):
-            assert grid.states[:, j].min() == lo
-            assert grid.states[:, j].max() == hi
+            assert sysm.test_x[:, j].min() == lo
+            assert sysm.test_x[:, j].max() == hi
         np.testing.assert_array_equal(
-            grid.derivatives, true_field_many(params, grid.states))
+            sysm.test_xdot, true_field_many(sysm.params, sysm.test_x))
 
 
 def test_grid_sizes():
     rng = np.random.default_rng(6)
-    assert build_grid(sample_params("spring_mass", rng)).states.shape[0] == 2500
-    assert build_grid(sample_params("kepler", rng)).states.shape[0] == 10_000
+    assert make_meta_test("spring_mass", "points", 1,
+                          rng).test_x.shape[0] == 2500
+    assert make_meta_test("kepler", "points", 1, rng).test_x.shape[0] == 10_000
 
 
 def test_meta_test_points_mode():
     rng = np.random.default_rng(21)
     sysm = make_meta_test("spring_mass", "points", 25, rng)
-    assert sysm.mode == "points" and sysm.k == 25
     assert sysm.train_x.shape == (25, 2)
     np.testing.assert_array_equal(
         sysm.train_xdot, true_field_many(sysm.params, sysm.train_x))
@@ -164,15 +172,13 @@ def test_a_trajectory_that_stops_is_drawn_again(monkeypatch):
         return (X[:2], 0.25) if len(starts) == 1 else (X, t_failure)
 
     monkeypatch.setattr(taskgen, "integrate", first_stops)
-    X, Xdot = taskgen._sample_trajectory_pairs(params,
-                                               np.random.default_rng(31), 2)
+    X = taskgen._trajectory_states(params, np.random.default_rng(31), 2)
     rng = np.random.default_rng(31)
     draws = [sample_states(params, rng, 1)[0] for _ in range(3)]
     np.testing.assert_array_equal(starts, draws)
     want = np.vstack([integrate(field_fn(params), x0, taskgen.TRAJ_SPAN,
                                 taskgen.TRAJ_SAMPLES)[0] for x0 in draws[1:]])
     assert X.tobytes() == want.tobytes()
-    np.testing.assert_array_equal(Xdot, true_field_many(params, want))
 
 
 def test_kepler_trajectory_samples_respect_separation():
@@ -192,7 +198,7 @@ def test_kepler_meta_test_grid_clear_of_singularity():
         qx, qy = np.meshgrid(axis, axis, indexing="ij")
         sep = np.hypot(qx - q0[0], qy - q0[1])
         assert sep.min() >= 0.15
-        assert np.all(np.isfinite(sysm.grid.derivatives))
+        assert np.all(np.isfinite(sysm.test_xdot))
 
 
 def test_meta_test_suite_seeding():
@@ -208,16 +214,15 @@ def test_meta_test_suite_seeding():
 @pytest.mark.parametrize("mode", ["points", "trajectories"])
 def test_meta_test_suite_shares_one_read_only_lattice(mode):
     suite = make_meta_test_suite("pendulum", mode, 3, seed=31, n_systems=3)
-    states = suite[0].grid.states
-    assert all(s.grid.states is states for s in suite)
+    states = suite[0].test_x
+    assert all(s.test_x is states for s in suite)
     assert not states.flags.writeable
     with pytest.raises(ValueError):
         states[0, 0] = 1.0
     # the labels stay per system
-    assert not np.array_equal(suite[0].grid.derivatives,
-                              suite[1].grid.derivatives)
+    assert not np.array_equal(suite[0].test_xdot, suite[1].test_xdot)
     for s in suite:
-        np.testing.assert_array_equal(s.grid.derivatives,
+        np.testing.assert_array_equal(s.test_xdot,
                                       true_field_many(s.params, states))
 
 
